@@ -15,7 +15,8 @@ the input (floored at 1.0).  The kernels never raise; they return the final
 off-diagonal residual and leave the convergence decision to the caller.
 
 ``implementations()`` exposes every backend side by side so parity tests and
-the benchmark script can compare them inside one process.
+the benchmark script can compare them inside one process.  The batched
+kernel with eigenvectors, :func:`jacobi_batch`, is numpy only.
 """
 
 from __future__ import annotations
@@ -153,18 +154,6 @@ def _jacobi_vals_py(M, tol, max_sweeps):
     return w, off
 
 
-def _batch_vals_loop_py(S, tol, max_sweeps):
-    m = S.shape[0]
-    n = S.shape[1]
-    W = np.empty((m, n))
-    offs = np.empty(m)
-    for b in range(m):
-        w, off = _jacobi_vals_py(S[b], tol, max_sweeps)
-        W[b] = w
-        offs[b] = off
-    return W, offs
-
-
 def _offdiag_mass(A):
     # summed directly over off-diagonal entries: subtracting the diagonal
     # mass from the total would cancel catastrophically near convergence
@@ -174,59 +163,89 @@ def _offdiag_mass(A):
     return np.sqrt((B * B).sum(axis=(1, 2)))
 
 
-def _batch_vals_numpy(S, tol, max_sweeps):
-    """Eigenvalues of a stack of symmetric matrices, vectorized over the batch.
+def _batch_sweep(A, V):
+    """One cyclic sweep over every matrix of the stack A, in place.
 
-    The (p, q) sweep schedule is the same as in the scalar kernel; each
-    rotation step computes one angle per matrix and applies all rotations at
-    once.  Converged or zero-pivot matrices receive an exact identity
-    rotation and are left untouched.
+    The tangent is the scalar kernels' t = sgn(theta) / (|theta| +
+    sqrt(theta^2 + 1)) with theta = diff / (2 apq), written as
+    2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
+    overflow of theta^2, which makes the linearized tiny-pivot branch
+    unnecessary, and exactly 0 (an identity rotation) for a zero pivot.
+    """
+    n = A.shape[1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = A[:, p, q].copy()
+            app = A[:, p, p].copy()
+            aqq = A[:, q, q].copy()
+            diff = aqq - app
+            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
+            mag = 2.0 * np.abs(apq) / np.where(den == 0.0, 1.0, den)
+            t = np.where(diff * apq < 0.0, -mag, mag)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cc = c[:, None]
+            ss = s[:, None]
+            rowp = A[:, p, :]
+            rowq = A[:, q, :]
+            newp = cc * rowp - ss * rowq
+            newq = ss * rowp + cc * rowq
+            A[:, p, :] = newp
+            A[:, q, :] = newq
+            A[:, :, p] = newp
+            A[:, :, q] = newq
+            shift = t * apq
+            A[:, p, p] = app - shift
+            A[:, q, q] = aqq + shift
+            A[:, p, q] = 0.0
+            A[:, q, p] = 0.0
+            if V is not None:
+                colp = V[:, :, p]
+                colq = V[:, :, q]
+                newp = cc * colp - ss * colq
+                newq = ss * colp + cc * colq
+                V[:, :, p] = newp
+                V[:, :, q] = newq
+
+
+def jacobi_batch(S, tol, max_sweeps, vectors=False):
+    """Cyclic Jacobi on a stack of symmetric matrices, vectorized over the stack.
+
+    Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n) or
+    None when ``vectors`` is false, off-diagonal residuals (m,)).  The (p, q)
+    schedule, the convergence test and the diagonal update are those of the
+    scalar kernels; each rotation step computes one angle per matrix and
+    rotates all matrices at once.  Each sweep runs on the matrices not yet
+    converged only, so every matrix ends exactly as it would in a stack of
+    its own.  ``S`` is not modified.
     """
     A = np.array(S, dtype=np.float64, copy=True)
-    n = A.shape[1]
-    total = np.sqrt((A * A).sum(axis=(1, 2)))
-    thresh = tol * np.maximum(total, 1.0)
+    m, n = A.shape[0], A.shape[1]
+    V = np.tile(np.eye(n), (m, 1, 1)) if vectors else None
+    thresh = tol * np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1.0)
     off = _offdiag_mass(A)
-    sweeps = 0
-    while bool((off > thresh).any()) and sweeps < max_sweeps:
-        active = off > thresh
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q].copy()
-                app = A[:, p, p].copy()
-                aqq = A[:, q, q].copy()
-                rotate = active & (apq != 0.0)
-                if not rotate.any():
-                    continue
-                diff = aqq - app
-                safe_apq = np.where(apq == 0.0, 1.0, apq)
-                with np.errstate(over="ignore"):
-                    theta = np.where(rotate, diff / (2.0 * safe_apq), 0.0)
-                    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(theta < 0.0, -t, t)
-                tiny = rotate & (np.abs(apq) < _TINY_PIVOT * np.abs(diff))
-                if tiny.any():
-                    safe_diff = np.where(diff == 0.0, 1.0, diff)
-                    t = np.where(tiny, apq / safe_diff, t)
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                newp = c[:, None] * rowp - s[:, None] * rowq
-                newq = s[:, None] * rowp + c[:, None] * rowq
-                A[:, p, :] = newp
-                A[:, q, :] = newq
-                A[:, :, p] = newp
-                A[:, :, q] = newq
-                A[:, p, p] = c * c * app - 2.0 * c * s * apq + s * s * aqq
-                A[:, q, q] = s * s * app + 2.0 * c * s * apq + c * c * aqq
-                pivot = np.where(rotate, 0.0, apq)
-                A[:, p, q] = pivot
-                A[:, q, p] = pivot
-        off = _offdiag_mass(A)
-        sweeps += 1
+    for _ in range(max_sweeps):
+        idx = np.flatnonzero(off > thresh)
+        if idx.size == 0:
+            break
+        if idx.size == m:
+            _batch_sweep(A, V)
+            off = _offdiag_mass(A)
+        else:
+            sub_A = A[idx]
+            sub_V = V[idx] if vectors else None
+            _batch_sweep(sub_A, sub_V)
+            A[idx] = sub_A
+            if vectors:
+                V[idx] = sub_V
+            off[idx] = _offdiag_mass(sub_A)
     W = np.einsum("bii->bi", A).copy()
+    return W, V, off
+
+
+def _batch_vals_numpy(S, tol, max_sweeps):
+    """Eigenvalues of a stack of symmetric matrices; see :func:`jacobi_batch`."""
+    W, _, off = jacobi_batch(S, tol, max_sweeps)
     return W, off
 
 

@@ -112,18 +112,20 @@ def _triu_ix(n: int):
 
 
 def sym_pack(M: np.ndarray) -> np.ndarray:
-    """Row-major upper triangle of a symmetric matrix."""
-    n = M.shape[0]
-    rows, cols = _triu_ix(n)
-    return np.asarray(M, dtype=np.float64)[rows, cols].copy()
+    """Row-major upper triangle of a symmetric matrix (or of a stack of them,
+    over the last two axes)."""
+    M = np.asarray(M, dtype=np.float64)
+    rows, cols = _triu_ix(M.shape[-1])
+    return M[..., rows, cols]
 
 
 def sym_unpack(coords: np.ndarray, n: int) -> np.ndarray:
-    """Full symmetric matrix from packed upper-triangle coordinates."""
+    """Full symmetric matrix from packed upper-triangle coordinates; leading
+    axes of ``coords`` become leading axes of the result."""
     rows, cols = _triu_ix(n)
-    M = np.zeros((n, n))
-    M[rows, cols] = coords
-    M[cols, rows] = coords
+    M = np.zeros(np.shape(coords)[:-1] + (n, n))
+    M[..., rows, cols] = coords
+    M[..., cols, rows] = coords
     return M
 
 
@@ -240,26 +242,30 @@ def basis_element(d: AlgebraDescriptor, k: int) -> Element:
     return Element(d, coords)
 
 
-def _jp_coords(d: AlgebraDescriptor, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+def jordan_product_coords(d: AlgebraDescriptor, xc: np.ndarray,
+                          yc: np.ndarray) -> np.ndarray:
+    """Jordan product on packed coordinates; rows of (m, dim) arrays are
+    multiplied pairwise."""
     if isinstance(d, SymMatrix):
         X = sym_unpack(xc, d.n)
         Y = sym_unpack(yc, d.n)
         return sym_pack((X @ Y + Y @ X) / 2.0)
     if isinstance(d, SpinFactor):
-        out = np.empty(d.n)
-        out[0] = float(np.dot(xc, yc))
-        out[1:] = xc[0] * yc[1:] + yc[0] * xc[1:]
+        out = np.empty(np.shape(xc))
+        out[..., 0] = (xc * yc).sum(axis=-1)
+        out[..., 1:] = xc[..., :1] * yc[..., 1:] + yc[..., :1] * xc[..., 1:]
         return out
-    out = np.empty(d.dim)
+    out = np.empty(np.shape(xc))
     for f, sl in factor_slices(d):
-        out[sl] = _jp_coords(f, xc[sl], yc[sl])
+        out[..., sl] = jordan_product_coords(f, xc[..., sl], yc[..., sl])
     return out
 
 
 def jordan_product(x: Element, y: Element) -> Element:
     """The Jordan product x o y; commutative and bilinear."""
     _check_pair(x, y)
-    return Element(x.descriptor, _jp_coords(x.descriptor, x.coords, y.coords))
+    return Element(x.descriptor,
+                   jordan_product_coords(x.descriptor, x.coords, y.coords))
 
 
 def square(x: Element) -> Element:
@@ -394,5 +400,9 @@ def element_to_json(x: Element) -> dict:
 
 
 def element_from_json(obj: dict) -> Element:
+    """Inverse of :func:`element_to_json`; rejects NaN and infinite coordinates."""
     d = descriptor_from_json(obj)
-    return Element(d, np.asarray(obj["coords"], dtype=np.float64))
+    coords = np.asarray(obj["coords"], dtype=np.float64)
+    if not np.isfinite(coords).all():
+        raise ValueError("element coordinates must be finite")
+    return Element(d, coords)

@@ -8,8 +8,8 @@ norm           closed-form vs empirical operator norm for one operand
 prospect       sweep a multiplier family for violations, or replay an archive
 
 Exit codes: 0 success, 1 a check failed (a witness file is written),
-2 malformed configuration or input.  All output is deterministic under a
-fixed configuration and seed.
+2 malformed configuration or input (see ``EXIT_CODES``).  All output is
+deterministic under a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .majorization import DEFAULT_ATOL, DEFAULT_RTOL
 from .norms import norm_closed_form, norm_empirical
+from .spectral import JacobiConvergenceError
 from .search import (
     FAMILIES,
     FamilySpec,
@@ -44,6 +45,17 @@ from .verifiers import check_absolute_product_counterexample, run_all
 
 class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
+
+
+# Errors that end a command and their exit codes, reported as one ``error:``
+# line; the first matching entry applies.  ConfigError and malformed files
+# are ValueErrors; an eigensolver that does not converge was given input it
+# cannot handle.
+EXIT_CODES = (
+    (ValueError, 2),
+    (OSError, 2),
+    (JacobiConvergenceError, 2),
+)
 
 
 def _parse_order(text: str) -> float:
@@ -272,12 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,11 @@ def sort_desc(p) -> np.ndarray:
     return p[np.argsort(-p, kind="stable")]
 
 
+def sort_desc_rows(P) -> np.ndarray:
+    """Decreasing rearrangement of every row."""
+    return -np.sort(-np.asarray(P, dtype=np.float64), axis=1)
+
+
 def compwise(p, q) -> np.ndarray:
     """Componentwise product p * q."""
     p = np.asarray(p, dtype=np.float64)
@@ -176,3 +181,72 @@ def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> M
         return MajorizationVerdict(True, worst, None, "log")
     failing_k = int(np.argmin(head_adj)) + 1 if not weak_ok else n
     return MajorizationVerdict(False, worst, failing_k, "log")
+
+
+# --- batched screens ----------------------------------------------------------------
+#
+# The batched forms compare the rows of two (m, n) arrays.  They return each
+# row's worst slack, as the scalar verdict reports it, and whether the row is
+# *clear*: it passes every comparison on the way, including the
+# nonnegativity floor and the choice of common rescale, with a margin of
+# more than BATCH_CLEAR_SHARE of that comparison's band (see
+# :func:`clear_margin`).  A clear row holds under the scalar predicate too,
+# because the two computations differ by roundoff far below the margin they
+# keep in reserve; a row that is not clear must be decided by the scalar
+# predicate.
+
+BATCH_CLEAR_SHARE = 0.5
+
+
+def clear_margin(margin, band) -> np.ndarray:
+    """Whether ``margin``, the distance by which a quantity lies on the
+    passing side of its cut, exceeds BATCH_CLEAR_SHARE of the band's size.
+
+    With a band of zero only a strictly positive margin is clear; a negative
+    band (a stricter-than-exact tolerance) is measured by its size too.
+    """
+    return margin > BATCH_CLEAR_SHARE * np.abs(band)
+
+
+def weak_major_batch(P, Q, atol: float = DEFAULT_ATOL,
+                     rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`weak_major` screen: (worst slacks, clear rows)."""
+    sp = np.cumsum(sort_desc_rows(P), axis=1)
+    sq = np.cumsum(sort_desc_rows(Q), axis=1)
+    worst = (sq - sp).min(axis=1)
+    band = atol + rtol * np.maximum(np.abs(sp).max(axis=1), np.abs(sq).max(axis=1))
+    return worst, clear_margin(worst + band, band)
+
+
+def _clamped_nonneg_batch(P, atol, rtol):
+    P = np.asarray(P, dtype=np.float64)
+    floor = -(atol + rtol * np.abs(P).max(axis=1))
+    return np.maximum(P, 0.0), clear_margin(P.min(axis=1) - floor, floor)
+
+
+def log_major_batch(P, Q, atol: float = DEFAULT_ATOL,
+                    rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`log_major` screen: (worst slacks, clear rows)."""
+    ps, clear_p = _clamped_nonneg_batch(P, atol, rtol)
+    qs, clear_q = _clamped_nonneg_batch(Q, atol, rtol)
+    ps, qs = sort_desc_rows(ps), sort_desc_rows(qs)
+    top = np.maximum(ps[:, 0], qs[:, 0])
+    rescale = top > _RESCALE_LIMIT
+    clear = clear_p & clear_q & clear_margin(np.abs(top - _RESCALE_LIMIT), _RESCALE_LIMIT)
+    div = np.where(rescale, top, 1.0)[:, None]
+    pp = np.cumprod(ps / div, axis=1)
+    qp = np.cumprod(qs / div, axis=1)
+    slacks = qp - pp
+    thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
+    gap = np.abs(pp[:, -1] - qp[:, -1])
+    worst = -gap
+    clear &= clear_margin(thresholds[:, -1] - gap, thresholds[:, -1])
+    n = ps.shape[1]
+    if n > 1:
+        head = slacks[:, :n - 1]
+        head_thr = thresholds[:, :n - 1]
+        binding = np.argmin(head + head_thr, axis=1)
+        worst = np.minimum(np.take_along_axis(head, binding[:, None], axis=1)[:, 0],
+                           worst)
+        clear &= clear_margin(head + head_thr, head_thr).all(axis=1)
+    return worst, clear

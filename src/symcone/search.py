@@ -128,6 +128,7 @@ class SearchRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchRecord":
+        descriptor_from_spec(obj["descriptor"])  # reject an unparseable spec here
         return cls(
             family=obj["family"],
             descriptor=obj["descriptor"],
@@ -422,12 +423,22 @@ def write_archive(path, records) -> None:
 
 
 def read_archive(path) -> list:
+    """Records of a JSON-lines archive; a malformed line raises ValueError
+    naming its line number."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(SearchRecord.from_json(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {lineno}: archive record "
+                                 f"lacks the field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {lineno}: malformed archive "
+                                 f"record ({exc})") from None
     return out
 
 

@@ -9,6 +9,7 @@ by the in-house cyclic Jacobi kernel, spin factors in closed form
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -114,6 +115,18 @@ def _sorted_desc(vals: np.ndarray) -> np.ndarray:
     return order
 
 
+def _jacobi_thresh(norms, tol: float):
+    """Convergence threshold ``tol * max(||M||_F, 1)`` for one Frobenius norm
+    or an array of them.
+
+    A NaN or infinite entry, or finite entries whose squares overflow, leave
+    no threshold to converge to, so they are rejected here.
+    """
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix has non-finite entries (or its norm overflows)")
+    return tol * np.maximum(norms, 1.0)
+
+
 def sym_eigen(
     M: np.ndarray,
     tol: float = JACOBI_TOL,
@@ -123,7 +136,7 @@ def sym_eigen(
 
     Cyclic Jacobi; raises :class:`JacobiConvergenceError` when the
     off-diagonal mass has not dropped below ``tol * max(||M||_F, 1)`` within
-    ``max_sweeps`` sweeps.
+    ``max_sweeps`` sweeps, and ``ValueError`` on non-finite input.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -134,9 +147,9 @@ def sym_eigen(
         if asym > 1e-10 * max(1.0, np.abs(M).max()):
             raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
         M = (M + M.T) / 2.0
+    thresh = _jacobi_thresh(np.linalg.norm(M), tol)
     w, V, off = _kernels.jacobi_eigh(M, tol, max_sweeps)
-    thresh = tol * max(float(np.linalg.norm(M)), 1.0)
-    if off > thresh:
+    if not off <= thresh:  # "not <=" so that a NaN residual counts as unconverged
         raise JacobiConvergenceError(off, max_sweeps)
     order = _sorted_desc(w)
     return w[order], V[:, order]
@@ -149,11 +162,28 @@ def sym_eigvals_batch(
 ) -> np.ndarray:
     """Decreasing eigenvalues of a stack of symmetric matrices."""
     S = np.asarray(S, dtype=np.float64)
+    thresh = _jacobi_thresh(np.sqrt((S * S).sum(axis=(1, 2))), tol)
     W, offs = _kernels.jacobi_vals_batch(S, tol, max_sweeps)
-    thresh = tol * np.maximum(np.sqrt((S * S).sum(axis=(1, 2))), 1.0)
-    if bool((offs > thresh).any()):
+    if not (offs <= thresh).all():
         raise JacobiConvergenceError(float(offs.max()), max_sweeps)
     return -np.sort(-W, axis=1)
+
+
+def sym_eigh_batch(
+    S: np.ndarray,
+    tol: float = JACOBI_TOL,
+    max_sweeps: int = JACOBI_MAX_SWEEPS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sym_eigen` over a stack: decreasing eigenvalues (m, n) and the
+    matching orthonormal eigenvector columns (m, n, n)."""
+    S = np.asarray(S, dtype=np.float64)
+    thresh = _jacobi_thresh(np.sqrt((S * S).sum(axis=(1, 2))), tol)
+    W, V, offs = _kernels.jacobi_batch(S, tol, max_sweeps, vectors=True)
+    if not (offs <= thresh).all():
+        raise JacobiConvergenceError(float(offs.max()), max_sweeps)
+    order = np.argsort(-W, axis=1, kind="stable")
+    return (np.take_along_axis(W, order, axis=1),
+            np.take_along_axis(V, order[:, None, :], axis=2))
 
 
 def _spin_decompose(x: Element) -> tuple[np.ndarray, list[Element]]:
@@ -204,20 +234,79 @@ def eigvals(x: Element) -> np.ndarray:
     """Eigenvalue vector lambda(x), sorted decreasing."""
     d = x.descriptor
     if isinstance(d, SymMatrix):
-        w, off = _kernels.jacobi_vals(
-            sym_unpack(x.coords, d.n), JACOBI_TOL, JACOBI_MAX_SWEEPS
-        )
-        thresh = JACOBI_TOL * max(float(np.linalg.norm(sym_unpack(x.coords, d.n))), 1.0)
-        if off > thresh:
+        M = sym_unpack(x.coords, d.n)
+        thresh = _jacobi_thresh(np.linalg.norm(M), JACOBI_TOL)
+        w, off = _kernels.jacobi_vals(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+        if not off <= thresh:
             raise JacobiConvergenceError(off, JACOBI_MAX_SWEEPS)
         return w[_sorted_desc(w)]
     if isinstance(d, SpinFactor):
         x0 = x.coords[0]
         r = float(np.linalg.norm(x.coords[1:]))
+        if not math.isfinite(x0 + r):
+            raise ValueError("element has non-finite coordinates (or overflows)")
         return np.array([x0 + r, x0 - r])
     parts = [eigvals(Element(f, x.coords[sl])) for f, sl in factor_slices(d)]
     vals = np.concatenate(parts)
     return vals[_sorted_desc(vals)]
+
+
+# --- batched forms on (m, dim) coordinate arrays -----------------------------------
+#
+# Row i of every array belongs to sample i; each row gets the same arithmetic
+# as the scalar function above applied to that sample alone, up to roundoff.
+
+def eigvals_batch(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
+    """:func:`eigvals` of every row of X: (m, rank), each row decreasing."""
+    if isinstance(d, SymMatrix):
+        return sym_eigvals_batch(sym_unpack(X, d.n))
+    if isinstance(d, SpinFactor):
+        r = np.linalg.norm(X[:, 1:], axis=1)
+        return np.stack([X[:, 0] + r, X[:, 0] - r], axis=1)
+    vals = np.concatenate([eigvals_batch(f, X[:, sl]) for f, sl in factor_slices(d)],
+                          axis=1)
+    return -np.sort(-vals, axis=1)
+
+
+def spectral_decompose_batch(d: AlgebraDescriptor,
+                             X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spectral_decompose` of every row of X.
+
+    Returns eigenvalues (m, rank), each row decreasing, and frames
+    (m, rank, dim): ``frames[i, k]`` holds the coordinates of the idempotent
+    carrying eigenvalue ``vals[i, k]``.
+    """
+    m = X.shape[0]
+    if isinstance(d, SymMatrix):
+        W, V = sym_eigh_batch(sym_unpack(X, d.n))
+        # frames[i, k] = pack(v_k v_k^T) for the k-th eigenvector of sample i
+        return W, sym_pack(np.einsum("mik,mjk->mkij", V, V))
+    if isinstance(d, SpinFactor):
+        r = np.linalg.norm(X[:, 1:], axis=1)
+        u = np.zeros((m, d.n - 1))
+        u[:, 0] = 1.0  # deterministic completion for the degenerate direction
+        nz = r != 0.0
+        u[nz] = X[nz, 1:] / r[nz, None]
+        frames = np.empty((m, 2, d.n))
+        frames[:, :, 0] = 0.5
+        frames[:, 0, 1:] = 0.5 * u
+        frames[:, 1, 1:] = -0.5 * u
+        return np.stack([X[:, 0] + r, X[:, 0] - r], axis=1), frames
+    vals = np.empty((m, d.rank))
+    frames = np.zeros((m, d.rank, d.dim))
+    k = 0
+    for f, sl in factor_slices(d):
+        vals[:, k:k + f.rank], frames[:, k:k + f.rank, sl] = \
+            spectral_decompose_batch(f, X[:, sl])
+        k += f.rank
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=1),
+            np.take_along_axis(frames, order[:, :, None], axis=1))
+
+
+def rebuild_batch(frames: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """:func:`rebuild` of every row: coordinates sum_k vals[i, k] frames[i, k]."""
+    return np.einsum("mk,mkd->md", vals, frames)
 
 
 @lru_cache(maxsize=None)

@@ -19,10 +19,12 @@ import numpy as np
 
 from .algebra import (
     AlgebraDescriptor,
+    DescriptorMismatchError,
     Element,
     basis_element,
     inner,
     jordan_product,
+    jordan_product_coords,
     weight_vector,
 )
 from .spectral import (
@@ -59,6 +61,8 @@ class SchurMatrix:
         A = np.array(self.entries, dtype=np.float64, copy=True)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("multiplier matrix must be square")
+        if not np.isfinite(A).all():
+            raise ValueError("multiplier matrix entries must be finite")
         asym = np.abs(A - A.T).max() if A.shape[0] > 1 else 0.0
         if asym > 1e-12 * max(1.0, np.abs(A).max()):
             raise ValueError(f"multiplier matrix is not symmetric (residual {asym:.3e})")
@@ -158,10 +162,18 @@ def lyap(a: Element, x: Element) -> Element:
     return jordan_product(a, x)
 
 
+def quad_rep_coords(d: AlgebraDescriptor, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P_a(x) on packed coordinates; rows of (m, dim) arrays pair up."""
+    ax = jordan_product_coords(d, a, x)
+    return (2.0 * jordan_product_coords(d, a, ax)
+            - jordan_product_coords(d, jordan_product_coords(d, a, a), x))
+
+
 def quad_rep(a: Element, x: Element) -> Element:
     """Quadratic representation P_a(x) = 2 a o (a o x) - a^2 o x."""
-    ax = jordan_product(a, x)
-    return 2.0 * jordan_product(a, ax) - jordan_product(jordan_product(a, a), x)
+    if a.descriptor != x.descriptor:
+        raise DescriptorMismatchError(f"mixed algebras: {a.descriptor} vs {x.descriptor}")
+    return Element(a.descriptor, quad_rep_coords(a.descriptor, a.coords, x.coords))
 
 
 def quad_rep_sqrt(a: Element, b: Element, tol: float = 1e-10) -> Element:

@@ -5,6 +5,13 @@ a witness that replays the exact inputs.  Only malformed inputs (wrong
 algebra, arguments outside a stated precondition) raise.  ``run_sweep``
 drives any registered verifier over deterministically seeded random inputs
 and merges the per-sample reports.
+
+A verifier registered with a batched screen (the log-majorization and
+Jordan-product checks) is swept in chunks: the screen draws every sample
+exactly as the verifier's runner does and evaluates the whole chunk on
+(m, dim) coordinate arrays.  Samples the screen finds clear of their
+tolerance band pass as screened; every other sample is re-run through the
+scalar runner, which supplies its verdict, slack and exact witness.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .algebra import (
     element_to_json,
     from_matrix,
     jordan_product,
+    jordan_product_coords,
     norm,
     operator_commutes,
     random_element,
@@ -30,17 +38,25 @@ from .algebra import (
 from .majorization import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    clear_margin,
     major,
     log_major,
+    log_major_batch,
     sort_desc,
+    sort_desc_rows,
     weak_major,
+    weak_major_batch,
 )
 from .spectral import (
+    SQRT_CLAMP_TOL,
     JordanFrame,
     eigvals,
+    eigvals_batch,
     pnorm,
     rebuild,
+    rebuild_batch,
     spectral_decompose,
+    spectral_decompose_batch,
 )
 from .transforms import (
     ABS_FN,
@@ -56,6 +72,7 @@ from .transforms import (
     positive_quad_map,
     positive_schur_map,
     quad_rep,
+    quad_rep_coords,
     quad_rep_sqrt,
     schur,
 )
@@ -68,6 +85,12 @@ NEAR_EQUALITY_SLACK = 1e-6
 CONE_EIG_LOW = 0.05
 CONE_EIG_HIGH = 10.0
 GENERAL_SIGMA = 3.0
+
+# resampling attempts before sample_invertible gives up
+MAX_RESAMPLE_DRAWS = 1000
+
+# samples per batched evaluation in run_sweep
+SWEEP_CHUNK = 1000
 
 
 @dataclass
@@ -113,11 +136,24 @@ def _single(check: str, x: Element, passed: bool, worst: float,
 
 def merge_reports(check: str, descriptor: str, seed: int | None,
                   reports: list[VerificationReport]) -> VerificationReport:
-    passed = all(r.passed for r in reports)
-    worst = min((r.worst_slack for r in reports), default=math.inf)
+    return _merge(check, descriptor, seed, len(reports), enumerate(reports))
+
+
+def _merge(check: str, descriptor: str, seed: int | None, samples: int,
+           indexed, worst: float = math.inf,
+           details: dict | None = None) -> VerificationReport:
+    """Merged report over ``samples`` samples.
+
+    ``indexed`` yields (sample index, report) in index order.  Samples with
+    no report passed; ``worst`` and ``details`` (in merged ``max_`` form)
+    already account for them.
+    """
+    passed = True
     witness = None
-    details: dict = {}
-    for i, r in enumerate(reports):
+    details = dict(details or {})
+    for i, r in indexed:
+        passed = passed and r.passed
+        worst = min(worst, r.worst_slack)
         if not r.passed and witness is None:
             witness = {"sample_index": i, **(r.witness or {})}
         for key, val in r.details.items():
@@ -127,7 +163,7 @@ def merge_reports(check: str, descriptor: str, seed: int | None,
         check=check,
         descriptor=descriptor,
         seed=seed,
-        samples=len(reports),
+        samples=samples,
         passed=passed,
         worst_slack=float(worst),
         witness=witness,
@@ -135,11 +171,21 @@ def merge_reports(check: str, descriptor: str, seed: int | None,
     )
 
 
+def _cone_floor(vals: np.ndarray, atol: float):
+    """Lowest smallest eigenvalue still accepted from a cone element; rows of
+    a 2-D ``vals`` get one floor each."""
+    return -(1e-8 * np.maximum(1.0, np.abs(vals).max(axis=-1)) + atol)
+
+
 def _require_cone(vals: np.ndarray, atol: float, label: str) -> None:
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals[-1] < -1e-8 * scale - atol:
+    if vals[-1] < _cone_floor(vals, atol):
         raise ValueError(f"{label} is not in the symmetric cone "
                          f"(min eigenvalue {vals[-1]:.3e})")
+
+
+def _det_floor(la: np.ndarray, lb: np.ndarray):
+    """Smallest eigenvalue above which the determinant identity is checked."""
+    return 1e-7 * np.maximum(1.0, np.maximum(la.max(axis=-1), lb.max(axis=-1)))
 
 
 # --- log-majorization of the square-root quadratic map ---------------------------
@@ -163,7 +209,7 @@ def check_log_major_quadrep(a: Element, b: Element,
     details = {"log": v_log.to_json(), "weak": v_weak.to_json()}
     passed = v_log.holds and v_weak.holds
 
-    inv_floor = 1e-7 * max(1.0, float(la.max()), float(lb.max()))
+    inv_floor = _det_floor(la, lb)
     if la[-1] > inv_floor and lb[-1] > inv_floor:
         det_lhs = float(np.prod(lz))
         det_rhs = float(np.prod(target))
@@ -442,25 +488,47 @@ def check_holder(a: Element, b: Element, r: float, s: float,
 
 # --- samplers -----------------------------------------------------------------------
 
+# The samplers' raw draws are kept apart so that the batched screens draw
+# exactly what the scalar samplers draw, in the same order.
+
+def _general_draw(d: AlgebraDescriptor, rng: np.random.Generator,
+                  sigma: float = GENERAL_SIGMA) -> np.ndarray:
+    """iid Gaussian coordinates, the draw of ``random_element``."""
+    return rng.normal(0.0, sigma, d.dim)
+
+
+def _cone_draws(d: AlgebraDescriptor, rng: np.random.Generator,
+                low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH):
+    """Gaussian coordinates whose frame is kept, then the eigenvalues."""
+    return rng.normal(0.0, 1.0, d.dim), rng.uniform(low, high, d.rank)
+
+
 def sample_general(d: AlgebraDescriptor, rng: np.random.Generator,
                    sigma: float = GENERAL_SIGMA) -> Element:
-    return random_element(d, rng, sigma)
+    return Element(d, _general_draw(d, rng, sigma))
 
 
 def sample_cone(d: AlgebraDescriptor, rng: np.random.Generator,
                 low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH) -> Element:
     """Cone element with uniform eigenvalues on a random frame."""
-    sd = spectral_decompose(random_element(d, rng, 1.0))
-    return rebuild(sd.frame, rng.uniform(low, high, d.rank))
+    coords, vals = _cone_draws(d, rng, low, high)
+    return rebuild(spectral_decompose(Element(d, coords)).frame, vals)
 
 
 def sample_invertible(d: AlgebraDescriptor, rng: np.random.Generator,
                       sigma: float = GENERAL_SIGMA, min_abs: float = 1e-3) -> Element:
-    """General element resampled until all eigenvalues clear min_abs."""
-    while True:
-        x = random_element(d, rng, sigma)
+    """General element resampled until all eigenvalues clear min_abs.
+
+    Raises ValueError after MAX_RESAMPLE_DRAWS draws that all fail.
+    """
+    for _ in range(MAX_RESAMPLE_DRAWS):
+        x = sample_general(d, rng, sigma)
         if float(np.abs(eigvals(x)).min()) > min_abs:
             return x
+    raise ValueError(
+        f"no element of {descriptor_to_spec(d)} with all |eigenvalues| > "
+        f"{min_abs:g} in {MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})"
+    )
 
 
 def sample_frame(d: AlgebraDescriptor, rng: np.random.Generator) -> JordanFrame:
@@ -511,18 +579,83 @@ _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
                 (math.inf, math.inf), (4.0, 2.0), (3.0, 3.0))
 
 
-# Each runner draws one sample set and returns one report.
+# --- batched screens -----------------------------------------------------------
+#
+# A screen takes the per-sample generators of a chunk, draws what the
+# matching runner draws, and returns, per sample, the worst slack, whether the
+# sample is clear (every cut it meets, the inequalities and the
+# preconditions alike, passes by a clear_margin), and the numeric report
+# details (NaN where the scalar report has none).
+
+def _cone_pairs(d, rngs):
+    """Coordinates (m, dim) of the pairs a, b that _run_log_major draws."""
+    m = len(rngs)
+    draws = [_cone_draws(d, rng) + _cone_draws(d, rng) for rng in rngs]
+    ga, ua, gb, ub = (np.array(col) for col in zip(*draws))
+    _, frames = spectral_decompose_batch(d, np.concatenate([ga, gb]))
+    ab = rebuild_batch(frames, np.concatenate([ua, ub]))
+    return ab[:m], ab[m:]
+
+
+def _general_pairs(d, rngs):
+    """Coordinates (m, dim) of the pairs a, b that _run_jordan_weak draws."""
+    draws = [(_general_draw(d, rng), _general_draw(d, rng)) for rng in rngs]
+    a, b = (np.array(col) for col in zip(*draws))
+    return a, b
+
+
+def _screen_log_major(d, rngs, atol, rtol):
+    m = len(rngs)
+    a, b = _cone_pairs(d, rngs)
+    vals, frames = spectral_decompose_batch(d, np.concatenate([a, b]))
+    la, lb = vals[:m], vals[m:]
+    # the scalar check raises below these floors
+    floor_a, floor_b = _cone_floor(la, atol), _cone_floor(lb, atol)
+    clear = (clear_margin(la[:, -1] - floor_a, floor_a)
+             & clear_margin(lb[:, -1] - floor_b, floor_b)
+             & clear_margin(la[:, -1] + SQRT_CLAMP_TOL, SQRT_CLAMP_TOL))
+    sqrt_a = rebuild_batch(frames[:m], np.sqrt(np.maximum(la, 0.0)))
+    lz = eigvals_batch(d, quad_rep_coords(d, sqrt_a, b))
+    target = la * lb
+    worst_log, clear_log = log_major_batch(lz, target, atol=atol, rtol=rtol)
+    worst_weak, clear_weak = weak_major_batch(lz, target, atol=atol, rtol=rtol)
+    floor = _det_floor(la, lb)
+    checked = (la[:, -1] > floor) & (lb[:, -1] > floor)
+    det_rhs = np.where(checked, target.prod(axis=1), 1.0)
+    det_rel = np.where(checked, np.abs(lz.prod(axis=1) - det_rhs) / np.abs(det_rhs), np.nan)
+    # the floor only selects whether the identity is checked: either side is
+    # fine, as long as the batch and the scalar check pick the same one
+    clear &= (clear_log & clear_weak
+              & clear_margin(np.abs(la[:, -1] - floor), floor)
+              & clear_margin(np.abs(lb[:, -1] - floor), floor)
+              & (~checked | clear_margin(DET_IDENTITY_RTOL - det_rel, DET_IDENTITY_RTOL)))
+    return np.minimum(worst_log, worst_weak), clear, {"det_rel_err": det_rel}
+
+
+def _screen_jordan_weak(d, rngs, atol, rtol):
+    m = len(rngs)
+    a, b = _general_pairs(d, rngs)
+    vals = np.abs(eigvals_batch(d, np.concatenate([jordan_product_coords(d, a, b), a, b])))
+    rhs = sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
+    worst, clear = weak_major_batch(vals[:m], rhs, atol=atol, rtol=rtol)
+    return worst, clear, {}
+
+
+# Each runner draws one sample set and returns one report.  A runner with a
+# ``screen`` attribute is swept in batches by run_sweep.
 CHECK_RUNNERS: dict[str, Callable] = {}
 
 
-def _register(name: str):
+def _register(name: str, screen: Callable | None = None):
     def deco(fn):
+        if screen is not None:
+            fn.screen = screen
         CHECK_RUNNERS[name] = fn
         return fn
     return deco
 
 
-@_register("log_major_quadrep")
+@_register("log_major_quadrep", screen=_screen_log_major)
 def _run_log_major(d, rng, atol, rtol):
     return check_log_major_quadrep(sample_cone(d, rng), sample_cone(d, rng),
                                    atol=atol, rtol=rtol)
@@ -565,7 +698,7 @@ def _run_schur_diag(d, rng, atol, rtol):
                             atol=atol, rtol=rtol)
 
 
-@_register("jordan_weak")
+@_register("jordan_weak", screen=_screen_jordan_weak)
 def _run_jordan_weak(d, rng, atol, rtol):
     return check_jordan_weak(sample_general(d, rng), sample_general(d, rng),
                              atol=atol, rtol=rtol)
@@ -593,15 +726,40 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
               atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> VerificationReport:
-    """Run a registered verifier over seeded random inputs and merge reports."""
+    """Run a registered verifier over seeded random inputs and merge reports.
+
+    Sample i draws from ``sample_rng(seed, i)``.  A runner with a batched
+    screen is evaluated SWEEP_CHUNK samples at a time; only the samples the
+    screen does not clear are re-run through the runner itself, and the
+    merged verdict, first witness and details equal those of the per-sample
+    loop (worst slacks up to roundoff).
+    """
     if check not in CHECK_RUNNERS:
         raise ValueError(f"unknown check {check!r}; known: {sorted(CHECK_RUNNERS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     runner = CHECK_RUNNERS[check]
-    reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
-    merged = merge_reports(check, descriptor_to_spec(d), seed, reports)
-    return merged
+    spec = descriptor_to_spec(d)
+    screen = getattr(runner, "screen", None)
+    if screen is None:
+        reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
+        return merge_reports(check, spec, seed, reports)
+    worst = math.inf
+    details: dict = {}
+    reruns = []
+    for start in range(0, samples, SWEEP_CHUNK):
+        idx = range(start, min(start + SWEEP_CHUNK, samples))
+        slack, clear, extra = screen(d, [sample_rng(seed, i) for i in idx], atol, rtol)
+        if clear.any():
+            worst = min(worst, float(slack[clear].min()))
+        for key, vals in extra.items():
+            vals = vals[clear & ~np.isnan(vals)]
+            if vals.size:
+                details[f"max_{key}"] = max(details.get(f"max_{key}", -math.inf),
+                                            float(vals.max()))
+        reruns += [(i, runner(d, sample_rng(seed, i), atol, rtol))
+                   for i, ok in zip(idx, clear) if not ok]
+    return _merge(check, spec, seed, samples, reruns, worst, details)
 
 
 def run_all(d: AlgebraDescriptor, samples: int, seed: int,

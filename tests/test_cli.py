@@ -2,11 +2,16 @@
 
 import json
 
-
 import symcone
+from symcone import cli
 from symcone.algebra import SymMatrix, element_to_json, unit
 from symcone.cli import main
+from symcone.spectral import JacobiConvergenceError
 from symcone.verifiers import CHECK_RUNNERS, VerificationReport
+
+
+def error_lines(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
 
 
 class TestVerify:
@@ -46,6 +51,14 @@ class TestVerify:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "check,descriptor,samples,pass,worst_slack"
         assert len(lines) > 5
+
+    def test_unconverged_eigensolver_exits_2(self, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise JacobiConvergenceError(1.0, 64)
+
+        monkeypatch.setattr(cli, "run_all", unconverged)
+        assert main(["verify", "--alg", "sym:2", "--samples", "3"]) == 2
+        assert len(error_lines(capsys)) == 1
 
     def test_failure_writes_witness_and_exits_1(self, tmp_path, capsys, monkeypatch):
         def failing_runner(d, rng, atol, rtol):
@@ -116,6 +129,20 @@ class TestNorm:
         assert main(["norm", "--kind", "lyap", "--operand", str(op),
                      "--r", "1", "--s", "1"]) == 2
 
+    def test_nan_operand_exits_2(self, tmp_path, capsys):
+        op = tmp_path / "nan.json"
+        op.write_text('{"kind": "sym", "n": 2, "coords": [1.0, NaN, 2.0]}')
+        assert main(["norm", "--kind", "lyap", "--operand", str(op),
+                     "--r", "inf", "--s", "2", "--budget", "10"]) == 2
+        assert len(error_lines(capsys)) == 1
+
+    def test_nan_multiplier_exits_2(self, tmp_path, capsys):
+        op = tmp_path / "m.csv"
+        op.write_text("1.0,nan\nnan,1.0\n")
+        assert main(["norm", "--kind", "schur", "--operand", str(op),
+                     "--alg", "sym:2", "--r", "2", "--s", "2", "--budget", "10"]) == 2
+        assert len(error_lines(capsys)) == 1
+
     def test_bad_order_exits_2(self, tmp_path, capsys):
         op = tmp_path / "e.json"
         op.write_text(json.dumps(element_to_json(unit(SymMatrix(2)))))
@@ -168,3 +195,18 @@ class TestProspect:
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["prospect", "--family", "bogus", "--alg", "sym:2"]) == 2
+
+    def test_replay_of_malformed_record_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "zd"
+        main(["prospect", "--family", "random_sym", "--alg", "sym:2",
+              "--zero-diag", "--budget", "2", "--samples", "20", "--seed", "5",
+              "--out", str(out)])
+        path = tmp_path / "zd.jsonl"
+        rec = json.loads(path.read_text().splitlines()[0])
+        del rec["descriptor"]
+        path.write_text(path.read_text() + json.dumps(rec) + "\n")
+        capsys.readouterr()
+        assert main(["prospect", "--replay", str(path)]) == 2
+        (line,) = error_lines(capsys)
+        assert f"line {len(path.read_text().splitlines())}" in line
+        assert "descriptor" in line

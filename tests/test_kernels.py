@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from symcone import _kernels
-from symcone.spectral import JacobiConvergenceError, sym_eigen, sym_eigvals_batch
+from symcone.algebra import Element, SymMatrix
+from symcone.spectral import (
+    JacobiConvergenceError,
+    eigvals,
+    sym_eigen,
+    sym_eigh_batch,
+    sym_eigvals_batch,
+)
 
 
 def eig2_closed(M):
@@ -83,6 +90,20 @@ class TestInputHandling:
             sym_eigen(M, max_sweeps=0)
         assert exc.value.residual > 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_rejects_non_finite(self, bad):
+        # a NaN threshold would end the sweeps before they begin; 1e200 is
+        # finite, but its square overflows the norm
+        M = np.array([[1.0, bad], [bad, 2.0]])
+        with pytest.raises(ValueError):
+            sym_eigen(M)
+        with pytest.raises(ValueError):
+            sym_eigvals_batch(M[None])
+        with pytest.raises(ValueError):
+            sym_eigh_batch(np.stack([np.eye(2), M]))
+        with pytest.raises(ValueError):
+            eigvals(Element(SymMatrix(2), [1.0, bad, 2.0]))
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         G = rng.normal(size=(5, 5))
@@ -131,3 +152,71 @@ class TestBatch:
             assert off < 1e-10
             outs[name] = np.sort(w)
         np.testing.assert_allclose(outs["numba"], outs["numpy"], atol=1e-12)
+
+
+def _stack(rng, n, m, scale=2.0):
+    S = rng.normal(0.0, scale, (m, n, n))
+    return (S + S.transpose(0, 2, 1)) / 2.0
+
+
+class TestBatchEigenvectors:
+    CASES = {
+        "diagonal": np.diag([3.0, -1.0, 2.0, 0.5]),
+        "repeated": np.diag([2.0, 2.0, 2.0, -1.0]),
+        "zero": np.zeros((4, 4)),
+        "tiny_pivot": np.array([[1.0, 1e-160, 0.0, 0.0],
+                                [1e-160, 1e10, 1e-300, 0.0],
+                                [0.0, 1e-300, -3.0, 2.0],
+                                [0.0, 0.0, 2.0, -3.0]]),
+    }
+
+    @staticmethod
+    def rotated(rng, D):
+        Q, _ = np.linalg.qr(rng.normal(size=D.shape))
+        return Q @ D @ Q.T
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_against_eigh_oracle(self, name):
+        rng = np.random.default_rng(31)
+        D = self.CASES[name]
+        # the case itself, a rotated copy (repeated eigenvalues off the
+        # diagonal) and a random symmetric matrix in one stack
+        S = np.stack([D, self.rotated(rng, D), _stack(rng, 4, 1)[0]])
+        W, V = sym_eigh_batch(S)
+        for M, w, vecs in zip(S, W, V):
+            scale = max(1.0, np.abs(M).max())
+            np.testing.assert_allclose(w, np.linalg.eigh(M)[0][::-1], rtol=0,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(vecs @ np.diag(w) @ vecs.T, M,
+                                       atol=1e-12 * scale)
+            assert np.all(np.diff(w) <= 0.0)
+
+    def test_matches_scalar_kernel(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5):
+            S = _stack(rng, n, 30)
+            W, V = sym_eigh_batch(S)
+            np.testing.assert_array_equal(sym_eigvals_batch(S), W)
+            for M, w in zip(S, W):
+                w_ref, _ = sym_eigen(M)
+                np.testing.assert_allclose(w, w_ref, atol=1e-12 * max(1.0, np.abs(M).max()))
+
+    def test_rows_independent_of_the_stack(self):
+        S = _stack(np.random.default_rng(8), 5, 12)
+        W, V, off = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL,
+                                          _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+        for i in (0, 5, 11):
+            w, v, o = _kernels.jacobi_batch(S[i:i + 1], _kernels.JACOBI_TOL,
+                                            _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+            assert np.array_equal(w[0], W[i])
+            assert np.array_equal(v[0], V[i])
+            assert o[0] == off[i]
+
+    def test_one_sweep_does_not_converge(self):
+        S = _stack(np.random.default_rng(10), 5, 8)
+        with pytest.raises(JacobiConvergenceError) as exc:
+            sym_eigh_batch(S, max_sweeps=1)
+        assert exc.value.residual > 0 and exc.value.max_sweeps == 1
+        with pytest.raises(JacobiConvergenceError):
+            sym_eigvals_batch(S, max_sweeps=1)

@@ -27,7 +27,10 @@ from symcone.transforms import (
     lyap_multiplier,
     quad_rep_sqrt,
 )
+from symcone import verifiers
+from symcone.algebra import descriptor_to_spec
 from symcone.verifiers import (
+    CHECK_RUNNERS,
     VerificationReport,
     build_commuting_factors,
     check_absolute_product_counterexample,
@@ -54,7 +57,7 @@ from symcone.verifiers import (
 )
 from symcone.spectral import rebuild
 
-from conftest import SMALL_CATALOG
+from conftest import CATALOG, SMALL_CATALOG
 
 
 class TestLogMajorQuadrep:
@@ -423,3 +426,103 @@ class TestSweepMachinery:
         d = SpinFactor(4)
         for kind in ("quad", "schur_psd", "quad_compose"):
             assert positive_map_case(d, rng, kind, ABS_FN).passed
+
+    def test_sample_invertible_gives_up_after_bounded_draws(self):
+        with pytest.raises(ValueError, match=r"sym:2.*1e\+09"):
+            sample_invertible(SymMatrix(2), np.random.default_rng(0), min_abs=1e9)
+
+
+def reference_sweep(check, d, samples, seed, atol, rtol):
+    """run_sweep as a plain loop over the scalar runner."""
+    runner = CHECK_RUNNERS[check]
+    reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
+    return merge_reports(check, descriptor_to_spec(d), seed, reports)
+
+
+def sweep_scale(check, d, samples, seed):
+    """Largest partial product (log check) or partial sum (weak check) of the
+    right-hand sides, the scale of the sweep's tolerance bands."""
+    scale = 0.0
+    for i in range(samples):
+        rng = sample_rng(seed, i)
+        if check == "log_major_quadrep":
+            a, b = sample_cone(d, rng), sample_cone(d, rng)
+            partial = np.cumprod(eigvals(a) * eigvals(b))
+        else:
+            a, b = sample_general(d, rng), sample_general(d, rng)
+            partial = np.cumsum(sort_desc(np.abs(eigvals(a))) * sort_desc(np.abs(eigvals(b))))
+        scale = max(scale, float(np.abs(partial).max()))
+    return scale
+
+
+class TestBatchedSweep:
+    SAMPLES = 40
+
+    def test_screens_draw_what_the_runners_draw(self):
+        for d in CATALOG:
+            a, b = verifiers._cone_pairs(d, [sample_rng(6, i) for i in range(8)])
+            g, h = verifiers._general_pairs(d, [sample_rng(6, i) for i in range(8)])
+            for i in range(8):
+                rng = sample_rng(6, i)
+                for x in (a, b):
+                    np.testing.assert_allclose(x[i], sample_cone(d, rng).coords,
+                                               rtol=0, atol=1e-12)
+                rng = sample_rng(6, i)
+                for x in (g, h):
+                    assert np.array_equal(x[i], sample_general(d, rng).coords)
+
+    @pytest.mark.parametrize("seed", [20260809, 4])
+    @pytest.mark.parametrize("check", ["log_major_quadrep", "jordan_weak"])
+    def test_matches_per_sample_reference(self, check, seed):
+        atol, rtol = 1e-9, 1e-8
+        for d in CATALOG:
+            got = run_sweep(check, d, self.SAMPLES, seed, atol=atol, rtol=rtol)
+            ref = reference_sweep(check, d, self.SAMPLES, seed, atol, rtol)
+            assert got.passed == ref.passed
+            assert got.samples == ref.samples
+            assert got.details.keys() == ref.details.keys()
+            band = atol + rtol * sweep_scale(check, d, self.SAMPLES, seed)
+            assert abs(got.worst_slack - ref.worst_slack) <= band, d
+            if check == "log_major_quadrep":
+                assert got.details["max_det_rel_err"] <= 1e-8
+
+    @pytest.mark.parametrize("d", [SymMatrix(3), SpinFactor(4), CATALOG[-1]])
+    def test_zero_tolerance_witness_is_the_reference_witness(self, d):
+        # at zero tolerance the determinant identity fails on roundoff, so
+        # samples fail and must all be re-derived by the scalar check
+        got = run_sweep("log_major_quadrep", d, 15, 3, atol=0.0, rtol=0.0)
+        ref = reference_sweep("log_major_quadrep", d, 15, 3, 0.0, 0.0)
+        assert not got.passed and not ref.passed
+        assert json.dumps(got.to_json(), sort_keys=True) == \
+            json.dumps(ref.to_json(), sort_keys=True)
+
+    @pytest.mark.parametrize("check,d,atol,first", [
+        ("log_major_quadrep", SymMatrix(5), -1e-3, 2),
+        ("jordan_weak", SymMatrix(3), -0.5, 31),
+        ("jordan_weak", SpinFactor(4), -0.5, 9),
+    ])
+    def test_stricter_than_exact_tolerance_fails_the_same_samples(self, check, d,
+                                                                  atol, first):
+        # a negative atol fails the samples whose margins fall short of |atol|,
+        # so which sample fails first depends on the inputs the screen draws
+        got = run_sweep(check, d, 40, 3, atol=atol, rtol=1e-8)
+        ref = reference_sweep(check, d, 40, 3, atol, 1e-8)
+        assert not got.passed and not ref.passed
+        assert got.witness["sample_index"] == first
+        assert json.dumps(got.witness, sort_keys=True) == \
+            json.dumps(ref.witness, sort_keys=True)
+        band = abs(atol) + 1e-8 * sweep_scale(check, d, 40, 3)
+        assert abs(got.worst_slack - ref.worst_slack) <= band
+
+    def test_chunking_does_not_change_the_report(self, monkeypatch):
+        d = CATALOG[-1]
+        whole = run_sweep("jordan_weak", d, 25, 8).to_json()
+        monkeypatch.setattr(verifiers, "SWEEP_CHUNK", 7)
+        assert run_sweep("jordan_weak", d, 25, 8).to_json() == whole
+
+    def test_screen_builds_no_elements(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a screened sample was serialized")
+
+        monkeypatch.setattr(verifiers, "element_to_json", forbidden)
+        assert run_sweep("log_major_quadrep", SymMatrix(3), 30, 1).passed
