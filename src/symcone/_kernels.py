@@ -1,28 +1,23 @@
-"""Cyclic-Jacobi eigensolver kernels with optional numba acceleration.
+"""Cyclic-Jacobi eigensolver kernels in numpy.
 
-The backend is fixed once at import time from the ``SYMCONE_BACKEND``
-environment variable:
+There is one scalar kernel, for one matrix, and one batched kernel, for a
+stack of matrices vectorized over the stack; each takes a flag that decides
+whether eigenvectors are accumulated.  Both run the same cyclic sweep
+schedule: for each sweep the pairs (p, q), p < q, are visited in row-major
+order and the pivot entry is annihilated by a plane rotation.  Convergence
+is declared when the off-diagonal Frobenius mass drops below ``tol`` times
+the Frobenius norm of the input (floored at 1.0).  The kernels never raise;
+they return the final off-diagonal residual and leave the convergence
+decision to the caller.
 
-    auto    use numba when importable, fall back to pure numpy (default)
-    numba   require numba, fail at import if it is missing
-    numpy   force the pure numpy/python implementations
-
-Both backends run the same cyclic sweep schedule: for each sweep the pairs
-(p, q), p < q, are visited in row-major order and the pivot entry is
-annihilated by a plane rotation.  Convergence is declared when the
-off-diagonal Frobenius mass drops below ``tol`` times the Frobenius norm of
-the input (floored at 1.0).  The kernels never raise; they return the final
-off-diagonal residual and leave the convergence decision to the caller.
-
-``implementations()`` exposes every backend side by side so parity tests and
-the benchmark script can compare them inside one process.  The batched
-kernel with eigenvectors, :func:`jacobi_batch`, is numpy only.
+``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are the entry
+points the spectral layer calls; they stay separate names because the
+benchmark's tracer (``perfbench/tracing.py``) wraps each one by name.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -32,15 +27,17 @@ JACOBI_MAX_SWEEPS = 64
 _TINY_PIVOT = 1e-150  # |A[p,q]| below this times |diff| -> linearized rotation
 
 
-def _jacobi_eigh_py(M, tol, max_sweeps):
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi sweeps.
+def _jacobi_scalar(M, tol, max_sweeps, vectors):
+    """Cyclic Jacobi on one symmetric matrix.
 
-    Returns (eigenvalues unsorted, eigenvector columns, off-diagonal
-    residual).  ``M`` is not modified.
+    Returns (eigenvalues unsorted, eigenvector columns or None when
+    ``vectors`` is false, off-diagonal residual).  The flag only decides
+    whether the rotations are accumulated; the eigenvalues and the residual
+    do not depend on it.  ``M`` is not modified.
     """
     n = M.shape[0]
     A = M.copy()
-    V = np.eye(n)
+    V = np.eye(n) if vectors else None
     total = 0.0
     for i in range(n):
         for j in range(n):
@@ -81,11 +78,12 @@ def _jacobi_eigh_py(M, tol, max_sweeps):
                         A[p, i] = A[i, p]
                         A[i, q] = aiq + s * (aip - tau * aiq)
                         A[q, i] = A[i, q]
-                for i in range(n):
-                    vip = V[i, p]
-                    viq = V[i, q]
-                    V[i, p] = vip - s * (viq + tau * vip)
-                    V[i, q] = viq + s * (vip - tau * viq)
+                if vectors:
+                    for i in range(n):
+                        vip = V[i, p]
+                        viq = V[i, q]
+                        V[i, p] = vip - s * (viq + tau * vip)
+                        V[i, q] = viq + s * (vip - tau * viq)
         off = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -96,62 +94,6 @@ def _jacobi_eigh_py(M, tol, max_sweeps):
     for i in range(n):
         w[i] = A[i, i]
     return w, V, off
-
-
-def _jacobi_vals_py(M, tol, max_sweeps):
-    """Eigenvalues only; same schedule as :func:`_jacobi_eigh_py`."""
-    n = M.shape[0]
-    A = M.copy()
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += A[i, j] * A[i, j]
-    thresh = tol * max(math.sqrt(total), 1.0)
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += 2.0 * A[i, j] * A[i, j]
-    off = math.sqrt(off)
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < _TINY_PIVOT * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                A[p, p] -= t * apq
-                A[q, q] += t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = A[i, p]
-                        aiq = A[i, q]
-                        A[i, p] = aip - s * (aiq + tau * aip)
-                        A[p, i] = A[i, p]
-                        A[i, q] = aiq + s * (aip - tau * aiq)
-                        A[q, i] = A[i, q]
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * A[i, j] * A[i, j]
-        off = math.sqrt(off)
-        sweeps += 1
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = A[i, i]
-    return w, off
 
 
 def _offdiag_mass(A):
@@ -166,7 +108,7 @@ def _offdiag_mass(A):
 def _batch_sweep(A, V):
     """One cyclic sweep over every matrix of the stack A, in place.
 
-    The tangent is the scalar kernels' t = sgn(theta) / (|theta| +
+    The tangent is the scalar kernel's t = sgn(theta) / (|theta| +
     sqrt(theta^2 + 1)) with theta = diff / (2 apq), written as
     2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
     overflow of theta^2, which makes the linearized tiny-pivot branch
@@ -214,7 +156,7 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
     Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n) or
     None when ``vectors`` is false, off-diagonal residuals (m,)).  The (p, q)
     schedule, the convergence test and the diagonal update are those of the
-    scalar kernels; each rotation step computes one angle per matrix and
+    scalar kernel; each rotation step computes one angle per matrix and
     rotates all matrices at once.  Each sweep runs on the matrices not yet
     converged only, so every matrix ends exactly as it would in a stack of
     its own.  ``S`` is not modified.
@@ -243,80 +185,34 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
     return W, V, off
 
 
-def _batch_vals_numpy(S, tol, max_sweeps):
-    """Eigenvalues of a stack of symmetric matrices; see :func:`jacobi_batch`."""
+def jacobi_eigh(M, tol, max_sweeps):
+    """Eigenvalues (unsorted), eigenvector columns and off-diagonal residual
+    of one symmetric matrix."""
+    return _jacobi_scalar(M, tol, max_sweeps, True)
+
+
+def jacobi_vals(M, tol, max_sweeps):
+    """Eigenvalues (unsorted) and off-diagonal residual of one symmetric
+    matrix; the same arithmetic as :func:`jacobi_eigh`."""
+    w, _, off = _jacobi_scalar(M, tol, max_sweeps, False)
+    return w, off
+
+
+def jacobi_vals_batch(S, tol, max_sweeps):
+    """Eigenvalues (unsorted, (m, n)) and off-diagonal residuals (m,) of a
+    stack of symmetric matrices; see :func:`jacobi_batch`."""
     W, _, off = jacobi_batch(S, tol, max_sweeps)
     return W, off
 
 
-_NUMPY_IMPL = {
-    "eigh": _jacobi_eigh_py,
-    "vals": _jacobi_vals_py,
-    "vals_batch": _batch_vals_numpy,
-}
-
-_choice = os.environ.get("SYMCONE_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"SYMCONE_BACKEND must be one of auto/numba/numpy, got {_choice!r}"
-    )
-
-_NUMBA_IMPL = None
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-    except ImportError:
-        if _choice == "numba":
-            raise
-    else:
-        _jacobi_eigh_nb = njit(cache=True)(_jacobi_eigh_py)
-        _jacobi_vals_nb = njit(cache=True)(_jacobi_vals_py)
-
-        @njit(cache=True)
-        def _batch_vals_nb(S, tol, max_sweeps):
-            m = S.shape[0]
-            n = S.shape[1]
-            W = np.empty((m, n))
-            offs = np.empty(m)
-            for b in range(m):
-                w, off = _jacobi_vals_nb(S[b], tol, max_sweeps)
-                W[b] = w
-                offs[b] = off
-            return W, offs
-
-        _NUMBA_IMPL = {
-            "eigh": _jacobi_eigh_nb,
-            "vals": _jacobi_vals_nb,
-            "vals_batch": _batch_vals_nb,
-        }
-
-if _NUMBA_IMPL is not None:
-    _BACKEND = "numba"
-    _ACTIVE = _NUMBA_IMPL
-else:
-    _BACKEND = "numpy"
-    _ACTIVE = _NUMPY_IMPL
-
-jacobi_eigh = _ACTIVE["eigh"]
-jacobi_vals = _ACTIVE["vals"]
-jacobi_vals_batch = _ACTIVE["vals_batch"]
-
-
 def backend() -> str:
-    """Name of the backend selected at import time."""
-    return _BACKEND
-
-
-def implementations() -> dict:
-    """All available backends, keyed by name, for parity tests and benchmarks."""
-    impls = {"numpy": dict(_NUMPY_IMPL)}
-    if _NUMBA_IMPL is not None:
-        impls["numba"] = dict(_NUMBA_IMPL)
-    return impls
+    """Name of the array backend the kernels run on."""
+    return "numpy"
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation so timed code paths never pay it."""
+    """Run every kernel once, so that first-call costs (lazy imports, cache
+    fills) are paid before any timed code."""
     M = np.array([[2.0, 1.0], [1.0, 3.0]])
     jacobi_eigh(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
     jacobi_vals(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)

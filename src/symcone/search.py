@@ -9,9 +9,12 @@ certified by a stored witness that replays exactly; absence of violations is
 reported as evidence only, never as a claim.
 
 The search frame is always the standard frame of the chosen algebra.  For
-symmetric-matrix algebras the sweep filters candidates through a batched
-eigenvalue fast path and re-derives every violation through the generic
-verifier so that archived records reproduce bit-for-bit.
+every algebra the sweep screens a candidate's elements in one batch: the
+Schur product is one matrix built from the frame's Peirce projectors, and
+eigenvalues and weak-majorization margins are computed for all elements at
+once.  Every element the screen does not clear is re-derived through the
+scalar verifier, so verdicts are the verifier's and archived records
+reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,18 +29,23 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     Element,
-    SymMatrix,
     descriptor_from_spec,
     descriptor_to_spec,
     element_from_json,
     element_to_json,
     jordan_product,
-    sym_pack,
-    sym_unpack,
+    jordan_product_coords,
 )
-from .majorization import DEFAULT_ATOL, DEFAULT_RTOL, sort_desc, weak_major
-from .spectral import JordanFrame, eigvals, standard_frame, sym_eigvals_batch
-from .transforms import SchurMatrix, schur
+from .majorization import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    sort_desc,
+    sort_desc_rows,
+    weak_major,
+    weak_major_batch,
+)
+from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame
+from .transforms import SchurMatrix, peirce_projectors, schur, schur_matrix
 
 FAMILIES = (
     "psd_gram",
@@ -229,41 +237,9 @@ def _sample_b_coords(d: AlgebraDescriptor, rng: np.random.Generator,
                      n_b: int, problem: str) -> np.ndarray:
     coords = rng.normal(0.0, GENERAL_SIGMA, (n_b, d.dim))
     if problem == "cone":
-        if isinstance(d, SymMatrix):
-            # batched square of the sampled elements, packed back
-            X = np.stack([sym_unpack(c / math.sqrt(GENERAL_SIGMA), d.n) for c in coords])
-            sq = X @ X
-            coords = np.stack([sym_pack(M) for M in sq])
-        else:
-            out = []
-            for c in coords:
-                x = Element(d, c / math.sqrt(GENERAL_SIGMA))
-                out.append(jordan_product(x, x).coords)
-            coords = np.stack(out)
+        x = coords / math.sqrt(GENERAL_SIGMA)
+        coords = jordan_product_coords(d, x, x)
     return coords
-
-
-def _margins_sym_batch(A: np.ndarray, coords: np.ndarray, n: int,
-                       problem: str, atol: float, rtol: float) -> np.ndarray:
-    """Vectorized margins for Sym(n) with the standard frame, one b per row."""
-    B = np.stack([sym_unpack(c, n) for c in coords])
-    eig_b = sym_eigvals_batch(B)
-    eig_ab = sym_eigvals_batch(A[None, :, :] * B)
-    dref = np.abs(np.diag(A))
-    dref = -np.sort(-dref)
-    if problem == "general":
-        lhs = -np.sort(-np.abs(eig_ab), axis=1)
-        rhs = dref[None, :] * (-np.sort(-np.abs(eig_b), axis=1))
-    else:
-        lhs = eig_ab
-        rhs = dref[None, :] * eig_b
-    clhs = np.cumsum(lhs, axis=1)
-    crhs = np.cumsum(rhs, axis=1)
-    slacks = crhs - clhs
-    scale = np.maximum(np.abs(clhs).max(axis=1), np.abs(crhs).max(axis=1))
-    margins = slacks.min(axis=1)
-    thresholds = atol + rtol * scale
-    return margins, thresholds
 
 
 def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
@@ -271,9 +247,12 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
           problem: str = "general") -> SweepResult:
     """Test n_A candidates against n_b random elements each.
 
-    Violation records are retained with their witnesses (re-derived through
-    the generic verifier so replay is exact); satisfied cases only contribute
-    to the aggregate margin.
+    Each candidate's elements are screened in one batch: the Schur product
+    as one matrix, batched eigenvalues and a batched weak-majorization
+    verdict.  Every element the screen does not clear is re-derived through
+    the scalar verifier, which decides its verdict and margin; violation
+    records keep their witnesses so that replay is exact, and satisfied
+    cases only contribute to the aggregate margin.
     """
     if n_A < 1:
         raise ValueError("need at least one candidate")
@@ -284,6 +263,7 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
             f"family size {spec.n} does not match algebra rank {descriptor.rank}"
         )
     frame = standard_frame(descriptor)
+    P = peirce_projectors(frame)
     tester = test_candidate if problem == "general" else test_candidate_cone
     violations: list[SearchRecord] = []
     min_margin = math.inf
@@ -294,26 +274,22 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
         if n_b < 1:
             continue
         coords = _sample_b_coords(descriptor, rng, n_b, problem)
-        if isinstance(descriptor, SymMatrix):
-            margins, thresholds = _margins_sym_batch(
-                A, coords, descriptor.n, problem, atol, rtol
-            )
-            min_margin = min(min_margin, float(margins.min()))
-            suspect = np.nonzero(margins < -thresholds)[0]
-            for ib in suspect:
-                rec = tester(A, frame, Element(descriptor, coords[ib]),
-                             atol=atol, rtol=rtol, family=spec.family, seed=seed)
-                if rec.verdict == "violated":
-                    violations.append(rec)
-            tested += n_b
+        eig_ab = eigvals_batch(descriptor, coords @ schur_matrix(A, P).T)
+        eig_b = eigvals_batch(descriptor, coords)
+        dref = sort_desc(np.abs(np.diag(A)))
+        if problem == "general":
+            lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
         else:
-            for ib in range(n_b):
-                rec = tester(A, frame, Element(descriptor, coords[ib]),
-                             atol=atol, rtol=rtol, family=spec.family, seed=seed)
-                min_margin = min(min_margin, rec.margin)
-                if rec.verdict == "violated":
-                    violations.append(rec)
-                tested += 1
+            lhs, rhs = eig_ab, dref * eig_b
+        margins, clear = weak_major_batch(lhs, rhs, atol=atol, rtol=rtol)
+        for ib in np.flatnonzero(~clear):
+            rec = tester(A, frame, Element(descriptor, coords[ib]),
+                         atol=atol, rtol=rtol, family=spec.family, seed=seed)
+            margins[ib] = rec.margin
+            if rec.verdict == "violated":
+                violations.append(rec)
+        min_margin = min(min_margin, float(margins.min()))
+        tested += n_b
     return SweepResult(spec.family, descriptor_to_spec(descriptor), n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
 

@@ -115,13 +115,17 @@ def _sorted_desc(vals: np.ndarray) -> np.ndarray:
     return order
 
 
-def _jacobi_thresh(norms, tol: float):
-    """Convergence threshold ``tol * max(||M||_F, 1)`` for one Frobenius norm
-    or an array of them.
+def _jacobi_thresh(M: np.ndarray, tol: float):
+    """Convergence threshold ``tol * max(||M||_F, 1)`` of one matrix, or one
+    per matrix of an (m, n, n) stack.
 
     A NaN or infinite entry, or finite entries whose squares overflow, leave
-    no threshold to converge to, so they are rejected here.
+    no threshold to converge to, so they are rejected here; the overflow
+    itself is expected and stays silent.
     """
+    with np.errstate(over="ignore"):
+        norms = (np.linalg.norm(M) if M.ndim == 2
+                 else np.sqrt((M * M).sum(axis=(1, 2))))
     if not np.isfinite(norms).all():
         raise ValueError("matrix has non-finite entries (or its norm overflows)")
     return tol * np.maximum(norms, 1.0)
@@ -143,11 +147,12 @@ def sym_eigen(
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     if n > 1:
-        asym = np.abs(M - M.T).max()
+        with np.errstate(invalid="ignore"):  # inf - inf; the threshold gate rejects it
+            asym = np.abs(M - M.T).max()
         if asym > 1e-10 * max(1.0, np.abs(M).max()):
             raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
         M = (M + M.T) / 2.0
-    thresh = _jacobi_thresh(np.linalg.norm(M), tol)
+    thresh = _jacobi_thresh(M, tol)
     w, V, off = _kernels.jacobi_eigh(M, tol, max_sweeps)
     if not off <= thresh:  # "not <=" so that a NaN residual counts as unconverged
         raise JacobiConvergenceError(off, max_sweeps)
@@ -162,7 +167,7 @@ def sym_eigvals_batch(
 ) -> np.ndarray:
     """Decreasing eigenvalues of a stack of symmetric matrices."""
     S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(np.sqrt((S * S).sum(axis=(1, 2))), tol)
+    thresh = _jacobi_thresh(S, tol)
     W, offs = _kernels.jacobi_vals_batch(S, tol, max_sweeps)
     if not (offs <= thresh).all():
         raise JacobiConvergenceError(float(offs.max()), max_sweeps)
@@ -177,7 +182,7 @@ def sym_eigh_batch(
     """:func:`sym_eigen` over a stack: decreasing eigenvalues (m, n) and the
     matching orthonormal eigenvector columns (m, n, n)."""
     S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(np.sqrt((S * S).sum(axis=(1, 2))), tol)
+    thresh = _jacobi_thresh(S, tol)
     W, V, offs = _kernels.jacobi_batch(S, tol, max_sweeps, vectors=True)
     if not (offs <= thresh).all():
         raise JacobiConvergenceError(float(offs.max()), max_sweeps)
@@ -186,11 +191,24 @@ def sym_eigh_batch(
             np.take_along_axis(V, order[:, None, :], axis=2))
 
 
+def _spin_radius(x: Element) -> float:
+    """||xbar|| of a spin-factor element.
+
+    Non-finite coordinates, or a norm that overflows, are rejected; the
+    overflow itself is expected and stays silent.
+    """
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(x.coords[1:]))
+    if not math.isfinite(x.coords[0] + r):
+        raise ValueError("element has non-finite coordinates (or overflows)")
+    return r
+
+
 def _spin_decompose(x: Element) -> tuple[np.ndarray, list[Element]]:
     d = x.descriptor
     x0 = x.coords[0]
     bar = x.coords[1:]
-    r = float(np.linalg.norm(bar))
+    r = _spin_radius(x)
     if r == 0.0:
         u = np.zeros(d.n - 1)
         u[0] = 1.0  # deterministic completion for the degenerate direction
@@ -235,16 +253,14 @@ def eigvals(x: Element) -> np.ndarray:
     d = x.descriptor
     if isinstance(d, SymMatrix):
         M = sym_unpack(x.coords, d.n)
-        thresh = _jacobi_thresh(np.linalg.norm(M), JACOBI_TOL)
+        thresh = _jacobi_thresh(M, JACOBI_TOL)
         w, off = _kernels.jacobi_vals(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
         if not off <= thresh:
             raise JacobiConvergenceError(off, JACOBI_MAX_SWEEPS)
         return w[_sorted_desc(w)]
     if isinstance(d, SpinFactor):
         x0 = x.coords[0]
-        r = float(np.linalg.norm(x.coords[1:]))
-        if not math.isfinite(x0 + r):
-            raise ValueError("element has non-finite coordinates (or overflows)")
+        r = _spin_radius(x)
         return np.array([x0 + r, x0 - r])
     parts = [eigvals(Element(f, x.coords[sl])) for f, sl in factor_slices(d)]
     vals = np.concatenate(parts)

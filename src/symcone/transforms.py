@@ -223,6 +223,30 @@ def schur(A, frame: JordanFrame, x: Element, validate: bool = True) -> Element:
     return Element(x.descriptor, out)
 
 
+def peirce_projectors(frame: JordanFrame) -> np.ndarray:
+    """Matrices of the Peirce projections on packed coordinates.
+
+    Returns P of shape (rank, rank, dim, dim): for i <= j, ``P[i, j] @
+    x.coords`` are the coordinates of the component x_ij of
+    :func:`peirce_project`; ``P[i, j]`` is zero for i > j.
+    """
+    validate_frame(frame)
+    d = frame.descriptor
+    P = np.zeros((len(frame), len(frame), d.dim, d.dim))
+    for k in range(d.dim):
+        comps = peirce_project(frame, basis_element(d, k), validate=False)
+        for (i, j), comp in comps.items():
+            P[i, j, :, k] = comp.coords
+    return P
+
+
+def schur_matrix(A, P: np.ndarray) -> np.ndarray:
+    """Matrix of x -> A . x on packed coordinates, for the frame whose
+    :func:`peirce_projectors` are P: ``sum_{i<=j} A[i, j] P[i, j]`` (the
+    projectors below the diagonal are zero)."""
+    return np.tensordot(_as_entries(A, P.shape[0]), P, axes=2)
+
+
 def lyap_multiplier(vals: np.ndarray) -> SchurMatrix:
     """Multiplier [(a_i + a_j) / 2] reproducing lyap on the matching frame."""
     v = np.asarray(vals, dtype=np.float64)

@@ -29,7 +29,7 @@ SMALL_CATALOG = (
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # JIT compilation must never count against timed assertions
+    # first-call costs must never count against timed assertions
     _kernels.warm_up()
 
 

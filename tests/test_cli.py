@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
 import json
+import warnings
+
+import pytest
 
 import symcone
 from symcone import cli
@@ -142,6 +145,20 @@ class TestNorm:
         assert main(["norm", "--kind", "schur", "--operand", str(op),
                      "--alg", "sym:2", "--r", "2", "--s", "2", "--budget", "10"]) == 2
         assert len(error_lines(capsys)) == 1
+
+    @pytest.mark.parametrize("kind,n", [("sym", 2), ("spin", 3)])
+    def test_overflowing_operand_exits_2_with_one_line(self, tmp_path, capsys, kind, n):
+        # finite entries whose squares overflow: the error line is all that
+        # reaches stderr, with no numpy RuntimeWarning before it
+        op = tmp_path / "big.json"
+        op.write_text(json.dumps({"kind": kind, "n": n, "coords": [1e200] * 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--kind", "lyap", "--operand", str(op),
+                         "--r", "inf", "--s", "2", "--budget", "10"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_bad_order_exits_2(self, tmp_path, capsys):
         op = tmp_path / "e.json"

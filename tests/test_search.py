@@ -1,15 +1,25 @@
 """Multiplier-family search: generation, margins, refinement, archives."""
 
+import math
 
 import numpy as np
 import pytest
 
-from symcone.algebra import Element, SpinFactor, SymMatrix, jordan_product, sym_pack
+from conftest import CATALOG
+from symcone.algebra import (
+    Element,
+    SymMatrix,
+    descriptor_to_spec,
+    jordan_product,
+    sym_pack,
+)
 from symcone.search import test_candidate as eval_candidate
 from symcone.search import test_candidate_cone as eval_candidate_cone
 from symcone.search import (
+    GENERAL_SIGMA,
     FamilySpec,
     SearchRecord,
+    SweepResult,
     classify_boundary,
     generate_candidate,
     read_archive,
@@ -171,19 +181,49 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(FamilySpec("psd_gram", 3), SymMatrix(2), 1, 1, seed=0)
 
-    def test_generic_path_spin(self):
-        res = sweep(FamilySpec("psd_gram", 2), SpinFactor(4), 5, 10, seed=2)
-        assert len(res.violations) == 0
+    @pytest.mark.parametrize("seed", [2, 5], ids=lambda s: f"seed{s}")
+    @pytest.mark.parametrize("family", ["psd_gram", "zero_diag"])
+    @pytest.mark.parametrize("problem", ["general", "cone"])
+    @pytest.mark.parametrize("d", CATALOG, ids=descriptor_to_spec)
+    def test_sweep_matches_per_sample_loop(self, d, problem, family, seed):
+        # the batched screen keeps exactly the records, and counts exactly the
+        # tests, of the scalar verifier run on every draw
+        spec = (FamilySpec("random_sym", d.rank, {"zero_diag": True})
+                if family == "zero_diag" else FamilySpec(family, d.rank))
+        n_A, n_b = 4, 10
+        res = sweep(spec, d, n_A, n_b, seed, problem=problem)
+        ref = _per_sample_sweep(spec, d, n_A, n_b, seed, problem)
+        assert [r.to_json() for r in res.violations] == [r.to_json() for r in ref.violations]
+        assert res.tested == ref.tested == n_A * n_b
+        # the screen's margins carry eigenvalue roundoff, which scales with the
+        # eigenvalues rather than with the margin, hence the absolute floor
+        assert res.min_margin == pytest.approx(ref.min_margin, rel=1e-12, abs=1e-12)
+        if family == "zero_diag":
+            assert len(ref.violations) == ref.tested
+        else:
+            assert ref.violations == []
 
-    def test_batch_matches_generic_margins(self):
-        # the batched filter and the generic verifier agree on every margin
-        d = SymMatrix(3)
-        spec = FamilySpec("random_sym", 3, {"zero_diag": True})
-        res = sweep(spec, d, 2, 25, seed=5)
-        frame = standard_frame(d)
-        for rec in res.violations:
-            again = eval_candidate(rec.entries, frame, rec.b_witness)
-            assert again.margin == rec.margin
+
+def _per_sample_sweep(spec, d, n_A, n_b, seed, problem):
+    """:func:`sweep` as a plain loop: the same draws, each through the
+    scalar verifier."""
+    frame = standard_frame(d)
+    tester = eval_candidate if problem == "general" else eval_candidate_cone
+    violations, margins = [], []
+    for ia in range(n_A):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, ia]))
+        A = generate_candidate(spec, rng)
+        for c in rng.normal(0.0, GENERAL_SIGMA, (n_b, d.dim)):
+            b = Element(d, c)
+            if problem == "cone":
+                x = Element(d, c / math.sqrt(GENERAL_SIGMA))
+                b = jordan_product(x, x)
+            rec = tester(A, frame, b, family=spec.family, seed=seed)
+            margins.append(rec.margin)
+            if rec.verdict == "violated":
+                violations.append(rec)
+    return SweepResult(spec.family, descriptor_to_spec(d), n_A, n_b, seed, problem,
+                       violations, min(margins), len(margins))
 
 
 class TestRefine:

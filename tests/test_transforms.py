@@ -3,8 +3,12 @@ operator matrices, sublinear spectral maps, positivity machinery."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symcone.algebra import (
+    Element,
     SymMatrix,
     from_matrix,
     from_orthonormal,
@@ -44,6 +48,7 @@ from symcone.transforms import (
     lyap_map,
     lyap_multiplier,
     peirce_project,
+    peirce_projectors,
     positive_quad_map,
     positive_schur_map,
     quad_multiplier,
@@ -51,10 +56,11 @@ from symcone.transforms import (
     quad_rep_map,
     quad_rep_sqrt,
     schur,
+    schur_matrix,
     validate_frame,
 )
 
-from conftest import SMALL_CATALOG
+from conftest import CATALOG, SMALL_CATALOG
 
 
 class TestLyapAndQuad:
@@ -207,6 +213,48 @@ class TestSchur:
         np.testing.assert_allclose(
             out.as_matrix(), np.diag(np.diag(x.as_matrix())), atol=1e-12
         )
+
+
+_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def schur_cases(draw):
+    """(multiplier, frame, element): the frame is the standard one or the
+    frame of a drawn element's spectral decomposition."""
+    d = draw(st.sampled_from(CATALOG))
+    G = draw(arrays(np.float64, (d.rank, d.rank), elements=_coord))
+    b = Element(d, draw(arrays(np.float64, d.dim, elements=_coord)))
+    if draw(st.booleans()):
+        frame = standard_frame(d)
+    else:
+        x = Element(d, draw(arrays(np.float64, d.dim, elements=_coord)))
+        frame = spectral_decompose(x).frame
+    return (G + G.T) / 2.0, frame, b
+
+
+class TestSchurMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(schur_cases())
+    def test_matches_scalar_schur(self, case):
+        # A . x is linear in x; its matrix from the Peirce projectors acts
+        # as the scalar Schur product does
+        A, frame, b = case
+        got = schur_matrix(A, peirce_projectors(frame)) @ b.coords
+        want = schur(A, frame, b).coords
+        scale = max(1.0, np.abs(A).max()) * max(1.0, np.abs(b.coords).max())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_projectors_are_the_peirce_components(self):
+        d = CATALOG[-1]
+        frame = standard_frame(d)
+        P = peirce_projectors(frame)
+        b = random_element(d, np.random.default_rng(4), 2.0)
+        comps = peirce_project(frame, b)
+        for i in range(len(frame)):
+            for j in range(len(frame)):
+                want = comps[(i, j)].coords if i <= j else np.zeros(d.dim)
+                np.testing.assert_allclose(P[i, j] @ b.coords, want, atol=1e-14)
 
 
 class TestSchurMatrixIO:
