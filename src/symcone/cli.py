@@ -34,7 +34,7 @@ from .search import (
     FAMILIES,
     FamilySpec,
     read_archive,
-    replay_record,
+    replay_records,
     sweep,
     write_archive,
     write_summary_csv,
@@ -194,8 +194,7 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
     if args.replay:
         records = read_archive(args.replay)
         bad = 0
-        for i, rec in enumerate(records):
-            ok, margin = replay_record(rec)
+        for i, (rec, (ok, margin)) in enumerate(zip(records, replay_records(records))):
             if not ok:
                 bad += 1
                 print(f"record {i}: MISMATCH (stored {rec.margin!r}, replayed {margin!r})")

@@ -208,14 +208,32 @@ def clear_margin(margin, band) -> np.ndarray:
     return margin > BATCH_CLEAR_SHARE * np.abs(band)
 
 
-def weak_major_batch(P, Q, atol: float = DEFAULT_ATOL,
-                     rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`weak_major` screen: (worst slacks, clear rows)."""
+def _weak_slacks_rows(P, Q, atol, rtol):
+    # each row's worst slack and tolerance band, by the arithmetic of weak_major
     sp = np.cumsum(sort_desc_rows(P), axis=1)
     sq = np.cumsum(sort_desc_rows(Q), axis=1)
     worst = (sq - sp).min(axis=1)
     band = atol + rtol * np.maximum(np.abs(sp).max(axis=1), np.abs(sq).max(axis=1))
+    return worst, band
+
+
+def weak_major_batch(P, Q, atol: float = DEFAULT_ATOL,
+                     rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`weak_major` screen: (worst slacks, clear rows)."""
+    worst, band = _weak_slacks_rows(P, Q, atol, rtol)
     return worst, clear_margin(worst + band, band)
+
+
+def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
+                    rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold).
+
+    Unlike the screen, this is the scalar rule itself, ``worst >= -(atol +
+    rtol * scale)``; each row's slack and verdict are those of
+    ``weak_major`` on that row alone.
+    """
+    worst, band = _weak_slacks_rows(P, Q, atol, rtol)
+    return worst, worst >= -band
 
 
 def _clamped_nonneg_batch(P, atol, rtol):

@@ -8,13 +8,16 @@ symmetric and rank-one-perturbed samples in between.  Violations are
 certified by a stored witness that replays exactly; absence of violations is
 reported as evidence only, never as a claim.
 
-The search frame is always the standard frame of the chosen algebra.  For
-every algebra the sweep screens a candidate's elements in one batch: the
-Schur product is one matrix built from the frame's Peirce projectors, and
-eigenvalues and weak-majorization margins are computed for all elements at
-once.  Every element the screen does not clear is re-derived through the
-scalar verifier, so verdicts are the verifier's and archived records
-reproduce bit-for-bit.
+Every margin comes from one batched computation, :func:`_margins`, over an
+(m, dim) stack of elements b: the Schur product as a matrix built from a
+frame's Peirce projectors (one matrix for the whole stack, or one per row),
+eigenvalues of the products and of the elements in one call, and the weak
+majorization verdict row by row.  Each row's arithmetic depends on that row
+alone, so a margin has the same bits whether it is computed in a sweep, in
+a replay batch or on its own: :func:`sweep` keeps the margin and verdict of
+every row directly, :func:`test_candidate` is a batch of one, and
+:func:`replay_records` reruns an archive one batch per algebra and problem.
+The search frame of a sweep is always the standard frame of the algebra.
 """
 
 from __future__ import annotations
@@ -23,17 +26,18 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import (
     AlgebraDescriptor,
+    DescriptorMismatchError,
     Element,
     descriptor_from_spec,
     descriptor_to_spec,
     element_from_json,
     element_to_json,
-    jordan_product,
     jordan_product_coords,
 )
 from .majorization import (
@@ -41,11 +45,10 @@ from .majorization import (
     DEFAULT_RTOL,
     sort_desc,
     sort_desc_rows,
-    weak_major,
-    weak_major_batch,
+    weak_major_rows,
 )
 from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame
-from .transforms import SchurMatrix, peirce_projectors, schur, schur_matrix
+from .transforms import SchurMatrix, peirce_projectors, schur_matrix
 
 FAMILIES = (
     "psd_gram",
@@ -56,7 +59,11 @@ FAMILIES = (
     "user_file",
 )
 
+PROBLEMS = ("general", "cone")
+
 GENERAL_SIGMA = 3.0
+
+MARGIN_CHUNK = 256  # rows per batch in _margins; bounds the (rows, dim, dim) products
 
 
 @dataclass
@@ -149,66 +156,142 @@ class SearchRecord:
         )
 
 
-def _margin_general(A: np.ndarray, frame: JordanFrame, b: Element,
-                    atol: float, rtol: float):
-    lhs = sort_desc(np.abs(eigvals(schur(A, frame, b, validate=False))))
-    rhs = sort_desc(np.abs(np.diag(A))) * sort_desc(np.abs(eigvals(b)))
-    return weak_major(lhs, rhs, atol=atol, rtol=rtol)
+@lru_cache(maxsize=None)
+def _standard_projectors(d: AlgebraDescriptor) -> np.ndarray:
+    P = peirce_projectors(standard_frame(d))
+    P.flags.writeable = False
+    return P
 
 
-def _margin_cone(A: np.ndarray, frame: JordanFrame, b: Element,
-                 atol: float, rtol: float):
-    lhs = eigvals(schur(A, frame, b, validate=False))
-    rhs = sort_desc(np.abs(np.diag(A))) * eigvals(b)
-    return weak_major(lhs, rhs, atol=atol, rtol=rtol)
+def _projectors(frame: JordanFrame) -> np.ndarray:
+    """Peirce projectors of a frame; the standard frame's are cached."""
+    d = frame.descriptor
+    if frame == standard_frame(d):
+        return _standard_projectors(d)
+    return peirce_projectors(frame)
+
+
+def _multiplier(A) -> SchurMatrix:
+    return A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
+
+
+def _diag_ref(A: SchurMatrix) -> np.ndarray:
+    """lambda(|diag A|): the decreasing absolute diagonal of a multiplier."""
+    return sort_desc(np.abs(np.diag(A.entries)))
+
+
+def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
+             coords: np.ndarray, problem: str, atol: float,
+             rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weak-majorization margins and verdicts of the rows of ``coords``.
+
+    ``coords`` is an (m, dim) stack of elements b.  ``M`` is the Schur
+    matrix (:func:`transforms.schur_matrix`) shared by every row, (dim, dim),
+    or one per row, (m, dim, dim); ``dref`` is lambda(|diag A|) to match,
+    (rank,) or (m, rank).  The general problem compares lambda(|A . b|) with
+    lambda(|diag A|)*lambda(|b|), the cone problem lambda(A . b) with
+    lambda(|diag A|)*lambda(b) and rejects a b outside the cone.
+
+    A row's result depends on that row alone: the product A . b is formed
+    entrywise and summed along the contiguous axis (a BLAS product could
+    block by m), the eigensolver treats every row on its own, and the
+    verdict is the scalar ``weak_major`` rule.  Returns (margins (m,),
+    verdicts (m,) bool).
+    """
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
+    coords = np.asarray(coords, dtype=np.float64)
+    m = coords.shape[0]
+    if m > MARGIN_CHUNK:
+        parts = [_margins(d, M[lo:lo + MARGIN_CHUNK] if M.ndim == 3 else M,
+                          dref[lo:lo + MARGIN_CHUNK] if dref.ndim == 2 else dref,
+                          coords[lo:lo + MARGIN_CHUNK], problem, atol, rtol)
+                 for lo in range(0, m, MARGIN_CHUNK)]
+        margins, holds = zip(*parts)
+        return np.concatenate(margins), np.concatenate(holds)
+    ab = (M * coords[:, None, :]).sum(axis=-1)
+    eig = eigvals_batch(d, np.concatenate([ab, coords]))
+    eig_ab, eig_b = eig[:m], eig[m:]
+    if problem == "general":
+        lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
+    else:
+        floor = -1e-8 * np.maximum(np.abs(eig_b).max(axis=1), 1.0)
+        outside = np.flatnonzero(eig_b[:, -1] < floor)
+        if outside.size:
+            raise ValueError(f"b is not in the cone "
+                             f"(min eigenvalue {eig_b[outside[0], -1]:.3e})")
+        lhs, rhs = eig_ab, dref * eig_b
+    return weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
+
+
+def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
+              family: str, seed: int | None, problem: str) -> SearchRecord:
+    A = _multiplier(A)
+    if A.n != len(frame):
+        raise ValueError(f"multiplier size {A.n} vs frame rank {len(frame)}")
+    d = b.descriptor
+    if d != frame.descriptor:
+        raise DescriptorMismatchError(f"element of {d} vs frame of {frame.descriptor}")
+    margins, holds = _margins(d, schur_matrix(A, _projectors(frame)),
+                              _diag_ref(A), b.coords[None, :], problem, atol, rtol)
+    return SearchRecord(family, descriptor_to_spec(d), seed, A.entries, b,
+                        float(margins[0]), "satisfied" if holds[0] else "violated",
+                        problem)
 
 
 def test_candidate(A, frame: JordanFrame, b: Element,
                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                    family: str = "user_file", seed: int | None = None) -> SearchRecord:
     """Margin of lambda(|A . b|) against lambda(|diag A|)*lambda(|b|)."""
-    ents = A.entries if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A)).entries
-    if ents.shape[0] != len(frame):
-        raise ValueError(f"multiplier size {ents.shape[0]} vs frame rank {len(frame)}")
-    v = _margin_general(ents, frame, b, atol, rtol)
-    return SearchRecord(family, descriptor_to_spec(b.descriptor), seed, ents, b,
-                        v.worst_slack, "satisfied" if v.holds else "violated",
-                        "general")
+    return _test_one(A, frame, b, atol, rtol, family, seed, "general")
 
 
 def test_candidate_cone(A, frame: JordanFrame, b: Element,
                         atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                         family: str = "user_file", seed: int | None = None) -> SearchRecord:
     """Cone variant: lambda(A . b) against lambda(|diag A|)*lambda(b), b >= 0."""
-    ents = A.entries if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A)).entries
-    if ents.shape[0] != len(frame):
-        raise ValueError(f"multiplier size {ents.shape[0]} vs frame rank {len(frame)}")
-    vals = eigvals(b)
-    scale = max(1.0, float(np.abs(vals).max()))
-    if vals[-1] < -1e-8 * scale:
-        raise ValueError(f"b is not in the cone (min eigenvalue {vals[-1]:.3e})")
-    v = _margin_cone(ents, frame, b, atol, rtol)
-    return SearchRecord(family, descriptor_to_spec(b.descriptor), seed, ents, b,
-                        v.worst_slack, "satisfied" if v.holds else "violated",
-                        "cone")
+    return _test_one(A, frame, b, atol, rtol, family, seed, "cone")
+
+
+def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
+                   margin_tol: float = 1e-10) -> list:
+    """Recompute records from their serialized data alone.
+
+    Records are grouped by (descriptor, problem) and each group runs as one
+    batch on the standard frame.  Returns one (confirmed, recomputed margin)
+    pair per record, in order; confirmation requires the same verdict and a
+    margin within margin_tol.
+    """
+    groups: dict = {}
+    for i, rec in enumerate(records):
+        groups.setdefault((rec.descriptor, rec.problem), []).append(i)
+    out = [None] * len(records)
+    for (spec, problem), idx in groups.items():
+        d = descriptor_from_spec(spec)
+        for i in idx:
+            if records[i].b_witness.descriptor != d:
+                raise DescriptorMismatchError(
+                    f"record {i}: witness of {records[i].b_witness.descriptor} "
+                    f"in a record of {spec}")
+        mults = [_multiplier(records[i].entries) for i in idx]
+        margins, holds = _margins(
+            d, schur_matrix(mults, _standard_projectors(d)),
+            np.stack([_diag_ref(A) for A in mults]),
+            np.stack([records[i].b_witness.coords for i in idx]),
+            problem, atol, rtol)
+        for i, margin, ok in zip(idx, margins.tolist(), holds.tolist()):
+            rec = records[i]
+            verdict = "satisfied" if ok else "violated"
+            out[i] = (verdict == rec.verdict and abs(margin - rec.margin) <= margin_tol,
+                      margin)
+    return out
 
 
 def replay_record(record: SearchRecord,
                   atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                   margin_tol: float = 1e-10):
-    """Recompute a record from its serialized data alone.
-
-    Returns (confirmed, recomputed margin); confirmation requires the same
-    verdict and a margin within margin_tol.
-    """
-    d = descriptor_from_spec(record.descriptor)
-    frame = standard_frame(d)
-    tester = test_candidate if record.problem == "general" else test_candidate_cone
-    fresh = tester(record.entries, frame, record.b_witness, atol=atol, rtol=rtol,
-                   family=record.family, seed=record.seed)
-    confirmed = (fresh.verdict == record.verdict
-                 and abs(fresh.margin - record.margin) <= margin_tol)
-    return confirmed, fresh.margin
+    """:func:`replay_records` of one record: (confirmed, recomputed margin)."""
+    return replay_records([record], atol=atol, rtol=rtol, margin_tol=margin_tol)[0]
 
 
 @dataclass
@@ -247,50 +330,40 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
           problem: str = "general") -> SweepResult:
     """Test n_A candidates against n_b random elements each.
 
-    Each candidate's elements are screened in one batch: the Schur product
-    as one matrix, batched eigenvalues and a batched weak-majorization
-    verdict.  Every element the screen does not clear is re-derived through
-    the scalar verifier, which decides its verdict and margin; violation
-    records keep their witnesses so that replay is exact, and satisfied
-    cases only contribute to the aggregate margin.
+    Each candidate's elements run as one batch through :func:`_margins` on
+    the standard frame, which gives every element its margin and verdict;
+    they are the ones :func:`test_candidate` would give that element alone.
+    Every violated element becomes a record with its witness, so that replay
+    is exact; satisfied ones only contribute to the aggregate margin.
     """
     if n_A < 1:
         raise ValueError("need at least one candidate")
-    if problem not in ("general", "cone"):
+    if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     if descriptor.rank != spec.n:
         raise ValueError(
             f"family size {spec.n} does not match algebra rank {descriptor.rank}"
         )
-    frame = standard_frame(descriptor)
-    P = peirce_projectors(frame)
-    tester = test_candidate if problem == "general" else test_candidate_cone
+    P = _standard_projectors(descriptor)
+    d_spec = descriptor_to_spec(descriptor)
     violations: list[SearchRecord] = []
     min_margin = math.inf
     tested = 0
     for ia in range(n_A):
         rng = np.random.default_rng(np.random.SeedSequence([seed, ia]))
-        A = generate_candidate(spec, rng)
+        A = SchurMatrix(generate_candidate(spec, rng))
         if n_b < 1:
             continue
         coords = _sample_b_coords(descriptor, rng, n_b, problem)
-        eig_ab = eigvals_batch(descriptor, coords @ schur_matrix(A, P).T)
-        eig_b = eigvals_batch(descriptor, coords)
-        dref = sort_desc(np.abs(np.diag(A)))
-        if problem == "general":
-            lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
-        else:
-            lhs, rhs = eig_ab, dref * eig_b
-        margins, clear = weak_major_batch(lhs, rhs, atol=atol, rtol=rtol)
-        for ib in np.flatnonzero(~clear):
-            rec = tester(A, frame, Element(descriptor, coords[ib]),
-                         atol=atol, rtol=rtol, family=spec.family, seed=seed)
-            margins[ib] = rec.margin
-            if rec.verdict == "violated":
-                violations.append(rec)
+        margins, holds = _margins(descriptor, schur_matrix(A, P), _diag_ref(A),
+                                  coords, problem, atol, rtol)
+        for ib in np.flatnonzero(~holds):
+            violations.append(SearchRecord(
+                spec.family, d_spec, seed, A.entries, Element(descriptor, coords[ib]),
+                float(margins[ib]), "violated", problem))
         min_margin = min(min_margin, float(margins.min()))
         tested += n_b
-    return SweepResult(spec.family, descriptor_to_spec(descriptor), n_A, n_b,
+    return SweepResult(spec.family, d_spec, n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
 
 
@@ -357,27 +430,29 @@ def classify_boundary(A, descriptor: AlgebraDescriptor, n_b: int, seed: int,
                       refine_steps: int = 50, problem: str = "general") -> dict:
     """Empirical 'for all b' probe: min margin over samples plus refinement.
 
-    A reported violation is certified by its witness; a clean sweep is only
-    evidence and is flagged as such.
+    The n_b elements run as one batch on the standard frame; the first
+    element of least margin is the worst case, and a violated worst case is
+    refined.  A reported violation is certified by its witness; a clean
+    sweep is only evidence and is flagged as such.
     """
-    ents = A.entries if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A)).entries
-    frame = standard_frame(descriptor)
-    tester = test_candidate if problem == "general" else test_candidate_cone
+    A = _multiplier(A)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0A2D]))
-    min_margin = math.inf
-    worst: SearchRecord | None = None
-    for _ in range(n_b):
-        coords = rng.normal(0.0, GENERAL_SIGMA, descriptor.dim)
-        b = Element(descriptor, coords)
-        if problem == "cone":
-            b = jordan_product(b, b)
-        rec = tester(ents, frame, b, atol=atol, rtol=rtol, seed=seed)
-        if rec.margin < min_margin:
-            min_margin = rec.margin
-            worst = rec
-    out = {"n_b": n_b, "min_margin": float(min_margin), "violated": False,
+    out = {"n_b": n_b, "min_margin": math.inf, "violated": False,
            "evidence_only": True}
-    if worst is not None and worst.verdict == "violated":
+    if n_b < 1:
+        return out
+    coords = rng.normal(0.0, GENERAL_SIGMA, (n_b, descriptor.dim))
+    if problem == "cone":
+        coords = jordan_product_coords(descriptor, coords, coords)
+    margins, holds = _margins(descriptor,
+                              schur_matrix(A, _standard_projectors(descriptor)),
+                              _diag_ref(A), coords, problem, atol, rtol)
+    ib = int(np.argmin(margins))
+    out["min_margin"] = float(margins[ib])
+    if not holds[ib]:
+        worst = SearchRecord("user_file", descriptor_to_spec(descriptor), seed, A.entries,
+                             Element(descriptor, coords[ib]), float(margins[ib]),
+                             "violated", problem)
         refined = refine(worst, refine_steps, seed=seed, atol=atol, rtol=rtol)
         out.update({
             "violated": True,

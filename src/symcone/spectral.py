@@ -199,7 +199,18 @@ def _spin_radius(x: Element) -> float:
     """
     with np.errstate(over="ignore"):
         r = float(np.linalg.norm(x.coords[1:]))
-    if not math.isfinite(x.coords[0] + r):
+        top = abs(float(x.coords[0])) + r  # bounds both eigenvalues x0 +- r
+    if not math.isfinite(top):
+        raise ValueError("element has non-finite coordinates (or overflows)")
+    return r
+
+
+def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
+    """:func:`_spin_radius` of every row of an (m, n) spin-factor array."""
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(X[:, 1:], axis=1)
+        top = np.abs(X[:, 0]) + r
+    if not np.isfinite(top).all():
         raise ValueError("element has non-finite coordinates (or overflows)")
     return r
 
@@ -277,7 +288,7 @@ def eigvals_batch(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
     if isinstance(d, SymMatrix):
         return sym_eigvals_batch(sym_unpack(X, d.n))
     if isinstance(d, SpinFactor):
-        r = np.linalg.norm(X[:, 1:], axis=1)
+        r = _spin_radius_batch(X)
         return np.stack([X[:, 0] + r, X[:, 0] - r], axis=1)
     vals = np.concatenate([eigvals_batch(f, X[:, sl]) for f, sl in factor_slices(d)],
                           axis=1)
@@ -298,7 +309,7 @@ def spectral_decompose_batch(d: AlgebraDescriptor,
         # frames[i, k] = pack(v_k v_k^T) for the k-th eigenvector of sample i
         return W, sym_pack(np.einsum("mik,mjk->mkij", V, V))
     if isinstance(d, SpinFactor):
-        r = np.linalg.norm(X[:, 1:], axis=1)
+        r = _spin_radius_batch(X)
         u = np.zeros((m, d.n - 1))
         u[:, 0] = 1.0  # deterministic completion for the degenerate direction
         nz = r != 0.0

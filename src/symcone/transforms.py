@@ -243,8 +243,23 @@ def peirce_projectors(frame: JordanFrame) -> np.ndarray:
 def schur_matrix(A, P: np.ndarray) -> np.ndarray:
     """Matrix of x -> A . x on packed coordinates, for the frame whose
     :func:`peirce_projectors` are P: ``sum_{i<=j} A[i, j] P[i, j]`` (the
-    projectors below the diagonal are zero)."""
-    return np.tensordot(_as_entries(A, P.shape[0]), P, axes=2)
+    projectors below the diagonal are zero).
+
+    ``A`` is one multiplier, giving a (dim, dim) matrix, or a sequence of
+    them, giving an (m, dim, dim) stack.  The terms are added one at a time
+    in a fixed order, so a multiplier's matrix has the same bits alone and
+    in any stack.
+    """
+    rank = P.shape[0]
+    if isinstance(A, SchurMatrix) or np.ndim(A) == 2:
+        E = _as_entries(A, rank)
+    else:
+        E = np.stack([_as_entries(a, rank) for a in A])
+    out = np.zeros(E.shape[:-2] + P.shape[2:])
+    for i in range(rank):
+        for j in range(i, rank):
+            out += E[..., i, j, None, None] * P[i, j]
+    return out
 
 
 def lyap_multiplier(vals: np.ndarray) -> SchurMatrix:

@@ -2,13 +2,15 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 import symcone
 from symcone import cli
-from symcone.algebra import SymMatrix, element_to_json, unit
+from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to_json, unit
 from symcone.cli import main
+from symcone.search import FamilySpec, sweep, write_archive
 from symcone.spectral import JacobiConvergenceError
 from symcone.verifiers import CHECK_RUNNERS, VerificationReport
 
@@ -227,3 +229,43 @@ class TestProspect:
         (line,) = error_lines(capsys)
         assert f"line {len(path.read_text().splitlines())}" in line
         assert "descriptor" in line
+
+    def test_replay_of_archive_from_the_per_element_verifier(self, capsys):
+        # records the per-element verifier archived (zero-diagonal violations
+        # on four algebras, both problems) still replay
+        path = Path(__file__).parent / "data" / "zero_diag_archive.jsonl"
+        assert main(["prospect", "--replay", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "replayed 48 records, 0 mismatches"
+
+    @staticmethod
+    def _mixed_records():
+        # two algebras and both problems, interleaved so that no replay
+        # batch is contiguous in the archive
+        records = []
+        for spec, problem in (("sym:2", "general"), ("spin:4", "cone"),
+                              ("sym:2", "cone"), ("spin:4", "general")):
+            d = descriptor_from_spec(spec)
+            records += sweep(FamilySpec("random_sym", d.rank, {"zero_diag": True}),
+                             d, 1, 3, seed=4, problem=problem).violations
+        return records[::2] + records[1::2]
+
+    def test_replay_of_mixed_archive_names_the_tampered_record(self, tmp_path, capsys):
+        records = self._mixed_records()
+        records[7].margin -= 1.0
+        path = tmp_path / "mixed.jsonl"
+        write_archive(path, records)
+        assert main(["prospect", "--replay", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in out if "MISMATCH" in ln] == ["record 7"]
+        assert out[-1] == f"replayed {len(records)} records, 1 mismatches"
+
+    def test_replay_of_cone_record_outside_the_cone_exits_2(self, tmp_path, capsys):
+        records = self._mixed_records()
+        cone = next(r for r in records if r.problem == "cone" and r.descriptor == "sym:2")
+        cone.b_witness = Element(cone.b_witness.descriptor, [1.0, 0.0, -1.0])
+        path = tmp_path / "outside.jsonl"
+        write_archive(path, records)
+        assert main(["prospect", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: b is not in the cone")

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symcone.majorization import (
     abs_vec,
@@ -12,6 +15,7 @@ from symcone.majorization import (
     vec_pnorm,
     weak_log_major,
     weak_major,
+    weak_major_rows,
 )
 
 from conftest import random_majorizing_pair
@@ -163,3 +167,30 @@ class TestClassicalStability:
                 lhs = float(np.sum(phi(p)))
                 rhs = float(np.sum(phi(q)))
                 assert lhs <= rhs + 1e-7 * (1.0 + abs(rhs))
+
+
+@st.composite
+def row_pairs(draw):
+    """(P, Q) of equal shape (m, n); some rows of Q are rearrangements of
+    the rows of P, which puts them on the boundary of the verdict."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    vals = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    P = draw(arrays(np.float64, (m, n), elements=vals))
+    Q = draw(arrays(np.float64, (m, n), elements=vals))
+    for i in range(m):
+        if draw(st.booleans()):
+            Q[i] = P[i, draw(st.permutations(range(n)))]
+    return P, Q
+
+
+class TestWeakMajorRows:
+    @settings(max_examples=200, deadline=None)
+    @given(row_pairs(), st.sampled_from([0.0, 1e-9, 1.0]), st.sampled_from([0.0, 1e-8, -1e-8]))
+    def test_matches_scalar_weak_major(self, pair, atol, rtol):
+        # each row's verdict and worst slack are those of weak_major on it
+        P, Q = pair
+        worst, holds = weak_major_rows(P, Q, atol=atol, rtol=rtol)
+        for i in range(P.shape[0]):
+            v = weak_major(P[i], Q[i], atol=atol, rtol=rtol)
+            assert worst[i] == v.worst_slack
+            assert holds[i] == v.holds

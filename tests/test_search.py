@@ -1,36 +1,55 @@
 """Multiplier-family search: generation, margins, refinement, archives."""
 
+import json
 import math
+import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import CATALOG
+from symcone import search
 from symcone.algebra import (
     Element,
+    SpinFactor,
     SymMatrix,
     descriptor_to_spec,
     jordan_product,
+    jordan_product_coords,
     sym_pack,
 )
+from symcone.majorization import sort_desc
 from symcone.search import test_candidate as eval_candidate
 from symcone.search import test_candidate_cone as eval_candidate_cone
 from symcone.search import (
     GENERAL_SIGMA,
+    PROBLEMS,
     FamilySpec,
     SearchRecord,
     SweepResult,
+    _margins,
+    _standard_projectors,
     classify_boundary,
     generate_candidate,
     read_archive,
     refine,
     replay_record,
+    replay_records,
     sweep,
     write_archive,
     write_summary_csv,
 )
 from symcone.spectral import standard_frame, sym_eigen
+from symcone.transforms import SchurMatrix, schur_matrix
 from symcone.verifiers import sample_general
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestFamilies:
@@ -181,6 +200,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(FamilySpec("psd_gram", 3), SymMatrix(2), 1, 1, seed=0)
 
+    def test_overflowing_products_raise(self, tmp_path):
+        # A . b has finite entries whose spin radius overflows: the batched
+        # eigenvalue gate rejects it, with no numpy warning on the way
+        path = tmp_path / "big.csv"
+        path.write_text("1e200,1e200\n1e200,1e200\n")
+        spec = FamilySpec("user_file", 2, {"path": str(path)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                sweep(spec, SpinFactor(3), 1, 3, 0)
+
     @pytest.mark.parametrize("seed", [2, 5], ids=lambda s: f"seed{s}")
     @pytest.mark.parametrize("family", ["psd_gram", "zero_diag"])
     @pytest.mark.parametrize("problem", ["general", "cone"])
@@ -286,6 +316,20 @@ class TestClassifyBoundary:
         out = classify_boundary(A, SymMatrix(2), 30, seed=3)
         assert "violated" in out and "min_margin" in out
 
+    def test_outputs_match_the_per_element_probe(self):
+        # the four probes above, against the dicts that the per-element
+        # probe (one scalar verifier call per drawn element) returned
+        cases = [
+            (np.ones((3, 3)), SymMatrix(3), 40, 2),
+            (generate_candidate(FamilySpec("quadratic_form", 3),
+                                np.random.default_rng(1)), SymMatrix(3), 40, 2),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), SymMatrix(2), 40, 2),
+            (np.array([[1.0, 2.0], [2.0, -0.5]]), SymMatrix(2), 30, 3),
+        ]
+        want = json.loads((DATA / "classify_boundary.json").read_text())
+        got = [classify_boundary(A, d, n_b, seed=seed) for A, d, n_b, seed in cases]
+        assert got == want
+
 
 class TestArchives:
     def test_jsonl_roundtrip(self, tmp_path):
@@ -309,3 +353,132 @@ class TestArchives:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "family,n,samples,violations,min_margin"
         assert lines[1].startswith("psd_gram,2,15,0,")
+
+
+# --- one margin path ----------------------------------------------------------------
+
+_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def margin_stacks(draw):
+    """(algebra, problem, multipliers, elements (k, rows, dim), permutation of
+    the k * rows elements)."""
+    d = draw(st.sampled_from(CATALOG))
+    problem = draw(st.sampled_from(PROBLEMS))
+    k = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 5))
+    mults = []
+    for _ in range(k):
+        G = draw(arrays(np.float64, (d.rank, d.rank), elements=_coord))
+        mults.append(SchurMatrix((G + G.T) / 2.0))
+    X = draw(arrays(np.float64, (k, rows, d.dim), elements=_coord))
+    if problem == "cone":
+        X = jordan_product_coords(d, X, X)
+    return d, problem, mults, X, draw(st.permutations(range(k * rows)))
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestMargins:
+    @settings(max_examples=120, deadline=None)
+    @given(margin_stacks())
+    def test_row_is_independent_of_its_stack(self, case):
+        # alone, inside a sweep stack (one shared multiplier) and inside a
+        # shuffled replay stack (one multiplier per row), a row gets the
+        # same bits
+        d, problem, mults, X, perm = case
+        P = _standard_projectors(d)
+        Ms = [schur_matrix(A, P) for A in mults]
+        drefs = [sort_desc(np.abs(np.diag(A.entries))) for A in mults]
+
+        def run(M, dref, coords):
+            return _margins(d, M, dref, coords, problem, 1e-9, 1e-8)
+
+        k, rows = X.shape[:2]
+        alone = {(a, r): run(Ms[a], drefs[a], X[a, r:r + 1])
+                 for a in range(k) for r in range(rows)}
+        for a in range(k):
+            margins, holds = run(Ms[a], drefs[a], X[a])
+            for r in range(rows):
+                assert _bits(margins[r]) == _bits(alone[a, r][0][0])
+                assert holds[r] == alone[a, r][1][0]
+        order = [list(alone)[i] for i in perm]
+        margins, holds = run(schur_matrix([mults[a] for a, _ in order], P),
+                             np.stack([drefs[a] for a, _ in order]),
+                             np.stack([X[a, r] for a, r in order]))
+        for i, key in enumerate(order):
+            assert _bits(margins[i]) == _bits(alone[key][0][0])
+            assert holds[i] == alone[key][1][0]
+        tester = eval_candidate if problem == "general" else eval_candidate_cone
+        rec = tester(mults[0], standard_frame(d), Element(d, X[0, 0]))
+        assert _bits(np.float64(rec.margin)) == _bits(alone[0, 0][0][0])
+        assert (rec.verdict == "satisfied") == alone[0, 0][1][0]
+
+    def test_cone_rows_outside_the_cone_raise(self):
+        d = SymMatrix(2)
+        b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])  # diag(1, 1), diag(1, -1)
+        M = schur_matrix(np.eye(2), _standard_projectors(d))
+        with pytest.raises(ValueError, match="not in the cone"):
+            _margins(d, M, np.ones(2), b, "cone", 1e-9, 1e-8)
+        margins, holds = _margins(d, M, np.ones(2), b, "general", 1e-9, 1e-8)
+        assert holds.all()
+
+    def test_chunks_do_not_change_rows(self, monkeypatch):
+        # shared multiplier (sweep) and one multiplier per row (replay)
+        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        spec = FamilySpec("random_sym", 3)
+        want_replay = replay_records(records)
+        want_sweep = sweep(spec, SymMatrix(3), 2, 7, seed=1)
+        monkeypatch.setattr(search, "MARGIN_CHUNK", 2)
+        assert replay_records(records) == want_replay
+        got = sweep(spec, SymMatrix(3), 2, 7, seed=1)
+        assert got.min_margin == want_sweep.min_margin
+        assert [r.to_json() for r in got.violations] == \
+            [r.to_json() for r in want_sweep.violations]
+
+    def test_unknown_problem_rejected(self):
+        d = SymMatrix(2)
+        with pytest.raises(ValueError, match="unknown problem"):
+            _margins(d, np.eye(3), np.ones(2), np.ones((1, 3)), "sideways", 1e-9, 1e-8)
+
+
+class TestReplayRecords:
+    @settings(max_examples=25, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(CATALOG), st.sampled_from(PROBLEMS),
+                                   st.booleans()), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_archive_round_trip(self, runs, seed):
+        records = []
+        for d, problem, zero_diag in runs:
+            spec = FamilySpec("random_sym", d.rank, {"zero_diag": zero_diag})
+            records += sweep(spec, d, 2, 4, seed, problem=problem).violations
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "archive.jsonl")
+            write_archive(path, records)
+            back = read_archive(path)
+        assert [r.to_json() for r in back] == [r.to_json() for r in records]
+        replayed = replay_records(back)
+        assert all(ok for ok, _ in replayed)
+        assert [margin for _, margin in replayed] == [r.margin for r in records]
+
+    def test_fixture_archive_replays(self):
+        # zero-diagonal violations on four algebras and both problems, as the
+        # per-element verifier archived them
+        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        assert {(r.descriptor, r.problem) for r in records} == {
+            (spec, problem) for spec in ("sym:2", "sym:3", "spin:4", "sum:sym:2+spin:3")
+            for problem in PROBLEMS}
+        assert all(ok for ok, _ in replay_records(records))
+
+    def test_replay_record_is_a_batch_of_one(self):
+        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        assert [replay_record(r) for r in records] == replay_records(records)
+
+    def test_witness_of_another_algebra_rejected(self):
+        rec = read_archive(DATA / "zero_diag_archive.jsonl")[0]
+        rec.descriptor = "spin:3"  # same dimension as the sym:2 witness
+        with pytest.raises(ValueError, match="witness"):
+            replay_records([rec])

@@ -1,6 +1,7 @@
 """Spectral decompositions, frames, spectral functions, and their invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symcone.spectral import (
     abs_el,
     det,
     eigvals,
+    eigvals_batch,
     frame_residuals,
     lowner,
     minus_part,
@@ -32,6 +34,7 @@ from symcone.spectral import (
     rebuild,
     sk,
     spectral_decompose,
+    spectral_decompose_batch,
     sqrt_el,
     standard_frame,
     trace,
@@ -113,6 +116,27 @@ class TestEigvals:
                 lx, ly = eigvals(x), eigvals(y)
                 tol = 1e-9 * (1.0 + max(norm(x), norm(y)))
                 assert np.all(lx <= ly + tol)
+
+
+    @pytest.mark.parametrize("d", [SpinFactor(3), DirectSum((SymMatrix(2), SpinFactor(3)))],
+                             ids=["spin:3", "sum:sym:2+spin:3"])
+    @pytest.mark.parametrize("bad", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                                     (1.0, 1e200, 1e200), (-1e308, 1e308, 0.0)],
+                             ids=["nan", "inf", "radius-overflow", "eigenvalue-overflow"])
+    def test_batched_spin_gate(self, d, bad):
+        # the batched twin of the scalar spin gate: a spin block whose
+        # eigenvalues x0 +- ||xbar|| are not finite is rejected, and the
+        # overflow on the way stays silent
+        X = np.ones((3, d.dim))
+        X[1, -3:] = bad  # the spin:3 block (x0, xbar) of either algebra
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (eigvals_batch, spectral_decompose_batch):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(d, X)
+                fn(d, X[[0, 2]])  # the finite rows alone pass
+            with pytest.raises(ValueError, match="non-finite"):
+                eigvals(Element(d, X[1]))
 
 
 class TestLowner:
