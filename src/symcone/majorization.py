@@ -67,10 +67,10 @@ def vec_pnorm(v, p: float) -> float:
     """p-norm of a plain vector, p in [1, inf]."""
     v = np.abs(np.asarray(v, dtype=np.float64))
     p = float(p)
-    if math.isinf(p):
-        return float(v.max()) if v.size else 0.0
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must lie in [1, inf], got {p}")
+    if p == math.inf:
+        return float(v.max()) if v.size else 0.0
     if p == 1.0:
         return float(v.sum())
     return float((v**p).sum() ** (1.0 / p))
@@ -183,29 +183,12 @@ def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> M
     return MajorizationVerdict(False, worst, failing_k, "log")
 
 
-# --- batched screens ----------------------------------------------------------------
+# --- batched forms ------------------------------------------------------------------
 #
-# The batched forms compare the rows of two (m, n) arrays.  They return each
-# row's worst slack, as the scalar verdict reports it, and whether the row is
-# *clear*: it passes every comparison on the way, including the
-# nonnegativity floor and the choice of common rescale, with a margin of
-# more than BATCH_CLEAR_SHARE of that comparison's band (see
-# :func:`clear_margin`).  A clear row holds under the scalar predicate too,
-# because the two computations differ by roundoff far below the margin they
-# keep in reserve; a row that is not clear must be decided by the scalar
-# predicate.
-
-BATCH_CLEAR_SHARE = 0.5
-
-
-def clear_margin(margin, band) -> np.ndarray:
-    """Whether ``margin``, the distance by which a quantity lies on the
-    passing side of its cut, exceeds BATCH_CLEAR_SHARE of the band's size.
-
-    With a band of zero only a strictly positive margin is clear; a negative
-    band (a stricter-than-exact tolerance) is measured by its size too.
-    """
-    return margin > BATCH_CLEAR_SHARE * np.abs(band)
+# The row forms compare the rows of two (m, n) arrays.  Each row gets the
+# arithmetic of the scalar predicate applied to that row alone, so its
+# verdict and worst slack have the same bits as the scalar verdict's, and no
+# row's result depends on the others in the stack.
 
 
 def _weak_slacks_rows(P, Q, atol, rtol):
@@ -217,54 +200,49 @@ def _weak_slacks_rows(P, Q, atol, rtol):
     return worst, band
 
 
-def weak_major_batch(P, Q, atol: float = DEFAULT_ATOL,
-                     rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`weak_major` screen: (worst slacks, clear rows)."""
-    worst, band = _weak_slacks_rows(P, Q, atol, rtol)
-    return worst, clear_margin(worst + band, band)
-
-
 def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
                     rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold).
-
-    Unlike the screen, this is the scalar rule itself, ``worst >= -(atol +
-    rtol * scale)``; each row's slack and verdict are those of
-    ``weak_major`` on that row alone.
-    """
+    """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold)."""
     worst, band = _weak_slacks_rows(P, Q, atol, rtol)
     return worst, worst >= -band
 
 
-def _clamped_nonneg_batch(P, atol, rtol):
+def _clamped_nonneg_rows(P, atol, rtol, label):
     P = np.asarray(P, dtype=np.float64)
-    floor = -(atol + rtol * np.abs(P).max(axis=1))
-    return np.maximum(P, 0.0), clear_margin(P.min(axis=1) - floor, floor)
+    low = P.min(axis=1)
+    bad = np.flatnonzero(low < -(atol + rtol * np.abs(P).max(axis=1)))
+    if bad.size:
+        raise ValueError(f"{label} has a negative entry below tolerance: "
+                         f"{low[bad[0]]:.3e}")
+    return np.maximum(P, 0.0)
 
 
-def log_major_batch(P, Q, atol: float = DEFAULT_ATOL,
-                    rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`log_major` screen: (worst slacks, clear rows)."""
-    ps, clear_p = _clamped_nonneg_batch(P, atol, rtol)
-    qs, clear_q = _clamped_nonneg_batch(Q, atol, rtol)
-    ps, qs = sort_desc_rows(ps), sort_desc_rows(qs)
+def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
+                   rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`log_major` verdict: (worst slacks, rows that hold).
+
+    Raises ``ValueError`` when any row has an entry below the nonnegativity
+    floor of :func:`log_major`.
+    """
+    ps = sort_desc_rows(_clamped_nonneg_rows(P, atol, rtol, "p"))
+    qs = sort_desc_rows(_clamped_nonneg_rows(Q, atol, rtol, "q"))
+    if ps.shape != qs.shape:
+        raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
     top = np.maximum(ps[:, 0], qs[:, 0])
-    rescale = top > _RESCALE_LIMIT
-    clear = clear_p & clear_q & clear_margin(np.abs(top - _RESCALE_LIMIT), _RESCALE_LIMIT)
-    div = np.where(rescale, top, 1.0)[:, None]
+    div = np.where(top > _RESCALE_LIMIT, top, 1.0)[:, None]
     pp = np.cumprod(ps / div, axis=1)
     qp = np.cumprod(qs / div, axis=1)
     slacks = qp - pp
     thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     gap = np.abs(pp[:, -1] - qp[:, -1])
+    holds = gap <= thresholds[:, -1]
     worst = -gap
-    clear &= clear_margin(thresholds[:, -1] - gap, thresholds[:, -1])
     n = ps.shape[1]
     if n > 1:
-        head = slacks[:, :n - 1]
-        head_thr = thresholds[:, :n - 1]
-        binding = np.argmin(head + head_thr, axis=1)
-        worst = np.minimum(np.take_along_axis(head, binding[:, None], axis=1)[:, 0],
-                           worst)
-        clear &= clear_margin(head + head_thr, head_thr).all(axis=1)
-    return worst, clear
+        head_adj = (slacks + thresholds)[:, :n - 1]
+        holds &= (head_adj >= 0.0).all(axis=1)
+        binding = np.argmin(head_adj, axis=1)
+        # np.minimum returns its second argument on a tie, as min() in
+        # log_major returns its first: a zero slack keeps its sign
+        worst = np.minimum(worst, np.take_along_axis(slacks, binding[:, None], axis=1)[:, 0])
+    return worst, holds

@@ -48,7 +48,7 @@ NORM_KINDS = ("lyap", "quad", "schur")
 def _validate_rs(r: float, s: float) -> tuple[float, float]:
     r, s = float(r), float(s)
     for v in (r, s):
-        if not (v >= 1.0 or math.isinf(v)):
+        if not v >= 1.0:
             raise ValueError(f"norm orders must lie in [1, inf], got {v}")
     return r, s
 

@@ -6,12 +6,11 @@ algebra, arguments outside a stated precondition) raise.  ``run_sweep``
 drives any registered verifier over deterministically seeded random inputs
 and merges the per-sample reports.
 
-A verifier registered with a batched screen (the log-majorization and
-Jordan-product checks) is swept in chunks: the screen draws every sample
-exactly as the verifier's runner does and evaluates the whole chunk on
-(m, dim) coordinate arrays.  Samples the screen finds clear of their
-tolerance band pass as screened; every other sample is re-run through the
-scalar runner, which supplies its verdict, slack and exact witness.
+The log-majorization and Jordan-product checks have one arithmetic: a row
+evaluation on (m, dim) coordinate arrays of the pairs a, b.  ``run_sweep``
+applies it to chunks of samples, and a single check call is a batch of one.
+Each row's result depends on that row alone, so a sample's verdict and worst
+slack have the same bits in a sweep and in a replay of its witness.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     Element,
+    _check_pair,
     descriptor_to_spec,
     element_to_json,
     from_matrix,
@@ -38,17 +38,17 @@ from .algebra import (
 from .majorization import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    clear_margin,
     major,
     log_major,
-    log_major_batch,
+    log_major_rows,
     sort_desc,
     sort_desc_rows,
     weak_major,
-    weak_major_batch,
+    weak_major_rows,
 )
 from .spectral import (
     SQRT_CLAMP_TOL,
+    ConeError,
     JordanFrame,
     eigvals,
     eigvals_batch,
@@ -136,22 +136,13 @@ def _single(check: str, x: Element, passed: bool, worst: float,
 
 def merge_reports(check: str, descriptor: str, seed: int | None,
                   reports: list[VerificationReport]) -> VerificationReport:
-    return _merge(check, descriptor, seed, len(reports), enumerate(reports))
-
-
-def _merge(check: str, descriptor: str, seed: int | None, samples: int,
-           indexed, worst: float = math.inf,
-           details: dict | None = None) -> VerificationReport:
-    """Merged report over ``samples`` samples.
-
-    ``indexed`` yields (sample index, report) in index order.  Samples with
-    no report passed; ``worst`` and ``details`` (in merged ``max_`` form)
-    already account for them.
-    """
+    """One report over the samples: every sample passed, the least worst
+    slack, the first failure's witness and the largest numeric details."""
     passed = True
+    worst = math.inf
     witness = None
-    details = dict(details or {})
-    for i, r in indexed:
+    details: dict = {}
+    for i, r in enumerate(reports):
         passed = passed and r.passed
         worst = min(worst, r.worst_slack)
         if not r.passed and witness is None:
@@ -163,7 +154,7 @@ def _merge(check: str, descriptor: str, seed: int | None, samples: int,
         check=check,
         descriptor=descriptor,
         seed=seed,
-        samples=samples,
+        samples=len(reports),
         passed=passed,
         worst_slack=float(worst),
         witness=witness,
@@ -178,9 +169,13 @@ def _cone_floor(vals: np.ndarray, atol: float):
 
 
 def _require_cone(vals: np.ndarray, atol: float, label: str) -> None:
-    if vals[-1] < _cone_floor(vals, atol):
+    """Raise unless the element, or every row of a stack, whose decreasing
+    eigenvalues are ``vals`` lies in the cone up to its floor."""
+    low = np.atleast_1d(vals[..., -1])
+    bad = np.flatnonzero(low < _cone_floor(vals, atol))
+    if bad.size:
         raise ValueError(f"{label} is not in the symmetric cone "
-                         f"(min eigenvalue {vals[-1]:.3e})")
+                         f"(min eigenvalue {low[bad[0]]:.3e})")
 
 
 def _det_floor(la: np.ndarray, lb: np.ndarray):
@@ -188,7 +183,39 @@ def _det_floor(la: np.ndarray, lb: np.ndarray):
     return 1e-7 * np.maximum(1.0, np.maximum(la.max(axis=-1), lb.max(axis=-1)))
 
 
+def _pair_rows(a: Element, b: Element) -> tuple[np.ndarray, np.ndarray]:
+    """The pair a, b as a batch of one: two (1, dim) coordinate arrays."""
+    _check_pair(a, b)
+    return a.coords[None, :], b.coords[None, :]
+
+
 # --- log-majorization of the square-root quadratic map ---------------------------
+
+def _quadrep_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray, atol: float):
+    """Per row of the cone pairs a, b ((m, dim) arrays): lambda(P_sqrt(a)(b)),
+    lambda(a)*lambda(b) and the determinant identity's relative error (NaN
+    where the pair is too close to singular for the identity to be checked).
+
+    Raises ValueError, or ConeError at the square root's clamp, when any
+    row breaks a precondition of :func:`check_log_major_quadrep`.
+    """
+    m = len(a)
+    vals, frames = spectral_decompose_batch(d, np.concatenate([a, b]))
+    la, lb = vals[:m], vals[m:]
+    _require_cone(la, atol, "a")
+    _require_cone(lb, atol, "b")
+    low = la[:, -1].min()
+    if low < -SQRT_CLAMP_TOL:
+        raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
+    sqrt_a = rebuild_batch(frames[:m], np.sqrt(np.maximum(la, 0.0)))
+    lz = eigvals_batch(d, quad_rep_coords(d, sqrt_a, b))
+    target = la * lb  # both decreasing and nonnegative, so the product is too
+    floor = _det_floor(la, lb)
+    checked = (la[:, -1] > floor) & (lb[:, -1] > floor)
+    det_rhs = np.where(checked, target.prod(axis=1), 1.0)
+    det_rel = np.where(checked, np.abs(lz.prod(axis=1) - det_rhs) / np.abs(det_rhs), np.nan)
+    return lz, target, det_rel
+
 
 def check_log_major_quadrep(a: Element, b: Element,
                             atol: float = DEFAULT_ATOL,
@@ -196,28 +223,19 @@ def check_log_major_quadrep(a: Element, b: Element,
     """lambda(P_sqrt(a)(b)) is log-majorized by lambda(a)*lambda(b), a,b >= 0.
 
     Also checks the weak-majorization consequence and, for comfortably
-    invertible inputs, the determinant identity at k = n.
+    invertible inputs, the determinant identity at k = n.  The spectra are
+    those of a sweep's row, computed as a batch of one.
     """
-    la, lb = eigvals(a), eigvals(b)
-    _require_cone(la, atol, "a")
-    _require_cone(lb, atol, "b")
-    z = quad_rep_sqrt(a, b)
-    lz = eigvals(z)
-    target = la * lb  # both decreasing and nonnegative, so the product is too
-    v_log = log_major(lz, target, atol=atol, rtol=rtol)
-    v_weak = weak_major(lz, target, atol=atol, rtol=rtol)
+    lz, target, det_rel = _quadrep_spectra(a.descriptor, *_pair_rows(a, b), atol)
+    v_log = log_major(lz[0], target[0], atol=atol, rtol=rtol)
+    v_weak = weak_major(lz[0], target[0], atol=atol, rtol=rtol)
     details = {"log": v_log.to_json(), "weak": v_weak.to_json()}
     passed = v_log.holds and v_weak.holds
-
-    inv_floor = _det_floor(la, lb)
-    if la[-1] > inv_floor and lb[-1] > inv_floor:
-        det_lhs = float(np.prod(lz))
-        det_rhs = float(np.prod(target))
-        det_rel = abs(det_lhs - det_rhs) / abs(det_rhs)
-        details["det_rel_err"] = det_rel
-        passed = passed and det_rel <= DET_IDENTITY_RTOL
-    else:
+    if math.isnan(det_rel[0]):
         details["det_skipped"] = "near-singular input"
+    else:
+        details["det_rel_err"] = float(det_rel[0])
+        passed = passed and det_rel[0] <= DET_IDENTITY_RTOL
 
     worst = min(v_log.worst_slack, v_weak.worst_slack)
     witness = {"a": element_to_json(a), "b": element_to_json(b)}
@@ -371,13 +389,23 @@ def check_schur_diag(A, frame: JordanFrame, b: Element, phi: SublinearFn,
 
 # --- weak majorization of the Jordan product --------------------------------------
 
+def _jordan_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray):
+    """Per row of the pairs a, b ((m, dim) arrays): |lambda(a o b)| and
+    lambda(|a|)*lambda(|b|), the two sides of :func:`check_jordan_weak`."""
+    m = len(a)
+    vals = np.abs(eigvals_batch(d, np.concatenate([jordan_product_coords(d, a, b), a, b])))
+    return vals[:m], sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
+
+
 def check_jordan_weak(a: Element, b: Element,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> VerificationReport:
-    """lambda(|a o b|) weakly majorized by lambda(|a|)*lambda(|b|) for all a, b."""
-    lhs = sort_desc(np.abs(eigvals(jordan_product(a, b))))
-    rhs = sort_desc(np.abs(eigvals(a))) * sort_desc(np.abs(eigvals(b)))
-    v = weak_major(lhs, rhs, atol=atol, rtol=rtol)
+    """lambda(|a o b|) weakly majorized by lambda(|a|)*lambda(|b|) for all a, b.
+
+    The spectra are those of a sweep's row, computed as a batch of one.
+    """
+    lhs, rhs = _jordan_spectra(a.descriptor, *_pair_rows(a, b))
+    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
     witness = {"a": element_to_json(a), "b": element_to_json(b)}
     details = {"verdict": v.to_json()}
     if v.holds and v.worst_slack <= NEAR_EQUALITY_SLACK:
@@ -461,7 +489,7 @@ def holder_exponent(r: float, s: float) -> float:
     """p with 1/p = 1/r + 1/s, rejecting combinations with p < 1."""
     r, s = float(r), float(s)
     for v in (r, s):
-        if not (v >= 1.0 or math.isinf(v)):
+        if not v >= 1.0:
             raise ValueError(f"exponents must lie in [1, inf], got {v}")
     ip = (0.0 if math.isinf(r) else 1.0 / r) + (0.0 if math.isinf(s) else 1.0 / s)
     if ip == 0.0:
@@ -488,7 +516,7 @@ def check_holder(a: Element, b: Element, r: float, s: float,
 
 # --- samplers -----------------------------------------------------------------------
 
-# The samplers' raw draws are kept apart so that the batched screens draw
+# The samplers' raw draws are kept apart so that the batched pairs draw
 # exactly what the scalar samplers draw, in the same order.
 
 def _general_draw(d: AlgebraDescriptor, rng: np.random.Generator,
@@ -579,16 +607,15 @@ _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
                 (math.inf, math.inf), (4.0, 2.0), (3.0, 3.0))
 
 
-# --- batched screens -----------------------------------------------------------
+# --- row evaluation of the batched checks ------------------------------------
 #
-# A screen takes the per-sample generators of a chunk, draws what the
-# matching runner draws, and returns, per sample, the worst slack, whether the
-# sample is clear (every cut it meets, the inequalities and the
-# preconditions alike, passes by a clear_margin), and the numeric report
-# details (NaN where the scalar report has none).
+# ``draw`` functions map the generators of a chunk of samples to the pairs'
+# (m, dim) coordinates, drawn as the matching sampler draws them; ``rows``
+# functions evaluate a check on every pair: (passed, worst slack, {detail
+# name: per-row values, NaN where the report has none}).
 
 def _cone_pairs(d, rngs):
-    """Coordinates (m, dim) of the pairs a, b that _run_log_major draws."""
+    """Coordinates (m, dim) of the cone pairs a, b, drawn as sample_cone draws."""
     m = len(rngs)
     draws = [_cone_draws(d, rng) + _cone_draws(d, rng) for rng in rngs]
     ga, ua, gb, ub = (np.array(col) for col in zip(*draws))
@@ -598,66 +625,46 @@ def _cone_pairs(d, rngs):
 
 
 def _general_pairs(d, rngs):
-    """Coordinates (m, dim) of the pairs a, b that _run_jordan_weak draws."""
+    """Coordinates (m, dim) of the pairs a, b, drawn as sample_general draws."""
     draws = [(_general_draw(d, rng), _general_draw(d, rng)) for rng in rngs]
     a, b = (np.array(col) for col in zip(*draws))
     return a, b
 
 
-def _screen_log_major(d, rngs, atol, rtol):
-    m = len(rngs)
-    a, b = _cone_pairs(d, rngs)
-    vals, frames = spectral_decompose_batch(d, np.concatenate([a, b]))
-    la, lb = vals[:m], vals[m:]
-    # the scalar check raises below these floors
-    floor_a, floor_b = _cone_floor(la, atol), _cone_floor(lb, atol)
-    clear = (clear_margin(la[:, -1] - floor_a, floor_a)
-             & clear_margin(lb[:, -1] - floor_b, floor_b)
-             & clear_margin(la[:, -1] + SQRT_CLAMP_TOL, SQRT_CLAMP_TOL))
-    sqrt_a = rebuild_batch(frames[:m], np.sqrt(np.maximum(la, 0.0)))
-    lz = eigvals_batch(d, quad_rep_coords(d, sqrt_a, b))
-    target = la * lb
-    worst_log, clear_log = log_major_batch(lz, target, atol=atol, rtol=rtol)
-    worst_weak, clear_weak = weak_major_batch(lz, target, atol=atol, rtol=rtol)
-    floor = _det_floor(la, lb)
-    checked = (la[:, -1] > floor) & (lb[:, -1] > floor)
-    det_rhs = np.where(checked, target.prod(axis=1), 1.0)
-    det_rel = np.where(checked, np.abs(lz.prod(axis=1) - det_rhs) / np.abs(det_rhs), np.nan)
-    # the floor only selects whether the identity is checked: either side is
-    # fine, as long as the batch and the scalar check pick the same one
-    clear &= (clear_log & clear_weak
-              & clear_margin(np.abs(la[:, -1] - floor), floor)
-              & clear_margin(np.abs(lb[:, -1] - floor), floor)
-              & (~checked | clear_margin(DET_IDENTITY_RTOL - det_rel, DET_IDENTITY_RTOL)))
-    return np.minimum(worst_log, worst_weak), clear, {"det_rel_err": det_rel}
+def _log_major_rows(d, a, b, atol, rtol):
+    lz, target, det_rel = _quadrep_spectra(d, a, b, atol)
+    worst_log, holds_log = log_major_rows(lz, target, atol=atol, rtol=rtol)
+    worst_weak, holds_weak = weak_major_rows(lz, target, atol=atol, rtol=rtol)
+    passed = holds_log & holds_weak & ~(det_rel > DET_IDENTITY_RTOL)
+    # on a tie np.minimum returns its second argument, as min() in the
+    # single check returns its first: a zero slack keeps its sign
+    return passed, np.minimum(worst_weak, worst_log), {"det_rel_err": det_rel}
 
 
-def _screen_jordan_weak(d, rngs, atol, rtol):
-    m = len(rngs)
-    a, b = _general_pairs(d, rngs)
-    vals = np.abs(eigvals_batch(d, np.concatenate([jordan_product_coords(d, a, b), a, b])))
-    rhs = sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
-    worst, clear = weak_major_batch(vals[:m], rhs, atol=atol, rtol=rtol)
-    return worst, clear, {}
+def _jordan_weak_rows(d, a, b, atol, rtol):
+    worst, holds = weak_major_rows(*_jordan_spectra(d, a, b), atol=atol, rtol=rtol)
+    return holds, worst, {}
 
 
-# Each runner draws one sample set and returns one report.  A runner with a
-# ``screen`` attribute is swept in batches by run_sweep.
+# Each runner draws one sample set and returns one report.  A runner with
+# ``draw`` and ``rows`` attributes is swept in batches by run_sweep; the
+# runner itself is that evaluation on a batch of one.
 CHECK_RUNNERS: dict[str, Callable] = {}
 
 
-def _register(name: str, screen: Callable | None = None):
+def _register(name: str, draw: Callable | None = None, rows: Callable | None = None):
     def deco(fn):
-        if screen is not None:
-            fn.screen = screen
+        if rows is not None:
+            fn.draw, fn.rows = draw, rows
         CHECK_RUNNERS[name] = fn
         return fn
     return deco
 
 
-@_register("log_major_quadrep", screen=_screen_log_major)
+@_register("log_major_quadrep", draw=_cone_pairs, rows=_log_major_rows)
 def _run_log_major(d, rng, atol, rtol):
-    return check_log_major_quadrep(sample_cone(d, rng), sample_cone(d, rng),
+    a, b = _cone_pairs(d, [rng])
+    return check_log_major_quadrep(Element(d, a[0]), Element(d, b[0]),
                                    atol=atol, rtol=rtol)
 
 
@@ -698,10 +705,10 @@ def _run_schur_diag(d, rng, atol, rtol):
                             atol=atol, rtol=rtol)
 
 
-@_register("jordan_weak", screen=_screen_jordan_weak)
+@_register("jordan_weak", draw=_general_pairs, rows=_jordan_weak_rows)
 def _run_jordan_weak(d, rng, atol, rtol):
-    return check_jordan_weak(sample_general(d, rng), sample_general(d, rng),
-                             atol=atol, rtol=rtol)
+    a, b = _general_pairs(d, [rng])
+    return check_jordan_weak(Element(d, a[0]), Element(d, b[0]), atol=atol, rtol=rtol)
 
 
 @_register("quadrep_pinch")
@@ -728,11 +735,11 @@ def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
               atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """Run a registered verifier over seeded random inputs and merge reports.
 
-    Sample i draws from ``sample_rng(seed, i)``.  A runner with a batched
-    screen is evaluated SWEEP_CHUNK samples at a time; only the samples the
-    screen does not clear are re-run through the runner itself, and the
-    merged verdict, first witness and details equal those of the per-sample
-    loop (worst slacks up to roundoff).
+    Sample i draws from ``sample_rng(seed, i)``.  A runner with a row
+    evaluation is evaluated SWEEP_CHUNK samples at a time, and only the first
+    failing sample's inputs are serialized, as the witness.  Every row gets
+    the arithmetic of its sample alone, so the report equals
+    :func:`merge_reports` over the runner called once per sample.
     """
     if check not in CHECK_RUNNERS:
         raise ValueError(f"unknown check {check!r}; known: {sorted(CHECK_RUNNERS)}")
@@ -740,26 +747,29 @@ def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
         raise ValueError("samples must be >= 1")
     runner = CHECK_RUNNERS[check]
     spec = descriptor_to_spec(d)
-    screen = getattr(runner, "screen", None)
-    if screen is None:
+    rows = getattr(runner, "rows", None)
+    if rows is None:
         reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
         return merge_reports(check, spec, seed, reports)
     worst = math.inf
+    witness = None
     details: dict = {}
-    reruns = []
     for start in range(0, samples, SWEEP_CHUNK):
         idx = range(start, min(start + SWEEP_CHUNK, samples))
-        slack, clear, extra = screen(d, [sample_rng(seed, i) for i in idx], atol, rtol)
-        if clear.any():
-            worst = min(worst, float(slack[clear].min()))
+        a, b = runner.draw(d, [sample_rng(seed, i) for i in idx])
+        passed, slack, extra = rows(d, a, b, atol, rtol)
+        worst = min(worst, float(slack.min()))
         for key, vals in extra.items():
-            vals = vals[clear & ~np.isnan(vals)]
+            vals = vals[~np.isnan(vals)]
             if vals.size:
                 details[f"max_{key}"] = max(details.get(f"max_{key}", -math.inf),
                                             float(vals.max()))
-        reruns += [(i, runner(d, sample_rng(seed, i), atol, rtol))
-                   for i, ok in zip(idx, clear) if not ok]
-    return _merge(check, spec, seed, samples, reruns, worst, details)
+        if witness is None and not passed.all():
+            i = int(np.argmin(passed))
+            witness = {"sample_index": idx[i], "a": element_to_json(Element(d, a[i])),
+                       "b": element_to_json(Element(d, b[i]))}
+    return VerificationReport(check, spec, seed, samples, witness is None, worst,
+                              witness, details)
 
 
 def run_all(d: AlgebraDescriptor, samples: int, seed: int,

@@ -168,6 +168,14 @@ class TestNorm:
         assert main(["norm", "--kind", "lyap", "--operand", str(op),
                      "--r", "zero", "--s", "1"]) == 2
 
+    def test_negative_infinite_order_exits_2_with_one_line(self, tmp_path, capsys):
+        op = tmp_path / "e.json"
+        op.write_text(json.dumps(element_to_json(unit(SymMatrix(3)))))
+        assert main(["norm", "--kind", "lyap", "--operand", str(op),
+                     "--r=-inf", "--s", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestProspect:
     def test_psd_family_clean(self, tmp_path, capsys):

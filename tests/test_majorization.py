@@ -1,5 +1,7 @@
 """Vector majorization predicates and their classical stability properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from symcone.majorization import (
     abs_vec,
     compwise,
     log_major,
+    log_major_rows,
     major,
     sort_desc,
     vec_pnorm,
@@ -38,8 +41,9 @@ class TestVectorHelpers:
     def test_vec_pnorm(self):
         assert vec_pnorm([3, -4], 2) == 5.0
         assert vec_pnorm([3, -4], np.inf) == 4.0
-        with pytest.raises(ValueError):
-            vec_pnorm([1.0], 0.9)
+        for p in (0.9, -np.inf, math.nan):
+            with pytest.raises(ValueError):
+                vec_pnorm([1.0, -3.0], p)
 
 
 class TestWeakAndStrong:
@@ -169,28 +173,99 @@ class TestClassicalStability:
                 assert lhs <= rhs + 1e-7 * (1.0 + abs(rhs))
 
 
+# row kinds for the row forms: signed rows; nonnegative rows with exact
+# zeros; rows whose top passes the common rescale of the partial products
+# (1e8); rows with negatives just below zero, inside the nonnegativity floor
+# at a positive tolerance and below it at zero tolerance
+ROW_ENTRIES = (
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1e3) | st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e12),
+    st.floats(min_value=-1e-10, max_value=1e3),
+)
+
+
 @st.composite
-def row_pairs(draw):
-    """(P, Q) of equal shape (m, n); some rows of Q are rearrangements of
-    the rows of P, which puts them on the boundary of the verdict."""
+def row_pairs(draw, entries=ROW_ENTRIES):
+    """(P, Q) of equal shape (m, n), each row of one kind drawn from
+    ``entries``; some rows of Q are rearrangements of the rows of P, which
+    puts them on the boundary of the verdict."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    vals = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-    P = draw(arrays(np.float64, (m, n), elements=vals))
-    Q = draw(arrays(np.float64, (m, n), elements=vals))
+    P, Q = np.empty((m, n)), np.empty((m, n))
     for i in range(m):
+        vals = draw(st.sampled_from(entries))
+        P[i] = draw(arrays(np.float64, n, elements=vals))
+        Q[i] = draw(arrays(np.float64, n, elements=vals))
         if draw(st.booleans()):
             Q[i] = P[i, draw(st.permutations(range(n)))]
     return P, Q
 
 
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def outcome(predicate, p, q, **tol):
+    """(holds, worst slack) of a scalar predicate, or of a row form on rows
+    (as tuples), or "raises" for a ValueError."""
+    try:
+        result = predicate(p, q, **tol)
+    except ValueError:
+        return "raises"
+    if isinstance(result, tuple):
+        worst, holds = result
+        return tuple(holds), tuple(worst)
+    return result.holds, result.worst_slack
+
+
 class TestWeakMajorRows:
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize("rows,scalar", [(weak_major_rows, weak_major),
+                                             (log_major_rows, log_major)],
+                             ids=["weak_major_rows", "log_major_rows"])
+    @settings(max_examples=300, deadline=None)
     @given(row_pairs(), st.sampled_from([0.0, 1e-9, 1.0]), st.sampled_from([0.0, 1e-8, -1e-8]))
-    def test_matches_scalar_weak_major(self, pair, atol, rtol):
-        # each row's verdict and worst slack are those of weak_major on it
+    def test_matches_scalar_verdict(self, rows, scalar, pair, atol, rtol):
+        # each row's verdict and worst slack are those of the scalar
+        # predicate on it, to the bit; a stack raises when any row does
         P, Q = pair
-        worst, holds = weak_major_rows(P, Q, atol=atol, rtol=rtol)
-        for i in range(P.shape[0]):
-            v = weak_major(P[i], Q[i], atol=atol, rtol=rtol)
-            assert worst[i] == v.worst_slack
+        try:
+            verdicts = [scalar(p, q, atol=atol, rtol=rtol) for p, q in zip(P, Q)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                rows(P, Q, atol=atol, rtol=rtol)
+            return
+        worst, holds = rows(P, Q, atol=atol, rtol=rtol)
+        for i, v in enumerate(verdicts):
+            assert bits(worst[i]) == bits(v.worst_slack)
             assert holds[i] == v.holds
+
+
+class TestInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(row_pairs(), st.data())
+    def test_permuting_entries_changes_no_verdict(self, pair, data):
+        P, Q = pair
+        n = P.shape[1]
+        P2 = np.array([p[data.draw(st.permutations(range(n)))] for p in P])
+        Q2 = np.array([q[data.draw(st.permutations(range(n)))] for q in Q])
+        for scalar in (weak_major, major, log_major):
+            for i in range(len(P)):
+                assert outcome(scalar, P[i], Q[i]) == outcome(scalar, P2[i], Q2[i])
+        for rows in (weak_major_rows, log_major_rows):
+            assert outcome(rows, P, Q) == outcome(rows, P2, Q2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_pairs(entries=(st.floats(min_value=-1e3, max_value=1e3).filter(
+               lambda x: x == 0.0 or abs(x) >= 1e-100),)),
+           st.integers(-30, 30), st.sampled_from([0.0, 1e-8]))
+    def test_power_of_two_scaling_keeps_zero_atol_verdicts(self, pair, k, rtol):
+        # scaling by 2**k is exact away from underflow, and so is every sum
+        # and band; major's equality band keeps an absolute rtol term, so it
+        # is scale-free only at rtol = 0
+        P, Q = pair
+        c = 2.0 ** k
+        for p, q in zip(P, Q):
+            assert (weak_major(c * p, c * q, atol=0.0, rtol=rtol).holds
+                    == weak_major(p, q, atol=0.0, rtol=rtol).holds)
+            assert (major(c * p, c * q, atol=0.0, rtol=0.0).holds
+                    == major(p, q, atol=0.0, rtol=0.0).holds)

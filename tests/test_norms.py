@@ -34,8 +34,9 @@ class TestClosedForm:
         assert abs(dual_exponent(3, 2) - 6.0) <= 1e-12
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            norm_closed_form("lyap", unit(SymMatrix(2)), 0.5, 2)
+        for r in (0.5, -math.inf):
+            with pytest.raises(ValueError):
+                norm_closed_form("lyap", unit(SymMatrix(2)), r, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from symcone.algebra import (
+    DescriptorMismatchError,
     SpinFactor,
     SymMatrix,
+    element_from_json,
     from_matrix,
     jordan_product,
     norm,
     unit,
 )
-from symcone.majorization import sort_desc
-from symcone.spectral import eigvals, trace
+from symcone.majorization import log_major, sort_desc, weak_major
+from symcone.spectral import ConeError, eigvals, trace
 from symcone.transforms import (
     ABS_FN,
     NEG_FN,
@@ -94,6 +96,15 @@ class TestLogMajorQuadrep:
         d = SymMatrix(2)
         with pytest.raises(ValueError):
             check_log_major_quadrep(-unit(d), unit(d))
+        # inside the cone floor but below the square root's clamp
+        with pytest.raises(ConeError):
+            check_log_major_quadrep(from_matrix(np.diag([1.0, -1e-9])), unit(d))
+
+    def test_rejects_mixed_algebras_of_one_dimension(self):
+        with pytest.raises(DescriptorMismatchError):
+            check_log_major_quadrep(unit(SymMatrix(2)), unit(SpinFactor(3)))
+        with pytest.raises(DescriptorMismatchError):
+            check_jordan_weak(unit(SymMatrix(2)), unit(SpinFactor(3)))
 
 
 class TestQuadrepSupBound:
@@ -344,6 +355,8 @@ class TestHolder:
             holder_exponent(1, 1)
         with pytest.raises(ValueError):
             holder_exponent(0.5, 2)
+        with pytest.raises(ValueError):
+            holder_exponent(-math.inf, 2)
 
     def test_unit_equality_case(self):
         d = SymMatrix(4)
@@ -432,33 +445,55 @@ class TestSweepMachinery:
             sample_invertible(SymMatrix(2), np.random.default_rng(0), min_abs=1e9)
 
 
-def reference_sweep(check, d, samples, seed, atol, rtol):
-    """run_sweep as a plain loop over the scalar runner."""
+def per_sample_sweep(check, d, samples, seed, atol, rtol):
+    """run_sweep as a plain loop over the runner, one sample at a time."""
     runner = CHECK_RUNNERS[check]
     reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
     return merge_reports(check, descriptor_to_spec(d), seed, reports)
 
 
-def sweep_scale(check, d, samples, seed):
-    """Largest partial product (log check) or partial sum (weak check) of the
-    right-hand sides, the scale of the sweep's tolerance bands."""
-    scale = 0.0
+def scalar_oracle(check, d, samples, seed, atol, rtol):
+    """The sweep's check recomputed per sample with the scalar samplers,
+    eigensolver and predicates: (passed, worst slack, first failing sample,
+    largest determinant error, scale of the tolerance bands)."""
+    passed, worst, first, det_worst, scale = True, math.inf, None, 0.0, 0.0
     for i in range(samples):
         rng = sample_rng(seed, i)
         if check == "log_major_quadrep":
             a, b = sample_cone(d, rng), sample_cone(d, rng)
-            partial = np.cumprod(eigvals(a) * eigvals(b))
+            la, lb = eigvals(a), eigvals(b)
+            lz, rhs = eigvals(quad_rep_sqrt(a, b)), la * lb
+            verdicts = [log_major(lz, rhs, atol=atol, rtol=rtol),
+                        weak_major(lz, rhs, atol=atol, rtol=rtol)]
+            ok = all(v.holds for v in verdicts)
+            if min(la[-1], lb[-1]) > 1e-7 * max(1.0, la.max(), lb.max()):
+                det = abs(np.prod(lz) - np.prod(rhs)) / abs(np.prod(rhs))
+                det_worst = max(det_worst, det)
+                ok = ok and det <= verifiers.DET_IDENTITY_RTOL
+            partial = np.cumprod(rhs)
         else:
             a, b = sample_general(d, rng), sample_general(d, rng)
-            partial = np.cumsum(sort_desc(np.abs(eigvals(a))) * sort_desc(np.abs(eigvals(b))))
+            lhs = np.abs(eigvals(jordan_product(a, b)))
+            rhs = sort_desc(np.abs(eigvals(a))) * sort_desc(np.abs(eigvals(b)))
+            verdicts = [weak_major(lhs, rhs, atol=atol, rtol=rtol)]
+            ok = verdicts[0].holds
+            partial = np.cumsum(rhs)
+        passed = passed and ok
+        worst = min([worst] + [v.worst_slack for v in verdicts])
+        if not ok and first is None:
+            first = i
         scale = max(scale, float(np.abs(partial).max()))
-    return scale
+    return passed, worst, first, det_worst, scale
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 class TestBatchedSweep:
     SAMPLES = 40
 
-    def test_screens_draw_what_the_runners_draw(self):
+    def test_pairs_draw_what_the_samplers_draw(self):
         for d in CATALOG:
             a, b = verifiers._cone_pairs(d, [sample_rng(6, i) for i in range(8)])
             g, h = verifiers._general_pairs(d, [sample_rng(6, i) for i in range(8)])
@@ -477,21 +512,25 @@ class TestBatchedSweep:
         atol, rtol = 1e-9, 1e-8
         for d in CATALOG:
             got = run_sweep(check, d, self.SAMPLES, seed, atol=atol, rtol=rtol)
-            ref = reference_sweep(check, d, self.SAMPLES, seed, atol, rtol)
-            assert got.passed == ref.passed
-            assert got.samples == ref.samples
-            assert got.details.keys() == ref.details.keys()
-            band = atol + rtol * sweep_scale(check, d, self.SAMPLES, seed)
-            assert abs(got.worst_slack - ref.worst_slack) <= band, d
+            passed, worst, _, det_worst, scale = scalar_oracle(check, d, self.SAMPLES,
+                                                               seed, atol, rtol)
+            assert got.passed == passed
+            assert got.samples == self.SAMPLES
+            assert abs(got.worst_slack - worst) <= atol + rtol * scale, d
             if check == "log_major_quadrep":
+                assert set(got.details) == {"max_det_rel_err"}
                 assert got.details["max_det_rel_err"] <= 1e-8
+                assert det_worst <= 1e-8
+            else:
+                assert got.details == {}
 
     @pytest.mark.parametrize("d", [SymMatrix(3), SpinFactor(4), CATALOG[-1]])
     def test_zero_tolerance_witness_is_the_reference_witness(self, d):
-        # at zero tolerance the determinant identity fails on roundoff, so
-        # samples fail and must all be re-derived by the scalar check
+        # at zero tolerance the product equality at k = n fails on roundoff,
+        # so samples fail and every report field, witness included, must be
+        # the per-sample loop's
         got = run_sweep("log_major_quadrep", d, 15, 3, atol=0.0, rtol=0.0)
-        ref = reference_sweep("log_major_quadrep", d, 15, 3, 0.0, 0.0)
+        ref = per_sample_sweep("log_major_quadrep", d, 15, 3, 0.0, 0.0)
         assert not got.passed and not ref.passed
         assert json.dumps(got.to_json(), sort_keys=True) == \
             json.dumps(ref.to_json(), sort_keys=True)
@@ -504,15 +543,37 @@ class TestBatchedSweep:
     def test_stricter_than_exact_tolerance_fails_the_same_samples(self, check, d,
                                                                   atol, first):
         # a negative atol fails the samples whose margins fall short of |atol|,
-        # so which sample fails first depends on the inputs the screen draws
+        # so which sample fails first depends on the inputs drawn
         got = run_sweep(check, d, 40, 3, atol=atol, rtol=1e-8)
-        ref = reference_sweep(check, d, 40, 3, atol, 1e-8)
+        ref = per_sample_sweep(check, d, 40, 3, atol, 1e-8)
         assert not got.passed and not ref.passed
         assert got.witness["sample_index"] == first
-        assert json.dumps(got.witness, sort_keys=True) == \
-            json.dumps(ref.witness, sort_keys=True)
-        band = abs(atol) + 1e-8 * sweep_scale(check, d, 40, 3)
-        assert abs(got.worst_slack - ref.worst_slack) <= band
+        assert json.dumps(got.to_json(), sort_keys=True) == \
+            json.dumps(ref.to_json(), sort_keys=True)
+        passed, worst, oracle_first, _, scale = scalar_oracle(check, d, 40, 3, atol, 1e-8)
+        assert not passed and oracle_first == first
+        assert abs(got.worst_slack - worst) <= abs(atol) + 1e-8 * scale
+
+    @pytest.mark.parametrize("check,d,atol,rtol", [
+        ("log_major_quadrep", SymMatrix(3), 0.0, 0.0),
+        ("log_major_quadrep", SpinFactor(4), 0.0, 0.0),
+        ("log_major_quadrep", CATALOG[-1], 0.0, 0.0),
+        ("jordan_weak", SymMatrix(3), -0.5, 1e-8),
+        ("jordan_weak", SpinFactor(4), -0.5, 1e-8),
+    ])
+    def test_witness_replays_through_the_check(self, check, d, atol, rtol):
+        # the witness, read back from JSON, fails the public check with the
+        # worst slack its row has in the sweep, to the bit
+        rep = run_sweep(check, d, 40, 3, atol=atol, rtol=rtol)
+        i = rep.witness["sample_index"]
+        runner = CHECK_RUNNERS[check]
+        a, b = runner.draw(d, [sample_rng(3, j) for j in range(40)])
+        passed, slack, _ = runner.rows(d, a, b, atol, rtol)
+        fn = check_log_major_quadrep if check == "log_major_quadrep" else check_jordan_weak
+        replay = fn(element_from_json(rep.witness["a"]), element_from_json(rep.witness["b"]),
+                    atol=atol, rtol=rtol)
+        assert not passed[i] and not replay.passed
+        assert bits(replay.worst_slack) == bits(slack[i])
 
     def test_chunking_does_not_change_the_report(self, monkeypatch):
         d = CATALOG[-1]
@@ -520,9 +581,9 @@ class TestBatchedSweep:
         monkeypatch.setattr(verifiers, "SWEEP_CHUNK", 7)
         assert run_sweep("jordan_weak", d, 25, 8).to_json() == whole
 
-    def test_screen_builds_no_elements(self, monkeypatch):
+    def test_passing_sweep_builds_no_elements(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a screened sample was serialized")
+            raise AssertionError("a passing sample was serialized")
 
         monkeypatch.setattr(verifiers, "element_to_json", forbidden)
         assert run_sweep("log_major_quadrep", SymMatrix(3), 30, 1).passed
