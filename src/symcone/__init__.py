@@ -25,22 +25,17 @@ from .algebra import (
 )
 from .majorization import (
     MajorizationVerdict,
-    abs_vec,
-    compwise,
     log_major,
     major,
     sort_desc,
     vec_pnorm,
-    weak_log_major,
     weak_major,
 )
 from .norms import EmpiricalNorm, norm_closed_form, norm_empirical
 from .search import (
     FamilySpec,
     SearchRecord,
-    classify_boundary,
     generate_candidate,
-    refine,
     replay_record,
     replay_records,
     sweep,
@@ -55,11 +50,7 @@ from .spectral import (
     abs_el,
     det,
     eigvals,
-    lowner,
-    minus_part,
-    plus_part,
     pnorm,
-    sk,
     spectral_decompose,
     sqrt_el,
     standard_frame,

@@ -8,8 +8,10 @@ norm           closed-form vs empirical operator norm for one operand
 prospect       sweep a multiplier family for violations, or replay an archive
 
 Exit codes: 0 success, 1 a check failed (a witness file is written),
-2 malformed configuration or input (see ``EXIT_CODES``).  All output is
-deterministic under a fixed configuration and seed.
+2 malformed configuration or input (see ``EXIT_CODES``), including a NaN,
+infinite or negative ``--atol`` or ``--rtol``, which every subcommand
+rejects before any work.  All output is deterministic under a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def _parse_order(text: str) -> float:
     except ValueError:
         raise ConfigError(f"cannot parse norm order {text!r}") from None
     return value
+
+
+def _check_tolerances(args: argparse.Namespace) -> None:
+    # the library takes a negative atol as a band stricter than exact
+    # comparison; a flag value is a tolerance, so it must be finite and >= 0
+    for flag in ("atol", "rtol"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"--{flag} must be finite and >= 0, got {value!r}")
 
 
 def _report_header(args: argparse.Namespace, command: str) -> dict:
@@ -206,10 +217,7 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
         d = descriptor_from_spec(args.alg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    params = {}
-    if args.zero_diag:
-        params["zero_diag"] = True
-    spec = FamilySpec(args.family, d.rank, params)
+    spec = FamilySpec(args.family, d.rank, zero_diag=args.zero_diag)
     result = sweep(spec, d, args.budget, args.samples, args.seed,
                    atol=args.atol, rtol=args.rtol, problem=args.problem)
     out_base = args.out or f"symcone_prospect_{args.family}"
@@ -282,6 +290,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

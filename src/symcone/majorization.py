@@ -4,10 +4,12 @@ The slack at index k is (partial of q) - (partial of p), partials being sums
 or products of the decreasing rearrangements, and the strict variants
 additionally require equality at k = n.  Sum comparisons pass when the
 minimum slack stays above ``-(atol + rtol * scale)`` with scale the largest
-partial magnitude; product comparisons apply the same rule per index, at
-that index's own product magnitude, because partial products at different k
-scale by different powers of a common factor.  Partial products are compared
-directly (no logarithms) so exact zeros behave exactly.
+partial magnitude; the total-sum equality of :func:`major` uses the same
+band, so at ``atol = 0`` every sum verdict is scale-free.  Product
+comparisons apply the same rule per index, at that index's own product
+magnitude, because partial products at different k scale by different
+powers of a common factor.  Partial products are compared directly (no
+logarithms) so exact zeros behave exactly.
 """
 
 from __future__ import annotations
@@ -50,19 +52,6 @@ def sort_desc_rows(P) -> np.ndarray:
     return -np.sort(-np.asarray(P, dtype=np.float64), axis=1)
 
 
-def compwise(p, q) -> np.ndarray:
-    """Componentwise product p * q."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return p * q
-
-
-def abs_vec(p) -> np.ndarray:
-    return np.abs(np.asarray(p, dtype=np.float64))
-
-
 def vec_pnorm(v, p: float) -> float:
     """p-norm of a plain vector, p in [1, inf]."""
     v = np.abs(np.asarray(v, dtype=np.float64))
@@ -85,14 +74,14 @@ def _weak_verdict(slacks: np.ndarray, scale: float, kind: str,
     return MajorizationVerdict(holds, worst, failing_k, kind)
 
 
-def _strict_verdict(slacks: np.ndarray, scale: float, gap: float, eq_tol: float,
+def _strict_verdict(slacks: np.ndarray, scale: float, gap: float,
                     kind: str, atol: float, rtol: float) -> MajorizationVerdict:
     thresh = atol + rtol * scale
     n = len(slacks)
     head = slacks[: n - 1] if n > 1 else slacks[:0]
     head_worst = float(head.min()) if head.size else math.inf
     weak_ok = head_worst >= -thresh
-    eq_ok = abs(gap) <= eq_tol
+    eq_ok = abs(gap) <= thresh
     holds = bool(weak_ok and eq_ok)
     worst = min(head_worst, -abs(gap))
     if holds:
@@ -124,8 +113,7 @@ def major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> Major
     slacks = sq - sp
     scale = float(max(np.abs(sp).max(), np.abs(sq).max()))
     gap = float(sp[-1] - sq[-1])
-    eq_tol = atol + rtol * (1.0 + abs(float(sq[-1])))
-    return _strict_verdict(slacks, scale, gap, eq_tol, "strong", atol, rtol)
+    return _strict_verdict(slacks, scale, gap, "strong", atol, rtol)
 
 
 def _clamped_nonneg(p, atol: float, rtol: float, label: str) -> np.ndarray:
@@ -149,18 +137,6 @@ def _partial_products(p, q, atol, rtol):
         ps = ps / top
         qs = qs / top
     return np.cumprod(ps), np.cumprod(qs)
-
-
-def weak_log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
-    """Partial products of p-decreasing never exceed those of q-decreasing."""
-    pp, qp = _partial_products(p, q, atol, rtol)
-    slacks = qp - pp
-    thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
-    adjusted = slacks + thresholds
-    holds = bool((adjusted >= 0.0).all())
-    binding = int(np.argmin(adjusted))
-    return MajorizationVerdict(holds, float(slacks[binding]),
-                               None if holds else binding + 1, "weak_log")
 
 
 def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:

@@ -2,11 +2,14 @@
 which A satisfy lambda(|A . b|) weakly majorized by lambda(|diag A|)*lambda(|b|).
 
 Candidate families cover the known-good territory (PSD Gram matrices, the
-multiplication-operator form [(a_i+a_j)/2], the quadratic form [a_i a_j]) and
-the known-bad territory (zero-diagonal symmetric matrices), plus free
-symmetric and rank-one-perturbed samples in between.  Violations are
-certified by a stored witness that replays exactly; absence of violations is
-reported as evidence only, never as a claim.
+multiplication-operator form [(a_i+a_j)/2] and the quadratic form [a_i a_j],
+built by :func:`transforms.lyap_multiplier` and
+:func:`transforms.quad_multiplier`) and the known-bad territory
+(zero-diagonal symmetric matrices), plus free symmetric and
+rank-one-perturbed samples in between.  Each family draws at one fixed
+scale; ``FamilySpec.zero_diag`` is its only setting, read by ``random_sym``
+alone.  Violations are certified by a stored witness that replays exactly;
+absence of violations is reported as evidence only, never as a claim.
 
 Every margin comes from one batched computation, :func:`_margins`, over an
 (m, dim) stack of elements b: the Schur product as a matrix built from a
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,8 +50,16 @@ from .majorization import (
     sort_desc_rows,
     weak_major_rows,
 )
-from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame
-from .transforms import SchurMatrix, peirce_projectors, schur_matrix
+# ``eigvals`` is not called here; it stays bound because the benchmark's
+# tracer self-test (perfbench/test_perfbench.py) patches ``search.eigvals``
+from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame  # noqa: F401
+from .transforms import (
+    SchurMatrix,
+    lyap_multiplier,
+    peirce_projectors,
+    quad_multiplier,
+    schur_matrix,
+)
 
 FAMILIES = (
     "psd_gram",
@@ -56,7 +67,6 @@ FAMILIES = (
     "quadratic_form",
     "random_sym",
     "rank_one_perturbed",
-    "user_file",
 )
 
 PROBLEMS = ("general", "cone")
@@ -70,7 +80,7 @@ MARGIN_CHUNK = 256  # rows per batch in _margins; bounds the (rows, dim, dim) pr
 class FamilySpec:
     family: str
     n: int
-    params: dict = field(default_factory=dict)
+    zero_diag: bool = False  # random_sym only: force a zero diagonal
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -78,49 +88,35 @@ class FamilySpec:
         if self.n < 1:
             raise ValueError("candidate size must be >= 1")
 
-    @property
-    def fixes_diagonal(self) -> bool:
-        """Whether refinement must leave the diagonal untouched."""
-        return self.family == "random_sym" and bool(self.params.get("zero_diag"))
-
 
 def generate_candidate(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
     """One symmetric candidate matrix from the family."""
     n = spec.n
-    scale = float(spec.params.get("scale", 1.0))
     if spec.family == "psd_gram":
-        G = rng.normal(0.0, scale, (int(spec.params.get("gram_rank", n)), n))
+        G = rng.normal(0.0, 1.0, (n, n))
         return G.T @ G
     if spec.family == "lyapunov_form":
-        a = rng.normal(0.0, 2.0 * scale, n)
-        return (a[:, None] + a[None, :]) / 2.0
+        return lyap_multiplier(rng.normal(0.0, 2.0, n)).entries
     if spec.family == "quadratic_form":
-        a = rng.normal(0.0, 2.0 * scale, n)
-        return np.outer(a, a)
+        return quad_multiplier(rng.normal(0.0, 2.0, n)).entries
     if spec.family == "random_sym":
-        G = rng.normal(0.0, scale, (n, n))
+        G = rng.normal(0.0, 1.0, (n, n))
         A = (G + G.T) / 2.0
-        if spec.params.get("zero_diag"):
+        if spec.zero_diag:
             np.fill_diagonal(A, 0.0)
         return A
     if spec.family == "rank_one_perturbed":
-        G = rng.normal(0.0, scale, (n, n))
+        G = rng.normal(0.0, 1.0, (n, n))
         base = G.T @ G
         u = rng.normal(0.0, 1.0, n)
         u /= max(float(np.linalg.norm(u)), 1e-12)
-        eps = float(spec.params.get("eps", -0.5)) * scale
-        return base + eps * np.outer(u, u)
-    if spec.family == "user_file":
-        A = SchurMatrix.load(spec.params["path"]).entries
-        if A.shape[0] != n:
-            raise ValueError(f"user matrix size {A.shape[0]} does not match n={n}")
-        return np.array(A)
+        return base - 0.5 * np.outer(u, u)
     raise ValueError(f"unknown family {spec.family!r}")
 
 
 @dataclass
 class SearchRecord:
-    family: str
+    family: str | None  # None for a multiplier tested outside a family sweep
     descriptor: str
     seed: int | None
     entries: np.ndarray
@@ -225,7 +221,7 @@ def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
 
 
 def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
-              family: str, seed: int | None, problem: str) -> SearchRecord:
+              family: str | None, seed: int | None, problem: str) -> SearchRecord:
     A = _multiplier(A)
     if A.n != len(frame):
         raise ValueError(f"multiplier size {A.n} vs frame rank {len(frame)}")
@@ -241,14 +237,14 @@ def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
 
 def test_candidate(A, frame: JordanFrame, b: Element,
                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                   family: str = "user_file", seed: int | None = None) -> SearchRecord:
+                   family: str | None = None, seed: int | None = None) -> SearchRecord:
     """Margin of lambda(|A . b|) against lambda(|diag A|)*lambda(|b|)."""
     return _test_one(A, frame, b, atol, rtol, family, seed, "general")
 
 
 def test_candidate_cone(A, frame: JordanFrame, b: Element,
                         atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                        family: str = "user_file", seed: int | None = None) -> SearchRecord:
+                        family: str | None = None, seed: int | None = None) -> SearchRecord:
     """Cone variant: lambda(A . b) against lambda(|diag A|)*lambda(b), b >= 0."""
     return _test_one(A, frame, b, atol, rtol, family, seed, "cone")
 
@@ -365,102 +361,6 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
         tested += n_b
     return SweepResult(spec.family, d_spec, n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
-
-
-def refine(record: SearchRecord, steps: int, seed: int = 0,
-           spec: FamilySpec | None = None,
-           atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> SearchRecord:
-    """Coordinate-perturbation descent on the margin of a violated record.
-
-    Only improving proposals are accepted, so the margin is non-increasing
-    and the record stays violated.  Family constraints are honored: a
-    zero-diagonal family keeps its diagonal at zero, and the closed-form
-    families are refined over the witness only.
-    """
-    if record.verdict != "violated":
-        raise ValueError("refine expects a violated record")
-    if steps == 0:
-        return record
-    d = descriptor_from_spec(record.descriptor)
-    frame = standard_frame(d)
-    tester = test_candidate if record.problem == "general" else test_candidate_cone
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
-    perturb_matrix = spec is None or spec.family in (
-        "random_sym", "rank_one_perturbed", "user_file"
-    )
-    fix_diag = spec.fixes_diagonal if spec is not None else bool(
-        np.all(np.diag(record.entries) == 0.0)
-    )
-    best = record
-    n = best.entries.shape[0]
-    dim = d.dim
-    sigma = 0.3
-    for step in range(steps):
-        A = np.array(best.entries)
-        coords = np.array(best.b_witness.coords)
-        if perturb_matrix and step % 2 == 1:
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            if fix_diag and i == j:
-                j = (i + 1) % n
-            delta = sigma * rng.normal() * max(1.0, float(np.abs(A).max()))
-            A[i, j] += delta
-            A[j, i] = A[i, j]
-        else:
-            k = int(rng.integers(dim))
-            coords[k] += sigma * rng.normal() * max(1.0, float(np.abs(coords).max()))
-        if record.problem == "cone":
-            candidate_b = Element(d, coords)
-            if float(eigvals(candidate_b)[-1]) < 0.0:
-                sigma = max(sigma * 0.95, 1e-3)
-                continue
-        else:
-            candidate_b = Element(d, coords)
-        rec = tester(A, frame, candidate_b, atol=atol, rtol=rtol,
-                     family=best.family, seed=best.seed)
-        if rec.verdict == "violated" and rec.margin < best.margin:
-            best = rec
-        else:
-            sigma = max(sigma * 0.95, 1e-3)
-    return best
-
-
-def classify_boundary(A, descriptor: AlgebraDescriptor, n_b: int, seed: int,
-                      atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                      refine_steps: int = 50, problem: str = "general") -> dict:
-    """Empirical 'for all b' probe: min margin over samples plus refinement.
-
-    The n_b elements run as one batch on the standard frame; the first
-    element of least margin is the worst case, and a violated worst case is
-    refined.  A reported violation is certified by its witness; a clean
-    sweep is only evidence and is flagged as such.
-    """
-    A = _multiplier(A)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0A2D]))
-    out = {"n_b": n_b, "min_margin": math.inf, "violated": False,
-           "evidence_only": True}
-    if n_b < 1:
-        return out
-    coords = rng.normal(0.0, GENERAL_SIGMA, (n_b, descriptor.dim))
-    if problem == "cone":
-        coords = jordan_product_coords(descriptor, coords, coords)
-    margins, holds = _margins(descriptor,
-                              schur_matrix(A, _standard_projectors(descriptor)),
-                              _diag_ref(A), coords, problem, atol, rtol)
-    ib = int(np.argmin(margins))
-    out["min_margin"] = float(margins[ib])
-    if not holds[ib]:
-        worst = SearchRecord("user_file", descriptor_to_spec(descriptor), seed, A.entries,
-                             Element(descriptor, coords[ib]), float(margins[ib]),
-                             "violated", problem)
-        refined = refine(worst, refine_steps, seed=seed, atol=atol, rtol=rtol)
-        out.update({
-            "violated": True,
-            "evidence_only": False,
-            "min_margin": float(refined.margin),
-            "record": refined.to_json(),
-        })
-    return out
 
 
 # --- archives -----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -81,9 +80,6 @@ class SpectralDecomposition:
         vals = np.array(self.eigenvalues, dtype=np.float64, copy=True)
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
-
-    def reconstruct(self) -> Element:
-        return rebuild(self.frame, self.eigenvalues)
 
 
 def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
@@ -357,13 +353,6 @@ def standard_frame(d: AlgebraDescriptor) -> JordanFrame:
 
 # --- spectral functions ----------------------------------------------------------
 
-def lowner(phi: Callable[[float], float], x: Element) -> Element:
-    """Apply a scalar function to the eigenvalues in place of x's frame."""
-    sd = spectral_decompose(x)
-    vals = np.array([float(phi(v)) for v in sd.eigenvalues])
-    return rebuild(sd.frame, vals)
-
-
 def abs_el(x: Element) -> Element:
     """|x|: absolute values of the eigenvalues on x's frame."""
     sd = spectral_decompose(x)
@@ -381,16 +370,6 @@ def sqrt_el(x: Element, tol: float = SQRT_CLAMP_TOL) -> Element:
     return rebuild(sd.frame, np.sqrt(np.maximum(vals, 0.0)))
 
 
-def plus_part(x: Element) -> Element:
-    sd = spectral_decompose(x)
-    return rebuild(sd.frame, np.maximum(sd.eigenvalues, 0.0))
-
-
-def minus_part(x: Element) -> Element:
-    sd = spectral_decompose(x)
-    return rebuild(sd.frame, np.maximum(-sd.eigenvalues, 0.0))
-
-
 def trace(x: Element) -> float:
     """tr(x) = <x, e>, the eigenvalue sum."""
     return inner(x, unit(x.descriptor))
@@ -404,11 +383,3 @@ def det(x: Element) -> float:
 def pnorm(x: Element, p: float) -> float:
     """Spectral p-norm ||lambda(x)||_p for p in [1, inf]."""
     return vec_pnorm(eigvals(x), p)
-
-
-def sk(x: Element, k: int) -> float:
-    """Sum of the k largest eigenvalues."""
-    rank = x.descriptor.rank
-    if not 1 <= k <= rank:
-        raise ValueError(f"k must lie in 1..{rank}, got {k}")
-    return float(np.sum(eigvals(x)[:k]))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -290,8 +290,7 @@ def lyap_map(a: Element) -> Callable[[Element], Element]:
 
 
 def quad_rep_map(a: Element) -> Callable[[Element], Element]:
-    a2 = jordan_product(a, a)
-    return lambda x: 2.0 * jordan_product(a, jordan_product(a, x)) - jordan_product(a2, x)
+    return lambda x: quad_rep(a, x)
 
 
 def schur_map(A, frame: JordanFrame) -> Callable[[Element], Element]:
@@ -349,24 +348,6 @@ def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLine
         f"{P.label}*{Q.label}",
         P.certified and Q.certified,
     )
-
-
-def combine_positive(coeffs: Sequence[float], maps: Sequence[PositiveLinearMap]) -> PositiveLinearMap:
-    if len(coeffs) != len(maps) or not maps:
-        raise ValueError("need matching, nonempty coefficients and maps")
-    if any(c < 0 for c in coeffs):
-        raise PositivityError("combination coefficients must be nonnegative")
-    d = maps[0].descriptor
-    if any(m.descriptor != d for m in maps):
-        raise ValueError("cannot combine maps over different algebras")
-
-    def fn(x: Element) -> Element:
-        out = coeffs[0] * maps[0](x)
-        for c, m in zip(coeffs[1:], maps[1:]):
-            out = out + c * m(x)
-        return out
-
-    return PositiveLinearMap(d, fn, "combo", all(m.certified for m in maps))
 
 
 def certify_positive_by_sampling(

@@ -568,11 +568,9 @@ def sample_psd_gram(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.
     return G.T @ G
 
 
-def sample_sublinear(rng: np.random.Generator, nonnegative: bool = True) -> SublinearFn:
-    if nonnegative:
-        return SublinearFn(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 0.0)))
-    alpha = float(rng.uniform(-2.0, 2.0))
-    return SublinearFn(alpha, float(rng.uniform(-2.0, alpha)))
+def sample_sublinear(rng: np.random.Generator) -> SublinearFn:
+    """A nonnegative sublinear function: alpha in [0, 2), beta in [-2, 0)."""
+    return SublinearFn(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-2.0, 0.0)))
 
 
 _PHI_CHOICES = (ABS_FN, POS_FN, NEG_FN)
@@ -691,7 +689,7 @@ def _run_positive_map(d, rng, atol, rtol):
 
 @_register("quadrep_sublinear")
 def _run_quadrep_sublinear(d, rng, atol, rtol):
-    phi = sample_sublinear(rng, nonnegative=True)
+    phi = sample_sublinear(rng)
     return check_quadrep_sublinear(sample_general(d, rng), sample_general(d, rng),
                                    phi, atol=atol, rtol=rtol)
 

@@ -10,7 +10,7 @@ import symcone
 from symcone import cli
 from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to_json, unit
 from symcone.cli import main
-from symcone.search import FamilySpec, sweep, write_archive
+from symcone.search import FAMILIES, PROBLEMS, FamilySpec, sweep, write_archive
 from symcone.spectral import JacobiConvergenceError
 from symcone.verifiers import CHECK_RUNNERS, VerificationReport
 
@@ -77,6 +77,21 @@ class TestVerify:
         witness = json.loads((tmp_path / "rep.json.witness.json").read_text())
         assert witness["failures"][0]["check"] == "jordan_weak"
         assert witness["failures"][0]["witness"]["stub"] is True
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+@pytest.mark.parametrize("command", [["verify", "--alg", "sym:3", "--samples", "2"],
+                                     ["prospect"]], ids=lambda c: c[0])
+def test_malformed_tolerance_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                     command, flag, value):
+    # outputs would land in the working directory: a witness for verify, an
+    # archive and a summary for prospect
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, f"{flag}={value}"]) == 2
+    (line,) = error_lines(capsys)
+    assert flag in line
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestReproExample:
@@ -222,6 +237,21 @@ class TestProspect:
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["prospect", "--family", "bogus", "--alg", "sym:2"]) == 2
+        capsys.readouterr()
+        # a multiplier from a file is a norm operand, not a family
+        assert main(["prospect", "--family", "user_file", "--alg", "sym:2"]) == 2
+        (line,) = error_lines(capsys)
+        assert "unknown family" in line
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_runs(self, tmp_path, capsys, family, problem):
+        out = tmp_path / family
+        assert main(["prospect", "--family", family, "--alg", "sym:3",
+                     "--problem", problem, "--budget", "2", "--samples", "5",
+                     "--out", str(out)]) == 0
+        summary = (tmp_path / f"{family}.csv").read_text().splitlines()
+        assert summary[1].startswith(f"{family},3,10,")
 
     def test_replay_of_malformed_record_exits_2(self, tmp_path, capsys):
         out = tmp_path / "zd"

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symcone.majorization import (
-    abs_vec,
-    compwise,
     log_major,
     log_major_rows,
     major,
     sort_desc,
     vec_pnorm,
-    weak_log_major,
     weak_major,
     weak_major_rows,
 )
@@ -27,16 +24,6 @@ from conftest import random_majorizing_pair
 class TestVectorHelpers:
     def test_sort_desc(self):
         np.testing.assert_array_equal(sort_desc([1, 3, 2]), [3, 2, 1])
-
-    def test_compwise(self):
-        np.testing.assert_array_equal(compwise([9, 1], [9, 1]), [81, 1])
-
-    def test_compwise_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compwise([1, 2], [1, 2, 3])
-
-    def test_abs_vec(self):
-        np.testing.assert_array_equal(abs_vec([7, -1]), [7, 1])
 
     def test_vec_pnorm(self):
         assert vec_pnorm([3, -4], 2) == 5.0
@@ -83,44 +70,43 @@ class TestLogVariants:
         assert v.holds
 
     def test_weak_log_failure(self):
-        v = weak_log_major([3, 3], [4, 1])
-        assert not v.holds and v.failing_k == 2
+        # partial products (3, 3) against (2, 3): the weak log-majorization
+        # part fails at k = 1 while the totals agree
+        v = log_major([3.0, 1.0], [2.0, 1.5])
+        assert not v.holds and v.failing_k == 1 and v.worst_slack == -1.0
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
-            weak_log_major([-1.0, 2.0], [1.0, 1.0])
+            log_major([-1.0, 2.0], [1.0, 1.0])
 
     def test_tiny_negative_clamped(self):
-        v = weak_log_major([1.0, -1e-12], [1.0, 1.0])
-        assert v.holds
+        # -1e-12 lies inside the nonnegativity floor and clamps to an exact 0
+        v = log_major([1.0, -1e-12], [1.0, 0.0])
+        assert v.holds and v.worst_slack == 0.0
 
     def test_scaling_invariance(self):
-        # pure relative tolerance is what a common positive rescale preserves
+        # pure relative tolerance is what a common positive rescale preserves;
+        # exp of an additive majorizing pair is a log-majorizing pair
         rng = np.random.default_rng(0)
         for _ in range(200):
-            p = np.abs(rng.normal(0, 3, 5))
-            q = np.abs(rng.normal(0, 3, 5))
-            base = weak_log_major(p, q, atol=0.0).holds
-            for c in (1e-3, 7.0, 1e6):
-                assert weak_log_major(c * p, c * q, atol=0.0).holds == base
+            p, q = (np.exp(v) for v in random_majorizing_pair(rng, 5))
+            for c in (1.0, 1e-3, 7.0, 1e6):
+                assert log_major(c * p, c * q, atol=0.0).holds
+                assert not log_major(c * q, c * p, atol=0.0).holds
 
     def test_overflow_guard(self):
-        p = np.full(6, 1e40)
-        q = np.full(6, 2e40)
-        assert weak_log_major(p, q).holds
-        assert not weak_log_major(q, p).holds
+        # unscaled, the eighth partial products (1e320) overflow to inf
+        p = np.full(8, 1e40)
+        q = np.array([2e40] * 4 + [5e39] * 4)
+        assert log_major(p, q).holds
+        assert not log_major(q, p).holds
 
     def test_log_implies_weak_on_nonnegative(self):
         rng = np.random.default_rng(1)
-        hits = 0
         for _ in range(500):
-            p = np.abs(rng.normal(0, 2, 4))
-            q = np.abs(rng.normal(0, 2, 4))
-            v = weak_log_major(p, q)
-            if v.holds and v.worst_slack > 1e-6:
-                hits += 1
-                assert weak_major(p, q, atol=1e-7).holds
-        assert hits > 30  # the sweep actually exercised the implication
+            p, q = (np.exp(v) for v in random_majorizing_pair(rng, 4))
+            assert log_major(p, q).holds
+            assert weak_major(p, q, atol=1e-7).holds
 
 
 class TestClassicalStability:
@@ -137,8 +123,8 @@ class TestClassicalStability:
         for _ in range(200):
             p, q = random_majorizing_pair(rng, 5, nonnegative=True)
             r = sort_desc(np.abs(rng.normal(0, 2, 5)))
-            lhs = compwise(sort_desc(p), r)
-            rhs = compwise(sort_desc(q), r)
+            lhs = sort_desc(p) * r
+            rhs = sort_desc(q) * r
             assert weak_major(lhs, rhs, atol=1e-8).holds
 
     def test_in_order_product_sums_for_signed_vectors(self):
@@ -148,15 +134,15 @@ class TestClassicalStability:
         for _ in range(200):
             p, q = random_majorizing_pair(rng, 5)
             r = sort_desc(np.abs(rng.normal(0, 2, 5)))
-            lhs = np.cumsum(compwise(sort_desc(p), r))
-            rhs = np.cumsum(compwise(sort_desc(q), r))
+            lhs = np.cumsum(sort_desc(p) * r)
+            rhs = np.cumsum(sort_desc(q) * r)
             assert np.all(lhs <= rhs + 1e-8 * (1.0 + np.abs(rhs)))
 
     def test_majorization_gives_weak_abs(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             p, q = random_majorizing_pair(rng, 6)
-            assert weak_major(abs_vec(p), abs_vec(q), atol=1e-8).holds
+            assert weak_major(np.abs(p), np.abs(q), atol=1e-8).holds
 
     def test_increasing_convex_functions(self):
         rng = np.random.default_rng(5)
@@ -260,12 +246,18 @@ class TestInvariance:
            st.integers(-30, 30), st.sampled_from([0.0, 1e-8]))
     def test_power_of_two_scaling_keeps_zero_atol_verdicts(self, pair, k, rtol):
         # scaling by 2**k is exact away from underflow, and so is every sum
-        # and band; major's equality band keeps an absolute rtol term, so it
-        # is scale-free only at rtol = 0
+        # and band
         P, Q = pair
         c = 2.0 ** k
         for p, q in zip(P, Q):
-            assert (weak_major(c * p, c * q, atol=0.0, rtol=rtol).holds
-                    == weak_major(p, q, atol=0.0, rtol=rtol).holds)
-            assert (major(c * p, c * q, atol=0.0, rtol=0.0).holds
-                    == major(p, q, atol=0.0, rtol=0.0).holds)
+            for predicate in (weak_major, major):
+                assert (predicate(c * p, c * q, atol=0.0, rtol=rtol).holds
+                        == predicate(p, q, atol=0.0, rtol=rtol).holds)
+
+    @pytest.mark.parametrize("c", [1.0, 1024.0])
+    def test_total_sum_band_is_relative_at_zero_atol(self, c):
+        # a relative total-sum gap of 1.5e-8 lies outside the band at the
+        # default rtol = 1e-8 and inside it at rtol = 2e-8, at every scale
+        p, q = c * np.array([1.0]), c * np.array([1.0 + 1.5e-8])
+        assert not major(p, q, atol=0.0).holds
+        assert major(p, q, atol=0.0, rtol=2e-8).holds

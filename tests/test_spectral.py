@@ -27,18 +27,15 @@ from symcone.spectral import (
     eigvals,
     eigvals_batch,
     frame_residuals,
-    lowner,
-    minus_part,
-    plus_part,
     pnorm,
     rebuild,
-    sk,
     spectral_decompose,
     spectral_decompose_batch,
     sqrt_el,
     standard_frame,
     trace,
 )
+from symcone.transforms import NEG_FN, POS_FN, apply_sublinear
 
 from conftest import CATALOG, SMALL_CATALOG
 
@@ -77,7 +74,7 @@ class TestDecomposition:
             for _ in range(20):
                 x = random_element(d, rng, 3.0)
                 sd = spectral_decompose(x)
-                assert norm(sd.reconstruct() - x) <= 1e-9 * (1.0 + norm(x))
+                assert norm(rebuild(sd.frame, sd.eigenvalues) - x) <= 1e-9 * (1.0 + norm(x))
                 assert np.all(np.diff(sd.eigenvalues) <= 1e-12)
 
     def test_degenerate_spin_direction(self):
@@ -140,19 +137,16 @@ class TestEigvals:
 
 
 class TestLowner:
+    """Spectral (Loewner) functions: a scalar function applied to the
+    eigenvalues on the element's own frame."""
+
     def test_abs_on_spin(self):
         x = Element(SpinFactor(3), [3.0, 4.0, 0.0])
-        np.testing.assert_allclose(lowner(abs, x).coords, [4.0, 3.0, 0.0], atol=1e-14)
-
-    def test_identity_function(self):
-        rng = np.random.default_rng(4)
-        for d in SMALL_CATALOG:
-            x = random_element(d, rng, 2.0)
-            assert norm(lowner(lambda t: t, x) - x) <= 1e-10 * (1.0 + norm(x))
+        np.testing.assert_allclose(abs_el(x).coords, [4.0, 3.0, 0.0], atol=1e-14)
 
     def test_sqrt_of_unit(self):
         for d in SMALL_CATALOG:
-            assert norm(lowner(math.sqrt, unit(d)) - unit(d)) <= 1e-12
+            assert norm(sqrt_el(unit(d)) - unit(d)) <= 1e-12
 
 
 class TestSpectralParts:
@@ -162,11 +156,11 @@ class TestSpectralParts:
 
     def test_plus_part_of_negative_unit(self):
         for d in SMALL_CATALOG:
-            assert norm(plus_part(-unit(d))) == 0.0
+            assert norm(apply_sublinear(POS_FN, -unit(d))) == 0.0
 
     def test_minus_part_of_negative_unit(self):
         for d in SMALL_CATALOG:
-            assert norm(minus_part(-unit(d)) - unit(d)) <= 1e-14
+            assert norm(apply_sublinear(NEG_FN, -unit(d)) - unit(d)) <= 1e-14
 
     def test_sqrt_of_square_is_abs(self):
         rng = np.random.default_rng(5)
@@ -180,8 +174,9 @@ class TestSpectralParts:
         rng = np.random.default_rng(6)
         for d in SMALL_CATALOG:
             x = random_element(d, rng, 3.0)
-            assert norm(plus_part(x) - minus_part(x) - x) <= 1e-9 * (1 + norm(x))
-            assert norm(plus_part(x) + minus_part(x) - abs_el(x)) <= 1e-9 * (1 + norm(x))
+            plus, minus = apply_sublinear(POS_FN, x), apply_sublinear(NEG_FN, x)
+            assert norm(plus - minus - x) <= 1e-9 * (1 + norm(x))
+            assert norm(plus + minus - abs_el(x)) <= 1e-9 * (1 + norm(x))
 
     def test_sqrt_outside_cone_raises(self):
         with pytest.raises(ConeError):
@@ -210,11 +205,8 @@ class TestScalarFunctions:
         rng = np.random.default_rng(7)
         for d in SMALL_CATALOG:
             x = random_element(d, rng, 2.0)
-            assert abs(sk(x, d.rank) - trace(x)) <= 1e-9 * (1.0 + abs(trace(x)))
-
-    def test_sk_range_checked(self):
-        with pytest.raises(ValueError):
-            sk(unit(SymMatrix(2)), 3)
+            top = float(eigvals(x)[:d.rank].sum())
+            assert abs(top - trace(x)) <= 1e-9 * (1.0 + abs(trace(x)))
 
 
 class TestVariationalProperties:
@@ -226,7 +218,7 @@ class TestVariationalProperties:
                 other = spectral_decompose(random_element(d, rng, 1.0)).frame
                 own = spectral_decompose(x).frame
                 for k in range(1, d.rank + 1):
-                    top = sk(x, k)
+                    top = float(eigvals(x)[:k].sum())
                     tol = 1e-9 * (1.0 + abs(top))
                     idx = rng.permutation(d.rank)[:k]
                     c = other.idempotents[idx[0]]

@@ -42,7 +42,6 @@ from symcone.transforms import (
     apply_sublinear,
     as_matrix,
     certify_positive_by_sampling,
-    combine_positive,
     compose_positive,
     lyap,
     lyap_map,
@@ -407,16 +406,9 @@ class TestPositivity:
             ),
         ]
         maps.append(compose_positive(maps[0], maps[1]))
-        maps.append(combine_positive([0.5, 2.0], maps[:2]))
         for P in maps:
             assert P.certified
             assert certify_positive_by_sampling(P, np.random.default_rng(0), samples=16)
-
-    def test_negative_combination_rejected(self):
-        d = SymMatrix(2)
-        P = positive_quad_map(unit(d))
-        with pytest.raises(PositivityError):
-            combine_positive([-1.0], [P])
 
     def test_validate_frame_accepts_decompositions(self):
         rng = np.random.default_rng(21)
