@@ -285,6 +285,14 @@ def norm(x: Element) -> float:
     return math.sqrt(float(np.dot(w * x.coords, x.coords)))
 
 
+def norm_rows(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
+    """:func:`norm` of every row of an (m, dim) coordinate array."""
+    # summed from a C-ordered copy: the order of a row sum follows the memory
+    # layout, and must not depend on the stack the row sits in
+    X = np.ascontiguousarray(X)
+    return np.sqrt((weight_vector(d) * X * X).sum(axis=-1))
+
+
 def random_element(
     d: AlgebraDescriptor, rng: np.random.Generator, scale: float = 1.0
 ) -> Element:
@@ -317,6 +325,22 @@ def operator_commutes(a: Element, b: Element, tol: float | None = None) -> bool:
         if norm(lhs - rhs) > tol:
             return False
     return True
+
+
+def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
+                           tol: np.ndarray | None = None) -> np.ndarray:
+    """:func:`operator_commutes` of every pair of rows of the (m, dim) arrays
+    a, b, with one tolerance per row (by default that of the scalar form)."""
+    if tol is None:
+        tol = DEFAULT_ATOL + DEFAULT_RTOL * norm_rows(d, a) * norm_rows(d, b)
+    commute = np.ones(len(a), dtype=bool)
+    for k in range(d.dim):  # one basis element at a time keeps memory at O(m dim)
+        z = np.zeros(a.shape)
+        z[:, k] = 1.0
+        lhs = jordan_product_coords(d, a, jordan_product_coords(d, b, z))
+        rhs = jordan_product_coords(d, b, jordan_product_coords(d, a, z))
+        commute &= ~(norm_rows(d, lhs - rhs) > tol)
+    return commute
 
 
 # --- orthonormal coordinates ----------------------------------------------------

@@ -10,8 +10,9 @@ prospect       sweep a multiplier family for violations, or replay an archive
 Exit codes: 0 success, 1 a check failed (a witness file is written),
 2 malformed configuration or input (see ``EXIT_CODES``), including a NaN,
 infinite or negative ``--atol`` or ``--rtol``, which every subcommand
-rejects before any work.  All output is deterministic under a fixed
-configuration and seed.
+rejects before any work, and, for ``verify``, tolerances so large that no
+sampled element clears the commuting-factor check's invertibility floor.
+All output is deterministic under a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .search import (
     write_summary_csv,
 )
 from .transforms import SchurMatrix
-from .verifiers import check_absolute_product_counterexample, run_all
+from .verifiers import ResampleError, check_absolute_product_counterexample, run_all
 
 
 class ConfigError(ValueError):
@@ -104,7 +105,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    reports = run_all(d, args.samples, args.seed, atol=args.atol, rtol=args.rtol)
+    try:
+        reports = run_all(d, args.samples, args.seed, atol=args.atol, rtol=args.rtol)
+    except ResampleError as exc:
+        # the commuting-factor check draws elements invertible enough for
+        # its tolerances; a floor no draw clears is a tolerance too large
+        raise ConfigError(f"--atol {args.atol:g} / --rtol {args.rtol:g} set an "
+                          f"invertibility floor no sample clears: {exc}") from None
     header = _report_header(args, "verify")
     header["seed"] = args.seed
     header["reports"] = [r.to_json() for r in reports]

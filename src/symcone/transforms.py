@@ -31,7 +31,10 @@ from .spectral import (
     JordanFrame,
     eigvals,
     frame_residuals,
+    rebuild_batch,
     spectral_decompose,
+    spectral_decompose_batch,
+    sqrt_batch,
     sqrt_el,
     sym_eigen,
 )
@@ -157,6 +160,15 @@ def apply_sublinear(phi: SublinearFn, x: Element) -> Element:
     return rebuild(sd.frame, phi.apply_vals(sd.eigenvalues))
 
 
+def apply_sublinear_rows(d: AlgebraDescriptor, alpha: np.ndarray, beta: np.ndarray,
+                         X: np.ndarray) -> np.ndarray:
+    """:func:`apply_sublinear` of every row of X, row i through the function
+    with slopes ``alpha[i]`` (t >= 0) and ``beta[i]`` (t < 0)."""
+    vals, frames = spectral_decompose_batch(d, X)
+    mapped = np.where(vals >= 0, alpha[:, None] * vals, beta[:, None] * vals)
+    return rebuild_batch(frames, mapped)
+
+
 def lyap(a: Element, x: Element) -> Element:
     """Multiplication operator L_a applied to x, i.e. a o x."""
     return jordan_product(a, x)
@@ -179,6 +191,13 @@ def quad_rep(a: Element, x: Element) -> Element:
 def quad_rep_sqrt(a: Element, b: Element, tol: float = 1e-10) -> Element:
     """P applied at the square root of a cone element a."""
     return quad_rep(sqrt_el(a, tol=tol), b)
+
+
+def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
+                       tol: float = 1e-10) -> np.ndarray:
+    """:func:`quad_rep_sqrt` of every pair of rows of the (m, dim) arrays a, b."""
+    vals, frames = spectral_decompose_batch(d, a)
+    return quad_rep_coords(d, sqrt_batch(vals, frames, tol), b)
 
 
 def _as_entries(A, rank: int) -> np.ndarray:
@@ -211,16 +230,37 @@ def peirce_project(frame: JordanFrame, x: Element, validate: bool = True) -> dic
 def schur(A, frame: JordanFrame, x: Element, validate: bool = True) -> Element:
     """Frame-relative Schur product A . x = sum_{i<=j} A[i,j] x_ij."""
     ents = _as_entries(A, len(frame))
+    if frame.descriptor != x.descriptor:
+        raise DescriptorMismatchError(
+            f"mixed algebras: {frame.descriptor} vs {x.descriptor}")
     if validate:
         validate_frame(frame)
-    es = frame.idempotents
-    out = np.zeros(x.descriptor.dim)
-    for j, ej in enumerate(es):
-        out += (ents[j, j] * inner(x, ej)) * ej.coords
-        tj = jordan_product(ej, x)
+    frames = np.stack([e.coords for e in frame.idempotents])
+    return Element(x.descriptor,
+                   schur_rows(x.descriptor, ents[None], frames[None], x.coords[None])[0])
+
+
+def schur_rows(d: AlgebraDescriptor, A: np.ndarray, frames: np.ndarray,
+               X: np.ndarray) -> np.ndarray:
+    """:func:`schur` of every row: row i of X times the multiplier ``A[i]``
+    on the frame ``frames[i]`` ((m, rank, dim) idempotent coordinates, as
+    :func:`spectral.spectral_decompose_batch` returns them).
+
+    The Peirce components are those of :func:`peirce_project`: diagonal
+    ones <x, e_j> e_j, off-diagonal ones 4 e_i o (e_j o x).
+    """
+    w = weight_vector(d)
+    # a row sum's order follows the memory layout, so rows are summed from
+    # a C-ordered copy: the same order in any stack, and alone
+    X = np.ascontiguousarray(X)
+    out = np.zeros(X.shape)
+    for j in range(frames.shape[1]):
+        ej = frames[:, j]
+        out += (A[:, j, j] * (w * X * ej).sum(axis=1))[:, None] * ej
+        tj = jordan_product_coords(d, ej, X)
         for i in range(j):
-            out += (4.0 * ents[i, j]) * jordan_product(es[i], tj).coords
-    return Element(x.descriptor, out)
+            out += (4.0 * A[:, i, j])[:, None] * jordan_product_coords(d, frames[:, i], tj)
+    return out
 
 
 def peirce_projectors(frame: JordanFrame) -> np.ndarray:
@@ -311,13 +351,17 @@ class PositiveLinearMap:
 
     ``certified`` means positivity holds by construction (quadratic
     representations, Schur products with PSD multipliers, and nonnegative
-    combinations / compositions of those).
+    combinations / compositions of those).  ``factors`` are the operands of
+    a map built by the constructors below, outermost first: ``("quad", c)``
+    for P_c and ``("schur", A, frame)`` for a Schur product; a map given by
+    ``fn`` alone has none.
     """
 
     descriptor: AlgebraDescriptor
     fn: Callable[[Element], Element]
     label: str
     certified: bool
+    factors: tuple = ()
 
     def __call__(self, x: Element) -> Element:
         return self.fn(x)
@@ -325,7 +369,8 @@ class PositiveLinearMap:
 
 def positive_quad_map(c: Element) -> PositiveLinearMap:
     """P_c; maps the cone into itself for every c."""
-    return PositiveLinearMap(c.descriptor, quad_rep_map(c), "quad_rep", True)
+    return PositiveLinearMap(c.descriptor, quad_rep_map(c), "quad_rep", True,
+                             (("quad", c),))
 
 
 def positive_schur_map(A, frame: JordanFrame, tol: float = 1e-10) -> PositiveLinearMap:
@@ -336,7 +381,8 @@ def positive_schur_map(A, frame: JordanFrame, tol: float = 1e-10) -> PositiveLin
             f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
         )
     fn = schur_map(A, frame)
-    return PositiveLinearMap(frame.descriptor, fn, "schur_psd", True)
+    return PositiveLinearMap(frame.descriptor, fn, "schur_psd", True,
+                             (("schur", A, frame),))
 
 
 def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLinearMap:
@@ -347,7 +393,18 @@ def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLine
         lambda x: P(Q(x)),
         f"{P.label}*{Q.label}",
         P.certified and Q.certified,
+        P.factors + Q.factors if P.factors and Q.factors else (),
     )
+
+
+def apply_factors_rows(d: AlgebraDescriptor, factors, X: np.ndarray) -> np.ndarray:
+    """Row i of X through a composition of positive maps, outermost first,
+    each factor holding the operands of every row: ``("quad", C)`` applies
+    P_c with c = C[i], ``("schur", A, frames)`` the Schur product with A[i]
+    on the frame frames[i]."""
+    for kind, *ops in reversed(factors):
+        X = quad_rep_coords(d, ops[0], X) if kind == "quad" else schur_rows(d, *ops, X)
+    return X
 
 
 def certify_positive_by_sampling(

@@ -3,14 +3,20 @@
 Verifiers never raise on inequality failure -- failure is data, recorded with
 a witness that replays the exact inputs.  Only malformed inputs (wrong
 algebra, arguments outside a stated precondition) raise.  ``run_sweep``
-drives any registered verifier over deterministically seeded random inputs
-and merges the per-sample reports.
+drives any registered check over deterministically seeded random inputs.
 
-The log-majorization and Jordan-product checks have one arithmetic: a row
-evaluation on (m, dim) coordinate arrays of the pairs a, b.  ``run_sweep``
-applies it to chunks of samples, and a single check call is a batch of one.
-Each row's result depends on that row alone, so a sample's verdict and worst
-slack have the same bits in a sweep and in a replay of its witness.
+Every registered check has one arithmetic: a row evaluation on arrays with
+one row per sample -- (m, dim) coordinates of the elements, plus per-row
+multipliers, frames, exponents, sublinear slopes or cutoffs.  A
+:class:`CheckRunner` bundles the check's ``draw`` (the per-sample
+generators to those arrays), its ``rows`` (verdicts, worst slacks and
+numeric details of every row) and its ``witness`` (every input of one row,
+as the public check serializes it).  ``run_sweep`` applies them to chunks
+of samples, and each public ``check_*`` call (and
+:func:`build_commuting_factors`) is a batch of one.  Each row's result
+depends on that row alone, so a sample's verdict and worst slack have the
+same bits in a sweep and in a replay of its witness through the public
+check.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraDescriptor,
+    DescriptorMismatchError,
     Element,
     _check_pair,
     descriptor_to_spec,
@@ -30,33 +37,35 @@ from .algebra import (
     from_matrix,
     jordan_product,
     jordan_product_coords,
-    norm,
-    operator_commutes,
+    norm_rows,
+    operator_commutes_rows,
     random_element,
     unit,
 )
 from .majorization import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    major,
     log_major,
     log_major_rows,
+    major,
+    major_rows,
     sort_desc,
     sort_desc_rows,
+    vec_pnorm_rows,
     weak_major,
     weak_major_rows,
 )
+# ``eigvals`` is also bound here for the benchmark's tracer self-test
+# (perfbench/test_perfbench.py patches ``verifiers.eigvals``)
 from .spectral import (
-    SQRT_CLAMP_TOL,
-    ConeError,
     JordanFrame,
     eigvals,
     eigvals_batch,
-    pnorm,
     rebuild,
     rebuild_batch,
     spectral_decompose,
     spectral_decompose_batch,
+    sqrt_batch,
 )
 from .transforms import (
     ABS_FN,
@@ -66,15 +75,15 @@ from .transforms import (
     PositivityError,
     SchurMatrix,
     SublinearFn,
-    apply_sublinear,
+    apply_factors_rows,
+    apply_sublinear_rows,
     certify_positive_by_sampling,
     compose_positive,
     positive_quad_map,
     positive_schur_map,
-    quad_rep,
     quad_rep_coords,
-    quad_rep_sqrt,
-    schur,
+    quad_rep_sqrt_rows,
+    schur_rows,
 )
 
 DET_IDENTITY_RTOL = 1e-8
@@ -86,11 +95,16 @@ CONE_EIG_LOW = 0.05
 CONE_EIG_HIGH = 10.0
 GENERAL_SIGMA = 3.0
 
-# resampling attempts before sample_invertible gives up
+# resampling attempts before an invertible draw gives up
 MAX_RESAMPLE_DRAWS = 1000
+INVERTIBLE_MIN_ABS = 1e-3
 
 # samples per batched evaluation in run_sweep
 SWEEP_CHUNK = 1000
+
+
+class ResampleError(ValueError):
+    """No draw of an invertible element cleared the invertibility floor."""
 
 
 @dataclass
@@ -183,32 +197,81 @@ def _det_floor(la: np.ndarray, lb: np.ndarray):
     return 1e-7 * np.maximum(1.0, np.maximum(la.max(axis=-1), lb.max(axis=-1)))
 
 
-def _pair_rows(a: Element, b: Element) -> tuple[np.ndarray, np.ndarray]:
-    """The pair a, b as a batch of one: two (1, dim) coordinate arrays."""
+# --- inputs and witnesses -------------------------------------------------------
+#
+# A check's inputs are a dict of arrays with one row per sample; a public
+# check builds the one-row inputs of its arguments.  Witness helpers
+# serialize every input of row i.
+
+def _pair_rows(a: Element, b: Element) -> dict:
+    """The pair a, b as a batch of one."""
     _check_pair(a, b)
-    return a.coords[None, :], b.coords[None, :]
+    return {"a": a.coords[None, :], "b": b.coords[None, :]}
+
+
+def _frame_coords(frame: JordanFrame) -> np.ndarray:
+    return np.stack([e.coords for e in frame.idempotents])
+
+
+def _phi_row(phi: SublinearFn) -> np.ndarray:
+    return np.array([[phi.alpha, phi.beta]], dtype=np.float64)
+
+
+def _slopes_twice(phi: np.ndarray):
+    """The slopes alpha, beta of per-row sublinear functions (m, 2), for two
+    stacked blocks of the m rows."""
+    alpha, beta = np.tile(phi, (2, 1)).T
+    return alpha, beta
+
+
+def _el_json(d: AlgebraDescriptor, X: np.ndarray, i: int) -> dict:
+    return element_to_json(Element(d, X[i]))
+
+
+def _matrix_json(A: np.ndarray) -> list:
+    return [[float(v) for v in row] for row in A]
+
+
+def _frame_json(d: AlgebraDescriptor, frame: np.ndarray) -> list:
+    return [element_to_json(Element(d, e)) for e in frame]
+
+
+def _phi_json(phi: np.ndarray, i: int) -> list:
+    return [float(phi[i, 0]), float(phi[i, 1])]
+
+
+def _pair_witness(d, inp, i):
+    return {"a": _el_json(d, inp["a"], i), "b": _el_json(d, inp["b"], i)}
+
+
+def _columns(names: tuple, draws: list) -> dict:
+    """Per-sample draw tuples to one array per name."""
+    return {name: np.array(col) for name, col in zip(names, zip(*draws))}
 
 
 # --- log-majorization of the square-root quadratic map ---------------------------
 
 def _quadrep_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray, atol: float):
-    """Per row of the cone pairs a, b ((m, dim) arrays): lambda(P_sqrt(a)(b)),
-    lambda(a)*lambda(b) and the determinant identity's relative error (NaN
-    where the pair is too close to singular for the identity to be checked).
+    """Per row of the cone pairs a, b ((m, dim) arrays): lambda(a), lambda(b)
+    and lambda(P_sqrt(a)(b)).
 
     Raises ValueError, or ConeError at the square root's clamp, when any
-    row breaks a precondition of :func:`check_log_major_quadrep`.
+    row is not a pair of cone elements.
     """
     m = len(a)
     vals, frames = spectral_decompose_batch(d, np.concatenate([a, b]))
     la, lb = vals[:m], vals[m:]
     _require_cone(la, atol, "a")
     _require_cone(lb, atol, "b")
-    low = la[:, -1].min()
-    if low < -SQRT_CLAMP_TOL:
-        raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
-    sqrt_a = rebuild_batch(frames[:m], np.sqrt(np.maximum(la, 0.0)))
-    lz = eigvals_batch(d, quad_rep_coords(d, sqrt_a, b))
+    lz = eigvals_batch(d, quad_rep_coords(d, sqrt_batch(la, frames[:m]), b))
+    return la, lb, lz
+
+
+def _log_major_spectra(d, a, b, atol):
+    """lambda(P_sqrt(a)(b)), lambda(a)*lambda(b) and the determinant
+    identity's relative error (NaN where the pair is too close to singular
+    for the identity to be checked), per row."""
+    la, lb, lz = _quadrep_spectra(d, a, b, atol)
     target = la * lb  # both decreasing and nonnegative, so the product is too
     floor = _det_floor(la, lb)
     checked = (la[:, -1] > floor) & (lb[:, -1] > floor)
@@ -217,16 +280,26 @@ def _quadrep_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray, atol: f
     return lz, target, det_rel
 
 
+def _log_major_rows(d, inp, atol, rtol):
+    lz, target, det_rel = _log_major_spectra(d, inp["a"], inp["b"], atol)
+    worst_log, holds_log = log_major_rows(lz, target, atol=atol, rtol=rtol)
+    worst_weak, holds_weak = weak_major_rows(lz, target, atol=atol, rtol=rtol)
+    passed = holds_log & holds_weak & ~(det_rel > DET_IDENTITY_RTOL)
+    # on a tie np.minimum returns its second argument, as min() in the
+    # single check returns its first: a zero slack keeps its sign
+    return passed, np.minimum(worst_weak, worst_log), {"det_rel_err": det_rel}
+
+
 def check_log_major_quadrep(a: Element, b: Element,
                             atol: float = DEFAULT_ATOL,
                             rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """lambda(P_sqrt(a)(b)) is log-majorized by lambda(a)*lambda(b), a,b >= 0.
 
     Also checks the weak-majorization consequence and, for comfortably
-    invertible inputs, the determinant identity at k = n.  The spectra are
-    those of a sweep's row, computed as a batch of one.
+    invertible inputs, the determinant identity at k = n.
     """
-    lz, target, det_rel = _quadrep_spectra(a.descriptor, *_pair_rows(a, b), atol)
+    inp = _pair_rows(a, b)
+    lz, target, det_rel = _log_major_spectra(a.descriptor, inp["a"], inp["b"], atol)
     v_log = log_major(lz[0], target[0], atol=atol, rtol=rtol)
     v_weak = weak_major(lz[0], target[0], atol=atol, rtol=rtol)
     details = {"log": v_log.to_json(), "weak": v_weak.to_json()}
@@ -238,28 +311,97 @@ def check_log_major_quadrep(a: Element, b: Element,
         passed = passed and det_rel[0] <= DET_IDENTITY_RTOL
 
     worst = min(v_log.worst_slack, v_weak.worst_slack)
-    witness = {"a": element_to_json(a), "b": element_to_json(b)}
-    return _single("log_major_quadrep", a, passed, worst, witness, details)
+    return _single("log_major_quadrep", a, passed, worst,
+                   _pair_witness(a.descriptor, inp, 0), details)
+
+
+def _sup_bound_rows(d, inp, atol, rtol):
+    la, lb, lz = _quadrep_spectra(d, inp["a"], inp["b"], atol)
+    bound = la[:, :1] * lb
+    worst = (bound - lz).min(axis=1)
+    scale = np.maximum(1.0, np.maximum(np.abs(bound).max(axis=1), np.abs(lz).max(axis=1)))
+    return worst >= -(atol + rtol * scale), worst, {}
 
 
 def check_quadrep_sup_bound(a: Element, b: Element,
                             atol: float = DEFAULT_ATOL,
                             rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """Componentwise bound lambda(P_sqrt(a)(b)) <= ||a||_inf * lambda(b), a,b >= 0."""
-    la, lb = eigvals(a), eigvals(b)
-    _require_cone(la, atol, "a")
-    _require_cone(lb, atol, "b")
-    lz = eigvals(quad_rep_sqrt(a, b))
-    bound = la[0] * lb
-    slacks = bound - lz
-    scale = max(1.0, float(np.abs(bound).max()), float(np.abs(lz).max()))
-    worst = float(slacks.min())
-    passed = worst >= -(atol + rtol * scale)
-    witness = {"a": element_to_json(a), "b": element_to_json(b)}
-    return _single("quadrep_sup_bound", a, passed, worst, witness, {})
+    inp = _pair_rows(a, b)
+    passed, worst, _ = _sup_bound_rows(a.descriptor, inp, atol, rtol)
+    return _single("quadrep_sup_bound", a, passed[0], worst[0],
+                   _pair_witness(a.descriptor, inp, 0), {})
 
 
 # --- operator-commuting factorization through a spectral cutoff -------------------
+
+def _commuting_factors(d, a, k, atol, rtol, det_rtol):
+    """:func:`build_commuting_factors` on every row of a with cutoff k[i]:
+    the factors x, y ((m, dim) each), the verdicts, the worst slacks and the
+    per-row details of the report."""
+    m = len(a)
+    vals, frames = spectral_decompose_batch(d, a)
+    order = np.argsort(-np.abs(vals), axis=1, kind="stable")
+    av = np.take_along_axis(vals, order, axis=1)
+    frames = np.take_along_axis(frames, order[:, :, None], axis=1)
+    mag = np.abs(av)
+    with np.errstate(over="ignore"):  # an infinite floor rejects every row
+        inv_floor = (atol + rtol * mag.max(axis=1)) * 10.0
+    bad = np.flatnonzero(mag.min(axis=1) <= inv_floor)
+    if bad.size:
+        raise ValueError(
+            f"a is not invertible enough (min |eigenvalue| {mag[bad[0]].min():.3e})"
+        )
+    top = np.arange(d.rank) < k[:, None]
+    ak = np.take_along_axis(mag, (k - 1)[:, None], axis=1)
+    xvals = np.where(top, mag / ak, 1.0)
+    yvals = np.where(top, ak * np.sign(av), av)
+    x = rebuild_batch(frames, xvals)
+    y = rebuild_batch(frames, yvals)
+
+    lam = eigvals_batch(d, np.concatenate([x - unit(d).coords, x, y]))
+    lmin_xe = lam[:m, -1]
+    scale_x = np.maximum(1.0, np.abs(xvals).max(axis=1))
+    ok_i = lmin_xe >= -(atol + rtol * scale_x)
+
+    ok_ii = operator_commutes_rows(d, x, y)
+
+    r1 = norm_rows(d, quad_rep_sqrt_rows(d, x, y) - a)
+    r2 = norm_rows(d, quad_rep_coords(d, x, jordan_product_coords(d, y, y))
+                   - jordan_product_coords(d, a, a))
+    norm_a = norm_rows(d, a)
+    tol1 = atol + rtol * (1.0 + norm_a)
+    tol2 = atol + rtol * (1.0 + norm_a ** 2)
+    ok_iii = (r1 <= tol1) & (r2 <= tol2)
+
+    lhs = lam[m:2 * m].prod(axis=1) * np.abs(lam[2 * m:]).max(axis=1) ** k
+    rhs = np.where(top, mag, 1.0).prod(axis=1)
+    det_rel = np.abs(lhs - rhs) / np.abs(rhs)
+    ok_iv = det_rel <= det_rtol
+
+    passed = ok_i & ok_ii & ok_iii & ok_iv
+    worst = lmin_xe
+    for slack in (tol1 - r1, tol2 - r2, det_rtol - det_rel, np.where(ok_ii, 0.0, -1.0)):
+        worst = np.minimum(slack, worst)  # a tie keeps the earlier slack, as min() does
+    details = {"cone_gap": lmin_xe, "recover_residual": r1, "recover_sq_residual": r2,
+               "det_rel_err": det_rel, "cutoff": k,
+               "i": ok_i, "ii": ok_ii, "iii": ok_iii, "iv": ok_iv}
+    return x, y, passed, worst, details
+
+
+_FACTOR_DETAILS = ("cone_gap", "recover_residual", "recover_sq_residual",
+                   "det_rel_err", "cutoff")
+
+
+def _factor_rows(d, inp, atol, rtol, det_rtol: float = 1e-8):
+    _, _, passed, worst, details = _commuting_factors(d, inp["a"], inp["k"],
+                                                      atol, rtol, det_rtol)
+    return passed, worst, {key: details[key] for key in _FACTOR_DETAILS}
+
+
+def _factor_witness(d, inp, i):
+    return {"a": _el_json(d, inp["a"], i), "k": int(inp["k"][i])}
+
 
 def build_commuting_factors(a: Element, k: int,
                             atol: float = DEFAULT_ATOL,
@@ -275,74 +417,100 @@ def build_commuting_factors(a: Element, k: int,
       (ii)  x and y operator commute,
       (iii) P_sqrt(x)(y) = a  and  P_x(y^2) = a^2,
       (iv)  det(x) * ||y||_inf^k equals the top-k absolute eigenvalue product.
+
+    Raises ValueError when a's smallest |eigenvalue| does not clear
+    ``10 * (atol + rtol * max|eigenvalue|)``.
     """
     d = a.descriptor
-    rank = d.rank
-    if not 1 <= k <= rank:
-        raise ValueError(f"cutoff k must lie in 1..{rank}, got {k}")
-    sd = spectral_decompose(a)
-    order = np.argsort(-np.abs(sd.eigenvalues), kind="stable")
-    av = sd.eigenvalues[order]
-    frame = JordanFrame(tuple(sd.frame.idempotents[i] for i in order))
-    inv_floor = (atol + rtol * float(np.abs(av).max())) * 10.0
-    if float(np.abs(av).min()) <= inv_floor:
-        raise ValueError(
-            f"a is not invertible enough (min |eigenvalue| {np.abs(av).min():.3e})"
-        )
-    ak = abs(av[k - 1])
-    xvals = np.concatenate([np.abs(av[:k]) / ak, np.ones(rank - k)])
-    yvals = np.concatenate([ak * np.sign(av[:k]), av[k:]])
-    x = rebuild(frame, xvals)
-    y = rebuild(frame, yvals)
-
-    details: dict = {}
-    e = unit(d)
-    lmin_xe = float(eigvals(x - e)[-1])
-    scale_x = max(1.0, float(np.abs(xvals).max()))
-    ok_i = lmin_xe >= -(atol + rtol * scale_x)
-    details["cone_gap"] = lmin_xe
-
-    ok_ii = operator_commutes(x, y)
-
-    r1 = norm(quad_rep_sqrt(x, y) - a)
-    r2 = norm(quad_rep(x, jordan_product(y, y)) - jordan_product(a, a))
-    tol1 = atol + rtol * (1.0 + norm(a))
-    tol2 = atol + rtol * (1.0 + norm(a) ** 2)
-    ok_iii = r1 <= tol1 and r2 <= tol2
-    details["recover_residual"] = float(r1)
-    details["recover_sq_residual"] = float(r2)
-
-    lhs = float(np.prod(eigvals(x))) * pnorm(y, math.inf) ** k
-    rhs = float(np.prod(np.abs(av[:k])))
-    det_rel = abs(lhs - rhs) / abs(rhs)
-    ok_iv = det_rel <= det_rtol
-    details["det_rel_err"] = float(det_rel)
-
-    passed = ok_i and ok_ii and ok_iii and ok_iv
-    details.update({"cutoff": k, "i": ok_i, "ii": ok_ii, "iii": ok_iii, "iv": ok_iv})
-    worst = min(lmin_xe, tol1 - r1, tol2 - r2, det_rtol - det_rel,
-                0.0 if ok_ii else -1.0)
-    witness = {"a": element_to_json(a), "k": k}
-    report = _single("commuting_factors", a, passed, worst, witness, details)
-    return x, y, report
+    if not 1 <= k <= d.rank:
+        raise ValueError(f"cutoff k must lie in 1..{d.rank}, got {k}")
+    inp = {"a": a.coords[None, :], "k": np.array([k])}
+    x, y, passed, worst, rows = _commuting_factors(d, inp["a"], inp["k"],
+                                                   atol, rtol, det_rtol)
+    details = {key: rows[key][0].item() for key in _FACTOR_DETAILS}
+    details.update({key: bool(rows[key][0]) for key in ("i", "ii", "iii", "iv")})
+    report = _single("commuting_factors", a, passed[0], worst[0],
+                     _factor_witness(d, inp, 0), details)
+    return Element(d, x[0]), Element(d, y[0]), report
 
 
 # --- sublinear spectral maps through positive transformations ---------------------
+
+def _positive_map_spectra(d, apply: Callable, x: np.ndarray, phi: np.ndarray):
+    """lambda(phi(P(x))) and lambda(P(phi(x))) per row, where ``apply`` maps
+    an (m, dim) stack through each row's positive map P."""
+    m = len(x)
+    mapped = apply_sublinear_rows(d, *_slopes_twice(phi), np.concatenate([apply(x), x]))
+    lam = eigvals_batch(d, np.concatenate([mapped[:m], apply(mapped[m:])]))
+    return lam[:m], lam[m:]
+
+
+def _factor_rows_of(P: PositiveLinearMap) -> tuple:
+    """A built map's factors as one-row operands for apply_factors_rows."""
+    return tuple(("quad", f[1].coords[None]) if f[0] == "quad"
+                 else ("schur", f[1].entries[None], _frame_coords(f[2])[None])
+                 for f in P.factors)
+
+
+def _factors_json(P: PositiveLinearMap) -> list:
+    d = P.descriptor
+    return [{"kind": "quad", "c": element_to_json(f[1])} if f[0] == "quad"
+            else {"kind": "schur", "A": _matrix_json(f[1].entries),
+                  "frame": _frame_json(d, _frame_coords(f[2]))}
+            for f in P.factors]
+
 
 def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: SublinearFn,
                                  atol: float = DEFAULT_ATOL,
                                  rtol: float = DEFAULT_RTOL,
                                  rng: np.random.Generator | None = None) -> VerificationReport:
-    """phi(P(x)) weakly majorized by P(phi(x)) for positive P and sublinear phi."""
+    """phi(P(x)) weakly majorized by P(phi(x)) for positive P and sublinear phi.
+
+    A map built from factors (quadratic representations, PSD Schur products
+    and their compositions) is applied through them and recorded with them
+    in the witness; any other map is applied through ``P.fn``.
+    """
+    d = x.descriptor
+    if P.descriptor != d:
+        raise DescriptorMismatchError(f"map on {P.descriptor} vs element of {d}")
     if not P.certified:
         if rng is None or not certify_positive_by_sampling(P, rng):
             raise PositivityError("map lacks a positivity certificate")
-    lhs = eigvals(apply_sublinear(phi, P(x)))
-    rhs = eigvals(P(apply_sublinear(phi, x)))
-    v = weak_major(lhs, rhs, atol=atol, rtol=rtol)
-    witness = {"x": element_to_json(x), "phi": [phi.alpha, phi.beta], "map": P.label}
+    if P.factors:
+        factors = _factor_rows_of(P)
+
+        def apply(X):
+            return apply_factors_rows(d, factors, X)
+    else:
+        def apply(X):
+            return P(Element(d, X[0])).coords[None]
+
+    lhs, rhs = _positive_map_spectra(d, apply, x.coords[None], _phi_row(phi))
+    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
+    witness = {"x": element_to_json(x), "phi": _phi_json(_phi_row(phi), 0), "map": P.label,
+               "factors": _factors_json(P)}
     return _single("positive_map_sublinear", x, v.holds, v.worst_slack,
                    witness, {"verdict": v.to_json()})
+
+
+def _quadrep_sublinear_spectra(d, inp):
+    """lambda(phi(P_a(b))) and lambda(a^2)*lambda(phi(b)) per row."""
+    a, b = inp["a"], inp["b"]
+    m = len(a)
+    mapped = apply_sublinear_rows(d, *_slopes_twice(inp["phi"]),
+                                  np.concatenate([quad_rep_coords(d, a, b), b]))
+    lam = eigvals_batch(d, np.concatenate([mapped, a]))
+    la = lam[2 * m:]
+    return lam[:m], sort_desc_rows(la * la) * lam[m:2 * m]
+
+
+def _quadrep_sublinear_rows(d, inp, atol, rtol):
+    worst, holds = weak_major_rows(*_quadrep_sublinear_spectra(d, inp), atol=atol, rtol=rtol)
+    return holds, worst, {}
+
+
+def _quadrep_sublinear_witness(d, inp, i):
+    return {**_pair_witness(d, inp, i), "phi": _phi_json(inp["phi"], i)}
 
 
 def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
@@ -351,39 +519,72 @@ def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
     """lambda(phi(P_a(b))) weakly majorized by lambda(a^2)*lambda(phi(b))."""
     if not phi.is_nonnegative:
         raise ValueError("phi must be a nonnegative sublinear function")
-    lhs = eigvals(apply_sublinear(phi, quad_rep(a, b)))
-    la = eigvals(a)
-    a2 = sort_desc(la * la)
-    rhs = a2 * eigvals(apply_sublinear(phi, b))
-    v = weak_major(lhs, rhs, atol=atol, rtol=rtol)
-    witness = {"a": element_to_json(a), "b": element_to_json(b),
-               "phi": [phi.alpha, phi.beta]}
+    inp = {**_pair_rows(a, b), "phi": _phi_row(phi)}
+    lhs, rhs = _quadrep_sublinear_spectra(a.descriptor, inp)
+    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
     return _single("quadrep_sublinear", a, v.holds, v.worst_slack,
-                   witness, {"verdict": v.to_json()})
+                   _quadrep_sublinear_witness(a.descriptor, inp, 0),
+                   {"verdict": v.to_json()})
+
+
+def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
+    """A PSD multiplier with its frame as a batch of one; raises as the
+    checks' preconditions require."""
+    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
+    if A.n != len(frame):
+        raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
+    if frame.descriptor != x.descriptor:
+        raise DescriptorMismatchError(
+            f"frame of {frame.descriptor} vs element of {x.descriptor}")
+    if not A.is_psd():
+        raise PositivityError(
+            f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
+        )
+    return {"A": A.entries[None], "frame": _frame_coords(frame)[None]}
+
+
+def _multiplier_witness(d, inp, i):
+    return {"A": _matrix_json(inp["A"][i]), "frame": _frame_json(d, inp["frame"][i])}
+
+
+def _schur_diag_spectra(d, inp):
+    """lambda(phi(A.b)), lambda(diag A)*lambda(phi(b)) and lambda(A.phi(b))
+    per row, the Schur products taken on each row's frame."""
+    A, frames, b = inp["A"], inp["frame"], inp["b"]
+    m = len(b)
+    mapped = apply_sublinear_rows(d, *_slopes_twice(inp["phi"]),
+                                  np.concatenate([schur_rows(d, A, frames, b), b]))
+    phib = mapped[m:]
+    lam = eigvals_batch(d, np.concatenate([mapped, schur_rows(d, A, frames, phib)]))
+    diag = sort_desc_rows(np.diagonal(A, axis1=1, axis2=2))
+    return lam[:m], diag * lam[m:2 * m], lam[2 * m:]
+
+
+def _schur_diag_rows(d, inp, atol, rtol):
+    lhs, rhs_diag, rhs_elem = _schur_diag_spectra(d, inp)
+    worst_diag, holds_diag = weak_major_rows(lhs, rhs_diag, atol=atol, rtol=rtol)
+    worst_elem, holds_elem = weak_major_rows(lhs, rhs_elem, atol=atol, rtol=rtol)
+    return holds_diag & holds_elem, np.minimum(worst_elem, worst_diag), {}
+
+
+def _schur_diag_witness(d, inp, i):
+    return {**_multiplier_witness(d, inp, i), "b": _el_json(d, inp["b"], i),
+            "phi": _phi_json(inp["phi"], i)}
 
 
 def check_schur_diag(A, frame: JordanFrame, b: Element, phi: SublinearFn,
                      atol: float = DEFAULT_ATOL,
                      rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """PSD multiplier route: lambda(phi(A.b)) against diag(A) and against A.phi(b)."""
-    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
     if not phi.is_nonnegative:
         raise ValueError("phi must be a nonnegative sublinear function")
-    if not A.is_psd():
-        raise PositivityError(
-            f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
-        )
-    Ab = schur(A, frame, b, validate=False)
-    phib = apply_sublinear(phi, b)
-    lhs = eigvals(apply_sublinear(phi, Ab))
-    v_diag = weak_major(lhs, sort_desc(A.diag()) * eigvals(phib), atol=atol, rtol=rtol)
-    v_elem = weak_major(lhs, eigvals(schur(A, frame, phib, validate=False)),
-                        atol=atol, rtol=rtol)
+    inp = {**_multiplier_rows(A, frame, b), "b": b.coords[None], "phi": _phi_row(phi)}
+    lhs, rhs_diag, rhs_elem = _schur_diag_spectra(b.descriptor, inp)
+    v_diag = weak_major(lhs[0], rhs_diag[0], atol=atol, rtol=rtol)
+    v_elem = weak_major(lhs[0], rhs_elem[0], atol=atol, rtol=rtol)
     passed = v_diag.holds and v_elem.holds
     worst = min(v_diag.worst_slack, v_elem.worst_slack)
-    witness = {"A": [[float(v) for v in row] for row in A.entries],
-               "b": element_to_json(b), "phi": [phi.alpha, phi.beta]}
-    return _single("schur_diag", b, passed, worst, witness,
+    return _single("schur_diag", b, passed, worst, _schur_diag_witness(b.descriptor, inp, 0),
                    {"diag": v_diag.to_json(), "element": v_elem.to_json()})
 
 
@@ -397,21 +598,25 @@ def _jordan_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray):
     return vals[:m], sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
 
 
+def _jordan_weak_rows(d, inp, atol, rtol):
+    worst, holds = weak_major_rows(*_jordan_spectra(d, inp["a"], inp["b"]),
+                                   atol=atol, rtol=rtol)
+    return holds, worst, {}
+
+
 def check_jordan_weak(a: Element, b: Element,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> VerificationReport:
-    """lambda(|a o b|) weakly majorized by lambda(|a|)*lambda(|b|) for all a, b.
-
-    The spectra are those of a sweep's row, computed as a batch of one.
-    """
-    lhs, rhs = _jordan_spectra(a.descriptor, *_pair_rows(a, b))
+    """lambda(|a o b|) weakly majorized by lambda(|a|)*lambda(|b|) for all a, b."""
+    inp = _pair_rows(a, b)
+    lhs, rhs = _jordan_spectra(a.descriptor, inp["a"], inp["b"])
     v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
-    witness = {"a": element_to_json(a), "b": element_to_json(b)}
     details = {"verdict": v.to_json()}
     if v.holds and v.worst_slack <= NEAR_EQUALITY_SLACK:
         # recorded for interest only; nothing is asserted about equality cases
         details["near_equality"] = True
-    return _single("jordan_weak", a, v.holds, v.worst_slack, witness, details)
+    return _single("jordan_weak", a, v.holds, v.worst_slack,
+                   _pair_witness(a.descriptor, inp, 0), details)
 
 
 _COUNTEREXAMPLE_A = np.array([[8.0, 3.0], [3.0, 0.0]])
@@ -453,6 +658,43 @@ def check_absolute_product_counterexample(atol_product: float = 1e-9,
 
 # --- pinching comparisons ----------------------------------------------------------
 
+def _pinch_spectra(d, inp, atol):
+    """The spectra compared by :func:`check_quadrep_pinch`, per row:
+    [lambda(P_sqrt(a)(b)), lambda(a o b)] and, when the inputs carry a
+    multiplier, [lambda(A.b), lambda(P_sqrt(c)(b))] with c = diag(A) on the
+    row's frame."""
+    a, b = inp["a"], inp["b"]
+    m = len(a)
+    legs = [a]
+    if "A" in inp:
+        legs.append(rebuild_batch(inp["frame"], np.diagonal(inp["A"], axis1=1, axis2=2)))
+    vals, frames = spectral_decompose_batch(d, np.concatenate(legs))
+    _require_cone(vals[:m], atol, "a")
+    roots = sqrt_batch(vals, frames)
+    parts = [quad_rep_coords(d, roots[:m], b), jordan_product_coords(d, a, b)]
+    if "A" in inp:
+        parts += [schur_rows(d, inp["A"], inp["frame"], b), quad_rep_coords(d, roots[m:], b)]
+    lam = eigvals_batch(d, np.concatenate(parts))
+    return [lam[j * m:(j + 1) * m] for j in range(len(parts))]
+
+
+def _pinch_rows(d, inp, atol, rtol):
+    spectra = _pinch_spectra(d, inp, atol)
+    worst, passed = major_rows(spectra[0], spectra[1], atol=atol, rtol=rtol)
+    if len(spectra) == 4:
+        worst_schur, holds_schur = major_rows(spectra[2], spectra[3], atol=atol, rtol=rtol)
+        passed = passed & holds_schur
+        worst = np.minimum(worst_schur, worst)
+    return passed, worst, {}
+
+
+def _pinch_witness(d, inp, i):
+    witness = _pair_witness(d, inp, i)
+    if "A" in inp:
+        witness.update(_multiplier_witness(d, inp, i))
+    return witness
+
+
 def check_quadrep_pinch(a: Element, b: Element, A=None,
                         frame: JordanFrame | None = None,
                         atol: float = DEFAULT_ATOL,
@@ -460,27 +702,23 @@ def check_quadrep_pinch(a: Element, b: Element, A=None,
     """Strong majorization chains lambda(P_sqrt(a)(b)) < lambda(a o b) and,
     given a PSD multiplier with its frame, lambda(A.b) < lambda(P_sqrt(d)(b))
     where d carries diag(A) on the frame."""
-    la = eigvals(a)
-    _require_cone(la, atol, "a")
-    v1 = major(eigvals(quad_rep_sqrt(a, b)), eigvals(jordan_product(a, b)),
-               atol=atol, rtol=rtol)
+    inp = _pair_rows(a, b)
+    if A is not None:
+        if frame is None:
+            raise ValueError("a frame is required together with a multiplier")
+        inp.update(_multiplier_rows(A, frame, b))
+    spectra = _pinch_spectra(a.descriptor, inp, atol)
+    v1 = major(spectra[0][0], spectra[1][0], atol=atol, rtol=rtol)
     passed = v1.holds
     worst = v1.worst_slack
     details = {"vs_jordan": v1.to_json()}
     if A is not None:
-        if frame is None:
-            raise ValueError("a frame is required together with a multiplier")
-        A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
-        if not A.is_psd():
-            raise PositivityError("multiplier must be positive semidefinite")
-        diag_el = rebuild(frame, A.diag())
-        v2 = major(eigvals(schur(A, frame, b, validate=False)),
-                   eigvals(quad_rep_sqrt(diag_el, b)), atol=atol, rtol=rtol)
+        v2 = major(spectra[2][0], spectra[3][0], atol=atol, rtol=rtol)
         passed = passed and v2.holds
         worst = min(worst, v2.worst_slack)
         details["schur_vs_quadrep"] = v2.to_json()
-    witness = {"a": element_to_json(a), "b": element_to_json(b)}
-    return _single("quadrep_pinch", a, passed, worst, witness, details)
+    return _single("quadrep_pinch", a, passed, worst,
+                   _pinch_witness(a.descriptor, inp, 0), details)
 
 
 # --- Hoelder-type norm inequality ---------------------------------------------------
@@ -500,23 +738,34 @@ def holder_exponent(r: float, s: float) -> float:
     return max(p, 1.0)
 
 
+def _holder_rows(d, inp, atol, rtol):
+    a, b, r, s = inp["a"], inp["b"], inp["r"], inp["s"]
+    m = len(a)
+    p = np.array([holder_exponent(ri, si) for ri, si in zip(r, s)])
+    lam = eigvals_batch(d, np.concatenate([jordan_product_coords(d, a, b), a, b]))
+    lhs = vec_pnorm_rows(lam[:m], p)
+    rhs = vec_pnorm_rows(lam[m:2 * m], r) * vec_pnorm_rows(lam[2 * m:], s)
+    passed = lhs <= rhs * (1.0 + rtol) + atol
+    return passed, rhs - lhs, {"p": p, "lhs": lhs, "rhs": rhs}
+
+
+def _holder_witness(d, inp, i):
+    return {**_pair_witness(d, inp, i), "r": float(inp["r"][i]), "s": float(inp["s"][i])}
+
+
 def check_holder(a: Element, b: Element, r: float, s: float,
                  atol: float = DEFAULT_ATOL,
                  rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """||a o b||_p <= ||a||_r ||b||_s with 1/p = 1/r + 1/s."""
-    p = holder_exponent(r, s)
-    lhs = pnorm(jordan_product(a, b), p)
-    rhs = pnorm(a, r) * pnorm(b, s)
-    slack = rhs - lhs
-    passed = lhs <= rhs * (1.0 + rtol) + atol
-    witness = {"a": element_to_json(a), "b": element_to_json(b), "r": r, "s": s}
-    return _single("holder", a, passed, slack, witness,
-                   {"p": p, "lhs": lhs, "rhs": rhs})
+    inp = {**_pair_rows(a, b), "r": np.array([float(r)]), "s": np.array([float(s)])}
+    passed, slack, rows = _holder_rows(a.descriptor, inp, atol, rtol)
+    return _single("holder", a, passed[0], slack[0], _holder_witness(a.descriptor, inp, 0),
+                   {key: float(vals[0]) for key, vals in rows.items()})
 
 
 # --- samplers -----------------------------------------------------------------------
 
-# The samplers' raw draws are kept apart so that the batched pairs draw
+# The samplers' raw draws are kept apart so that the batched draws take
 # exactly what the scalar samplers draw, in the same order.
 
 def _general_draw(d: AlgebraDescriptor, rng: np.random.Generator,
@@ -543,20 +792,44 @@ def sample_cone(d: AlgebraDescriptor, rng: np.random.Generator,
     return rebuild(spectral_decompose(Element(d, coords)).frame, vals)
 
 
+def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
+                       min_abs: float = INVERTIBLE_MIN_ABS,
+                       atol: float = 0.0, rtol: float = 0.0) -> np.ndarray:
+    """Coordinates (m, dim) of general elements, row i redrawn from
+    ``rngs[i]`` until every |eigenvalue| clears the floor
+    ``max(min_abs, 10 * (atol + rtol * max|eigenvalue|))`` -- at nonzero
+    tolerances the floor of :func:`build_commuting_factors`.
+
+    Raises ResampleError once a row has missed the floor in
+    MAX_RESAMPLE_DRAWS draws.
+    """
+    X = np.empty((len(rngs), d.dim))
+    todo = np.arange(len(rngs))
+    for _ in range(MAX_RESAMPLE_DRAWS):
+        X[todo] = [_general_draw(d, rngs[i], sigma) for i in todo]
+        mag = np.abs(eigvals_batch(d, X[todo]))
+        with np.errstate(over="ignore"):  # an infinite floor rejects every draw
+            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=1)) * 10.0)
+        missed = ~(mag.min(axis=1) > floor)
+        if not missed.any():
+            return X
+        todo, floor = todo[missed], floor[missed]
+    raise ResampleError(
+        f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
+        f"max({min_abs:g}, 10 * (atol + rtol * max|eigenvalue|)) = {floor[0]:.3e} "
+        f"(atol {atol:g}, rtol {rtol:g}) in {MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})"
+    )
+
+
 def sample_invertible(d: AlgebraDescriptor, rng: np.random.Generator,
-                      sigma: float = GENERAL_SIGMA, min_abs: float = 1e-3) -> Element:
+                      sigma: float = GENERAL_SIGMA,
+                      min_abs: float = INVERTIBLE_MIN_ABS) -> Element:
     """General element resampled until all eigenvalues clear min_abs.
 
-    Raises ValueError after MAX_RESAMPLE_DRAWS draws that all fail.
+    Raises ResampleError (a ValueError) after MAX_RESAMPLE_DRAWS draws that
+    all fail.
     """
-    for _ in range(MAX_RESAMPLE_DRAWS):
-        x = sample_general(d, rng, sigma)
-        if float(np.abs(eigvals(x)).min()) > min_abs:
-            return x
-    raise ValueError(
-        f"no element of {descriptor_to_spec(d)} with all |eigenvalues| > "
-        f"{min_abs:g} in {MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})"
-    )
+    return Element(d, _invertible_coords(d, [rng], sigma, min_abs)[0])
 
 
 def sample_frame(d: AlgebraDescriptor, rng: np.random.Generator) -> JordanFrame:
@@ -592,136 +865,207 @@ def make_positive_map(d: AlgebraDescriptor, kind: str,
     raise ValueError(f"unknown positive-map kind {kind!r}")
 
 
-def positive_map_case(d: AlgebraDescriptor, rng: np.random.Generator,
-                      map_kind: str, phi: SublinearFn,
-                      atol: float = DEFAULT_ATOL,
-                      rtol: float = DEFAULT_RTOL) -> VerificationReport:
-    P = make_positive_map(d, map_kind, rng)
-    x = sample_general(d, rng)
-    return check_positive_map_sublinear(P, x, phi, atol=atol, rtol=rtol)
-
-
 _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
                 (math.inf, math.inf), (4.0, 2.0), (3.0, 3.0))
 
 
-# --- row evaluation of the batched checks ------------------------------------
+# --- batched draws ------------------------------------------------------------------
 #
-# ``draw`` functions map the generators of a chunk of samples to the pairs'
-# (m, dim) coordinates, drawn as the matching sampler draws them; ``rows``
-# functions evaluate a check on every pair: (passed, worst slack, {detail
-# name: per-row values, NaN where the report has none}).
+# Each maps the generators of a chunk of samples to that chunk's inputs,
+# drawing from each generator what the matching scalar samplers draw, in
+# the same order; the decompositions behind cone elements and frames then
+# run once per chunk.
 
-def _cone_pairs(d, rngs):
-    """Coordinates (m, dim) of the cone pairs a, b, drawn as sample_cone draws."""
+def _phi_choice(rng) -> tuple:
+    phi = _PHI_CHOICES[int(rng.integers(len(_PHI_CHOICES)))]
+    return phi.alpha, phi.beta
+
+
+def _cone_pairs(d, rngs, atol=None, rtol=None):
+    """Cone pairs a, b, drawn as sample_cone draws."""
     m = len(rngs)
     draws = [_cone_draws(d, rng) + _cone_draws(d, rng) for rng in rngs]
     ga, ua, gb, ub = (np.array(col) for col in zip(*draws))
     _, frames = spectral_decompose_batch(d, np.concatenate([ga, gb]))
     ab = rebuild_batch(frames, np.concatenate([ua, ub]))
-    return ab[:m], ab[m:]
+    return {"a": ab[:m], "b": ab[m:]}
 
 
-def _general_pairs(d, rngs):
-    """Coordinates (m, dim) of the pairs a, b, drawn as sample_general draws."""
-    draws = [(_general_draw(d, rng), _general_draw(d, rng)) for rng in rngs]
-    a, b = (np.array(col) for col in zip(*draws))
-    return a, b
+def _general_pairs(d, rngs, atol=None, rtol=None):
+    """Pairs a, b, drawn as sample_general draws."""
+    return _columns(("a", "b"), [(_general_draw(d, rng), _general_draw(d, rng))
+                                 for rng in rngs])
 
 
-def _log_major_rows(d, a, b, atol, rtol):
-    lz, target, det_rel = _quadrep_spectra(d, a, b, atol)
-    worst_log, holds_log = log_major_rows(lz, target, atol=atol, rtol=rtol)
-    worst_weak, holds_weak = weak_major_rows(lz, target, atol=atol, rtol=rtol)
-    passed = holds_log & holds_weak & ~(det_rel > DET_IDENTITY_RTOL)
-    # on a tie np.minimum returns its second argument, as min() in the
-    # single check returns its first: a zero slack keeps its sign
-    return passed, np.minimum(worst_weak, worst_log), {"det_rel_err": det_rel}
+def _holder_draw(d, rngs, atol=None, rtol=None):
+    """A Hoelder exponent pair from the grid, then a general pair."""
+    return _columns(("r", "s", "a", "b"), [
+        _HOLDER_GRID[int(rng.integers(len(_HOLDER_GRID)))]
+        + (_general_draw(d, rng), _general_draw(d, rng)) for rng in rngs])
 
 
-def _jordan_weak_rows(d, a, b, atol, rtol):
-    worst, holds = weak_major_rows(*_jordan_spectra(d, a, b), atol=atol, rtol=rtol)
+def _quadrep_sublinear_draw(d, rngs, atol=None, rtol=None):
+    """A nonnegative sublinear function (sample_sublinear), then a general pair."""
+    def one(rng):
+        phi = sample_sublinear(rng)
+        return (phi.alpha, phi.beta), _general_draw(d, rng), _general_draw(d, rng)
+    return _columns(("phi", "a", "b"), [one(rng) for rng in rngs])
+
+
+def _factor_draw(d, rngs, atol=0.0, rtol=0.0):
+    """An invertible element clearing the floor the factorization applies at
+    (atol, rtol) (sample_invertible), then a cutoff k in 1..rank."""
+    a = _invertible_coords(d, rngs, atol=atol, rtol=rtol)
+    return {"a": a, "k": np.array([int(rng.integers(1, d.rank + 1)) for rng in rngs])}
+
+
+def _symmetrized(A: np.ndarray) -> np.ndarray:
+    """Each multiplier's entries as SchurMatrix stores them."""
+    return (A + A.swapaxes(1, 2)) / 2.0
+
+
+def _schur_diag_draw(d, rngs, atol=None, rtol=None):
+    """A PSD Gram multiplier, a frame, phi in (|t|, t+, t-), then b."""
+    inp = _columns(("A", "g", "phi", "b"), [
+        (sample_psd_gram(d.rank, rng), _general_draw(d, rng, 1.0), _phi_choice(rng),
+         _general_draw(d, rng)) for rng in rngs])
+    inp["frame"] = spectral_decompose_batch(d, inp.pop("g"))[1]
+    inp["A"] = _symmetrized(inp["A"])
+    return inp
+
+
+def _pinch_draw(d, rngs, atol=None, rtol=None):
+    """A PSD Gram multiplier, a frame, a cone element a, then b."""
+    inp = _columns(("A", "g", "ga", "ua", "b"), [
+        (sample_psd_gram(d.rank, rng), _general_draw(d, rng, 1.0))
+        + _cone_draws(d, rng) + (_general_draw(d, rng),) for rng in rngs])
+    m = len(rngs)
+    _, frames = spectral_decompose_batch(d, np.concatenate([inp.pop("g"), inp.pop("ga")]))
+    inp["frame"] = frames[:m]
+    inp["a"] = rebuild_batch(frames[m:], inp.pop("ua"))
+    inp["A"] = _symmetrized(inp["A"])
+    return inp
+
+
+def _positive_map_draw(d, rngs, atol=None, rtol=None):
+    """A map kind and phi, then the map's operands and x (:func:`_map_draws`)."""
+    kind = np.array([int(rng.integers(len(_MAP_KINDS))) for rng in rngs], dtype=np.int64)
+    phi = np.array([_phi_choice(rng) for rng in rngs])
+    return {"kind": kind, "phi": phi, **_map_draws(d, rngs, kind)}
+
+
+def _map_draws(d, rngs, kind):
+    """Row i's positive map of kind ``_MAP_KINDS[kind[i]]``, drawn as
+    make_positive_map draws it, then x (sample_general).
+
+    Rows hold every operand array; those a row's kind does not use are NaN:
+    ``c[:, 0]`` is P_c's operand for "quad" and the outer one for
+    "quad_compose", ``c[:, 1]`` the inner one; ``A`` and ``frame`` serve
+    "schur_psd".
+    """
+    m, rank, dim = len(rngs), d.rank, d.dim
+    out = {"c": np.full((m, 2, dim), np.nan), "A": np.full((m, rank, rank), np.nan),
+           "frame": np.full((m, rank, dim), np.nan), "x": np.empty((m, dim))}
+    # coordinates to decompose, and the (row, slot) each frame lands in:
+    # slot -1 is the Schur frame, slots 0 and 1 the cone operands
+    gauss, vals, dest = [], [], []
+    for i, rng in enumerate(rngs):
+        if _MAP_KINDS[kind[i]] == "schur_psd":
+            out["A"][i] = sample_psd_gram(rank, rng)
+            gauss.append(_general_draw(d, rng, 1.0))
+            vals.append(np.zeros(rank))
+            dest.append((i, -1))
+        else:
+            for j in range(1 if _MAP_KINDS[kind[i]] == "quad" else 2):
+                g, v = _cone_draws(d, rng, 0.0, 2.0)
+                gauss.append(g)
+                vals.append(v)
+                dest.append((i, j))
+        out["x"][i] = _general_draw(d, rng)
+    _, frames = spectral_decompose_batch(d, np.array(gauss))
+    cones = rebuild_batch(frames, np.array(vals))
+    for (i, j), frame, c in zip(dest, frames, cones):
+        if j < 0:
+            out["frame"][i] = frame
+        else:
+            out["c"][i, j] = c
+    out["A"] = _symmetrized(out["A"])
+    return out
+
+
+# --- positive maps of the batched draw -----------------------------------------------
+
+def _row_factors(kind: str, inp: dict, rows: np.ndarray) -> tuple:
+    """The factors, for apply_factors_rows, of the given rows of one map kind."""
+    if kind == "schur_psd":
+        return (("schur", inp["A"][rows], inp["frame"][rows]),)
+    c = inp["c"][rows]
+    return (("quad", c[:, 0]),) if kind == "quad" else (("quad", c[:, 0]), ("quad", c[:, 1]))
+
+
+def _positive_map_rows(d, inp, atol, rtol):
+    kinds = [(kind, np.flatnonzero(inp["kind"] == j)) for j, kind in enumerate(_MAP_KINDS)]
+
+    def apply(X):
+        out = np.empty_like(X)
+        for kind, rows in kinds:
+            if rows.size:
+                out[rows] = apply_factors_rows(d, _row_factors(kind, inp, rows), X[rows])
+        return out
+
+    lhs, rhs = _positive_map_spectra(d, apply, inp["x"], inp["phi"])
+    worst, holds = weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
     return holds, worst, {}
 
 
-# Each runner draws one sample set and returns one report.  A runner with
-# ``draw`` and ``rows`` attributes is swept in batches by run_sweep; the
-# runner itself is that evaluation on a batch of one.
-CHECK_RUNNERS: dict[str, Callable] = {}
+_MAP_LABELS = {"quad": "quad_rep", "schur_psd": "schur_psd",
+               "quad_compose": "quad_rep*quad_rep"}
 
 
-def _register(name: str, draw: Callable | None = None, rows: Callable | None = None):
-    def deco(fn):
-        if rows is not None:
-            fn.draw, fn.rows = draw, rows
-        CHECK_RUNNERS[name] = fn
-        return fn
-    return deco
+def _positive_map_witness(d, inp, i):
+    """Row i's inputs as check_positive_map_sublinear records them for the
+    map make_positive_map builds from them."""
+    kind = _MAP_KINDS[inp["kind"][i]]
+    if kind == "schur_psd":
+        factors = [{"kind": "schur", **_multiplier_witness(d, inp, i)}]
+    else:
+        factors = [{"kind": "quad", "c": element_to_json(Element(d, c))}
+                   for c in inp["c"][i, :1 if kind == "quad" else 2]]
+    return {"x": _el_json(d, inp["x"], i), "phi": _phi_json(inp["phi"], i),
+            "map": _MAP_LABELS[kind], "factors": factors}
 
 
-@_register("log_major_quadrep", draw=_cone_pairs, rows=_log_major_rows)
-def _run_log_major(d, rng, atol, rtol):
-    a, b = _cone_pairs(d, [rng])
-    return check_log_major_quadrep(Element(d, a[0]), Element(d, b[0]),
-                                   atol=atol, rtol=rtol)
+# --- the registry ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckRunner:
+    """A registered check, evaluated on arrays with one row per sample.
+
+    ``draw(d, rngs, atol, rtol)`` draws the inputs of one sample from each
+    generator; ``rows(d, inputs, atol, rtol)`` returns every row's verdict,
+    worst slack and numeric details ({name: per-row values, NaN where the
+    report has none}); ``witness(d, inputs, i)`` serializes every input of
+    row i, as the public check records them.
+    """
+
+    draw: Callable
+    rows: Callable
+    witness: Callable
 
 
-@_register("quadrep_sup_bound")
-def _run_sup_bound(d, rng, atol, rtol):
-    return check_quadrep_sup_bound(sample_cone(d, rng), sample_cone(d, rng),
-                                   atol=atol, rtol=rtol)
-
-
-@_register("commuting_factors")
-def _run_factors(d, rng, atol, rtol):
-    a = sample_invertible(d, rng)
-    k = int(rng.integers(1, d.rank + 1))
-    _, _, report = build_commuting_factors(a, k, atol=atol, rtol=rtol)
-    return report
-
-
-@_register("positive_map_sublinear")
-def _run_positive_map(d, rng, atol, rtol):
-    kind = _MAP_KINDS[int(rng.integers(len(_MAP_KINDS)))]
-    phi = _PHI_CHOICES[int(rng.integers(len(_PHI_CHOICES)))]
-    return positive_map_case(d, rng, kind, phi, atol=atol, rtol=rtol)
-
-
-@_register("quadrep_sublinear")
-def _run_quadrep_sublinear(d, rng, atol, rtol):
-    phi = sample_sublinear(rng)
-    return check_quadrep_sublinear(sample_general(d, rng), sample_general(d, rng),
-                                   phi, atol=atol, rtol=rtol)
-
-
-@_register("schur_diag")
-def _run_schur_diag(d, rng, atol, rtol):
-    A = SchurMatrix(sample_psd_gram(d.rank, rng))
-    frame = sample_frame(d, rng)
-    phi = _PHI_CHOICES[int(rng.integers(len(_PHI_CHOICES)))]
-    return check_schur_diag(A, frame, sample_general(d, rng), phi,
-                            atol=atol, rtol=rtol)
-
-
-@_register("jordan_weak", draw=_general_pairs, rows=_jordan_weak_rows)
-def _run_jordan_weak(d, rng, atol, rtol):
-    a, b = _general_pairs(d, [rng])
-    return check_jordan_weak(Element(d, a[0]), Element(d, b[0]), atol=atol, rtol=rtol)
-
-
-@_register("quadrep_pinch")
-def _run_pinch(d, rng, atol, rtol):
-    A = SchurMatrix(sample_psd_gram(d.rank, rng))
-    frame = sample_frame(d, rng)
-    return check_quadrep_pinch(sample_cone(d, rng), sample_general(d, rng),
-                               A=A, frame=frame, atol=atol, rtol=rtol)
-
-
-@_register("holder")
-def _run_holder(d, rng, atol, rtol):
-    r, s = _HOLDER_GRID[int(rng.integers(len(_HOLDER_GRID)))]
-    return check_holder(sample_general(d, rng), sample_general(d, rng), r, s,
-                        atol=atol, rtol=rtol)
+CHECK_RUNNERS: dict[str, CheckRunner] = {
+    "log_major_quadrep": CheckRunner(_cone_pairs, _log_major_rows, _pair_witness),
+    "quadrep_sup_bound": CheckRunner(_cone_pairs, _sup_bound_rows, _pair_witness),
+    "commuting_factors": CheckRunner(_factor_draw, _factor_rows, _factor_witness),
+    "positive_map_sublinear": CheckRunner(_positive_map_draw, _positive_map_rows,
+                                          _positive_map_witness),
+    "quadrep_sublinear": CheckRunner(_quadrep_sublinear_draw, _quadrep_sublinear_rows,
+                                     _quadrep_sublinear_witness),
+    "schur_diag": CheckRunner(_schur_diag_draw, _schur_diag_rows, _schur_diag_witness),
+    "jordan_weak": CheckRunner(_general_pairs, _jordan_weak_rows, _pair_witness),
+    "quadrep_pinch": CheckRunner(_pinch_draw, _pinch_rows, _pinch_witness),
+    "holder": CheckRunner(_holder_draw, _holder_rows, _holder_witness),
+}
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -731,43 +1075,38 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
               atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> VerificationReport:
-    """Run a registered verifier over seeded random inputs and merge reports.
+    """Run a registered check over seeded random inputs, in batches.
 
-    Sample i draws from ``sample_rng(seed, i)``.  A runner with a row
-    evaluation is evaluated SWEEP_CHUNK samples at a time, and only the first
-    failing sample's inputs are serialized, as the witness.  Every row gets
-    the arithmetic of its sample alone, so the report equals
-    :func:`merge_reports` over the runner called once per sample.
+    Sample i draws from ``sample_rng(seed, i)``.  The check's rows are
+    evaluated SWEEP_CHUNK samples at a time, and only the first failing
+    sample's inputs are serialized, as the witness.  Every row gets the
+    arithmetic of its sample alone, so the report equals
+    :func:`merge_reports` over the public check run on each sample's inputs.
     """
     if check not in CHECK_RUNNERS:
         raise ValueError(f"unknown check {check!r}; known: {sorted(CHECK_RUNNERS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     runner = CHECK_RUNNERS[check]
-    spec = descriptor_to_spec(d)
-    rows = getattr(runner, "rows", None)
-    if rows is None:
-        reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
-        return merge_reports(check, spec, seed, reports)
     worst = math.inf
     witness = None
     details: dict = {}
     for start in range(0, samples, SWEEP_CHUNK):
         idx = range(start, min(start + SWEEP_CHUNK, samples))
-        a, b = runner.draw(d, [sample_rng(seed, i) for i in idx])
-        passed, slack, extra = rows(d, a, b, atol, rtol)
+        inputs = runner.draw(d, [sample_rng(seed, i) for i in idx], atol, rtol)
+        passed, slack, extra = runner.rows(d, inputs, atol, rtol)
         worst = min(worst, float(slack.min()))
         for key, vals in extra.items():
             vals = vals[~np.isnan(vals)]
             if vals.size:
+                # .item() keeps an integer detail (the cutoff) an int
                 details[f"max_{key}"] = max(details.get(f"max_{key}", -math.inf),
-                                            float(vals.max()))
+                                            vals.max().item())
         if witness is None and not passed.all():
             i = int(np.argmin(passed))
-            witness = {"sample_index": idx[i], "a": element_to_json(Element(d, a[i])),
-                       "b": element_to_json(Element(d, b[i]))}
-    return VerificationReport(check, spec, seed, samples, witness is None, worst,
-                              witness, details)
+            witness = {"sample_index": idx[i], **runner.witness(d, inputs, i)}
+    return VerificationReport(check, descriptor_to_spec(d), seed, samples, witness is None,
+                              worst, witness, details)
 
 
 def run_all(d: AlgebraDescriptor, samples: int, seed: int,

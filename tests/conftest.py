@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symcone import _kernels
 from symcone.algebra import DirectSum, SpinFactor, SymMatrix
@@ -25,6 +27,16 @@ SMALL_CATALOG = (
     SpinFactor(4),
     DirectSum((SymMatrix(2), SpinFactor(3))),
 )
+
+
+@st.composite
+def coord_stacks(draw, count: int = 1, max_rows: int = 4):
+    """(d, X_1, ..., X_count): a CATALOG algebra and (m, dim) coordinate
+    stacks with one row per sample, entries in [-10, 10]."""
+    d = draw(st.sampled_from(CATALOG))
+    m = draw(st.integers(1, max_rows))
+    coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    return (d, *(draw(arrays(np.float64, (m, d.dim), elements=coord)) for _ in range(count)))
 
 
 @pytest.fixture(scope="session", autouse=True)

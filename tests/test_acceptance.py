@@ -36,14 +36,12 @@ from symcone.transforms import (
     peirce_project,
     quad_rep,
 )
+from symcone import verifiers
+from symcone.majorization import DEFAULT_ATOL, DEFAULT_RTOL
 from symcone.verifiers import (
-    build_commuting_factors,
     check_absolute_product_counterexample,
-    check_positive_map_sublinear,
-    make_positive_map,
     run_sweep,
     sample_general,
-    sample_invertible,
     sample_psd_gram,
     sample_rng,
 )
@@ -114,31 +112,40 @@ def test_jordan_product_weak_majorization_sweep(capsys):
 
 
 def test_sublinear_positive_map_suite(capsys):
+    # sample i of a (kind, phi) combination: the map make_positive_map(d, kind,
+    # rng) and then x = sample_general(d, rng), rng = sample_rng(seed, i), d
+    # alternating between the two algebras; each algebra's samples of one
+    # combination are evaluated as one batch of check_positive_map_sublinear
     descriptors = (SymMatrix(3), SpinFactor(5))
     map_kinds = ("quad", "schur_psd", "quad_compose")
     phis = (ABS_FN, POS_FN, NEG_FN)
     per_combo = 1000
+
+    def slacks(seed, count, kind, phi):
+        out = []
+        for j, d in enumerate(descriptors):
+            index = range(j, count, len(descriptors))
+            kinds = np.full(len(index), verifiers._MAP_KINDS.index(kind))
+            inputs = {"kind": kinds, "phi": np.tile([phi.alpha, phi.beta], (len(index), 1)),
+                      **verifiers._map_draws(d, [sample_rng(seed, i) for i in index], kinds)}
+            passed, worst, _ = verifiers._positive_map_rows(d, inputs, DEFAULT_ATOL,
+                                                            DEFAULT_RTOL)
+            out.append((passed, worst))
+        return (np.concatenate([p for p, _ in out]), np.concatenate([w for _, w in out]))
+
     all_pass = True
     worst = math.inf
     for kind in map_kinds:
         for phi in phis:
-            for i in range(per_combo):
-                d = descriptors[i % len(descriptors)]
-                rng = sample_rng(SWEEP_SEED + 1, i)
-                P = make_positive_map(d, kind, rng)
-                rep = check_positive_map_sublinear(P, sample_general(d, rng), phi)
-                all_pass &= rep.passed
-                worst = min(worst, rep.worst_slack)
+            passed, slack = slacks(SWEEP_SEED + 1, per_combo, kind, phi)
+            all_pass &= bool(passed.all())
+            worst = min(worst, float(slack.min()))
     linear = SublinearFn(1.0, 1.0)
     linear_worst = 0.0
     for kind in map_kinds:
-        for i in range(50):
-            d = descriptors[i % len(descriptors)]
-            rng = sample_rng(SWEEP_SEED + 2, i)
-            P = make_positive_map(d, kind, rng)
-            rep = check_positive_map_sublinear(P, sample_general(d, rng), linear)
-            all_pass &= rep.passed
-            linear_worst = max(linear_worst, abs(rep.worst_slack))
+        passed, slack = slacks(SWEEP_SEED + 2, 50, kind, linear)
+        all_pass &= bool(passed.all())
+        linear_worst = max(linear_worst, float(np.abs(slack).max()))
     ok = all_pass and linear_worst <= 1e-10
     announce(capsys, "sublinear maps through positive transformations", ok,
              f"worst slack {worst:.2e}, linear residue {linear_worst:.2e}")
@@ -147,17 +154,21 @@ def test_sublinear_positive_map_suite(capsys):
 
 
 def test_commuting_factor_construction(capsys):
+    # sample i of an algebra: a = sample_invertible(d, sample_rng(seed, i)),
+    # factored by build_commuting_factors(a, k, det_rtol=1e-8) at every
+    # cutoff k; each cutoff's samples are evaluated as one batch
     per_descriptor = 1000
     all_pass = True
     det_worst = 0.0
     for d in CATALOG:
-        for i in range(per_descriptor):
-            rng = sample_rng(SWEEP_SEED + 3, i)
-            a = sample_invertible(d, rng)
-            for k in range(1, d.rank + 1):
-                _, _, rep = build_commuting_factors(a, k, det_rtol=1e-8)
-                all_pass &= rep.passed
-                det_worst = max(det_worst, rep.details["det_rel_err"])
+        a = verifiers._invertible_coords(
+            d, [sample_rng(SWEEP_SEED + 3, i) for i in range(per_descriptor)])
+        for k in range(1, d.rank + 1):
+            passed, _, details = verifiers._factor_rows(
+                d, {"a": a, "k": np.full(per_descriptor, k)}, DEFAULT_ATOL, DEFAULT_RTOL,
+                det_rtol=1e-8)
+            all_pass &= bool(passed.all())
+            det_worst = max(det_worst, float(details["det_rel_err"].max()))
     announce(capsys, "commuting-factor construction 11x10^3, all cutoffs",
              all_pass, f"worst det rel {det_worst:.2e}")
     assert all_pass

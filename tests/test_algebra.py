@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from symcone.algebra import (
     DescriptorMismatchError,
@@ -17,8 +18,11 @@ from symcone.algebra import (
     from_matrix,
     inner,
     jordan_product,
+    jordan_product_coords,
     norm,
+    norm_rows,
     operator_commutes,
+    operator_commutes_rows,
     random_cone_element,
     random_element,
     unit,
@@ -26,7 +30,7 @@ from symcone.algebra import (
 )
 from symcone.spectral import eigvals, spectral_decompose
 
-from conftest import CATALOG, SMALL_CATALOG
+from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
 
 class TestDescriptors:
@@ -204,6 +208,35 @@ class TestOperatorCommute:
         a = from_matrix(np.diag([1.0, 2.0]))
         b = from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not operator_commutes(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_stacks(count=2))
+    def test_row_form_matches_scalar(self, case):
+        # drawn pairs, which rarely commute, and pairs (a, a o a), which do
+        d, A, B = case
+        for b in (B, jordan_product_coords(d, A, A)):
+            got = operator_commutes_rows(d, A, b)
+            for i in range(len(A)):
+                assert got[i] == operator_commutes(Element(d, A[i]), Element(d, b[i]))
+            np.testing.assert_allclose(norm_rows(d, b), [norm(Element(d, x)) for x in b],
+                                       rtol=1e-15)
+
+
+class TestJordanIdentities:
+    @settings(max_examples=100, deadline=None)
+    @given(coord_stacks(count=3))
+    def test_jordan_identity_and_associative_trace_form(self, case):
+        # (x^2 o y) o x = x^2 o (y o x) and <x o y, z> = <y, x o z>
+        d, X, Y, Z = case
+        for xc, yc, zc in zip(X, Y, Z):
+            x, y, z = Element(d, xc), Element(d, yc), Element(d, zc)
+            x2 = jordan_product(x, x)
+            lhs = jordan_product(jordan_product(x2, y), x)
+            rhs = jordan_product(x2, jordan_product(y, x))
+            scale = (1.0 + norm(x)) ** 3 * (1.0 + norm(y))
+            assert norm(lhs - rhs) <= 1e-13 * scale
+            gap = inner(jordan_product(x, y), z) - inner(y, jordan_product(x, z))
+            assert abs(gap) <= 1e-13 * (1.0 + norm(x)) * (1.0 + norm(y)) * (1.0 + norm(z))
 
 
 class TestElement:

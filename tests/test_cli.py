@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symcone
@@ -12,7 +14,7 @@ from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to
 from symcone.cli import main
 from symcone.search import FAMILIES, PROBLEMS, FamilySpec, sweep, write_archive
 from symcone.spectral import JacobiConvergenceError
-from symcone.verifiers import CHECK_RUNNERS, VerificationReport
+from symcone.verifiers import CHECK_RUNNERS
 
 
 def error_lines(capsys):
@@ -66,10 +68,12 @@ class TestVerify:
         assert len(error_lines(capsys)) == 1
 
     def test_failure_writes_witness_and_exits_1(self, tmp_path, capsys, monkeypatch):
-        def failing_runner(d, rng, atol, rtol):
-            return VerificationReport("jordan_weak", "sym:2", None, 1, False, -1.0,
-                                      witness={"stub": True})
+        def failing_rows(d, inputs, atol, rtol):
+            m = len(inputs["a"])
+            return np.zeros(m, dtype=bool), np.full(m, -1.0), {}
 
+        failing_runner = dataclasses.replace(CHECK_RUNNERS["jordan_weak"], rows=failing_rows,
+                                             witness=lambda d, inputs, i: {"stub": True})
         monkeypatch.setitem(CHECK_RUNNERS, "jordan_weak", failing_runner)
         out = tmp_path / "rep.json"
         code = main(["verify", "--alg", "sym:2", "--samples", "3", "--out", str(out)])
@@ -91,6 +95,19 @@ def test_malformed_tolerance_exits_2_before_any_work(tmp_path, monkeypatch, caps
     assert main([*command, f"{flag}={value}"]) == 2
     (line,) = error_lines(capsys)
     assert flag in line
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value", [("--atol", "1"), ("--rtol", "1e300")])
+def test_tolerance_above_the_invertibility_floor_exits_2_naming_it(tmp_path, monkeypatch,
+                                                                   capsys, flag, value):
+    # the commuting-factor check needs |eigenvalues| above 10 (atol + rtol max|lambda|);
+    # a floor no draw clears is blamed on the flags, not on a sample
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--alg", "sym:3", "--samples", "2", flag, value]) == 2
+    (line,) = error_lines(capsys)
+    assert "--atol" in line and "--rtol" in line and "floor" in line
+    assert "not invertible enough" not in line
     assert list(tmp_path.iterdir()) == []
 
 

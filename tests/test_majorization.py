@@ -12,8 +12,10 @@ from symcone.majorization import (
     log_major,
     log_major_rows,
     major,
+    major_rows,
     sort_desc,
     vec_pnorm,
+    vec_pnorm_rows,
     weak_major,
     weak_major_rows,
 )
@@ -206,8 +208,9 @@ def outcome(predicate, p, q, **tol):
 
 class TestWeakMajorRows:
     @pytest.mark.parametrize("rows,scalar", [(weak_major_rows, weak_major),
-                                             (log_major_rows, log_major)],
-                             ids=["weak_major_rows", "log_major_rows"])
+                                             (log_major_rows, log_major),
+                                             (major_rows, major)],
+                             ids=["weak_major_rows", "log_major_rows", "major_rows"])
     @settings(max_examples=300, deadline=None)
     @given(row_pairs(), st.sampled_from([0.0, 1e-9, 1.0]), st.sampled_from([0.0, 1e-8, -1e-8]))
     def test_matches_scalar_verdict(self, rows, scalar, pair, atol, rtol):
@@ -226,6 +229,24 @@ class TestWeakMajorRows:
             assert holds[i] == v.holds
 
 
+class TestVecPnormRows:
+    @settings(max_examples=200, deadline=None)
+    @given(row_pairs(), st.data())
+    def test_matches_scalar_norm(self, pair, data):
+        # each row at its own order has the bits of vec_pnorm on that row
+        P, _ = pair
+        p = np.array([data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+                      for _ in P])
+        got = vec_pnorm_rows(P, p)
+        for i, row in enumerate(P):
+            assert bits(got[i]) == bits(vec_pnorm(row, p[i]))
+
+    @pytest.mark.parametrize("p", [0.9, -np.inf, math.nan])
+    def test_rejects_orders_below_one(self, p):
+        with pytest.raises(ValueError):
+            vec_pnorm_rows(np.ones((2, 3)), np.array([2.0, p]))
+
+
 class TestInvariance:
     @settings(max_examples=200, deadline=None)
     @given(row_pairs(), st.data())
@@ -237,7 +258,7 @@ class TestInvariance:
         for scalar in (weak_major, major, log_major):
             for i in range(len(P)):
                 assert outcome(scalar, P[i], Q[i]) == outcome(scalar, P2[i], Q2[i])
-        for rows in (weak_major_rows, log_major_rows):
+        for rows in (weak_major_rows, log_major_rows, major_rows):
             assert outcome(rows, P, Q) == outcome(rows, P2, Q2)
 
     @settings(max_examples=200, deadline=None)

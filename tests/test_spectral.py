@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from symcone.algebra import (
     DirectSum,
@@ -29,6 +30,7 @@ from symcone.spectral import (
     frame_residuals,
     pnorm,
     rebuild,
+    rebuild_batch,
     spectral_decompose,
     spectral_decompose_batch,
     sqrt_el,
@@ -37,7 +39,7 @@ from symcone.spectral import (
 )
 from symcone.transforms import NEG_FN, POS_FN, apply_sublinear
 
-from conftest import CATALOG, SMALL_CATALOG
+from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
 
 class TestDecomposition:
@@ -87,6 +89,16 @@ class TestDecomposition:
         for d in CATALOG:
             res = frame_residuals(standard_frame(d))
             assert max(res.values()) <= 1e-12
+
+
+class TestBatchedDecomposition:
+    @settings(max_examples=150, deadline=None)
+    @given(coord_stacks(max_rows=6))
+    def test_rebuild_recovers_every_row(self, case):
+        d, X = case
+        vals, frames = spectral_decompose_batch(d, X)
+        scale = max(1.0, float(np.abs(X).max()))
+        np.testing.assert_allclose(rebuild_batch(frames, vals), X, rtol=0, atol=1e-12 * scale)
 
 
 class TestEigvals:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from symcone.algebra import (
     Element,
+    jordan_product_coords,
     SymMatrix,
     from_matrix,
     from_orthonormal,
@@ -29,6 +30,7 @@ from symcone.spectral import (
     eigvals,
     pnorm,
     spectral_decompose,
+    spectral_decompose_batch,
     standard_frame,
 )
 from symcone.transforms import (
@@ -40,6 +42,7 @@ from symcone.transforms import (
     SchurMatrix,
     SublinearFn,
     apply_sublinear,
+    apply_sublinear_rows,
     as_matrix,
     certify_positive_by_sampling,
     compose_positive,
@@ -54,12 +57,14 @@ from symcone.transforms import (
     quad_rep,
     quad_rep_map,
     quad_rep_sqrt,
+    quad_rep_sqrt_rows,
     schur,
     schur_matrix,
+    schur_rows,
     validate_frame,
 )
 
-from conftest import CATALOG, SMALL_CATALOG
+from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
 
 class TestLyapAndQuad:
@@ -254,6 +259,54 @@ class TestSchurMatrix:
             for j in range(len(frame)):
                 want = comps[(i, j)].coords if i <= j else np.zeros(d.dim)
                 np.testing.assert_allclose(P[i, j] @ b.coords, want, atol=1e-14)
+
+
+class TestRowForms:
+    # each row form applied to a stack agrees, row by row, with the scalar
+    # transformation applied to that row alone
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_stacks(), st.data())
+    def test_apply_sublinear_rows(self, case, data):
+        d, X = case
+        slope = st.floats(min_value=-2.0, max_value=2.0)
+        phis = [SublinearFn(*sorted((data.draw(slope), data.draw(slope)), reverse=True))
+                for _ in X]
+        got = apply_sublinear_rows(d, np.array([p.alpha for p in phis]),
+                                   np.array([p.beta for p in phis]), X)
+        for i, phi in enumerate(phis):
+            want = apply_sublinear(phi, Element(d, X[i])).coords
+            scale = max(1.0, float(np.abs(X[i]).max()))
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-10 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_stacks(count=3), st.data())
+    def test_schur_rows_on_per_row_frames(self, case, data):
+        # the scalar Schur product is a batch of one: a row has its bits in
+        # any stack
+        d, G, B, F = case
+        A = np.array([data.draw(arrays(np.float64, (d.rank, d.rank), elements=_coord))
+                      for _ in G])
+        A = (A + A.swapaxes(1, 2)) / 2.0
+        frames = spectral_decompose_batch(d, F)[1]
+        got = schur_rows(d, A, frames, B)
+        for i in range(len(B)):
+            frame = JordanFrame(tuple(Element(d, e) for e in frames[i]))
+            want = schur(A[i], frame, Element(d, B[i]), validate=False).coords
+            assert np.array_equal(got[i], want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coord_stacks(count=2))
+    def test_quad_rep_sqrt_rows(self, case):
+        d, X, B = case
+        # x o x + e: in the cone and away from its boundary, where the
+        # square root is not Lipschitz and roundoff of the eigenvalues grows
+        A = jordan_product_coords(d, X, X) + unit(d).coords
+        got = quad_rep_sqrt_rows(d, A, B)
+        for i in range(len(A)):
+            want = quad_rep_sqrt(Element(d, A[i]), Element(d, B[i])).coords
+            scale = max(1.0, float(np.abs(A[i]).max())) * max(1.0, float(np.abs(B[i]).max()))
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-9 * scale)
 
 
 class TestSchurMatrixIO:

@@ -8,16 +8,26 @@ import pytest
 
 from symcone.algebra import (
     DescriptorMismatchError,
+    Element,
     SpinFactor,
     SymMatrix,
     element_from_json,
     from_matrix,
     jordan_product,
     norm,
+    operator_commutes,
     unit,
 )
-from symcone.majorization import log_major, sort_desc, weak_major
-from symcone.spectral import ConeError, eigvals, trace
+from symcone.majorization import log_major, major, sort_desc, weak_major
+from symcone.spectral import (
+    ConeError,
+    JordanFrame,
+    eigvals,
+    pnorm,
+    rebuild,
+    spectral_decompose,
+    trace,
+)
 from symcone.transforms import (
     ABS_FN,
     NEG_FN,
@@ -26,8 +36,15 @@ from symcone.transforms import (
     PositivityError,
     SchurMatrix,
     SublinearFn,
+    apply_sublinear,
+    compose_positive,
     lyap_multiplier,
+    peirce_projectors,
+    positive_quad_map,
+    positive_schur_map,
+    quad_rep,
     quad_rep_sqrt,
+    schur_matrix,
 )
 from symcone import verifiers
 from symcone.algebra import descriptor_to_spec
@@ -47,7 +64,6 @@ from symcone.verifiers import (
     holder_exponent,
     make_positive_map,
     merge_reports,
-    positive_map_case,
     run_all,
     run_sweep,
     sample_cone,
@@ -57,7 +73,6 @@ from symcone.verifiers import (
     sample_psd_gram,
     sample_rng,
 )
-from symcone.spectral import rebuild
 
 from conftest import CATALOG, SMALL_CATALOG
 
@@ -434,21 +449,59 @@ class TestSweepMachinery:
         b = sample_rng(3, 5).normal(size=4)
         assert np.array_equal(a, b)
 
-    def test_positive_map_case_runs_every_kind(self):
-        rng = np.random.default_rng(24)
-        d = SpinFactor(4)
-        for kind in ("quad", "schur_psd", "quad_compose"):
-            assert positive_map_case(d, rng, kind, ABS_FN).passed
-
     def test_sample_invertible_gives_up_after_bounded_draws(self):
         with pytest.raises(ValueError, match=r"sym:2.*1e\+09"):
             sample_invertible(SymMatrix(2), np.random.default_rng(0), min_abs=1e9)
 
 
+def frame_from_json(objs):
+    return JordanFrame(tuple(element_from_json(o) for o in objs))
+
+
+def map_from_json(factors):
+    """The positive map a witness records, rebuilt from its factors."""
+    maps = [positive_quad_map(element_from_json(f["c"])) if f["kind"] == "quad"
+            else positive_schur_map(SchurMatrix(f["A"]), frame_from_json(f["frame"]))
+            for f in factors]
+    P = maps[-1]
+    for outer in reversed(maps[:-1]):
+        P = compose_positive(outer, P)
+    return P
+
+
+def replay(check, w, atol, rtol):
+    """The public check run on the inputs a sweep's witness records."""
+    def el(key):
+        return element_from_json(w[key])
+
+    tol = {"atol": atol, "rtol": rtol}
+    if check == "commuting_factors":
+        return build_commuting_factors(el("a"), w["k"], **tol)[2]
+    if check == "positive_map_sublinear":
+        return check_positive_map_sublinear(map_from_json(w["factors"]), el("x"),
+                                            SublinearFn(*w["phi"]), **tol)
+    if check == "schur_diag":
+        return check_schur_diag(SchurMatrix(w["A"]), frame_from_json(w["frame"]), el("b"),
+                                SublinearFn(*w["phi"]), **tol)
+    if check == "quadrep_pinch":
+        return check_quadrep_pinch(el("a"), el("b"), A=SchurMatrix(w["A"]),
+                                   frame=frame_from_json(w["frame"]), **tol)
+    if check == "holder":
+        return check_holder(el("a"), el("b"), w["r"], w["s"], **tol)
+    if check == "quadrep_sublinear":
+        return check_quadrep_sublinear(el("a"), el("b"), SublinearFn(*w["phi"]), **tol)
+    fn = {"log_major_quadrep": check_log_major_quadrep, "jordan_weak": check_jordan_weak,
+          "quadrep_sup_bound": check_quadrep_sup_bound}[check]
+    return fn(el("a"), el("b"), **tol)
+
+
 def per_sample_sweep(check, d, samples, seed, atol, rtol):
-    """run_sweep as a plain loop over the runner, one sample at a time."""
+    """run_sweep as a plain loop: each sample drawn alone and run through the
+    public check on the inputs its witness records."""
     runner = CHECK_RUNNERS[check]
-    reports = [runner(d, sample_rng(seed, i), atol, rtol) for i in range(samples)]
+    reports = [replay(check, runner.witness(d, runner.draw(d, [sample_rng(seed, i)], atol,
+                                                           rtol), 0), atol, rtol)
+               for i in range(samples)]
     return merge_reports(check, descriptor_to_spec(d), seed, reports)
 
 
@@ -486,25 +539,199 @@ def scalar_oracle(check, d, samples, seed, atol, rtol):
     return passed, worst, first, det_worst, scale
 
 
+def scalar_reference(check, d, inp, i, atol, rtol):
+    """Row i of a batched draw decided by the scalar eigensolver, spectral
+    maps and predicates, as the checks computed it one sample at a time:
+    (passed, worst slack, largest spectral magnitude)."""
+    def el(key, j=None):
+        return Element(d, inp[key][i] if j is None else inp[key][i, j])
+
+    def frame():
+        return JordanFrame(tuple(Element(d, e) for e in inp["frame"][i]))
+
+    def schur_of(x):  # through the Peirce projectors, not schur_rows
+        return Element(d, schur_matrix(inp["A"][i], peirce_projectors(frame())) @ x.coords)
+
+    if "phi" in inp:
+        phi = SublinearFn(*inp["phi"][i])
+    if check == "quadrep_sup_bound":
+        a, b = el("a"), el("b")
+        lz = eigvals(quad_rep_sqrt(a, b))
+        bound = eigvals(a)[0] * eigvals(b)
+        worst = float((bound - lz).min())
+        scale = max(1.0, float(np.abs(bound).max()), float(np.abs(lz).max()))
+        return worst >= -(atol + rtol * scale), worst, scale
+    if check == "holder":
+        a, b, r, s = el("a"), el("b"), inp["r"][i], inp["s"][i]
+        lhs = pnorm(jordan_product(a, b), holder_exponent(r, s))
+        rhs = pnorm(a, r) * pnorm(b, s)
+        return lhs <= rhs * (1.0 + rtol) + atol, rhs - lhs, rhs
+    if check == "commuting_factors":
+        a, k = el("a"), int(inp["k"][i])
+        sd = spectral_decompose(a)
+        order = np.argsort(-np.abs(sd.eigenvalues), kind="stable")
+        av = sd.eigenvalues[order]
+        on = JordanFrame(tuple(sd.frame.idempotents[j] for j in order))
+        ak = abs(av[k - 1])
+        xvals = np.concatenate([np.abs(av[:k]) / ak, np.ones(d.rank - k)])
+        x = rebuild(on, xvals)
+        y = rebuild(on, np.concatenate([ak * np.sign(av[:k]), av[k:]]))
+        lmin = float(eigvals(x - unit(d))[-1])
+        commute = operator_commutes(x, y)
+        r1 = norm(quad_rep_sqrt(x, y) - a)
+        r2 = norm(quad_rep(x, jordan_product(y, y)) - jordan_product(a, a))
+        tol1, tol2 = atol + rtol * (1.0 + norm(a)), atol + rtol * (1.0 + norm(a) ** 2)
+        det = float(np.prod(eigvals(x))) * pnorm(y, math.inf) ** k
+        det_rel = abs(det - np.prod(np.abs(av[:k]))) / np.prod(np.abs(av[:k]))
+        passed = (lmin >= -(atol + rtol * max(1.0, xvals.max())) and commute
+                  and r1 <= tol1 and r2 <= tol2 and det_rel <= 1e-8)
+        worst = min(lmin, tol1 - r1, tol2 - r2, 1e-8 - det_rel, 0.0 if commute else -1.0)
+        return passed, worst, 1.0
+    if check == "positive_map_sublinear":
+        kind = verifiers._MAP_KINDS[inp["kind"][i]]
+        if kind == "schur_psd":
+            P = positive_schur_map(SchurMatrix(inp["A"][i]), frame())
+        else:
+            maps = [positive_quad_map(el("c", j)) for j in range(1 if kind == "quad" else 2)]
+            P = maps[0] if kind == "quad" else compose_positive(*maps)
+        x = el("x")
+        pairs = [(eigvals(apply_sublinear(phi, P(x))), eigvals(P(apply_sublinear(phi, x))))]
+    elif check == "quadrep_sublinear":
+        a, b = el("a"), el("b")
+        la = eigvals(a)
+        pairs = [(eigvals(apply_sublinear(phi, quad_rep(a, b))),
+                  sort_desc(la * la) * eigvals(apply_sublinear(phi, b)))]
+    elif check == "schur_diag":
+        b = el("b")
+        phib = apply_sublinear(phi, b)
+        lhs = eigvals(apply_sublinear(phi, schur_of(b)))
+        pairs = [(lhs, sort_desc(np.diag(inp["A"][i])) * eigvals(phib)),
+                 (lhs, eigvals(schur_of(phib)))]
+    else:  # quadrep_pinch
+        a, b = el("a"), el("b")
+        c = rebuild(frame(), np.diag(inp["A"][i]))
+        verdicts = [major(eigvals(quad_rep_sqrt(a, b)), eigvals(jordan_product(a, b)),
+                          atol=atol, rtol=rtol),
+                    major(eigvals(schur_of(b)), eigvals(quad_rep_sqrt(c, b)),
+                          atol=atol, rtol=rtol)]
+        return (all(v.holds for v in verdicts), min(v.worst_slack for v in verdicts),
+                d.rank * max(float(np.abs(eigvals(a)).max()), 1.0) * norm(b))
+    verdicts = [weak_major(p, q, atol=atol, rtol=rtol) for p, q in pairs]
+    scale = d.rank * max(float(np.abs(np.concatenate(pair)).max()) for pair in pairs)
+    return all(v.holds for v in verdicts), min(v.worst_slack for v in verdicts), scale
+
+
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
+
+
+# (atol, rtol) per check at which one of the first dozen samples fails on
+# every CATALOG algebra: a negative atol demands a margin larger than the
+# slacks those samples have.  The checks that require cone inputs keep atol
+# small, so that their cone floors stay below the sampled eigenvalues
+# (>= 0.05); the sup bound's margins exceed that, so a negative rtol fails it.
+FAILING_TOL = {
+    "log_major_quadrep": (-1e-3, 1e-8),
+    "quadrep_pinch": (-1e-3, 1e-8),
+    "quadrep_sup_bound": (0.0, -1.0),
+    "commuting_factors": (-1e-3, 1e-8),
+    "positive_map_sublinear": (-1.0, 1e-8),
+    "schur_diag": (-10.0, 1e-8),
+    "jordan_weak": (-50.0, 1e-8),
+    "quadrep_sublinear": (-50.0, 1e-8),
+    "holder": (-50.0, 1e-8),
+}
+
+
+def report_text(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
 
 
 class TestBatchedSweep:
     SAMPLES = 40
 
+    def test_every_runner_has_a_row_evaluation(self):
+        for name, runner in CHECK_RUNNERS.items():
+            assert callable(getattr(runner, "draw", None)), name
+            assert callable(getattr(runner, "rows", None)), name
+
     def test_pairs_draw_what_the_samplers_draw(self):
         for d in CATALOG:
-            a, b = verifiers._cone_pairs(d, [sample_rng(6, i) for i in range(8)])
-            g, h = verifiers._general_pairs(d, [sample_rng(6, i) for i in range(8)])
+            cone = verifiers._cone_pairs(d, [sample_rng(6, i) for i in range(8)])
+            general = verifiers._general_pairs(d, [sample_rng(6, i) for i in range(8)])
             for i in range(8):
                 rng = sample_rng(6, i)
-                for x in (a, b):
-                    np.testing.assert_allclose(x[i], sample_cone(d, rng).coords,
+                for key in ("a", "b"):
+                    np.testing.assert_allclose(cone[key][i], sample_cone(d, rng).coords,
                                                rtol=0, atol=1e-12)
                 rng = sample_rng(6, i)
-                for x in (g, h):
-                    assert np.array_equal(x[i], sample_general(d, rng).coords)
+                for key in ("a", "b"):
+                    assert np.array_equal(general[key][i], sample_general(d, rng).coords)
+
+    @pytest.mark.parametrize("d", CATALOG, ids=descriptor_to_spec)
+    def test_draws_take_what_the_samplers_draw(self, d):
+        # every batched draw takes from each generator what the scalar
+        # samplers take, in the same order: raw draws are equal, and what a
+        # decomposition derives from them agrees to roundoff
+        def close(x, y):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+        def frame(f):
+            return np.stack([e.coords for e in f.idempotents])
+
+        n = 8
+        inputs = {check: CHECK_RUNNERS[check].draw(d, [sample_rng(6, i) for i in range(n)],
+                                                   1e-9, 1e-8)
+                  for check in CHECK_RUNNERS}
+        phis = verifiers._PHI_CHOICES
+        for i in range(n):
+            rng = sample_rng(6, i)
+            inp = inputs["holder"]
+            assert (inp["r"][i], inp["s"][i]) == verifiers._HOLDER_GRID[rng.integers(7)]
+            for key in ("a", "b"):
+                assert np.array_equal(inp[key][i], sample_general(d, rng).coords)
+
+            rng = sample_rng(6, i)
+            inp = inputs["quadrep_sublinear"]
+            phi = verifiers.sample_sublinear(rng)
+            assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
+            for key in ("a", "b"):
+                assert np.array_equal(inp[key][i], sample_general(d, rng).coords)
+
+            rng = sample_rng(6, i)
+            inp = inputs["commuting_factors"]
+            assert np.array_equal(inp["a"][i], sample_invertible(d, rng).coords)
+            assert inp["k"][i] == rng.integers(1, d.rank + 1)
+
+            rng = sample_rng(6, i)
+            inp = inputs["schur_diag"]
+            assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
+            close(inp["frame"][i], frame(sample_frame(d, rng)))
+            phi = phis[rng.integers(3)]
+            assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
+            assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
+
+            rng = sample_rng(6, i)
+            inp = inputs["quadrep_pinch"]
+            assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
+            close(inp["frame"][i], frame(sample_frame(d, rng)))
+            close(inp["a"][i], sample_cone(d, rng).coords)
+            assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
+
+            rng = sample_rng(6, i)
+            inp = inputs["positive_map_sublinear"]
+            kind = verifiers._MAP_KINDS[rng.integers(3)]
+            assert verifiers._MAP_KINDS[inp["kind"][i]] == kind
+            phi = phis[rng.integers(3)]
+            assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
+            P = make_positive_map(d, kind, rng)
+            for j, factor in enumerate(P.factors):
+                if factor[0] == "quad":
+                    close(inp["c"][i, j], factor[1].coords)
+                else:
+                    assert np.array_equal(inp["A"][i], factor[1].entries)
+                    close(inp["frame"][i], frame(factor[2]))
+            assert np.array_equal(inp["x"][i], sample_general(d, rng).coords)
 
     @pytest.mark.parametrize("seed", [20260809, 4])
     @pytest.mark.parametrize("check", ["log_major_quadrep", "jordan_weak"])
@@ -524,6 +751,36 @@ class TestBatchedSweep:
             else:
                 assert got.details == {}
 
+    @pytest.mark.parametrize("failing", [False, True], ids=["default", "failing"])
+    @pytest.mark.parametrize("check", sorted(set(CHECK_RUNNERS)
+                                             - {"log_major_quadrep", "jordan_weak"}))
+    def test_matches_the_scalar_reference(self, check, failing):
+        # the batched rows decide every sample as the scalar arithmetic does,
+        # with worst slacks inside the tolerance band
+        atol, rtol = FAILING_TOL[check] if failing else (1e-9, 1e-8)
+        runner = CHECK_RUNNERS[check]
+        for d in CATALOG:
+            inp = runner.draw(d, [sample_rng(20260809, i) for i in range(15)], atol, rtol)
+            passed, worst, _ = runner.rows(d, inp, atol, rtol)
+            for i in range(15):
+                want, want_worst, scale = scalar_reference(check, d, inp, i, atol, rtol)
+                assert passed[i] == want, (descriptor_to_spec(d), i)
+                assert abs(worst[i] - want_worst) <= 1e-9 + 1e-8 * scale, (d, i)
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["default", "failing"])
+    @pytest.mark.parametrize("check", sorted(CHECK_RUNNERS))
+    def test_sweep_is_the_per_sample_loop(self, check, failing):
+        # every report field, witness included, equals the runner's one
+        # sample at a time, at the default tolerance and at one that fails
+        atol, rtol = FAILING_TOL[check] if failing else (1e-9, 1e-8)
+        failed = []
+        for d in CATALOG:
+            got = run_sweep(check, d, 12, 3, atol=atol, rtol=rtol)
+            ref = per_sample_sweep(check, d, 12, 3, atol, rtol)
+            assert report_text(got) == report_text(ref), descriptor_to_spec(d)
+            failed.append(not got.passed)
+        assert all(failed) if failing else not any(failed)
+
     @pytest.mark.parametrize("d", [SymMatrix(3), SpinFactor(4), CATALOG[-1]])
     def test_zero_tolerance_witness_is_the_reference_witness(self, d):
         # at zero tolerance the product equality at k = n fails on roundoff,
@@ -532,8 +789,7 @@ class TestBatchedSweep:
         got = run_sweep("log_major_quadrep", d, 15, 3, atol=0.0, rtol=0.0)
         ref = per_sample_sweep("log_major_quadrep", d, 15, 3, 0.0, 0.0)
         assert not got.passed and not ref.passed
-        assert json.dumps(got.to_json(), sort_keys=True) == \
-            json.dumps(ref.to_json(), sort_keys=True)
+        assert report_text(got) == report_text(ref)
 
     @pytest.mark.parametrize("check,d,atol,first", [
         ("log_major_quadrep", SymMatrix(5), -1e-3, 2),
@@ -548,8 +804,7 @@ class TestBatchedSweep:
         ref = per_sample_sweep(check, d, 40, 3, atol, 1e-8)
         assert not got.passed and not ref.passed
         assert got.witness["sample_index"] == first
-        assert json.dumps(got.to_json(), sort_keys=True) == \
-            json.dumps(ref.to_json(), sort_keys=True)
+        assert report_text(got) == report_text(ref)
         passed, worst, oracle_first, _, scale = scalar_oracle(check, d, 40, 3, atol, 1e-8)
         assert not passed and oracle_first == first
         assert abs(got.worst_slack - worst) <= abs(atol) + 1e-8 * scale
@@ -560,30 +815,35 @@ class TestBatchedSweep:
         ("log_major_quadrep", CATALOG[-1], 0.0, 0.0),
         ("jordan_weak", SymMatrix(3), -0.5, 1e-8),
         ("jordan_weak", SpinFactor(4), -0.5, 1e-8),
-    ])
+    ] + [(check, d, *FAILING_TOL[check])
+         for check in sorted(set(CHECK_RUNNERS) - {"log_major_quadrep", "jordan_weak"})
+         for d in (SymMatrix(3), SpinFactor(4), CATALOG[-1])])
     def test_witness_replays_through_the_check(self, check, d, atol, rtol):
         # the witness, read back from JSON, fails the public check with the
         # worst slack its row has in the sweep, to the bit
         rep = run_sweep(check, d, 40, 3, atol=atol, rtol=rtol)
         i = rep.witness["sample_index"]
         runner = CHECK_RUNNERS[check]
-        a, b = runner.draw(d, [sample_rng(3, j) for j in range(40)])
-        passed, slack, _ = runner.rows(d, a, b, atol, rtol)
-        fn = check_log_major_quadrep if check == "log_major_quadrep" else check_jordan_weak
-        replay = fn(element_from_json(rep.witness["a"]), element_from_json(rep.witness["b"]),
-                    atol=atol, rtol=rtol)
-        assert not passed[i] and not replay.passed
-        assert bits(replay.worst_slack) == bits(slack[i])
+        inputs = runner.draw(d, [sample_rng(3, j) for j in range(40)], atol, rtol)
+        passed, slack, _ = runner.rows(d, inputs, atol, rtol)
+        replayed = replay(check, json.loads(json.dumps(rep.witness)), atol, rtol)
+        assert not passed[i] and not replayed.passed
+        assert bits(replayed.worst_slack) == bits(slack[i])
 
     def test_chunking_does_not_change_the_report(self, monkeypatch):
         d = CATALOG[-1]
-        whole = run_sweep("jordan_weak", d, 25, 8).to_json()
-        monkeypatch.setattr(verifiers, "SWEEP_CHUNK", 7)
-        assert run_sweep("jordan_weak", d, 25, 8).to_json() == whole
+        for check in sorted(CHECK_RUNNERS):
+            for atol, rtol in ((1e-9, 1e-8), FAILING_TOL[check]):
+                whole = run_sweep(check, d, 25, 8, atol=atol, rtol=rtol).to_json()
+                with monkeypatch.context() as patch:
+                    patch.setattr(verifiers, "SWEEP_CHUNK", 7)
+                    chunked = run_sweep(check, d, 25, 8, atol=atol, rtol=rtol).to_json()
+                assert chunked == whole, check
 
     def test_passing_sweep_builds_no_elements(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a passing sample was serialized")
 
         monkeypatch.setattr(verifiers, "element_to_json", forbidden)
-        assert run_sweep("log_major_quadrep", SymMatrix(3), 30, 1).passed
+        for check in sorted(CHECK_RUNNERS):
+            assert run_sweep(check, SymMatrix(3), 30, 1).passed, check
