@@ -327,12 +327,10 @@ def operator_commutes(a: Element, b: Element, tol: float | None = None) -> bool:
     return True
 
 
-def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
-                           tol: np.ndarray | None = None) -> np.ndarray:
-    """:func:`operator_commutes` of every pair of rows of the (m, dim) arrays
-    a, b, with one tolerance per row (by default that of the scalar form)."""
-    if tol is None:
-        tol = DEFAULT_ATOL + DEFAULT_RTOL * norm_rows(d, a) * norm_rows(d, b)
+def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`operator_commutes` at its default tolerance of every pair of
+    rows of the (m, dim) arrays a, b."""
+    tol = DEFAULT_ATOL + DEFAULT_RTOL * norm_rows(d, a) * norm_rows(d, b)
     commute = np.ones(len(a), dtype=bool)
     for k in range(d.dim):  # one basis element at a time keeps memory at O(m dim)
         z = np.zeros(a.shape)

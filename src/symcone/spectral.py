@@ -332,12 +332,11 @@ def rebuild_batch(frames: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.einsum("mk,mkd->md", vals, frames)
 
 
-def sqrt_batch(vals: np.ndarray, frames: np.ndarray,
-               tol: float = SQRT_CLAMP_TOL) -> np.ndarray:
-    """:func:`sqrt_el` of every row, given its decomposition (vals, frames)
-    from :func:`spectral_decompose_batch`."""
+def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """:func:`sqrt_el` at its default tolerance of every row, given its
+    decomposition (vals, frames) from :func:`spectral_decompose_batch`."""
     low = vals[:, -1].min(initial=0.0)
-    if low < -tol:
+    if low < -SQRT_CLAMP_TOL:
         raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
     return rebuild_batch(frames, np.sqrt(np.maximum(vals, 0.0)))
 

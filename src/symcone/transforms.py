@@ -193,11 +193,11 @@ def quad_rep_sqrt(a: Element, b: Element, tol: float = 1e-10) -> Element:
     return quad_rep(sqrt_el(a, tol=tol), b)
 
 
-def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
-                       tol: float = 1e-10) -> np.ndarray:
-    """:func:`quad_rep_sqrt` of every pair of rows of the (m, dim) arrays a, b."""
+def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`quad_rep_sqrt` at its default tolerance of every pair of rows of
+    the (m, dim) arrays a, b."""
     vals, frames = spectral_decompose_batch(d, a)
-    return quad_rep_coords(d, sqrt_batch(vals, frames, tol), b)
+    return quad_rep_coords(d, sqrt_batch(vals, frames), b)
 
 
 def _as_entries(A, rank: int) -> np.ndarray:

@@ -86,6 +86,8 @@ from .transforms import (
     schur_rows,
 )
 
+# relative error allowed in the determinant identities of log_major_quadrep
+# and of the commuting-factor construction
 DET_IDENTITY_RTOL = 1e-8
 NEAR_EQUALITY_SLACK = 1e-6
 
@@ -393,9 +395,9 @@ _FACTOR_DETAILS = ("cone_gap", "recover_residual", "recover_sq_residual",
                    "det_rel_err", "cutoff")
 
 
-def _factor_rows(d, inp, atol, rtol, det_rtol: float = 1e-8):
+def _factor_rows(d, inp, atol, rtol):
     _, _, passed, worst, details = _commuting_factors(d, inp["a"], inp["k"],
-                                                      atol, rtol, det_rtol)
+                                                      atol, rtol, DET_IDENTITY_RTOL)
     return passed, worst, {key: details[key] for key in _FACTOR_DETAILS}
 
 
@@ -406,7 +408,7 @@ def _factor_witness(d, inp, i):
 def build_commuting_factors(a: Element, k: int,
                             atol: float = DEFAULT_ATOL,
                             rtol: float = DEFAULT_RTOL,
-                            det_rtol: float = 1e-8):
+                            det_rtol: float = DET_IDENTITY_RTOL):
     """Split an invertible a at cutoff k into commuting factors x, y.
 
     Ordering a's spectrum by decreasing absolute value, x carries the top-k
@@ -803,22 +805,30 @@ def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
     Raises ResampleError once a row has missed the floor in
     MAX_RESAMPLE_DRAWS draws.
     """
-    X = np.empty((len(rngs), d.dim))
-    todo = np.arange(len(rngs))
-    for _ in range(MAX_RESAMPLE_DRAWS):
-        X[todo] = [_general_draw(d, rngs[i], sigma) for i in todo]
-        mag = np.abs(eigvals_batch(d, X[todo]))
+    def clears(lam):
+        mag = np.abs(lam)
         with np.errstate(over="ignore"):  # an infinite floor rejects every draw
-            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=1)) * 10.0)
-        missed = ~(mag.min(axis=1) > floor)
-        if not missed.any():
-            return X
-        todo, floor = todo[missed], floor[missed]
-    raise ResampleError(
-        f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
-        f"max({min_abs:g}, 10 * (atol + rtol * max|eigenvalue|)) = {floor[0]:.3e} "
-        f"(atol {atol:g}, rtol {rtol:g}) in {MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})"
-    )
+            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=-1)) * 10.0)
+        return mag.min(axis=-1) > floor, floor
+
+    X = np.array([_general_draw(d, rng, sigma) for rng in rngs]).reshape(-1, d.dim)
+    ok, _ = clears(eigvals_batch(d, X))
+    # rows that missed are redrawn one at a time (the scalar eigensolver is
+    # the cheaper one for a single element), so a row that cannot clear the
+    # floor raises after its own MAX_RESAMPLE_DRAWS draws
+    for i in np.flatnonzero(~ok):
+        for _ in range(MAX_RESAMPLE_DRAWS - 1):
+            X[i] = _general_draw(d, rngs[i], sigma)
+            ok_i, floor = clears(eigvals(Element(d, X[i])))
+            if ok_i:
+                break
+        else:
+            raise ResampleError(
+                f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
+                f"max({min_abs:g}, 10 * (atol + rtol * max|eigenvalue|)) = "
+                f"{floor:.3e} (atol {atol:g}, rtol {rtol:g}) in "
+                f"{MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})")
+    return X
 
 
 def sample_invertible(d: AlgebraDescriptor, rng: np.random.Generator,
@@ -1018,21 +1028,22 @@ def _positive_map_rows(d, inp, atol, rtol):
     return holds, worst, {}
 
 
-_MAP_LABELS = {"quad": "quad_rep", "schur_psd": "schur_psd",
-               "quad_compose": "quad_rep*quad_rep"}
+def _row_map(d, inp, i) -> PositiveLinearMap:
+    """Row i's map, built from its operands as make_positive_map builds it."""
+    kind = _MAP_KINDS[inp["kind"][i]]
+    if kind == "schur_psd":
+        frame = JordanFrame([Element(d, e) for e in inp["frame"][i]])
+        return positive_schur_map(SchurMatrix(inp["A"][i]), frame)
+    maps = [positive_quad_map(Element(d, c))
+            for c in inp["c"][i, :1 if kind == "quad" else 2]]
+    return maps[0] if kind == "quad" else compose_positive(*maps)
 
 
 def _positive_map_witness(d, inp, i):
-    """Row i's inputs as check_positive_map_sublinear records them for the
-    map make_positive_map builds from them."""
-    kind = _MAP_KINDS[inp["kind"][i]]
-    if kind == "schur_psd":
-        factors = [{"kind": "schur", **_multiplier_witness(d, inp, i)}]
-    else:
-        factors = [{"kind": "quad", "c": element_to_json(Element(d, c))}
-                   for c in inp["c"][i, :1 if kind == "quad" else 2]]
+    """Row i's inputs as check_positive_map_sublinear records them."""
+    P = _row_map(d, inp, i)
     return {"x": _el_json(d, inp["x"], i), "phi": _phi_json(inp["phi"], i),
-            "map": _MAP_LABELS[kind], "factors": factors}
+            "map": P.label, "factors": _factors_json(P)}
 
 
 # --- the registry ----------------------------------------------------------------------

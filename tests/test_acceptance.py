@@ -164,9 +164,8 @@ def test_commuting_factor_construction(capsys):
         a = verifiers._invertible_coords(
             d, [sample_rng(SWEEP_SEED + 3, i) for i in range(per_descriptor)])
         for k in range(1, d.rank + 1):
-            passed, _, details = verifiers._factor_rows(
-                d, {"a": a, "k": np.full(per_descriptor, k)}, DEFAULT_ATOL, DEFAULT_RTOL,
-                det_rtol=1e-8)
+            _, _, passed, _, details = verifiers._commuting_factors(
+                d, a, np.full(per_descriptor, k), DEFAULT_ATOL, DEFAULT_RTOL, det_rtol=1e-8)
             all_pass &= bool(passed.all())
             det_worst = max(det_worst, float(details["det_rel_err"].max()))
     announce(capsys, "commuting-factor construction 11x10^3, all cutoffs",

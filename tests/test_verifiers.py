@@ -453,6 +453,19 @@ class TestSweepMachinery:
         with pytest.raises(ValueError, match=r"sym:2.*1e\+09"):
             sample_invertible(SymMatrix(2), np.random.default_rng(0), min_abs=1e9)
 
+    def test_hopeless_floor_gives_up_after_one_rows_draws(self, monkeypatch):
+        # no draw clears a floor of 10 * atol = 10 at sigma 3: the chunk is
+        # drawn once, then the first row that missed raises after its own
+        # MAX_RESAMPLE_DRAWS draws, however many rows the chunk holds
+        draws = []
+        general_draw = verifiers._general_draw
+        monkeypatch.setattr(verifiers, "_general_draw",
+                            lambda *args: draws.append(1) or general_draw(*args))
+        rngs = [sample_rng(0, i) for i in range(50)]
+        with pytest.raises(verifiers.ResampleError, match=r"1\.000e\+01 \(atol 1,"):
+            verifiers._invertible_coords(SymMatrix(3), rngs, atol=1.0)
+        assert len(draws) == len(rngs) + verifiers.MAX_RESAMPLE_DRAWS - 1
+
 
 def frame_from_json(objs):
     return JordanFrame(tuple(element_from_json(o) for o in objs))
