@@ -9,9 +9,11 @@ prospect       sweep a multiplier family for violations, or replay an archive
 
 Exit codes: 0 success, 1 a check failed (a witness file is written),
 2 malformed configuration or input (see ``EXIT_CODES``), including a NaN,
-infinite or negative ``--atol`` or ``--rtol``, which every subcommand
-rejects before any work, and, for ``verify``, tolerances so large that no
-sampled element clears the commuting-factor check's invertibility floor.
+infinite or negative ``--atol`` or ``--rtol`` and a negative ``--seed``,
+which every subcommand rejects before any work, a ``prospect`` sweep with
+``--budget`` or ``--samples`` below 1, and, for ``verify``, tolerances so
+large that no sampled element clears the commuting-factor check's
+invertibility floor.
 All output is deterministic under a fixed configuration and seed.
 """
 
@@ -79,6 +81,12 @@ def _check_tolerances(args: argparse.Namespace) -> None:
         value = getattr(args, flag)
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"--{flag} must be finite and >= 0, got {value!r}")
+
+
+def _check_seed(args: argparse.Namespace) -> None:
+    # seed sequences take non-negative integers only
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _report_header(args: argparse.Namespace, command: str) -> dict:
@@ -220,6 +228,10 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
         return 0 if bad == 0 else 1
     if args.family not in FAMILIES:
         raise ConfigError(f"unknown family {args.family!r}; known: {FAMILIES}")
+    # an empty sweep would report no violations over 0 tests
+    for flag in ("budget", "samples"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     try:
         d = descriptor_from_spec(args.alg)
     except ValueError as exc:
@@ -298,6 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_tolerances(args)
+        _check_seed(args)
         return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -776,10 +776,16 @@ def _general_draw(d: AlgebraDescriptor, rng: np.random.Generator,
     return rng.normal(0.0, sigma, d.dim)
 
 
-def _cone_draws(d: AlgebraDescriptor, rng: np.random.Generator,
-                low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH):
-    """Gaussian coordinates whose frame is kept, then the eigenvalues."""
-    return rng.normal(0.0, 1.0, d.dim), rng.uniform(low, high, d.rank)
+def _cone_draws(d: AlgebraDescriptor, rng: np.random.Generator):
+    """Gaussian coordinates whose frame is kept, then the eigenvalues' unit
+    draws (:func:`_cone_eigs` maps them)."""
+    return rng.normal(0.0, 1.0, d.dim), rng.random(d.rank)
+
+
+def _cone_eigs(u, low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH):
+    """Unit draws to eigenvalues on [low, high), with the bits of
+    ``rng.uniform(low, high)``, which computes ``low + (high - low) * u``."""
+    return low + (high - low) * u
 
 
 def sample_general(d: AlgebraDescriptor, rng: np.random.Generator,
@@ -790,8 +796,8 @@ def sample_general(d: AlgebraDescriptor, rng: np.random.Generator,
 def sample_cone(d: AlgebraDescriptor, rng: np.random.Generator,
                 low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH) -> Element:
     """Cone element with uniform eigenvalues on a random frame."""
-    coords, vals = _cone_draws(d, rng, low, high)
-    return rebuild(spectral_decompose(Element(d, coords)).frame, vals)
+    coords, u = _cone_draws(d, rng)
+    return rebuild(spectral_decompose(Element(d, coords)).frame, _cone_eigs(u, low, high))
 
 
 def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
@@ -897,7 +903,7 @@ def _cone_pairs(d, rngs, atol=None, rtol=None):
     draws = [_cone_draws(d, rng) + _cone_draws(d, rng) for rng in rngs]
     ga, ua, gb, ub = (np.array(col) for col in zip(*draws))
     _, frames = spectral_decompose_batch(d, np.concatenate([ga, gb]))
-    ab = rebuild_batch(frames, np.concatenate([ua, ub]))
+    ab = rebuild_batch(frames, _cone_eigs(np.concatenate([ua, ub])))
     return {"a": ab[:m], "b": ab[m:]}
 
 
@@ -952,7 +958,7 @@ def _pinch_draw(d, rngs, atol=None, rtol=None):
     m = len(rngs)
     _, frames = spectral_decompose_batch(d, np.concatenate([inp.pop("g"), inp.pop("ga")]))
     inp["frame"] = frames[:m]
-    inp["a"] = rebuild_batch(frames[m:], inp.pop("ua"))
+    inp["a"] = rebuild_batch(frames[m:], _cone_eigs(inp.pop("ua")))
     inp["A"] = _symmetrized(inp["A"])
     return inp
 
@@ -987,13 +993,13 @@ def _map_draws(d, rngs, kind):
             dest.append((i, -1))
         else:
             for j in range(1 if _MAP_KINDS[kind[i]] == "quad" else 2):
-                g, v = _cone_draws(d, rng, 0.0, 2.0)
+                g, v = _cone_draws(d, rng)
                 gauss.append(g)
                 vals.append(v)
                 dest.append((i, j))
         out["x"][i] = _general_draw(d, rng)
     _, frames = spectral_decompose_batch(d, np.array(gauss))
-    cones = rebuild_batch(frames, np.array(vals))
+    cones = rebuild_batch(frames, _cone_eigs(np.array(vals), 0.0, 2.0))
     for (i, j), frame, c in zip(dest, frames, cones):
         if j < 0:
             out["frame"][i] = frame
@@ -1084,14 +1090,99 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A = 0x43b0d7e5
+_MULT_A = 0x931e8875
+_INIT_B = 0x8b51f9dd
+_MULT_B = 0x58f38ded
+_MIX_MULT_L = 0xca01f9dd
+_MIX_MULT_R = 0x4973f715
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_WORD = 0xFFFFFFFF
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence handing PCG64 its four uint64 state words, derived
+    beforehand by :func:`_seed_state_words`."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """numpy's seed-sequence hash step on uint32 words: the hashed words and
+    the next hash constant."""
+    following = const * mult & _WORD
+    value = (value ^ np.uint32(const)) * np.uint32(following)
+    return value ^ (value >> _XSHIFT), following
+
+
+def _seed_state_words(seed: int, idx: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i
+    of the uint32 array ``idx`` (seed below 2**32 too, so the entropy is the
+    two words [seed, i]), as an (m, 4) array: numpy's hashing on a (4, m)
+    pool."""
+    m = len(idx)
+    zeros = np.zeros(m, dtype=np.uint32)
+    pool = []
+    const = _INIT_A
+    for word in (np.full(m, seed, dtype=np.uint32), idx, zeros, zeros):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * word
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state: 8 uint32 words cycling over the pool, paired low word
+    # first into 4 uint64 words
+    const = _INIT_B
+    state = []
+    for k in range(8):
+        word, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
+                    axis=1)
+
+
+def sample_rngs(seed: int, idx) -> list[np.random.Generator]:
+    """``[sample_rng(seed, i) for i in idx]``, derived together.
+
+    The seed-sequence hashing runs once on the whole index set, and each
+    generator's PCG64 is seeded from its row of state words, so every
+    generator is independent and has the state of ``sample_rng(seed, i)``.
+    A seed or index of 2**32 or more (several entropy words) takes
+    ``sample_rng`` itself.  Raises ValueError on a negative seed or index,
+    as SeedSequence does.
+    """
+    idx = [int(i) for i in idx]
+    if not idx:
+        return []
+    if seed < 0 or min(idx) < 0:
+        raise ValueError(f"seed and indices must be non-negative, got seed {seed}, "
+                         f"least index {min(idx)}")
+    if seed > _WORD or max(idx) > _WORD:
+        return [sample_rng(seed, i) for i in idx]
+    words = _seed_state_words(seed, np.array(idx, dtype=np.uint32))
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+
+
 def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
               atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """Run a registered check over seeded random inputs, in batches.
 
-    Sample i draws from ``sample_rng(seed, i)``.  The check's rows are
-    evaluated SWEEP_CHUNK samples at a time, and only the first failing
-    sample's inputs are serialized, as the witness.  Every row gets the
-    arithmetic of its sample alone, so the report equals
+    Sample i draws from ``sample_rng(seed, i)``; a chunk's generators are
+    derived together (:func:`sample_rngs`), with the same states.  The
+    check's rows are evaluated SWEEP_CHUNK samples at a time, and only the
+    first failing sample's inputs are serialized, as the witness.  Every row
+    gets the arithmetic of its sample alone, so the report equals
     :func:`merge_reports` over the public check run on each sample's inputs.
     """
     if check not in CHECK_RUNNERS:
@@ -1104,7 +1195,7 @@ def run_sweep(check: str, d: AlgebraDescriptor, samples: int, seed: int,
     details: dict = {}
     for start in range(0, samples, SWEEP_CHUNK):
         idx = range(start, min(start + SWEEP_CHUNK, samples))
-        inputs = runner.draw(d, [sample_rng(seed, i) for i in idx], atol, rtol)
+        inputs = runner.draw(d, sample_rngs(seed, idx), atol, rtol)
         passed, slack, extra = runner.rows(d, inputs, atol, rtol)
         worst = min(worst, float(slack.min()))
         for key, vals in extra.items():

@@ -111,6 +111,22 @@ def test_tolerance_above_the_invertibility_floor_exits_2_naming_it(tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--alg", "sym:3", "--samples", "2"],
+    ["norm", "--kind", "lyap", "--operand", "../e.json", "--r", "1", "--s", "2"],
+    ["prospect"],
+], ids=lambda c: c[0])
+def test_negative_seed_exits_2_naming_it(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "e.json").write_text(json.dumps(element_to_json(unit(SymMatrix(2)))))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([*command, "--seed", "-1"]) == 2
+    (line,) = error_lines(capsys)
+    assert "--seed" in line
+    assert list(work.iterdir()) == []
+
+
 class TestReproExample:
     def test_output_and_exit(self, capsys):
         assert main(["repro-example"]) == 0
@@ -251,6 +267,17 @@ class TestProspect:
         rec["margin"] = rec["margin"] - 1.0
         path.write_text(json.dumps(rec) + "\n")
         assert main(["prospect", "--replay", str(path)]) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
+                                            ("--budget", "0")])
+    def test_empty_sweep_exits_2_naming_the_flag(self, tmp_path, monkeypatch, capsys,
+                                                 flag, value):
+        # no tests would mean no violations and an infinite min margin
+        monkeypatch.chdir(tmp_path)
+        assert main(["prospect", "--alg", "sym:2", flag, value]) == 2
+        (line,) = error_lines(capsys)
+        assert flag in line
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["prospect", "--family", "bogus", "--alg", "sym:2"]) == 2

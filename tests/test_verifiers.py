@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcone.algebra import (
     DescriptorMismatchError,
@@ -72,6 +74,7 @@ from symcone.verifiers import (
     sample_invertible,
     sample_psd_gram,
     sample_rng,
+    sample_rngs,
 )
 
 from conftest import CATALOG, SMALL_CATALOG
@@ -465,6 +468,77 @@ class TestSweepMachinery:
         with pytest.raises(verifiers.ResampleError, match=r"1\.000e\+01 \(atol 1,"):
             verifiers._invertible_coords(SymMatrix(3), rngs, atol=1.0)
         assert len(draws) == len(rngs) + verifiers.MAX_RESAMPLE_DRAWS - 1
+
+
+def assert_same_generators(seed, idx):
+    rngs = sample_rngs(seed, idx)
+    assert len(rngs) == len(idx)
+    for i, rng in zip(idx, rngs):
+        ref = sample_rng(seed, i)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.normal(size=5), ref.normal(size=5))
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestSampleRngs:
+    WORD = 2**32 - 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_fixed_cases_equal_sample_rng(self, seed):
+        assert_same_generators(seed, [0, 1, 2, 2**31, self.WORD, 7])
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
+    def test_seeds_of_several_words_equal_sample_rng(self, seed):
+        assert_same_generators(seed, [0, 3, self.WORD])
+
+    def test_indices_of_several_words_equal_sample_rng(self):
+        assert_same_generators(5, [0, 2**32, 2**40 + 1])
+
+    def test_empty_and_unordered_indices(self):
+        assert sample_rngs(3, []) == []
+        assert sample_rngs(3, range(0)) == []
+        assert_same_generators(11, [9, 2, 40, 2, 0])
+        assert_same_generators(11, np.arange(5, 0, -1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2**32 - 1), max_size=6))
+    def test_drawn_cases_equal_sample_rng(self, seed, idx):
+        assert_same_generators(seed, idx)
+
+    def test_generators_are_independent(self):
+        rngs = sample_rngs(4, range(3))
+        before = [rng.bit_generator.state for rng in rngs]
+        rngs[1].normal(size=10)
+        assert rngs[0].bit_generator.state == before[0]
+        assert rngs[2].bit_generator.state == before[2]
+        assert rngs[1].bit_generator.state != before[1]
+
+    @pytest.mark.parametrize("seed,idx", [(-1, [0]), (0, [3, -1])])
+    def test_negative_seed_or_index_raises(self, seed, idx):
+        with pytest.raises(ValueError):
+            sample_rngs(seed, idx)
+        with pytest.raises(ValueError):
+            sample_rng(seed, min(idx))
+
+    def test_stream_definition_is_pinned(self):
+        # a numpy release that changed the SeedSequence or PCG64 streams
+        # would change every report; this fails first
+        seed = 20260809
+        assert sample_rng(seed, 0).bit_generator.state["state"] == {
+            "state": 156029310237003609994223988333554112954,
+            "inc": 54823769193091658474538912927356309143}
+        assert sample_rng(seed, 9999).bit_generator.state["state"] == {
+            "state": 302259487849187179390856588200369157997,
+            "inc": 143511532060148288713824190816783344741}
+
+    @pytest.mark.parametrize("low,high", [(verifiers.CONE_EIG_LOW, verifiers.CONE_EIG_HIGH),
+                                          (0.0, 2.0)])
+    def test_unit_draws_map_to_the_uniform_draws(self, low, high):
+        # the cone samplers draw rng.random and map it as rng.uniform does
+        u = sample_rng(8, 1).random(10_000)
+        assert np.array_equal(verifiers._cone_eigs(u, low, high),
+                              sample_rng(8, 1).uniform(low, high, 10_000))
 
 
 def frame_from_json(objs):
