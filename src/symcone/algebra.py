@@ -212,10 +212,14 @@ def from_matrix(M: np.ndarray) -> Element:
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
-    asym = np.abs(M - M.T).max() if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        asym = np.abs(M - M.T).max() if n > 1 else 0.0
+        S = (M + M.T) / 2.0
+    if not np.isfinite(S).all():
+        raise ValueError("matrix has non-finite entries (or overflows when symmetrized)")
     if asym > 1e-10 * max(1.0, np.abs(M).max()):
         raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
-    return Element(SymMatrix(n), sym_pack((M + M.T) / 2.0))
+    return Element(SymMatrix(n), sym_pack(S))
 
 
 @lru_cache(maxsize=None)
@@ -403,14 +407,25 @@ def descriptor_to_json(d: AlgebraDescriptor) -> dict:
     return {"kind": "sum", "factors": [descriptor_to_json(f) for f in d.factors]}
 
 
+# the types json decodes a number to; bool, an int subclass, is left out
+_JSON_NUMBERS = frozenset((float, int))
+
+
 def descriptor_from_json(obj: dict) -> AlgebraDescriptor:
+    """Inverse of :func:`descriptor_to_json`; anything else raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"algebra JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "sym":
-        return SymMatrix(int(obj["n"]))
-    if kind == "spin":
-        return SpinFactor(int(obj["n"]))
+    if kind in ("sym", "spin"):
+        n = obj.get("n")
+        if type(n) is not int:  # JSON true and false decode to bool, an int subclass
+            raise ValueError(f"algebra size n must be a JSON integer, got {n!r}")
+        return SymMatrix(n) if kind == "sym" else SpinFactor(n)
     if kind == "sum":
-        return DirectSum(tuple(descriptor_from_json(f) for f in obj["factors"]))
+        factors = obj.get("factors")
+        if not isinstance(factors, list):
+            raise ValueError(f"direct-sum factors must be a JSON array, got {factors!r}")
+        return DirectSum(tuple(descriptor_from_json(f) for f in factors))
     raise ValueError(f"unknown algebra kind {kind!r}")
 
 
@@ -424,7 +439,13 @@ def element_to_json(x: Element) -> dict:
 def element_from_json(obj: dict) -> Element:
     """Inverse of :func:`element_to_json`; rejects NaN and infinite coordinates."""
     d = descriptor_from_json(obj)
-    coords = np.asarray(obj["coords"], dtype=np.float64)
+    coords = obj.get("coords")
+    if not (type(coords) is list and _JSON_NUMBERS.issuperset(map(type, coords))):
+        raise ValueError("element coords must be a flat JSON array of numbers")
+    try:
+        coords = np.array(coords, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError("element coordinates must be finite") from None
     if not np.isfinite(coords).all():
         raise ValueError("element coordinates must be finite")
     return Element(d, coords)

@@ -185,15 +185,23 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                 )
         else:
             raise ConfigError(f"unknown norm kind {args.kind!r}")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser goes
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"cannot load operand: {exc}") from None
-    closed = norm_closed_form(args.kind, operand, r, s, descriptor=descriptor)
-    rng = np.random.default_rng(args.seed)
-    est = norm_empirical(args.kind, operand, r, s, budget=args.budget, rng=rng,
-                         descriptor=descriptor)
+    # a finite operand can still overflow float64 on its way to a norm; the
+    # eigensolver's gates and the finiteness check below reject that, so
+    # numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = norm_closed_form(args.kind, operand, r, s, descriptor=descriptor)
+        rng = np.random.default_rng(args.seed)
+        est = norm_empirical(args.kind, operand, r, s, budget=args.budget, rng=rng,
+                             descriptor=descriptor)
     gap = closed - est.value
+    if not all(math.isfinite(v) for v in (closed, est.value, est.witness_value, gap)):
+        raise ConfigError(f"the operand's norm overflows: closed form {closed!r}, "
+                          f"empirical {est.value!r}")
     print(f"closed form:     {closed!r}")
     print(f"empirical:       {est.value!r}")
     print(f"witness ratio:   {est.witness_value!r}")
@@ -219,8 +227,12 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_prospect(args: argparse.Namespace) -> int:
     if args.replay:
         records = read_archive(args.replay)
+        # a finite record can overflow float64 in its margin: the eigensolver
+        # rejects it, and a non-finite margin never confirms
+        with np.errstate(over="ignore", invalid="ignore"):
+            replayed = replay_records(records)
         bad = 0
-        for i, (rec, (ok, margin)) in enumerate(zip(records, replay_records(records))):
+        for i, (rec, (ok, margin)) in enumerate(zip(records, replayed)):
             if not ok:
                 bad += 1
                 print(f"record {i}: MISMATCH (stored {rec.margin!r}, replayed {margin!r})")

@@ -139,16 +139,26 @@ class SearchRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchRecord":
-        descriptor_from_spec(obj["descriptor"])  # reject an unparseable spec here
+        if not isinstance(obj, dict):
+            raise ValueError(f"a record must be a JSON object, got {type(obj).__name__}")
+        spec, verdict = obj["descriptor"], obj["verdict"]
+        problem = obj.get("problem", "general")
+        if not all(type(v) is str for v in (spec, verdict, problem)):
+            raise ValueError(f"descriptor, verdict and problem must be strings, "
+                             f"got {spec!r}, {verdict!r}, {problem!r}")
+        descriptor_from_spec(spec)  # reject an unparseable spec here
+        margin = float(obj["margin"])
+        if not math.isfinite(margin):
+            raise ValueError(f"margin must be finite, got {margin!r}")
         return cls(
             family=obj["family"],
-            descriptor=obj["descriptor"],
+            descriptor=spec,
             seed=obj.get("seed"),
             entries=np.asarray(obj["A"], dtype=np.float64),
             b_witness=element_from_json(obj["b"]),
-            margin=float(obj["margin"]),
-            verdict=obj["verdict"],
-            problem=obj.get("problem", "general"),
+            margin=margin,
+            verdict=verdict,
+            problem=problem,
         )
 
 
@@ -387,7 +397,9 @@ def read_archive(path) -> list:
             except KeyError as exc:
                 raise ValueError(f"{path}, line {lineno}: archive record "
                                  f"lacks the field {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+                # OverflowError: an integer beyond the float range;
+                # RecursionError: JSON nested deeper than the parser goes
                 raise ValueError(f"{path}, line {lineno}: malformed archive "
                                  f"record ({exc})") from None
     return out

@@ -143,11 +143,13 @@ def sym_eigen(
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
     if n > 1:
-        with np.errstate(invalid="ignore"):  # inf - inf; the threshold gate rejects it
+        # inf - inf, or a sum that overflows: the threshold gate rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
             asym = np.abs(M - M.T).max()
+            S = (M + M.T) / 2.0
         if asym > 1e-10 * max(1.0, np.abs(M).max()):
             raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
-        M = (M + M.T) / 2.0
+        M = S
     thresh = _jacobi_thresh(M, tol)
     w, V, off = _kernels.jacobi_eigh(M, tol, max_sweeps)
     if not off <= thresh:  # "not <=" so that a NaN residual counts as unconverged

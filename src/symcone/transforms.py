@@ -45,6 +45,7 @@ class FrameError(ValueError):
 
 
 _FRAME_CHECK_TOL = 1e-7
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
 def validate_frame(frame: JordanFrame, tol: float = _FRAME_CHECK_TOL) -> None:
@@ -66,8 +67,12 @@ class SchurMatrix:
             raise ValueError("multiplier matrix must be square")
         if not np.isfinite(A).all():
             raise ValueError("multiplier matrix entries must be finite")
+        scale = np.abs(A).max()
+        if scale > _HALF_MAX:  # A + A.T, or A - A.T, could overflow
+            raise ValueError(f"multiplier matrix entries too large to symmetrize "
+                             f"({scale:.3e})")
         asym = np.abs(A - A.T).max() if A.shape[0] > 1 else 0.0
-        if asym > 1e-12 * max(1.0, np.abs(A).max()):
+        if asym > 1e-12 * max(1.0, scale):
             raise ValueError(f"multiplier matrix is not symmetric (residual {asym:.3e})")
         A = (A + A.T) / 2.0
         A.flags.writeable = False

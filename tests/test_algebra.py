@@ -1,5 +1,7 @@
 """Core algebra: descriptors, products, inner products, random generation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from symcone.algebra import (
     SpinFactor,
     SymMatrix,
     basis_element,
+    descriptor_from_json,
     descriptor_from_spec,
+    descriptor_to_json,
     descriptor_to_spec,
     element_from_json,
     element_to_json,
@@ -260,6 +264,40 @@ class TestElement:
             y = element_from_json(element_to_json(x))
             assert y.descriptor == d
             assert np.array_equal(x.coords, y.coords)
+
+    def test_descriptor_json_roundtrip(self):
+        for d in CATALOG:
+            assert descriptor_from_json(descriptor_to_json(d)) == d
+
+    @pytest.mark.parametrize("obj", [
+        [1, 2], "sym:2", None, 3,
+        {"kind": "sym", "n": 2.5}, {"kind": "sym", "n": 2.0}, {"kind": "sym", "n": "2"},
+        {"kind": "spin", "n": True}, {"kind": "spin"}, {"kind": "sym", "n": [2]},
+        {"kind": "sum", "factors": 5}, {"kind": "sum", "factors": "sym"},
+        {"kind": "sum", "factors": [[1]]}, {"kind": "sum"}, {"kind": "cube", "n": 2},
+    ], ids=repr)
+    def test_descriptor_json_rejects_other_values(self, obj):
+        with pytest.raises(ValueError):
+            descriptor_from_json(obj)
+
+    @pytest.mark.parametrize("coords", [
+        [[1.0], [2.0], [3.0]], [True, False, True], [1.0, "2", 3.0], "123",
+        None, [1.0, None, 3.0], [10**400, 1.0, 1.0],
+    ], ids=["nested", "boolean", "string-entry", "string", "null", "null-entry",
+            "integer-beyond-float"])
+    def test_element_json_rejects_coords_not_a_flat_array_of_numbers(self, coords):
+        with pytest.raises(ValueError):
+            element_from_json({"kind": "sym", "n": 2, "coords": coords})
+
+    def test_element_json_accepts_integer_coords(self):
+        x = element_from_json({"kind": "sym", "n": 2, "coords": [1, 2, 3]})
+        assert x.coords.tolist() == [1.0, 2.0, 3.0]
+
+    def test_from_matrix_overflow_is_rejected_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                from_matrix(np.full((2, 2), 1e308))
 
     def test_basis_spans(self):
         d = SymMatrix(2)

@@ -1,12 +1,20 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import math
+import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symcone
 from symcone import cli
@@ -210,6 +218,41 @@ class TestNorm:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("kind,alg,name,text", [
+        ("lyap", None, "big.json", '{"kind": "sym", "n": 2, "coords": [1e308, 1e308, 1e308]}'),
+        ("quad", None, "big.json", '{"kind": "sym", "n": 2, "coords": [1e154, 0.0, 1e154]}'),
+        ("schur", "sym:2", "big.csv", "1e308,1e308\n1e308,1e308\n"),
+    ], ids=["sym-symmetrization", "quad-rep", "csv-symmetrization"])
+    def test_operand_overflowing_on_the_way_exits_2_with_one_line(
+            self, tmp_path, capsys, kind, alg, name, text):
+        op = tmp_path / name
+        op.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--kind", kind, "--operand", str(op),
+                         *(["--alg", alg] if alg else []),
+                         "--r", "2", "--s", "2", "--budget", "10"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2, 3]", '"sym:2"', "null", '{"kind": "sym", "n": 2.5, "coords": [1, 2, 3]}',
+        '{"kind": "sym", "n": "2", "coords": [1, 2, 3]}',
+        '{"kind": "sym", "n": 2, "coords": [[1], [2], [3]]}',
+        '{"kind": "sym", "n": 2, "coords": [true, false, true]}',
+        '{"kind": "sum", "factors": 5, "coords": [1]}',
+        "[" * 100000 + "]" * 100000,
+    ], ids=["list", "string", "null", "fractional-n", "string-n", "nested-coords",
+            "boolean-coords", "factors-not-array", "nested-too-deep"])
+    def test_operand_json_of_another_shape_exits_2(self, tmp_path, capsys, text):
+        op = tmp_path / "op.json"
+        op.write_text(text)
+        assert main(["norm", "--kind", "lyap", "--operand", str(op),
+                     "--r", "2", "--s", "2", "--budget", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load operand")
+
     def test_bad_order_exits_2(self, tmp_path, capsys):
         op = tmp_path / "e.json"
         op.write_text(json.dumps(element_to_json(unit(SymMatrix(2)))))
@@ -312,6 +355,24 @@ class TestProspect:
         assert f"line {len(path.read_text().splitlines())}" in line
         assert "descriptor" in line
 
+    @pytest.mark.parametrize("field,value", [
+        ("b", [1.0, 0.0, 1.0]), ("b", "sym:2"), ("b", None),
+        ("b", {"kind": "sym", "n": 2.5, "coords": [1.0, 0.0, 1.0]}),
+        ("b", {"kind": "sym", "n": 2, "coords": [[1.0], [0.0], [1.0]]}),
+        ("descriptor", ["sym:2"]), ("problem", ["general"]), ("margin", 10**400),
+        ("margin", math.nan),
+    ], ids=["b-list", "b-string", "b-null", "b-fractional-n", "b-nested-coords",
+            "descriptor-list", "problem-list", "margin-huge-int", "margin-nan"])
+    def test_replay_of_record_field_of_another_shape_exits_2(self, tmp_path, capsys,
+                                                             field, value):
+        record = self._mixed_records()[0].to_json()
+        record[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["prospect", "--replay", str(path)]) == 2
+        (line,) = error_lines(capsys)
+        assert "line 1: malformed archive record" in line
+
     def test_replay_of_archive_from_the_per_element_verifier(self, capsys):
         # records the per-element verifier archived (zero-diagonal violations
         # on four algebras, both problems) still replay
@@ -351,3 +412,150 @@ class TestProspect:
         assert main(["prospect", "--replay", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: b is not in the cone")
+
+
+# --- exit codes on fuzzed input ---------------------------------------------------
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
+                        st.floats(), st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+# finite numbers across the float range, small ones and integers too
+NUMBERS = st.one_of(st.floats(-10.0, 10.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**20, 10**20))
+FUZZ_ALGEBRAS = ("sym:1", "sym:2", "sym:3", "spin:3", "spin:5", "sum:sym:2+spin:3")
+FUZZ_ORDERS = (("1", "1"), ("2", "2"), ("inf", "inf"), ("1", "inf"), ("inf", "1"),
+               ("3", "2"), ("2", "3"))
+
+
+@st.composite
+def element_objects(draw):
+    """An element's JSON, the same with one field replaced by any JSON
+    value, or any JSON value at all."""
+    choice = draw(st.integers(0, 2))
+    if choice == 2:
+        return draw(JSON_VALUES)
+    d = descriptor_from_spec(draw(st.sampled_from(FUZZ_ALGEBRAS)))
+    obj = element_to_json(Element(d, np.zeros(d.dim)))
+    obj["coords"] = draw(st.lists(NUMBERS, min_size=d.dim, max_size=d.dim))
+    if choice == 1:
+        obj[draw(st.sampled_from(("kind", "n", "factors", "coords")))] = draw(JSON_VALUES)
+    return obj
+
+
+@st.composite
+def multiplier_csvs(draw):
+    """A symmetric matrix of any floats (NaN and infinities too), or rows of
+    arbitrary cells, as CSV text."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        entries = draw(st.lists(st.one_of(NUMBERS, st.floats()), min_size=n * n,
+                                max_size=n * n))
+        A = np.array(entries, dtype=np.float64).reshape(n, n)
+        A = np.where(np.triu(np.ones((n, n), dtype=bool)), A, A.T)
+        rows = [[repr(float(v)) for v in row] for row in A]
+    else:
+        cell = st.one_of(NUMBERS.map(repr), st.floats().map(repr),
+                         st.sampled_from(["", "nan", "-inf", "1e400", "x"]),
+                         st.text(max_size=4))
+        rows = draw(st.lists(st.lists(cell, min_size=1, max_size=4), max_size=4))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_records() -> tuple:
+    return tuple(json.dumps(r.to_json()) for r in TestProspect._mixed_records()[:4])
+
+
+@st.composite
+def archive_texts(draw):
+    """One to three archive lines: a replayable record, one with a field
+    (or a field of its element b) replaced by any JSON value or by numbers
+    across the float range, or any JSON value or text at all."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        choice = draw(st.integers(0, 4))
+        if choice == 4:
+            lines.append(draw(st.one_of(JSON_VALUES.map(json.dumps),
+                                        st.text(max_size=20).map(
+                                            lambda t: t.replace("\n", " ")))))
+            continue
+        rec = json.loads(draw(st.sampled_from(_fuzz_records())))
+        if choice == 1:
+            rec[draw(st.sampled_from(sorted(rec)))] = draw(JSON_VALUES)
+        elif choice == 2:
+            rec["b"][draw(st.sampled_from(("kind", "n", "factors", "coords")))] = \
+                draw(JSON_VALUES)
+        elif choice == 3:
+            n, dim = len(rec["A"]), len(rec["b"]["coords"])
+            rec["A"] = np.array(draw(st.lists(NUMBERS, min_size=n * n, max_size=n * n)),
+                                dtype=np.float64).reshape(n, n).tolist()
+            rec["b"]["coords"] = draw(st.lists(NUMBERS, min_size=dim, max_size=dim))
+            rec["margin"] = draw(NUMBERS)
+        lines.append(json.dumps(rec))
+    return "".join(line + "\n" for line in lines)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process command; any warning
+    raises, so it escapes ``main`` like any other exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2)
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    if code == 2:
+        assert len(errors) == 1 and err.splitlines() == errors, err
+    else:
+        assert not errors, err
+    if code == 0:
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+
+
+class TestExitCodesOnFuzzedInput:
+    """Exit 0, 1 or 2 whatever the input; exit 2 says so on one ``error:``
+    line, and exit 0 never prints nan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(element_objects(), st.sampled_from(("lyap", "quad")),
+           st.sampled_from(FUZZ_ORDERS), st.integers(1, 6))
+    def test_norm_json_operand(self, obj, kind, orders, budget):
+        with tempfile.TemporaryDirectory() as tmp:
+            op = Path(tmp) / "op.json"
+            op.write_text(json.dumps(obj), encoding="utf-8")
+            outcome = run_main(["norm", "--kind", kind, "--operand", str(op),
+                                "--r", orders[0], "--s", orders[1],
+                                "--budget", str(budget)])
+        assert_exit_contract(*outcome)
+
+    @settings(max_examples=80, deadline=None)
+    @given(multiplier_csvs(), st.sampled_from(FUZZ_ALGEBRAS),
+           st.sampled_from(FUZZ_ORDERS), st.integers(1, 6))
+    def test_norm_csv_multiplier(self, text, alg, orders, budget):
+        with tempfile.TemporaryDirectory() as tmp:
+            op = Path(tmp) / "A.csv"
+            op.write_text(text, encoding="utf-8")
+            outcome = run_main(["norm", "--kind", "schur", "--operand", str(op),
+                                "--alg", alg, "--r", orders[0], "--s", orders[1],
+                                "--budget", str(budget)])
+        assert_exit_contract(*outcome)
+
+    @settings(max_examples=80, deadline=None)
+    @given(archive_texts())
+    def test_replay_archive(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "archive.jsonl"
+            path.write_text(text, encoding="utf-8")
+            outcome = run_main(["prospect", "--replay", str(path)])
+        assert_exit_contract(*outcome)

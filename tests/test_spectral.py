@@ -35,6 +35,7 @@ from symcone.spectral import (
     spectral_decompose_batch,
     sqrt_el,
     standard_frame,
+    sym_eigen,
     trace,
 )
 from symcone.transforms import NEG_FN, POS_FN, apply_sublinear
@@ -126,6 +127,12 @@ class TestEigvals:
                 tol = 1e-9 * (1.0 + max(norm(x), norm(y)))
                 assert np.all(lx <= ly + tol)
 
+
+    def test_sym_eigen_overflowing_symmetrization_is_rejected_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                sym_eigen(np.full((2, 2), 1e308))
 
     @pytest.mark.parametrize("d", [SpinFactor(3), DirectSum((SymMatrix(2), SpinFactor(3)))],
                              ids=["spin:3", "sum:sym:2+spin:3"])

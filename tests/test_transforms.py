@@ -1,6 +1,8 @@
 """Transformations: multiplication/quadratic maps, Peirce and Schur products,
 operator matrices, sublinear spectral maps, positivity machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,15 @@ class TestSchurMatrixIO:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             SchurMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("big", [[[1e308, 1e308], [1e308, 1e308]],
+                                     [[1.0, 1e308], [-1e308, 1.0]]],
+                             ids=["symmetric", "antisymmetric"])
+    def test_overflowing_symmetrization_is_rejected_silently(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                SchurMatrix(np.array(big))
 
     def test_csv_roundtrip(self, tmp_path):
         A = SchurMatrix(np.array([[1.0, 0.25], [0.25, -2.0]]))
