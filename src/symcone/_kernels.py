@@ -1,99 +1,25 @@
-"""Cyclic-Jacobi eigensolver kernels in numpy.
+"""Cyclic-Jacobi eigensolver kernel in numpy.
 
-There is one scalar kernel, for one matrix, and one batched kernel, for a
-stack of matrices vectorized over the stack; each takes a flag that decides
-whether eigenvectors are accumulated.  Both run the same cyclic sweep
-schedule: for each sweep the pairs (p, q), p < q, are visited in row-major
-order and the pivot entry is annihilated by a plane rotation.  Convergence
-is declared when the off-diagonal Frobenius mass drops below ``tol`` times
-the Frobenius norm of the input (floored at 1.0).  The kernels never raise;
-they return the final off-diagonal residual and leave the convergence
-decision to the caller.
+There is one kernel, :func:`jacobi_batch`, vectorized over a stack of
+symmetric matrices, with a flag that decides whether eigenvectors are
+accumulated; one matrix is a stack of one.  Each sweep visits the pairs
+(p, q), p < q, in row-major order and annihilates the pivot entry by a plane
+rotation.  Convergence is declared when the off-diagonal Frobenius mass
+drops below ``tol`` times the Frobenius norm of the input (floored at 1.0).
+The kernel never raises; it returns the final off-diagonal residuals and
+leaves the convergence decision to the caller.
 
-``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are the entry
-points the spectral layer calls; they stay separate names because the
-benchmark's tracer (``perfbench/tracing.py``) wraps each one by name.
+``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are entry points
+over that kernel; they stay separate names because the benchmark's tracer
+(``perfbench/tracing.py``) wraps each one by name.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 64
-
-_TINY_PIVOT = 1e-150  # |A[p,q]| below this times |diff| -> linearized rotation
-
-
-def _jacobi_scalar(M, tol, max_sweeps, vectors):
-    """Cyclic Jacobi on one symmetric matrix.
-
-    Returns (eigenvalues unsorted, eigenvector columns or None when
-    ``vectors`` is false, off-diagonal residual).  The flag only decides
-    whether the rotations are accumulated; the eigenvalues and the residual
-    do not depend on it.  ``M`` is not modified.
-    """
-    n = M.shape[0]
-    A = M.copy()
-    V = np.eye(n) if vectors else None
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += A[i, j] * A[i, j]
-    thresh = tol * max(math.sqrt(total), 1.0)
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += 2.0 * A[i, j] * A[i, j]
-    off = math.sqrt(off)
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < _TINY_PIVOT * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                A[p, p] -= t * apq
-                A[q, q] += t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = A[i, p]
-                        aiq = A[i, q]
-                        A[i, p] = aip - s * (aiq + tau * aip)
-                        A[p, i] = A[i, p]
-                        A[i, q] = aiq + s * (aip - tau * aiq)
-                        A[q, i] = A[i, q]
-                if vectors:
-                    for i in range(n):
-                        vip = V[i, p]
-                        viq = V[i, q]
-                        V[i, p] = vip - s * (viq + tau * vip)
-                        V[i, q] = viq + s * (vip - tau * viq)
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += 2.0 * A[i, j] * A[i, j]
-        off = math.sqrt(off)
-        sweeps += 1
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = A[i, i]
-    return w, V, off
 
 
 def _offdiag_mass(A):
@@ -108,11 +34,11 @@ def _offdiag_mass(A):
 def _batch_sweep(A, V):
     """One cyclic sweep over every matrix of the stack A, in place.
 
-    The tangent is the scalar kernel's t = sgn(theta) / (|theta| +
-    sqrt(theta^2 + 1)) with theta = diff / (2 apq), written as
+    The tangent of the smaller rotation angle, t = sgn(theta) / (|theta| +
+    sqrt(theta^2 + 1)) with theta = diff / (2 apq), is written as
     2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
-    overflow of theta^2, which makes the linearized tiny-pivot branch
-    unnecessary, and exactly 0 (an identity rotation) for a zero pivot.
+    overflow of theta^2 at tiny pivots, and exactly 0 (an identity rotation)
+    for a zero pivot.
     """
     n = A.shape[1]
     for p in range(n - 1):
@@ -154,12 +80,12 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
     """Cyclic Jacobi on a stack of symmetric matrices, vectorized over the stack.
 
     Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n) or
-    None when ``vectors`` is false, off-diagonal residuals (m,)).  The (p, q)
-    schedule, the convergence test and the diagonal update are those of the
-    scalar kernel; each rotation step computes one angle per matrix and
-    rotates all matrices at once.  Each sweep runs on the matrices not yet
-    converged only, so every matrix ends exactly as it would in a stack of
-    its own.  ``S`` is not modified.
+    None when ``vectors`` is false, off-diagonal residuals (m,)).  Each
+    rotation step computes one angle per matrix and rotates all matrices at
+    once.  Each sweep runs on the matrices not yet converged only, so every
+    matrix ends exactly as it would in a stack of its own.  The flag only
+    decides whether the rotations are accumulated; the eigenvalues and the
+    residuals do not depend on it.  ``S`` is not modified.
     """
     A = np.array(S, dtype=np.float64, copy=True)
     m, n = A.shape[0], A.shape[1]
@@ -187,15 +113,16 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
 
 def jacobi_eigh(M, tol, max_sweeps):
     """Eigenvalues (unsorted), eigenvector columns and off-diagonal residual
-    of one symmetric matrix."""
-    return _jacobi_scalar(M, tol, max_sweeps, True)
+    of one symmetric matrix: a batch of one of :func:`jacobi_batch`."""
+    W, V, off = jacobi_batch(M[None], tol, max_sweeps, vectors=True)
+    return W[0], V[0], off[0]
 
 
 def jacobi_vals(M, tol, max_sweeps):
     """Eigenvalues (unsorted) and off-diagonal residual of one symmetric
-    matrix; the same arithmetic as :func:`jacobi_eigh`."""
-    w, _, off = _jacobi_scalar(M, tol, max_sweeps, False)
-    return w, off
+    matrix: a batch of one of :func:`jacobi_batch`."""
+    W, _, off = jacobi_batch(M[None], tol, max_sweeps)
+    return W[0], off[0]
 
 
 def jacobi_vals_batch(S, tol, max_sweeps):
@@ -211,9 +138,7 @@ def backend() -> str:
 
 
 def warm_up() -> None:
-    """Run every kernel once, so that first-call costs (lazy imports, cache
+    """Run the kernel once, so that first-call costs (lazy imports, cache
     fills) are paid before any timed code."""
-    M = np.array([[2.0, 1.0], [1.0, 3.0]])
-    jacobi_eigh(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    jacobi_vals(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    jacobi_vals_batch(M[None, :, :], JACOBI_TOL, JACOBI_MAX_SWEEPS)
+    jacobi_batch(np.array([[[2.0, 1.0], [1.0, 3.0]]]), JACOBI_TOL, JACOBI_MAX_SWEEPS,
+                 vectors=True)

@@ -8,12 +8,12 @@ norm           closed-form vs empirical operator norm for one operand
 prospect       sweep a multiplier family for violations, or replay an archive
 
 Exit codes: 0 success, 1 a check failed (a witness file is written),
-2 malformed configuration or input (see ``EXIT_CODES``), including a NaN,
-infinite or negative ``--atol`` or ``--rtol`` and a negative ``--seed``,
-which every subcommand rejects before any work, a ``prospect`` sweep with
-``--budget`` or ``--samples`` below 1, and, for ``verify``, tolerances so
-large that no sampled element clears the commuting-factor check's
-invertibility floor.
+2 malformed configuration or input (see ``EXIT_CODES``), including a command
+line that does not parse, a NaN, infinite or negative ``--atol`` or
+``--rtol`` and a negative ``--seed``, which every subcommand rejects before
+any work, a ``prospect`` sweep with ``--budget`` or ``--samples`` below 1,
+and, for ``verify``, tolerances so large that no sampled element clears the
+commuting-factor check's invertibility floor.
 All output is deterministic under a fixed configuration and seed.
 """
 
@@ -50,6 +50,15 @@ from .verifiers import ResampleError, check_absolute_product_counterexample, run
 
 class ConfigError(ValueError):
     """Bad command-line configuration; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it cannot parse (an unknown flag, a tolerance
+    that is not a number) as a ConfigError, so it ends like any other bad
+    input: exit 2 with one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 # Errors that end a command and their exit codes, reported as one ``error:``
@@ -265,7 +274,7 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symcone",
         description="Verification and search harness for eigenvalue "
                     "majorization inequalities over symmetric cones.",
@@ -319,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _check_tolerances(args)
         _check_seed(args)
         return args.func(args)

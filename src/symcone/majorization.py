@@ -62,7 +62,13 @@ def vec_pnorm(v, p: float) -> float:
         return float(v.max()) if v.size else 0.0
     if p == 1.0:
         return float(v.sum())
-    return float((v**p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = (v**p).sum()
+    if total == math.inf and v.max() < math.inf:
+        # the power sum overflowed on the way: the norm is scale-free
+        top = v.max()
+        return float(top * ((v / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def _weak_verdict(slacks: np.ndarray, scale: float, kind: str,
@@ -182,8 +188,12 @@ def vec_pnorm_rows(V, p) -> np.ndarray:
             out[rows] = V[rows].sum(axis=1)
         else:
             # the root is a scalar power, as in vec_pnorm: numpy's array
-            # power can differ from it in the last bit
-            out[rows] = [s ** (1.0 / q) for s in (V[rows] ** q).sum(axis=1)]
+            # power can differ from it in the last bit; a row whose power
+            # sum overflows takes vec_pnorm's rescaled sum
+            with np.errstate(over="ignore"):
+                sums = (V[rows] ** q).sum(axis=1)
+            out[rows] = [t ** (1.0 / q) if t < math.inf else vec_pnorm(v, q)
+                         for t, v in zip(sums, V[rows])]
     return out
 
 
@@ -202,14 +212,17 @@ def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
     """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold)."""
     sp, sq, scale = _partial_sums_rows(P, Q)
     worst = (sq - sp).min(axis=1)
-    return worst, worst >= -(atol + rtol * scale)
+    with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
+        band = atol + rtol * scale
+    return worst, worst >= -band
 
 
 def major_rows(P, Q, atol: float = DEFAULT_ATOL,
                rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`major` verdict: (worst slacks, rows that hold)."""
     sp, sq, scale = _partial_sums_rows(P, Q)
-    thresh = atol + rtol * scale
+    with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
+        thresh = atol + rtol * scale
     gap = np.abs(sp[:, -1] - sq[:, -1])
     holds = gap <= thresh
     worst = -gap
@@ -226,7 +239,9 @@ def major_rows(P, Q, atol: float = DEFAULT_ATOL,
 def _clamped_nonneg_rows(P, atol, rtol, label):
     P = np.asarray(P, dtype=np.float64)
     low = P.min(axis=1)
-    bad = np.flatnonzero(low < -(atol + rtol * np.abs(P).max(axis=1)))
+    with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
+        floor = -(atol + rtol * np.abs(P).max(axis=1))
+    bad = np.flatnonzero(low < floor)
     if bad.size:
         raise ValueError(f"{label} has a negative entry below tolerance: "
                          f"{low[bad[0]]:.3e}")
@@ -249,7 +264,8 @@ def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
     pp = np.cumprod(ps / div, axis=1)
     qp = np.cumprod(qs / div, axis=1)
     slacks = qp - pp
-    thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
+    with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
+        thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     gap = np.abs(pp[:, -1] - qp[:, -1])
     holds = gap <= thresholds[:, -1]
     worst = -gap

@@ -190,7 +190,14 @@ def norm_empirical(kind: str, operand, r: float, s: float,
         if math.isinf(r):
             mags = np.ones_like(dvec)  # |d|^(t/r) with t/r = 0 and 0^0 = 1
         else:
-            mags = np.abs(dvec) ** (t / r)
+            a = np.abs(dvec)
+            with np.errstate(over="ignore"):
+                mags = a ** (t / r)
+                image = (a.max() * mags.max()) ** 2
+            if image == math.inf:
+                # the witness's image would overflow the eigensolver's gate;
+                # the ratio is scale-free, so build it from |d| / max|d|
+                mags = (a / a.max()) ** (t / r)
         wit_xi = mags * np.sign(dvec)
     witness = rebuild(fr, wit_xi)
     wit_u = _rows_times(frame_cols, wit_xi[None, :])[0]

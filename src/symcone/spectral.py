@@ -3,13 +3,16 @@
 Every element decomposes as ``x = sum_i lambda_i e_i`` over a Jordan frame of
 orthonormal primitive idempotents; the eigenvalue vector is kept in
 decreasing order with stable tie order.  Symmetric-matrix factors are solved
-by the in-house cyclic Jacobi kernel, spin factors in closed form
-(``x0 +- ||xbar||``), direct sums by merging factor decompositions.
+by the in-house batched cyclic Jacobi kernel, spin factors in closed form
+(``x0 +- ||xbar||``), direct sums by merging factor decompositions.  There
+is one code path: the batched forms work on (m, dim) coordinate arrays, and
+the functions on one element (``eigvals``, ``spectral_decompose``,
+``rebuild``, ``sym_eigen``) are batches of one of them, so a sample has the
+same bits alone as in any sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +21,6 @@ import numpy as np
 from . import _kernels
 from .algebra import (
     AlgebraDescriptor,
-    DirectSum,
     Element,
     SpinFactor,
     SymMatrix,
@@ -83,9 +85,19 @@ class SpectralDecomposition:
 
 
 def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
-    """Element sum_i vals[i] * e_i over the given frame."""
-    stack = np.stack([e.coords for e in frame.idempotents])
-    return Element(frame.descriptor, np.asarray(vals, dtype=np.float64) @ stack)
+    """Element sum_i vals[i] * e_i over the given frame: a batch of one of
+    :func:`rebuild_batch`.
+
+    einsum takes its summation order from the memory layout, so the frame is
+    laid out as :func:`spectral_decompose_batch` lays out a frame of its
+    algebra (a Sym frame comes out of ``sym_pack`` with the rank axis
+    contiguous): a decomposed sample rebuilds to the bits of its batch row.
+    """
+    coords = [e.coords for e in frame.idempotents]
+    stack = (np.stack(coords, axis=1).T if isinstance(frame.descriptor, SymMatrix)
+             else np.stack(coords))
+    return Element(frame.descriptor,
+                   rebuild_batch(stack[None], np.asarray(vals, dtype=np.float64)[None])[0])
 
 
 def frame_residuals(frame: JordanFrame) -> dict:
@@ -106,22 +118,16 @@ def frame_residuals(frame: JordanFrame) -> dict:
     return {"idempotency": idem, "orthonormality": ortho, "unit_sum": unit_res}
 
 
-def _sorted_desc(vals: np.ndarray) -> np.ndarray:
-    order = np.argsort(-vals, kind="stable")
-    return order
-
-
-def _jacobi_thresh(M: np.ndarray, tol: float):
-    """Convergence threshold ``tol * max(||M||_F, 1)`` of one matrix, or one
-    per matrix of an (m, n, n) stack.
+def _jacobi_thresh(S: np.ndarray, tol: float):
+    """Convergence threshold ``tol * max(||M||_F, 1)`` of every matrix M of
+    an (m, n, n) stack.
 
     A NaN or infinite entry, or finite entries whose squares overflow, leave
     no threshold to converge to, so they are rejected here; the overflow
     itself is expected and stays silent.
     """
     with np.errstate(over="ignore"):
-        norms = (np.linalg.norm(M) if M.ndim == 2
-                 else np.sqrt((M * M).sum(axis=(1, 2))))
+        norms = np.sqrt((S * S).sum(axis=(1, 2)))
     if not np.isfinite(norms).all():
         raise ValueError("matrix has non-finite entries (or its norm overflows)")
     return tol * np.maximum(norms, 1.0)
@@ -134,9 +140,10 @@ def sym_eigen(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a symmetric matrix.
 
-    Cyclic Jacobi; raises :class:`JacobiConvergenceError` when the
-    off-diagonal mass has not dropped below ``tol * max(||M||_F, 1)`` within
-    ``max_sweeps`` sweeps, and ``ValueError`` on non-finite input.
+    A batch of one of :func:`sym_eigh_batch` after the square and symmetry
+    checks; raises :class:`JacobiConvergenceError` when the off-diagonal mass
+    has not dropped below ``tol * max(||M||_F, 1)`` within ``max_sweeps``
+    sweeps, and ``ValueError`` on non-finite input.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -150,12 +157,8 @@ def sym_eigen(
         if asym > 1e-10 * max(1.0, np.abs(M).max()):
             raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
         M = S
-    thresh = _jacobi_thresh(M, tol)
-    w, V, off = _kernels.jacobi_eigh(M, tol, max_sweeps)
-    if not off <= thresh:  # "not <=" so that a NaN residual counts as unconverged
-        raise JacobiConvergenceError(off, max_sweeps)
-    order = _sorted_desc(w)
-    return w[order], V[:, order]
+    W, V = sym_eigh_batch(M[None], tol, max_sweeps)
+    return W[0], V[0]
 
 
 def sym_eigvals_batch(
@@ -189,22 +192,12 @@ def sym_eigh_batch(
             np.take_along_axis(V, order[:, None, :], axis=2))
 
 
-def _spin_radius(x: Element) -> float:
-    """||xbar|| of a spin-factor element.
+def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
+    """||xbar|| of every row of an (m, n) spin-factor array.
 
     Non-finite coordinates, or a norm that overflows, are rejected; the
     overflow itself is expected and stays silent.
     """
-    with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(x.coords[1:]))
-        top = abs(float(x.coords[0])) + r  # bounds both eigenvalues x0 +- r
-    if not math.isfinite(top):
-        raise ValueError("element has non-finite coordinates (or overflows)")
-    return r
-
-
-def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
-    """:func:`_spin_radius` of every row of an (m, n) spin-factor array."""
     with np.errstate(over="ignore"):
         r = np.linalg.norm(X[:, 1:], axis=1)
         top = np.abs(X[:, 0]) + r
@@ -213,73 +206,24 @@ def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
     return r
 
 
-def _spin_decompose(x: Element) -> tuple[np.ndarray, list[Element]]:
-    d = x.descriptor
-    x0 = x.coords[0]
-    bar = x.coords[1:]
-    r = _spin_radius(x)
-    if r == 0.0:
-        u = np.zeros(d.n - 1)
-        u[0] = 1.0  # deterministic completion for the degenerate direction
-    else:
-        u = bar / r
-    cplus = np.concatenate(([0.5], 0.5 * u))
-    cminus = np.concatenate(([0.5], -0.5 * u))
-    vals = np.array([x0 + r, x0 - r])
-    return vals, [Element(d, cplus), Element(d, cminus)]
-
-
-def _embed(d: DirectSum, sl: slice, part: Element) -> Element:
-    coords = np.zeros(d.dim)
-    coords[sl] = part.coords
-    return Element(d, coords)
-
-
 def spectral_decompose(x: Element) -> SpectralDecomposition:
-    """Spectral decomposition x = sum_i lambda_i e_i, eigenvalues decreasing."""
+    """Spectral decomposition x = sum_i lambda_i e_i, eigenvalues decreasing:
+    a batch of one of :func:`spectral_decompose_batch`."""
     d = x.descriptor
-    if isinstance(d, SymMatrix):
-        w, V = sym_eigen(sym_unpack(x.coords, d.n))
-        frame = [Element(d, sym_pack(np.outer(V[:, i], V[:, i]))) for i in range(d.n)]
-        return SpectralDecomposition(w, JordanFrame(tuple(frame)))
-    if isinstance(d, SpinFactor):
-        vals, frame = _spin_decompose(x)
-        return SpectralDecomposition(vals, JordanFrame(tuple(frame)))
-    vals_all = []
-    frame_all = []
-    for f, sl in factor_slices(d):
-        sub = spectral_decompose(Element(f, x.coords[sl]))
-        vals_all.append(sub.eigenvalues)
-        frame_all.extend(_embed(d, sl, e) for e in sub.frame.idempotents)
-    vals = np.concatenate(vals_all)
-    order = _sorted_desc(vals)
-    frame = tuple(frame_all[i] for i in order)
-    return SpectralDecomposition(vals[order], JordanFrame(frame))
+    vals, frames = spectral_decompose_batch(d, x.coords[None])
+    return SpectralDecomposition(vals[0], JordanFrame(tuple(Element(d, f) for f in frames[0])))
 
 
 def eigvals(x: Element) -> np.ndarray:
-    """Eigenvalue vector lambda(x), sorted decreasing."""
-    d = x.descriptor
-    if isinstance(d, SymMatrix):
-        M = sym_unpack(x.coords, d.n)
-        thresh = _jacobi_thresh(M, JACOBI_TOL)
-        w, off = _kernels.jacobi_vals(M, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-        if not off <= thresh:
-            raise JacobiConvergenceError(off, JACOBI_MAX_SWEEPS)
-        return w[_sorted_desc(w)]
-    if isinstance(d, SpinFactor):
-        x0 = x.coords[0]
-        r = _spin_radius(x)
-        return np.array([x0 + r, x0 - r])
-    parts = [eigvals(Element(f, x.coords[sl])) for f, sl in factor_slices(d)]
-    vals = np.concatenate(parts)
-    return vals[_sorted_desc(vals)]
+    """Eigenvalue vector lambda(x), sorted decreasing: a batch of one of
+    :func:`eigvals_batch`."""
+    return eigvals_batch(x.descriptor, x.coords[None])[0]
 
 
 # --- batched forms on (m, dim) coordinate arrays -----------------------------------
 #
-# Row i of every array belongs to sample i; each row gets the same arithmetic
-# as the scalar function above applied to that sample alone, up to roundoff.
+# Row i of every array belongs to sample i, and its bits do not depend on the
+# other rows; the scalar functions above are batches of one of these.
 
 def eigvals_batch(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
     """:func:`eigvals` of every row of X: (m, rank), each row decreasing."""
@@ -345,21 +289,12 @@ def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def standard_frame(d: AlgebraDescriptor) -> JordanFrame:
-    """The canonical frame: matrix units for Sym, the first-axis pair for Spin."""
-    if isinstance(d, SymMatrix):
-        frame = []
-        for i in range(d.n):
-            M = np.zeros((d.n, d.n))
-            M[i, i] = 1.0
-            frame.append(Element(d, sym_pack(M)))
-        return JordanFrame(tuple(frame))
-    if isinstance(d, SpinFactor):
-        vals, frame = _spin_decompose(unit(d))
-        return JordanFrame(tuple(frame))
-    frame = []
-    for f, sl in factor_slices(d):
-        frame.extend(_embed(d, sl, e) for e in standard_frame(f).idempotents)
-    return JordanFrame(tuple(frame))
+    """The canonical frame: matrix units for Sym, the first-axis pair for Spin.
+
+    It is the frame of the unit: Jacobi makes no rotation on the identity, and
+    a spin factor's zero vector part takes the first axis.
+    """
+    return spectral_decompose(unit(d)).frame
 
 
 # --- spectral functions ----------------------------------------------------------

@@ -819,9 +819,8 @@ def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
 
     X = np.array([_general_draw(d, rng, sigma) for rng in rngs]).reshape(-1, d.dim)
     ok, _ = clears(eigvals_batch(d, X))
-    # rows that missed are redrawn one at a time (the scalar eigensolver is
-    # the cheaper one for a single element), so a row that cannot clear the
-    # floor raises after its own MAX_RESAMPLE_DRAWS draws
+    # rows that missed are redrawn one at a time, so a row that cannot clear
+    # the floor raises after its own MAX_RESAMPLE_DRAWS draws
     for i in np.flatnonzero(~ok):
         for _ in range(MAX_RESAMPLE_DRAWS - 1):
             X[i] = _general_draw(d, rngs[i], sigma)

@@ -26,7 +26,7 @@ from symcone.algebra import (
 from symcone.majorization import sort_desc
 from symcone.norms import norm_closed_form, norm_empirical
 from symcone.search import FamilySpec, replay_record, sweep
-from symcone.spectral import eigvals, spectral_decompose, sym_eigen
+from symcone.spectral import eigvals_batch, spectral_decompose, sym_eigh_batch
 from symcone.transforms import (
     ABS_FN,
     NEG_FN,
@@ -253,10 +253,10 @@ def test_kernel_oracles(capsys):
     rng = np.random.default_rng(SWEEP_SEED)
     jacobi_err = 0.0
     for n, oracle in ((2, eig2_closed), (3, eig3_closed)):
-        for _ in range(500):
-            G = rng.normal(0.0, 3.0, (n, n))
-            M = (G + G.T) / 2.0
-            w, _ = sym_eigen(M)
+        G = rng.normal(0.0, 3.0, (500, n, n))
+        S = (G + G.transpose(0, 2, 1)) / 2.0
+        W, _ = sym_eigh_batch(S)
+        for M, w in zip(S, W):
             scale = max(1.0, np.abs(M).max())
             jacobi_err = max(jacobi_err, np.abs(w - oracle(M)).max() / scale)
     quad_err = 0.0
@@ -287,11 +287,10 @@ def test_kernel_oracles(capsys):
     pairing_ok = True
     per_descriptor = SWEEP_SAMPLES // len(CATALOG) + 1
     for d in CATALOG:
-        for i in range(per_descriptor):
-            r = sample_rng(SWEEP_SEED + 6, i)
-            x = sample_general(d, r)
-            y = sample_general(d, r)
-            lx, ly = eigvals(x), eigvals(y)
+        rngs = [sample_rng(SWEEP_SEED + 6, i) for i in range(per_descriptor)]
+        pairs = [(sample_general(d, r), sample_general(d, r)) for r in rngs]
+        lam = eigvals_batch(d, np.array([e.coords for pair in pairs for e in pair]))
+        for (x, y), lx, ly in zip(pairs, lam[0::2], lam[1::2]):
             tol = 1e-9 * (1.0 + norm(x) * norm(y))
             first = float(np.dot(lx, ly))
             second = float(np.dot(sort_desc(np.abs(lx)), sort_desc(np.abs(ly))))

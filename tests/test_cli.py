@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symcone
@@ -236,6 +236,25 @@ class TestNorm:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("r,s,closed", [("3", "2", 2.0 ** (1.0 / 6.0) * 1e120),
+                                             ("2", "3", 1e120)])
+    def test_operand_whose_powers_overflow_has_a_finite_norm(self, tmp_path, capsys,
+                                                             r, s, closed):
+        # |d|^6 in the dual-exponent norm, the witness weights |d|^2 and the
+        # power sums of the s-norm overflow on the way; the norm does not
+        op = tmp_path / "big.json"
+        op.write_text('{"kind": "sym", "n": 2, "coords": [1e120, 0.0, 1e120]}')
+        out = tmp_path / "norm.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--kind", "lyap", "--operand", str(op), "--r", r,
+                         "--s", s, "--budget", "10", "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["result"]
+        assert res["closed_form"] == pytest.approx(closed, rel=1e-12)
+        assert res["witness_value"] == pytest.approx(closed, rel=1e-12)
+        assert res["empirical"] <= closed * (1.0 + 1e-9)
+
     @pytest.mark.parametrize("text", [
         "[1, 2, 3]", '"sym:2"', "null", '{"kind": "sym", "n": 2.5, "coords": [1, 2, 3]}',
         '{"kind": "sym", "n": "2", "coords": [1, 2, 3]}',
@@ -433,6 +452,26 @@ FUZZ_ORDERS = (("1", "1"), ("2", "2"), ("inf", "inf"), ("1", "inf"), ("inf", "1"
                ("3", "2"), ("2", "3"))
 
 
+# tolerance flag values: finite, subnormal, at the top of the float range,
+# NaN, infinite, negative zero, negative and not a number at all
+TOLERANCE_TEXTS = st.one_of(
+    st.floats(0.0, 1e3).map(repr),
+    st.floats(0.0, 2.2e-308).map(repr),
+    st.floats(max_value=-5e-324).map(repr),
+    st.sampled_from(["1e308", "1.7976931348623157e308", "nan", "inf", "-inf", "-0",
+                     "-1e-9", "x", "", "1e", "0x1p-3"]),
+)
+# small runs of each command a tolerance reaches
+TOLERANCE_COMMANDS = {
+    "verify": ["verify", "--alg", "sym:2", "--samples", "2"],
+    "norm": ["norm", "--kind", "lyap", "--r", "3", "--s", "2", "--budget", "4"],
+    "prospect": ["prospect", "--family", "random_sym", "--zero-diag", "--alg", "sym:3",
+                 "--budget", "2", "--samples", "3"],
+    "prospect-spin": ["prospect", "--family", "psd_gram", "--alg", "spin:4",
+                      "--budget", "2", "--samples", "3"],
+}
+
+
 @st.composite
 def element_objects(draw):
     """An element's JSON, the same with one field replaced by any JSON
@@ -549,6 +588,21 @@ class TestExitCodesOnFuzzedInput:
             outcome = run_main(["norm", "--kind", "schur", "--operand", str(op),
                                 "--alg", alg, "--r", orders[0], "--s", orders[1],
                                 "--budget", str(budget)])
+        assert_exit_contract(*outcome)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(TOLERANCE_COMMANDS)), TOLERANCE_TEXTS, TOLERANCE_TEXTS)
+    @example("prospect", "1e308", "1e308")
+    @example("prospect-spin", "1e308", "1e308")
+    def test_tolerances(self, command, atol, rtol):
+        with tempfile.TemporaryDirectory() as tmp:
+            op = Path(tmp) / "op.json"
+            op.write_text(json.dumps({"kind": "sym", "n": 2, "coords": [2.0, 0.5, -1.0]}),
+                          encoding="utf-8")
+            extra = ["--operand", str(op)] if command == "norm" else []
+            outcome = run_main([*TOLERANCE_COMMANDS[command], *extra,
+                                f"--atol={atol}", f"--rtol={rtol}",
+                                "--out", str(Path(tmp) / "out")])
         assert_exit_contract(*outcome)
 
     @settings(max_examples=80, deadline=None)

@@ -627,9 +627,9 @@ def scalar_oracle(check, d, samples, seed, atol, rtol):
 
 
 def scalar_reference(check, d, inp, i, atol, rtol):
-    """Row i of a batched draw decided by the scalar eigensolver, spectral
-    maps and predicates, as the checks computed it one sample at a time:
-    (passed, worst slack, largest spectral magnitude)."""
+    """Row i of a batched draw decided one element at a time through the
+    scalar spectral maps and predicates, as the checks computed it one sample
+    at a time: (passed, worst slack, largest spectral magnitude)."""
     def el(key, j=None):
         return Element(d, inp[key][i] if j is None else inp[key][i, j])
 
@@ -749,8 +749,7 @@ class TestBatchedSweep:
             for i in range(8):
                 rng = sample_rng(6, i)
                 for key in ("a", "b"):
-                    np.testing.assert_allclose(cone[key][i], sample_cone(d, rng).coords,
-                                               rtol=0, atol=1e-12)
+                    assert np.array_equal(cone[key][i], sample_cone(d, rng).coords)
                 rng = sample_rng(6, i)
                 for key in ("a", "b"):
                     assert np.array_equal(general[key][i], sample_general(d, rng).coords)
@@ -758,10 +757,11 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("d", CATALOG, ids=descriptor_to_spec)
     def test_draws_take_what_the_samplers_draw(self, d):
         # every batched draw takes from each generator what the scalar
-        # samplers take, in the same order: raw draws are equal, and what a
-        # decomposition derives from them agrees to roundoff
-        def close(x, y):
-            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+        # samplers take, in the same order, and what a decomposition derives
+        # from the draws has the same bits: a sampler's decomposition is a
+        # batch of one
+        def same(x, y):
+            np.testing.assert_array_equal(x, y)
 
         def frame(f):
             return np.stack([e.coords for e in f.idempotents])
@@ -793,7 +793,7 @@ class TestBatchedSweep:
             rng = sample_rng(6, i)
             inp = inputs["schur_diag"]
             assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
-            close(inp["frame"][i], frame(sample_frame(d, rng)))
+            same(inp["frame"][i], frame(sample_frame(d, rng)))
             phi = phis[rng.integers(3)]
             assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
             assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
@@ -801,8 +801,8 @@ class TestBatchedSweep:
             rng = sample_rng(6, i)
             inp = inputs["quadrep_pinch"]
             assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
-            close(inp["frame"][i], frame(sample_frame(d, rng)))
-            close(inp["a"][i], sample_cone(d, rng).coords)
+            same(inp["frame"][i], frame(sample_frame(d, rng)))
+            same(inp["a"][i], sample_cone(d, rng).coords)
             assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
 
             rng = sample_rng(6, i)
@@ -814,10 +814,10 @@ class TestBatchedSweep:
             P = make_positive_map(d, kind, rng)
             for j, factor in enumerate(P.factors):
                 if factor[0] == "quad":
-                    close(inp["c"][i, j], factor[1].coords)
+                    same(inp["c"][i, j], factor[1].coords)
                 else:
                     assert np.array_equal(inp["A"][i], factor[1].entries)
-                    close(inp["frame"][i], frame(factor[2]))
+                    same(inp["frame"][i], frame(factor[2]))
             assert np.array_equal(inp["x"][i], sample_general(d, rng).coords)
 
     @pytest.mark.parametrize("seed", [20260809, 4])
