@@ -20,6 +20,7 @@ All output is deterministic under a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .algebra import (
     element_to_json,
 )
 from .majorization import DEFAULT_ATOL, DEFAULT_RTOL
-from .norms import norm_closed_form, norm_empirical
+from .norms import norm_empirical
 from .spectral import JacobiConvergenceError
 from .search import (
     FAMILIES,
@@ -203,10 +204,10 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     # eigensolver's gates and the finiteness check below reject that, so
     # numpy need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        closed = norm_closed_form(args.kind, operand, r, s, descriptor=descriptor)
         rng = np.random.default_rng(args.seed)
         est = norm_empirical(args.kind, operand, r, s, budget=args.budget, rng=rng,
                              descriptor=descriptor)
+    closed = est.closed_form
     gap = closed - est.value
     if not all(math.isfinite(v) for v in (closed, est.value, est.witness_value, gap)):
         raise ConfigError(f"the operand's norm overflows: closed form {closed!r}, "
@@ -326,10 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process: parsing a command
+    line leaves it as it was, and each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_tolerances(args)
         _check_seed(args)
         return args.func(args)

@@ -106,18 +106,28 @@ def norm_closed_form(kind: str, operand, r: float, s: float,
                      descriptor: AlgebraDescriptor | None = None) -> float:
     """Exact operator norm from the spectral r-norm to the spectral s-norm."""
     r, s = _validate_rs(r, s)
-    d, _, _, _ = _diag_and_frame(kind, operand, frame, descriptor)
+    dvec, _, _, _ = _diag_and_frame(kind, operand, frame, descriptor)
+    return _closed_form(dvec, r, s)
+
+
+def _closed_form(dvec: np.ndarray, r: float, s: float) -> float:
+    """The norm from ||.||_r to ||.||_s of the frame-diagonal action dvec."""
     if r <= s:
-        return vec_pnorm(np.abs(d), math.inf)
-    return vec_pnorm(np.abs(d), dual_exponent(r, s))
+        return vec_pnorm(np.abs(dvec), math.inf)
+    return vec_pnorm(np.abs(dvec), dual_exponent(r, s))
 
 
 @dataclass
 class EmpiricalNorm:
+    """The search's best ratio and its witness, the extremal witness's ratio,
+    the ratio evaluations spent, and the closed form of the same operand
+    (:func:`norm_closed_form`, from the decomposition the search used)."""
+
     value: float
     witness: Element
     witness_value: float
     evaluations: int
+    closed_form: float
     note: str | None = None
 
 
@@ -154,9 +164,11 @@ def norm_empirical(kind: str, operand, r: float, s: float,
                    descriptor: AlgebraDescriptor | None = None) -> EmpiricalNorm:
     """Lower-bound the operator norm by witness evaluation plus random ascent.
 
-    The returned value never exceeds the closed form beyond roundoff and the
-    witness attains it; see the module docstring for the restricted-search
-    rule applied to non-PSD Schur multipliers and for the batching.
+    The returned value never exceeds the closed form, which the result also
+    carries, beyond roundoff and the witness attains it; the operand is
+    decomposed once for both.  See the module docstring for the
+    restricted-search rule applied to non-PSD Schur multipliers and for the
+    batching.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -269,5 +281,6 @@ def norm_empirical(kind: str, operand, r: float, s: float,
         witness=best_witness,
         witness_value=float(witness_value),
         evaluations=evals,
+        closed_form=_closed_form(dvec, r, s),
         note=note,
     )

@@ -12,11 +12,12 @@ multipliers, frames, exponents, sublinear slopes or cutoffs.  A
 generators to those arrays), its ``rows`` (verdicts, worst slacks and
 numeric details of every row) and its ``witness`` (every input of one row,
 as the public check serializes it).  ``run_sweep`` applies them to chunks
-of samples, and each public ``check_*`` call (and
-:func:`build_commuting_factors`) is a batch of one.  Each row's result
-depends on that row alone, so a sample's verdict and worst slack have the
-same bits in a sweep and in a replay of its witness through the public
-check.
+of samples.  Each public ``check_*`` call (and
+:func:`build_commuting_factors`) is a batch of one: it validates its
+arguments, builds their one-row inputs and reports row 0, so its verdict,
+worst slack, witness and details are those of a one-sample sweep.  Each
+row's result depends on that row alone, so a sample's report has the same
+bits in a sweep and in a replay of its witness through the public check.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from .algebra import (
 from .majorization import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    log_major,
     log_major_rows,
-    major,
     major_rows,
     sort_desc,
     sort_desc_rows,
@@ -89,7 +88,6 @@ from .transforms import (
 # relative error allowed in the determinant identities of log_major_quadrep
 # and of the commuting-factor construction
 DET_IDENTITY_RTOL = 1e-8
-NEAR_EQUALITY_SLACK = 1e-6
 
 # eigenvalue range for cone sampling; the positive floor keeps determinant
 # products well conditioned relative to eigensolver roundoff
@@ -150,6 +148,19 @@ def _single(check: str, x: Element, passed: bool, worst: float,
     )
 
 
+def _single_row(check: str, x: Element, inp: dict, atol: float,
+                rtol: float) -> VerificationReport:
+    """The report of a registered check about x on the one-row inputs
+    ``inp``: its runner's rows on a batch of one, as a one-sample sweep
+    reports them, with row 0's non-NaN details under their own names."""
+    d = x.descriptor
+    runner = CHECK_RUNNERS[check]
+    passed, worst, rows = runner.rows(d, inp, atol, rtol)
+    # .item() keeps an integer detail an int
+    details = {key: vals[0].item() for key, vals in rows.items() if not np.isnan(vals[0])}
+    return _single(check, x, passed[0], worst[0], runner.witness(d, inp, 0), details)
+
+
 def merge_reports(check: str, descriptor: str, seed: int | None,
                   reports: list[VerificationReport]) -> VerificationReport:
     """One report over the samples: every sample passed, the least worst
@@ -179,15 +190,15 @@ def merge_reports(check: str, descriptor: str, seed: int | None,
 
 
 def _cone_floor(vals: np.ndarray, atol: float):
-    """Lowest smallest eigenvalue still accepted from a cone element; rows of
-    a 2-D ``vals`` get one floor each."""
-    return -(1e-8 * np.maximum(1.0, np.abs(vals).max(axis=-1)) + atol)
+    """Lowest smallest eigenvalue still accepted from each cone element of a
+    stack whose decreasing eigenvalues are the rows of ``vals``."""
+    return -(1e-8 * np.maximum(1.0, np.abs(vals).max(axis=1)) + atol)
 
 
 def _require_cone(vals: np.ndarray, atol: float, label: str) -> None:
-    """Raise unless the element, or every row of a stack, whose decreasing
-    eigenvalues are ``vals`` lies in the cone up to its floor."""
-    low = np.atleast_1d(vals[..., -1])
+    """Raise unless every element of the stack whose decreasing eigenvalues
+    are the rows of ``vals`` (m, rank) lies in the cone up to its floor."""
+    low = vals[:, -1]
     bad = np.flatnonzero(low < _cone_floor(vals, atol))
     if bad.size:
         raise ValueError(f"{label} is not in the symmetric cone "
@@ -269,26 +280,20 @@ def _quadrep_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray, atol: f
     return la, lb, lz
 
 
-def _log_major_spectra(d, a, b, atol):
-    """lambda(P_sqrt(a)(b)), lambda(a)*lambda(b) and the determinant
-    identity's relative error (NaN where the pair is too close to singular
-    for the identity to be checked), per row."""
-    la, lb, lz = _quadrep_spectra(d, a, b, atol)
+def _log_major_rows(d, inp, atol, rtol):
+    """lambda(P_sqrt(a)(b)) against lambda(a)*lambda(b) per row: log- and
+    weak majorization, and the determinant identity's relative error (NaN
+    where the pair is too close to singular for the identity to be
+    checked)."""
+    la, lb, lz = _quadrep_spectra(d, inp["a"], inp["b"], atol)
     target = la * lb  # both decreasing and nonnegative, so the product is too
     floor = _det_floor(la, lb)
     checked = (la[:, -1] > floor) & (lb[:, -1] > floor)
     det_rhs = np.where(checked, target.prod(axis=1), 1.0)
     det_rel = np.where(checked, np.abs(lz.prod(axis=1) - det_rhs) / np.abs(det_rhs), np.nan)
-    return lz, target, det_rel
-
-
-def _log_major_rows(d, inp, atol, rtol):
-    lz, target, det_rel = _log_major_spectra(d, inp["a"], inp["b"], atol)
     worst_log, holds_log = log_major_rows(lz, target, atol=atol, rtol=rtol)
     worst_weak, holds_weak = weak_major_rows(lz, target, atol=atol, rtol=rtol)
     passed = holds_log & holds_weak & ~(det_rel > DET_IDENTITY_RTOL)
-    # on a tie np.minimum returns its second argument, as min() in the
-    # single check returns its first: a zero slack keeps its sign
     return passed, np.minimum(worst_weak, worst_log), {"det_rel_err": det_rel}
 
 
@@ -298,23 +303,10 @@ def check_log_major_quadrep(a: Element, b: Element,
     """lambda(P_sqrt(a)(b)) is log-majorized by lambda(a)*lambda(b), a,b >= 0.
 
     Also checks the weak-majorization consequence and, for comfortably
-    invertible inputs, the determinant identity at k = n.
+    invertible inputs, the determinant identity at k = n; its relative error
+    is the ``det_rel_err`` detail, absent where the identity is not checked.
     """
-    inp = _pair_rows(a, b)
-    lz, target, det_rel = _log_major_spectra(a.descriptor, inp["a"], inp["b"], atol)
-    v_log = log_major(lz[0], target[0], atol=atol, rtol=rtol)
-    v_weak = weak_major(lz[0], target[0], atol=atol, rtol=rtol)
-    details = {"log": v_log.to_json(), "weak": v_weak.to_json()}
-    passed = v_log.holds and v_weak.holds
-    if math.isnan(det_rel[0]):
-        details["det_skipped"] = "near-singular input"
-    else:
-        details["det_rel_err"] = float(det_rel[0])
-        passed = passed and det_rel[0] <= DET_IDENTITY_RTOL
-
-    worst = min(v_log.worst_slack, v_weak.worst_slack)
-    return _single("log_major_quadrep", a, passed, worst,
-                   _pair_witness(a.descriptor, inp, 0), details)
+    return _single_row("log_major_quadrep", a, _pair_rows(a, b), atol, rtol)
 
 
 def _sup_bound_rows(d, inp, atol, rtol):
@@ -329,10 +321,7 @@ def check_quadrep_sup_bound(a: Element, b: Element,
                             atol: float = DEFAULT_ATOL,
                             rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """Componentwise bound lambda(P_sqrt(a)(b)) <= ||a||_inf * lambda(b), a,b >= 0."""
-    inp = _pair_rows(a, b)
-    passed, worst, _ = _sup_bound_rows(a.descriptor, inp, atol, rtol)
-    return _single("quadrep_sup_bound", a, passed[0], worst[0],
-                   _pair_witness(a.descriptor, inp, 0), {})
+    return _single_row("quadrep_sup_bound", a, _pair_rows(a, b), atol, rtol)
 
 
 # --- operator-commuting factorization through a spectral cutoff -------------------
@@ -438,13 +427,16 @@ def build_commuting_factors(a: Element, k: int,
 
 # --- sublinear spectral maps through positive transformations ---------------------
 
-def _positive_map_spectra(d, apply: Callable, x: np.ndarray, phi: np.ndarray):
-    """lambda(phi(P(x))) and lambda(P(phi(x))) per row, where ``apply`` maps
-    an (m, dim) stack through each row's positive map P."""
+def _positive_map_verdict(d, apply: Callable, x: np.ndarray, phi: np.ndarray,
+                          atol: float, rtol: float):
+    """lambda(phi(P(x))) against lambda(P(phi(x))) per row, where ``apply``
+    maps an (m, dim) stack through each row's positive map P: the verdicts,
+    worst slacks and (empty) details of :func:`check_positive_map_sublinear`."""
     m = len(x)
     mapped = apply_sublinear_rows(d, *_slopes_twice(phi), np.concatenate([apply(x), x]))
     lam = eigvals_batch(d, np.concatenate([mapped[:m], apply(mapped[m:])]))
-    return lam[:m], lam[m:]
+    worst, holds = weak_major_rows(lam[:m], lam[m:], atol=atol, rtol=rtol)
+    return holds, worst, {}
 
 
 def _factor_rows_of(P: PositiveLinearMap) -> tuple:
@@ -470,7 +462,8 @@ def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: Sublinea
 
     A map built from factors (quadratic representations, PSD Schur products
     and their compositions) is applied through them and recorded with them
-    in the witness; any other map is applied through ``P.fn``.
+    in the witness; any other map is applied through ``P.fn``.  Either way
+    the verdict is the registered check's row rule on a batch of one.
     """
     d = x.descriptor
     if P.descriptor != d:
@@ -487,27 +480,23 @@ def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: Sublinea
         def apply(X):
             return P(Element(d, X[0])).coords[None]
 
-    lhs, rhs = _positive_map_spectra(d, apply, x.coords[None], _phi_row(phi))
-    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
-    witness = {"x": element_to_json(x), "phi": _phi_json(_phi_row(phi), 0), "map": P.label,
+    phi_row = _phi_row(phi)
+    passed, worst, _ = _positive_map_verdict(d, apply, x.coords[None], phi_row, atol, rtol)
+    witness = {"x": element_to_json(x), "phi": _phi_json(phi_row, 0), "map": P.label,
                "factors": _factors_json(P)}
-    return _single("positive_map_sublinear", x, v.holds, v.worst_slack,
-                   witness, {"verdict": v.to_json()})
+    return _single("positive_map_sublinear", x, passed[0], worst[0], witness, {})
 
 
-def _quadrep_sublinear_spectra(d, inp):
-    """lambda(phi(P_a(b))) and lambda(a^2)*lambda(phi(b)) per row."""
+def _quadrep_sublinear_rows(d, inp, atol, rtol):
+    """lambda(phi(P_a(b))) against lambda(a^2)*lambda(phi(b)) per row."""
     a, b = inp["a"], inp["b"]
     m = len(a)
     mapped = apply_sublinear_rows(d, *_slopes_twice(inp["phi"]),
                                   np.concatenate([quad_rep_coords(d, a, b), b]))
     lam = eigvals_batch(d, np.concatenate([mapped, a]))
     la = lam[2 * m:]
-    return lam[:m], sort_desc_rows(la * la) * lam[m:2 * m]
-
-
-def _quadrep_sublinear_rows(d, inp, atol, rtol):
-    worst, holds = weak_major_rows(*_quadrep_sublinear_spectra(d, inp), atol=atol, rtol=rtol)
+    worst, holds = weak_major_rows(lam[:m], sort_desc_rows(la * la) * lam[m:2 * m],
+                                   atol=atol, rtol=rtol)
     return holds, worst, {}
 
 
@@ -521,12 +510,8 @@ def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
     """lambda(phi(P_a(b))) weakly majorized by lambda(a^2)*lambda(phi(b))."""
     if not phi.is_nonnegative:
         raise ValueError("phi must be a nonnegative sublinear function")
-    inp = {**_pair_rows(a, b), "phi": _phi_row(phi)}
-    lhs, rhs = _quadrep_sublinear_spectra(a.descriptor, inp)
-    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
-    return _single("quadrep_sublinear", a, v.holds, v.worst_slack,
-                   _quadrep_sublinear_witness(a.descriptor, inp, 0),
-                   {"verdict": v.to_json()})
+    return _single_row("quadrep_sublinear", a, {**_pair_rows(a, b), "phi": _phi_row(phi)},
+                       atol, rtol)
 
 
 def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
@@ -549,23 +534,19 @@ def _multiplier_witness(d, inp, i):
     return {"A": _matrix_json(inp["A"][i]), "frame": _frame_json(d, inp["frame"][i])}
 
 
-def _schur_diag_spectra(d, inp):
-    """lambda(phi(A.b)), lambda(diag A)*lambda(phi(b)) and lambda(A.phi(b))
-    per row, the Schur products taken on each row's frame."""
+def _schur_diag_rows(d, inp, atol, rtol):
+    """lambda(phi(A.b)) against lambda(diag A)*lambda(phi(b)) and against
+    lambda(A.phi(b)) per row, the Schur products taken on each row's frame."""
     A, frames, b = inp["A"], inp["frame"], inp["b"]
     m = len(b)
     mapped = apply_sublinear_rows(d, *_slopes_twice(inp["phi"]),
                                   np.concatenate([schur_rows(d, A, frames, b), b]))
     phib = mapped[m:]
     lam = eigvals_batch(d, np.concatenate([mapped, schur_rows(d, A, frames, phib)]))
+    lhs = lam[:m]
     diag = sort_desc_rows(np.diagonal(A, axis1=1, axis2=2))
-    return lam[:m], diag * lam[m:2 * m], lam[2 * m:]
-
-
-def _schur_diag_rows(d, inp, atol, rtol):
-    lhs, rhs_diag, rhs_elem = _schur_diag_spectra(d, inp)
-    worst_diag, holds_diag = weak_major_rows(lhs, rhs_diag, atol=atol, rtol=rtol)
-    worst_elem, holds_elem = weak_major_rows(lhs, rhs_elem, atol=atol, rtol=rtol)
+    worst_diag, holds_diag = weak_major_rows(lhs, diag * lam[m:2 * m], atol=atol, rtol=rtol)
+    worst_elem, holds_elem = weak_major_rows(lhs, lam[2 * m:], atol=atol, rtol=rtol)
     return holds_diag & holds_elem, np.minimum(worst_elem, worst_diag), {}
 
 
@@ -581,28 +562,18 @@ def check_schur_diag(A, frame: JordanFrame, b: Element, phi: SublinearFn,
     if not phi.is_nonnegative:
         raise ValueError("phi must be a nonnegative sublinear function")
     inp = {**_multiplier_rows(A, frame, b), "b": b.coords[None], "phi": _phi_row(phi)}
-    lhs, rhs_diag, rhs_elem = _schur_diag_spectra(b.descriptor, inp)
-    v_diag = weak_major(lhs[0], rhs_diag[0], atol=atol, rtol=rtol)
-    v_elem = weak_major(lhs[0], rhs_elem[0], atol=atol, rtol=rtol)
-    passed = v_diag.holds and v_elem.holds
-    worst = min(v_diag.worst_slack, v_elem.worst_slack)
-    return _single("schur_diag", b, passed, worst, _schur_diag_witness(b.descriptor, inp, 0),
-                   {"diag": v_diag.to_json(), "element": v_elem.to_json()})
+    return _single_row("schur_diag", b, inp, atol, rtol)
 
 
 # --- weak majorization of the Jordan product --------------------------------------
 
-def _jordan_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray):
-    """Per row of the pairs a, b ((m, dim) arrays): |lambda(a o b)| and
-    lambda(|a|)*lambda(|b|), the two sides of :func:`check_jordan_weak`."""
+def _jordan_weak_rows(d, inp, atol, rtol):
+    """|lambda(a o b)| against lambda(|a|)*lambda(|b|) per row."""
+    a, b = inp["a"], inp["b"]
     m = len(a)
     vals = np.abs(eigvals_batch(d, np.concatenate([jordan_product_coords(d, a, b), a, b])))
-    return vals[:m], sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
-
-
-def _jordan_weak_rows(d, inp, atol, rtol):
-    worst, holds = weak_major_rows(*_jordan_spectra(d, inp["a"], inp["b"]),
-                                   atol=atol, rtol=rtol)
+    rhs = sort_desc_rows(vals[m:2 * m]) * sort_desc_rows(vals[2 * m:])
+    worst, holds = weak_major_rows(vals[:m], rhs, atol=atol, rtol=rtol)
     return holds, worst, {}
 
 
@@ -610,15 +581,7 @@ def check_jordan_weak(a: Element, b: Element,
                       atol: float = DEFAULT_ATOL,
                       rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """lambda(|a o b|) weakly majorized by lambda(|a|)*lambda(|b|) for all a, b."""
-    inp = _pair_rows(a, b)
-    lhs, rhs = _jordan_spectra(a.descriptor, inp["a"], inp["b"])
-    v = weak_major(lhs[0], rhs[0], atol=atol, rtol=rtol)
-    details = {"verdict": v.to_json()}
-    if v.holds and v.worst_slack <= NEAR_EQUALITY_SLACK:
-        # recorded for interest only; nothing is asserted about equality cases
-        details["near_equality"] = True
-    return _single("jordan_weak", a, v.holds, v.worst_slack,
-                   _pair_witness(a.descriptor, inp, 0), details)
+    return _single_row("jordan_weak", a, _pair_rows(a, b), atol, rtol)
 
 
 _COUNTEREXAMPLE_A = np.array([[8.0, 3.0], [3.0, 0.0]])
@@ -660,11 +623,10 @@ def check_absolute_product_counterexample(atol_product: float = 1e-9,
 
 # --- pinching comparisons ----------------------------------------------------------
 
-def _pinch_spectra(d, inp, atol):
-    """The spectra compared by :func:`check_quadrep_pinch`, per row:
-    [lambda(P_sqrt(a)(b)), lambda(a o b)] and, when the inputs carry a
-    multiplier, [lambda(A.b), lambda(P_sqrt(c)(b))] with c = diag(A) on the
-    row's frame."""
+def _pinch_rows(d, inp, atol, rtol):
+    """Strong majorization per row: lambda(P_sqrt(a)(b)) against
+    lambda(a o b) and, when the inputs carry a multiplier, lambda(A.b)
+    against lambda(P_sqrt(c)(b)) with c = diag(A) on the row's frame."""
     a, b = inp["a"], inp["b"]
     m = len(a)
     legs = [a]
@@ -677,14 +639,10 @@ def _pinch_spectra(d, inp, atol):
     if "A" in inp:
         parts += [schur_rows(d, inp["A"], inp["frame"], b), quad_rep_coords(d, roots[m:], b)]
     lam = eigvals_batch(d, np.concatenate(parts))
-    return [lam[j * m:(j + 1) * m] for j in range(len(parts))]
-
-
-def _pinch_rows(d, inp, atol, rtol):
-    spectra = _pinch_spectra(d, inp, atol)
-    worst, passed = major_rows(spectra[0], spectra[1], atol=atol, rtol=rtol)
-    if len(spectra) == 4:
-        worst_schur, holds_schur = major_rows(spectra[2], spectra[3], atol=atol, rtol=rtol)
+    worst, passed = major_rows(lam[:m], lam[m:2 * m], atol=atol, rtol=rtol)
+    if "A" in inp:
+        worst_schur, holds_schur = major_rows(lam[2 * m:3 * m], lam[3 * m:],
+                                              atol=atol, rtol=rtol)
         passed = passed & holds_schur
         worst = np.minimum(worst_schur, worst)
     return passed, worst, {}
@@ -703,24 +661,16 @@ def check_quadrep_pinch(a: Element, b: Element, A=None,
                         rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """Strong majorization chains lambda(P_sqrt(a)(b)) < lambda(a o b) and,
     given a PSD multiplier with its frame, lambda(A.b) < lambda(P_sqrt(d)(b))
-    where d carries diag(A) on the frame."""
+    where d carries diag(A) on the frame.
+
+    Raises ValueError when only one of the multiplier and its frame is given.
+    """
     inp = _pair_rows(a, b)
+    if (A is None) != (frame is None):
+        raise ValueError("a multiplier and its frame are given together or not at all")
     if A is not None:
-        if frame is None:
-            raise ValueError("a frame is required together with a multiplier")
         inp.update(_multiplier_rows(A, frame, b))
-    spectra = _pinch_spectra(a.descriptor, inp, atol)
-    v1 = major(spectra[0][0], spectra[1][0], atol=atol, rtol=rtol)
-    passed = v1.holds
-    worst = v1.worst_slack
-    details = {"vs_jordan": v1.to_json()}
-    if A is not None:
-        v2 = major(spectra[2][0], spectra[3][0], atol=atol, rtol=rtol)
-        passed = passed and v2.holds
-        worst = min(worst, v2.worst_slack)
-        details["schur_vs_quadrep"] = v2.to_json()
-    return _single("quadrep_pinch", a, passed, worst,
-                   _pinch_witness(a.descriptor, inp, 0), details)
+    return _single_row("quadrep_pinch", a, inp, atol, rtol)
 
 
 # --- Hoelder-type norm inequality ---------------------------------------------------
@@ -760,9 +710,7 @@ def check_holder(a: Element, b: Element, r: float, s: float,
                  rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """||a o b||_p <= ||a||_r ||b||_s with 1/p = 1/r + 1/s."""
     inp = {**_pair_rows(a, b), "r": np.array([float(r)]), "s": np.array([float(s)])}
-    passed, slack, rows = _holder_rows(a.descriptor, inp, atol, rtol)
-    return _single("holder", a, passed[0], slack[0], _holder_witness(a.descriptor, inp, 0),
-                   {key: float(vals[0]) for key, vals in rows.items()})
+    return _single_row("holder", a, inp, atol, rtol)
 
 
 # --- samplers -----------------------------------------------------------------------
@@ -1028,9 +976,7 @@ def _positive_map_rows(d, inp, atol, rtol):
                 out[rows] = apply_factors_rows(d, _row_factors(kind, inp, rows), X[rows])
         return out
 
-    lhs, rhs = _positive_map_spectra(d, apply, inp["x"], inp["phi"])
-    worst, holds = weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
-    return holds, worst, {}
+    return _positive_map_verdict(d, apply, inp["x"], inp["phi"], atol, rtol)
 
 
 def _row_map(d, inp, i) -> PositiveLinearMap:
@@ -1061,7 +1007,10 @@ class CheckRunner:
     generator; ``rows(d, inputs, atol, rtol)`` returns every row's verdict,
     worst slack and numeric details ({name: per-row values, NaN where the
     report has none}); ``witness(d, inputs, i)`` serializes every input of
-    row i, as the public check records them.
+    row i, as the public check records them.  The public check reports
+    ``rows`` and ``witness`` on its one-row inputs (:func:`_single_row`);
+    ``check_positive_map_sublinear``, whose map need not be a registered
+    kind, shares the rows' verdict step (:func:`_positive_map_verdict`).
     """
 
     draw: Callable

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symcone
-from symcone import cli
+from symcone import cli, norms, spectral
 from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to_json, unit
 from symcone.cli import main
 from symcone.search import FAMILIES, PROBLEMS, FamilySpec, sweep, write_archive
@@ -133,6 +133,42 @@ def test_negative_seed_exits_2_naming_it(tmp_path, monkeypatch, capsys, command)
     (line,) = error_lines(capsys)
     assert "--seed" in line
     assert list(work.iterdir()) == []
+
+
+class TestParser:
+    def test_built_once_and_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+        # every main call in a process parses with one parser, and no call's
+        # subcommand, flags or failure shows in the next one's reports
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        op = tmp_path / "a.json"
+        op.write_text('{"kind": "sym", "n": 2, "coords": [2.0, 0.5, -1.0]}')
+
+        def norm(out):
+            return main(["norm", "--kind", "quad", "--operand", str(op), "--r", "2",
+                         "--s", "1", "--budget", "10", "--out", str(tmp_path / out)])
+
+        def verify(out):
+            return main(["verify", "--alg", "sym:2", "--samples", "2", "--seed", "5",
+                         "--atol", "1e-7", "--format", "json", "--out", str(tmp_path / out)])
+
+        assert norm("norm-1.json") == 0
+        assert verify("verify-1.json") == 0
+        assert main(["prospect", "--atol", "x"]) == 2
+        assert norm("norm-2.json") == 0
+        assert verify("verify-2.json") == 0
+        assert builds == [1]
+        for name in ("norm", "verify"):
+            first = (tmp_path / f"{name}-1.json").read_text()
+            assert (tmp_path / f"{name}-2.json").read_text() == first
+        config = json.loads((tmp_path / "verify-1.json").read_text())["config"]
+        assert sorted(config) == ["alg", "atol", "command", "format", "rtol", "samples",
+                                  "seed"]
+        config = json.loads((tmp_path / "norm-1.json").read_text())["config"]
+        assert sorted(config) == ["alg", "atol", "budget", "command", "kind", "operand",
+                                  "r", "rtol", "s", "seed"]
 
 
 class TestReproExample:
@@ -254,6 +290,23 @@ class TestNorm:
         assert res["closed_form"] == pytest.approx(closed, rel=1e-12)
         assert res["witness_value"] == pytest.approx(closed, rel=1e-12)
         assert res["empirical"] <= closed * (1.0 + 1e-9)
+
+    def test_operand_is_decomposed_once(self, tmp_path, capsys, monkeypatch):
+        # the closed form is taken from the decomposition the search uses
+        calls = []
+        decompose = spectral.spectral_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return decompose(*args, **kwargs)
+
+        for module in (spectral, norms):
+            monkeypatch.setattr(module, "spectral_decompose", counted)
+        op = tmp_path / "a.json"
+        op.write_text('{"kind": "sym", "n": 2, "coords": [2.0, 0.5, -1.0]}')
+        assert main(["norm", "--kind", "lyap", "--operand", str(op),
+                     "--r", "3", "--s", "2", "--budget", "20"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text", [
         "[1, 2, 3]", '"sym:2"', "null", '{"kind": "sym", "n": 2.5, "coords": [1, 2, 3]}',

@@ -187,7 +187,8 @@ def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None)
         witness = rebuild(fr, best_u) if restricted else from_orthonormal(alg, best_u)
     else:
         witness, best_val = rebuild(fr, wit_xi), witness_value
-    return norms.EmpiricalNorm(best_val, witness, witness_value, evals), accepted
+    closed = norm_closed_form(kind, operand, r, s, descriptor=descriptor)
+    return norms.EmpiricalNorm(best_val, witness, witness_value, evals, closed), accepted
 
 
 ORDERS = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, math.inf),
@@ -219,8 +220,8 @@ def _parity_cases():
 
 
 def _same(got, want, rng_got, rng_want):
-    np.testing.assert_equal([got.value, got.witness_value],
-                            [want.value, want.witness_value])  # NaN equals NaN
+    np.testing.assert_equal([got.value, got.witness_value, got.closed_form],
+                            [want.value, want.witness_value, want.closed_form])  # NaN equals NaN
     assert got.evaluations == want.evaluations
     assert got.witness.descriptor == want.witness.descriptor
     np.testing.assert_array_equal(got.witness.coords, want.witness.coords)

@@ -1,5 +1,6 @@
 """Inequality verifiers: fixed examples, small random sweeps, error contracts."""
 
+import dataclasses
 import json
 import math
 
@@ -362,6 +363,14 @@ class TestQuadrepPinch:
             rep = check_quadrep_pinch(sample_cone(d, rng), sample_general(d, rng),
                                       A=A, frame=frame)
             assert rep.passed
+
+    def test_multiplier_and_frame_come_together(self):
+        d = SymMatrix(2)
+        frame = sample_frame(d, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="together"):
+            check_quadrep_pinch(unit(d), unit(d), frame=frame)
+        with pytest.raises(ValueError, match="together"):
+            check_quadrep_pinch(unit(d), unit(d), A=np.eye(2))
 
 
 class TestHolder:
@@ -916,6 +925,73 @@ class TestBatchedSweep:
         replayed = replay(check, json.loads(json.dumps(rep.witness)), atol, rtol)
         assert not passed[i] and not replayed.passed
         assert bits(replayed.worst_slack) == bits(slack[i])
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["default", "failing"])
+    @pytest.mark.parametrize("check", sorted(CHECK_RUNNERS))
+    def test_single_check_is_its_row(self, check, failing):
+        # the public check on a row's witness reports that row of a batch:
+        # its verdict, the bits of its worst slack, its witness and its
+        # non-NaN details, by their own names
+        atol, rtol = FAILING_TOL[check] if failing else (1e-9, 1e-8)
+        runner = CHECK_RUNNERS[check]
+        for d in CATALOG:
+            inp = runner.draw(d, sample_rngs(20260809, range(12)), atol, rtol)
+            passed, worst, rows = runner.rows(d, inp, atol, rtol)
+            for i in range(5):
+                witness = runner.witness(d, inp, i)
+                rep = replay(check, json.loads(json.dumps(witness)), atol, rtol)
+                where = (descriptor_to_spec(d), i)
+                assert rep.passed == passed[i], where
+                assert bits(rep.worst_slack) == bits(worst[i]), where
+                assert rep.witness == (None if passed[i] else witness), where
+                want = {key: vals[i].item() for key, vals in rows.items()
+                        if not np.isnan(vals[i])}
+                # build_commuting_factors also reports its four conditions
+                got = {key: val for key, val in rep.details.items()
+                       if not isinstance(val, bool)}
+                assert got == want, where
+
+    def test_every_public_check_is_one_row_evaluation(self, monkeypatch):
+        # each public check decides through its runner's rows, called once,
+        # and never through a scalar predicate; a positive map, which need
+        # not be one of the registered kinds, goes through the rows' shared
+        # verdict step
+        calls = []
+        for name, runner in CHECK_RUNNERS.items():
+            def spy(*args, name=name, rows=runner.rows):
+                calls.append(name)
+                return rows(*args)
+            monkeypatch.setitem(CHECK_RUNNERS, name, dataclasses.replace(runner, rows=spy))
+        verdict = verifiers._positive_map_verdict
+        monkeypatch.setattr(verifiers, "_positive_map_verdict",
+                            lambda *args: calls.append("map verdict") or verdict(*args))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scalar predicate decided a check")
+
+        monkeypatch.setattr(verifiers, "weak_major", forbidden)
+        rng = np.random.default_rng(30)
+        d = SymMatrix(3)
+        a, b, x = sample_cone(d, rng), sample_cone(d, rng), sample_general(d, rng)
+        A, frame = SchurMatrix(sample_psd_gram(3, rng)), sample_frame(d, rng)
+        built = make_positive_map(d, "quad_compose", rng)
+        bare = PositiveLinearMap(d, lambda y: 2.0 * y, "doubling", True)
+        cases = [
+            ("log_major_quadrep", lambda: check_log_major_quadrep(a, b)),
+            ("quadrep_sup_bound", lambda: check_quadrep_sup_bound(a, b)),
+            ("map verdict", lambda: check_positive_map_sublinear(built, x, ABS_FN)),
+            ("map verdict", lambda: check_positive_map_sublinear(bare, x, POS_FN)),
+            ("quadrep_sublinear", lambda: check_quadrep_sublinear(x, b, ABS_FN)),
+            ("schur_diag", lambda: check_schur_diag(A, frame, x, NEG_FN)),
+            ("jordan_weak", lambda: check_jordan_weak(x, b)),
+            ("quadrep_pinch", lambda: check_quadrep_pinch(a, x)),
+            ("quadrep_pinch", lambda: check_quadrep_pinch(a, x, A=A, frame=frame)),
+            ("holder", lambda: check_holder(x, b, 3.0, 1.5)),
+        ]
+        for name, run in cases:
+            calls.clear()
+            assert run().passed, name
+            assert calls == [name]
 
     def test_chunking_does_not_change_the_report(self, monkeypatch):
         d = CATALOG[-1]
