@@ -374,8 +374,10 @@ def descriptor_to_spec(d: AlgebraDescriptor) -> str:
     return "sum:" + "+".join(parts)
 
 
+@lru_cache(maxsize=None)
 def descriptor_from_spec(spec: str) -> AlgebraDescriptor:
-    """Parse the mini-language used on the command line."""
+    """Parse the mini-language used on the command line (cached: an archive
+    repeats a few specs on every line)."""
     s = spec.strip().lower()
     if s.startswith("sum:"):
         body = s[len("sum:"):]
@@ -432,7 +434,7 @@ def descriptor_from_json(obj: dict) -> AlgebraDescriptor:
 def element_to_json(x: Element) -> dict:
     """JSON form {kind, n (or factors), coords} in packed layout."""
     obj = descriptor_to_json(x.descriptor)
-    obj["coords"] = [float(c) for c in x.coords]
+    obj["coords"] = x.coords.tolist()
     return obj
 
 

@@ -17,10 +17,13 @@ frame's Peirce projectors (one matrix for the whole stack, or one per row),
 eigenvalues of the products and of the elements in one call, and the weak
 majorization verdict row by row.  Each row's arithmetic depends on that row
 alone, so a margin has the same bits whether it is computed in a sweep, in
-a replay batch or on its own: :func:`sweep` keeps the margin and verdict of
+a replay batch or on its own: :func:`sweep` runs groups of candidates, up to
+``MARGIN_CHUNK`` elements, as one batch and keeps the margin and verdict of
 every row directly, :func:`test_candidate` is a batch of one, and
 :func:`replay_records` reruns an archive one batch per algebra and problem.
-The search frame of a sweep is always the standard frame of the algebra.
+Multipliers are validated and symmetrized as stacks
+(:func:`transforms.multiplier_stack`), one per group.  The search frame of a
+sweep is always the standard frame of the algebra.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +50,6 @@ from .algebra import (
 from .majorization import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    sort_desc,
     sort_desc_rows,
     weak_major_rows,
 )
@@ -54,11 +57,14 @@ from .majorization import (
 # tracer self-test (perfbench/test_perfbench.py) patches ``search.eigvals``
 from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame  # noqa: F401
 from .transforms import (
+    MultiplierError,
     SchurMatrix,
     lyap_multiplier,
+    multiplier_stack,
     peirce_projectors,
     quad_multiplier,
     schur_matrix,
+    schur_stack,
 )
 
 FAMILIES = (
@@ -73,7 +79,14 @@ PROBLEMS = ("general", "cone")
 
 GENERAL_SIGMA = 3.0
 
-MARGIN_CHUNK = 256  # rows per batch in _margins; bounds the (rows, dim, dim) products
+# rows per batch in _margins, which bounds its (rows, dim, dim) products and
+# its eigensolves; a sweep stacks as many candidates' elements as fit (at
+# least one candidate) into one _margins call
+MARGIN_CHUNK = 256
+
+# one encoder for every archive line: json.dumps(obj, sort_keys=True) without
+# building an encoder per record
+_ARCHIVE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -130,7 +143,7 @@ class SearchRecord:
             "family": self.family,
             "descriptor": self.descriptor,
             "seed": self.seed,
-            "A": [[float(v) for v in row] for row in self.entries],
+            "A": np.asarray(self.entries, dtype=np.float64).tolist(),
             "b": element_to_json(self.b_witness),
             "margin": float(self.margin),
             "verdict": self.verdict,
@@ -146,6 +159,8 @@ class SearchRecord:
         if not all(type(v) is str for v in (spec, verdict, problem)):
             raise ValueError(f"descriptor, verdict and problem must be strings, "
                              f"got {spec!r}, {verdict!r}, {problem!r}")
+        if problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
         descriptor_from_spec(spec)  # reject an unparseable spec here
         margin = float(obj["margin"])
         if not math.isfinite(margin):
@@ -177,13 +192,10 @@ def _projectors(frame: JordanFrame) -> np.ndarray:
     return peirce_projectors(frame)
 
 
-def _multiplier(A) -> SchurMatrix:
-    return A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
-
-
-def _diag_ref(A: SchurMatrix) -> np.ndarray:
-    """lambda(|diag A|): the decreasing absolute diagonal of a multiplier."""
-    return sort_desc(np.abs(np.diag(A.entries)))
+def _diag_refs(E: np.ndarray) -> np.ndarray:
+    """lambda(|diag A|) of every multiplier of a (k, n, n) stack: the
+    decreasing absolute diagonals, (k, n)."""
+    return sort_desc_rows(np.abs(np.diagonal(E, axis1=1, axis2=2)))
 
 
 def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
@@ -232,14 +244,15 @@ def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
 
 def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
               family: str | None, seed: int | None, problem: str) -> SearchRecord:
-    A = _multiplier(A)
+    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
     if A.n != len(frame):
         raise ValueError(f"multiplier size {A.n} vs frame rank {len(frame)}")
     d = b.descriptor
     if d != frame.descriptor:
         raise DescriptorMismatchError(f"element of {d} vs frame of {frame.descriptor}")
     margins, holds = _margins(d, schur_matrix(A, _projectors(frame)),
-                              _diag_ref(A), b.coords[None, :], problem, atol, rtol)
+                              _diag_refs(A.entries[None]), b.coords[None, :],
+                              problem, atol, rtol)
     return SearchRecord(family, descriptor_to_spec(d), seed, A.entries, b,
                         float(margins[0]), "satisfied" if holds[0] else "violated",
                         problem)
@@ -264,13 +277,15 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
     """Recompute records from their serialized data alone.
 
     Records are grouped by (descriptor, problem) and each group runs as one
-    batch on the standard frame.  Returns one (confirmed, recomputed margin)
-    pair per record, in order; confirmation requires the same verdict and a
-    margin within margin_tol.
+    batch on the standard frame: its multipliers are validated, symmetrized
+    and turned into Schur matrices as one stack, and the first bad one raises
+    the message that building it alone raises.  Returns one
+    (confirmed, recomputed margin) pair per record, in order; confirmation
+    requires the same verdict and a margin within margin_tol.
     """
-    groups: dict = {}
+    groups = defaultdict(list)
     for i, rec in enumerate(records):
-        groups.setdefault((rec.descriptor, rec.problem), []).append(i)
+        groups[rec.descriptor, rec.problem].append(i)
     out = [None] * len(records)
     for (spec, problem), idx in groups.items():
         d = descriptor_from_spec(spec)
@@ -279,10 +294,9 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
                 raise DescriptorMismatchError(
                     f"record {i}: witness of {records[i].b_witness.descriptor} "
                     f"in a record of {spec}")
-        mults = [_multiplier(records[i].entries) for i in idx]
+        E = multiplier_stack([records[i].entries for i in idx], d.rank)
         margins, holds = _margins(
-            d, schur_matrix(mults, _standard_projectors(d)),
-            np.stack([_diag_ref(A) for A in mults]),
+            d, schur_stack(E, _standard_projectors(d)), _diag_refs(E),
             np.stack([records[i].b_witness.coords for i in idx]),
             problem, atol, rtol)
         for i, margin, ok in zip(idx, margins.tolist(), holds.tolist()):
@@ -336,11 +350,16 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
           problem: str = "general") -> SweepResult:
     """Test n_A candidates against n_b random elements each.
 
-    Each candidate's elements run as one batch through :func:`_margins` on
-    the standard frame, which gives every element its margin and verdict;
-    they are the ones :func:`test_candidate` would give that element alone.
-    Every violated element becomes a record with its witness, so that replay
-    is exact; satisfied ones only contribute to the aggregate margin.
+    Candidate ia draws its multiplier, then its elements, from its own
+    generator ``SeedSequence([seed, ia])``.  Consecutive candidates run in
+    groups of as many as fit in ``MARGIN_CHUNK`` elements (at least one):
+    the group's multipliers are validated as one stack and all its elements
+    run as one batch through :func:`_margins` on the standard frame, each
+    row with its own candidate's Schur matrix.  That gives every element the
+    margin and verdict :func:`test_candidate` would give it alone.  Every
+    violated element becomes a record with its witness, in candidate then
+    element order, so that replay is exact; satisfied ones only contribute
+    to the aggregate margin.
     """
     if n_A < 1:
         raise ValueError("need at least one candidate")
@@ -355,20 +374,27 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
     violations: list[SearchRecord] = []
     min_margin = math.inf
     tested = 0
-    for ia in range(n_A):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, ia]))
-        A = SchurMatrix(generate_candidate(spec, rng))
-        if n_b < 1:
-            continue
-        coords = _sample_b_coords(descriptor, rng, n_b, problem)
-        margins, holds = _margins(descriptor, schur_matrix(A, P), _diag_ref(A),
-                                  coords, problem, atol, rtol)
-        for ib in np.flatnonzero(~holds):
+    if n_b < 1:
+        return SweepResult(spec.family, d_spec, n_A, n_b, seed, problem, violations,
+                           min_margin, tested)
+    group = max(1, MARGIN_CHUNK // n_b)
+    for lo in range(0, n_A, group):
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, ia]))
+                for ia in range(lo, min(lo + group, n_A))]
+        E = multiplier_stack([generate_candidate(spec, rng) for rng in rngs], spec.n)
+        coords = np.concatenate([_sample_b_coords(descriptor, rng, n_b, problem)
+                                 for rng in rngs])
+        # row r tests candidate r // n_b; a lone candidate shares its matrix
+        # across its rows, which may be more than MARGIN_CHUNK
+        owner = np.arange(len(coords)) // n_b if len(rngs) > 1 else 0
+        margins, holds = _margins(descriptor, schur_stack(E, P)[owner],
+                                  _diag_refs(E)[owner], coords, problem, atol, rtol)
+        for r in np.flatnonzero(~holds):
             violations.append(SearchRecord(
-                spec.family, d_spec, seed, A.entries, Element(descriptor, coords[ib]),
-                float(margins[ib]), "violated", problem))
+                spec.family, d_spec, seed, E[r // n_b], Element(descriptor, coords[r]),
+                float(margins[r]), "violated", problem))
         min_margin = min(min_margin, float(margins.min()))
-        tested += n_b
+        tested += len(coords)
     return SweepResult(spec.family, d_spec, n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
 
@@ -376,17 +402,23 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
 # --- archives -----------------------------------------------------------------------
 
 def write_archive(path, records) -> None:
-    """JSON-lines archive, one record per line."""
+    """JSON-lines archive, one record per line, keys sorted."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True))
-            fh.write("\n")
+        fh.writelines(_ARCHIVE_ENCODER.encode(rec.to_json()) + "\n" for rec in records)
 
 
 def read_archive(path) -> list:
     """Records of a JSON-lines archive; a malformed line raises ValueError
-    naming its line number."""
-    out = []
+    naming its line number.
+
+    A record's multiplier must be one its algebra's replay accepts; the
+    multipliers are checked as one stack per rank
+    (:func:`transforms.multiplier_stack`) and each record keeps its row of
+    the stack, read-only and symmetrized.  Of several malformed lines, the
+    first is named.
+    """
+    out, lines = [], []
+    error = None  # (line number, message) of the first line that fails to parse
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -395,13 +427,29 @@ def read_archive(path) -> list:
             try:
                 out.append(SearchRecord.from_json(json.loads(line)))
             except KeyError as exc:
-                raise ValueError(f"{path}, line {lineno}: archive record "
-                                 f"lacks the field {exc}") from None
+                error = lineno, f"archive record lacks the field {exc}"
+                break
             except (TypeError, ValueError, OverflowError, RecursionError) as exc:
                 # OverflowError: an integer beyond the float range;
                 # RecursionError: JSON nested deeper than the parser goes
-                raise ValueError(f"{path}, line {lineno}: malformed archive "
-                                 f"record ({exc})") from None
+                error = lineno, f"malformed archive record ({exc})"
+                break
+            lines.append(lineno)
+    by_rank = defaultdict(list)
+    for i, rec in enumerate(out):
+        by_rank[descriptor_from_spec(rec.descriptor).rank].append(i)
+    for rank, idx in by_rank.items():
+        try:
+            E = multiplier_stack([out[i].entries for i in idx], rank)
+        except MultiplierError as exc:
+            lineno = lines[idx[exc.index]]
+            if error is None or lineno < error[0]:
+                error = lineno, f"malformed archive record ({exc})"
+            continue
+        for i, entries in zip(idx, E):
+            out[i].entries = entries
+    if error is not None:
+        raise ValueError(f"{path}, line {error[0]}: {error[1]}")
     return out
 
 

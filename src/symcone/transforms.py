@@ -62,20 +62,7 @@ class SchurMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.entries, dtype=np.float64, copy=True)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("multiplier matrix must be square")
-        if not np.isfinite(A).all():
-            raise ValueError("multiplier matrix entries must be finite")
-        scale = np.abs(A).max()
-        if scale > _HALF_MAX:  # A + A.T, or A - A.T, could overflow
-            raise ValueError(f"multiplier matrix entries too large to symmetrize "
-                             f"({scale:.3e})")
-        asym = np.abs(A - A.T).max() if A.shape[0] > 1 else 0.0
-        if asym > 1e-12 * max(1.0, scale):
-            raise ValueError(f"multiplier matrix is not symmetric (residual {asym:.3e})")
-        A = (A + A.T) / 2.0
-        A.flags.writeable = False
+        A = _checked_stack(np.array(self.entries, dtype=np.float64)[None], None)[0]
         object.__setattr__(self, "entries", A)
 
     @property
@@ -205,13 +192,71 @@ def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np
     return quad_rep_coords(d, sqrt_batch(vals, frames), b)
 
 
+class MultiplierError(ValueError):
+    """A multiplier of a stack failed validation; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _checked_stack(E: np.ndarray, rank: int | None) -> np.ndarray:
+    """The multiplier check, for a float (k, n, n) stack: each matrix must be
+    square and nonempty, finite, no larger than _HALF_MAX (A + A.T could
+    overflow), symmetric within 1e-12 of its scale and, unless ``rank`` is
+    None, of size ``rank``.  The first matrix that fails raises the message of
+    its first failed check as a MultiplierError; otherwise returns the
+    read-only stack of the (A + A.T) / 2."""
+    if E.ndim != 3 or E.shape[1] != E.shape[2]:
+        raise MultiplierError("multiplier matrix must be square", 0)
+    n = E.shape[1]
+    if n == 0:
+        raise MultiplierError("multiplier matrix must not be empty", 0)
+    with np.errstate(invalid="ignore", over="ignore"):  # where not finite or too large
+        scale = np.abs(E).max(axis=(1, 2))  # NaN or inf where not finite
+        asym = np.abs(E - E.swapaxes(1, 2)).max(axis=(1, 2))
+    ok = (scale <= _HALF_MAX) & (asym <= 1e-12 * np.maximum(scale, 1.0))
+    wrong_size = rank is not None and n != rank  # then row 0 fails first
+    if wrong_size or not ok.all():
+        i = 0 if wrong_size else int(np.argmin(ok))
+        if not np.isfinite(E[i]).all():
+            message = "multiplier matrix entries must be finite"
+        elif scale[i] > _HALF_MAX:
+            message = f"multiplier matrix entries too large to symmetrize ({scale[i]:.3e})"
+        elif not ok[i]:
+            message = f"multiplier matrix is not symmetric (residual {asym[i]:.3e})"
+        else:
+            message = f"multiplier size {n} does not match frame rank {rank}"
+        raise MultiplierError(message, i)
+    E = (E + E.swapaxes(1, 2)) / 2.0
+    E.flags.writeable = False
+    return E
+
+
+def multiplier_stack(As, rank: int) -> np.ndarray:
+    """Entries of a sequence of multipliers (matrices or :class:`SchurMatrix`)
+    as one read-only (k, rank, rank) stack, checked and symmetrized as a
+    SchurMatrix is, and each of size ``rank``.  The first bad multiplier
+    raises its message as a MultiplierError whose ``index`` is its position
+    in ``As``."""
+    if not isinstance(As, np.ndarray):
+        As = [a.entries if isinstance(a, SchurMatrix) else a for a in As]
+        try:
+            As = np.array(As, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged: find the first culprit alone
+            for i, A in enumerate(As):
+                try:
+                    _checked_stack(np.array(A, dtype=np.float64)[None], rank)
+                except (TypeError, ValueError) as exc:
+                    raise MultiplierError(str(exc), i) from None
+            raise
+    return _checked_stack(np.asarray(As, dtype=np.float64), rank)
+
+
 def _as_entries(A, rank: int) -> np.ndarray:
-    ents = A.entries if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A)).entries
-    if ents.shape[0] != rank:
-        raise ValueError(
-            f"multiplier size {ents.shape[0]} does not match frame rank {rank}"
-        )
-    return ents
+    if isinstance(A, SchurMatrix) and A.n == rank:
+        return A.entries
+    return multiplier_stack([A], rank)[0]
 
 
 def peirce_project(frame: JordanFrame, x: Element, validate: bool = True) -> dict:
@@ -287,23 +332,28 @@ def peirce_projectors(frame: JordanFrame) -> np.ndarray:
 
 def schur_matrix(A, P: np.ndarray) -> np.ndarray:
     """Matrix of x -> A . x on packed coordinates, for the frame whose
-    :func:`peirce_projectors` are P: ``sum_{i<=j} A[i, j] P[i, j]`` (the
-    projectors below the diagonal are zero).
+    :func:`peirce_projectors` are P.
 
     ``A`` is one multiplier, giving a (dim, dim) matrix, or a sequence of
-    them, giving an (m, dim, dim) stack.  The terms are added one at a time
-    in a fixed order, so a multiplier's matrix has the same bits alone and
-    in any stack.
+    them (checked by :func:`multiplier_stack`), giving an (m, dim, dim)
+    stack of :func:`schur_stack`.
     """
     rank = P.shape[0]
     if isinstance(A, SchurMatrix) or np.ndim(A) == 2:
-        E = _as_entries(A, rank)
-    else:
-        E = np.stack([_as_entries(a, rank) for a in A])
-    out = np.zeros(E.shape[:-2] + P.shape[2:])
-    for i in range(rank):
-        for j in range(i, rank):
-            out += E[..., i, j, None, None] * P[i, j]
+        return schur_stack(_as_entries(A, rank)[None], P)[0]
+    return schur_stack(multiplier_stack(A, rank), P)
+
+
+def schur_stack(E: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Schur matrices ``sum_{i<=j} E[k, i, j] P[i, j]`` of a checked (k, rank,
+    rank) multiplier stack (:func:`multiplier_stack`), as (k, dim, dim); the
+    projectors below the diagonal are zero.  The terms are added one at a
+    time in a fixed order, so a multiplier's matrix has the same bits alone
+    and in any stack."""
+    out = np.zeros(E.shape[:1] + P.shape[2:])
+    for i in range(P.shape[0]):
+        for j in range(i, P.shape[0]):
+            out += E[:, i, j, None, None] * P[i, j]
     return out
 
 

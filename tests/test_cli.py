@@ -432,9 +432,14 @@ class TestProspect:
         ("b", {"kind": "sym", "n": 2.5, "coords": [1.0, 0.0, 1.0]}),
         ("b", {"kind": "sym", "n": 2, "coords": [[1.0], [0.0], [1.0]]}),
         ("descriptor", ["sym:2"]), ("problem", ["general"]), ("margin", 10**400),
-        ("margin", math.nan),
+        ("margin", math.nan), ("A", [[0.0, 1.0], [2.0, 0.0]]),
+        ("A", [[0.0, math.nan], [math.nan, 0.0]]), ("A", [[0.0, math.inf], [math.inf, 0.0]]),
+        ("A", []), ("A", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("A", [[1.0, 0.0]]), ("problem", "sideways"),
     ], ids=["b-list", "b-string", "b-null", "b-fractional-n", "b-nested-coords",
-            "descriptor-list", "problem-list", "margin-huge-int", "margin-nan"])
+            "descriptor-list", "problem-list", "margin-huge-int", "margin-nan",
+            "A-asymmetric", "A-nan", "A-infinite", "A-empty", "A-wrong-size",
+            "A-not-square", "problem-sideways"])
     def test_replay_of_record_field_of_another_shape_exits_2(self, tmp_path, capsys,
                                                              field, value):
         record = self._mixed_records()[0].to_json()
@@ -444,6 +449,22 @@ class TestProspect:
         assert main(["prospect", "--replay", str(path)]) == 2
         (line,) = error_lines(capsys)
         assert "line 1: malformed archive record" in line
+
+    def test_replay_names_the_line_of_a_bad_multiplier(self, tmp_path, capsys):
+        # record 6 of the fixture gets an asymmetric multiplier: the error names
+        # its line (7); a later unparseable line does not take its place
+        lines = (Path(__file__).parent / "data" / "zero_diag_archive.jsonl"
+                 ).read_text().splitlines()
+        record = json.loads(lines[6])
+        record["A"] = [[0.0, 1.0], [0.0, 0.0]]
+        lines[6] = json.dumps(record)
+        path = tmp_path / "asym.jsonl"
+        for tail in ([], ["{not json"]):
+            path.write_text("\n".join(lines + tail) + "\n")
+            assert main(["prospect", "--replay", str(path)]) == 2
+            assert error_lines(capsys) == [
+                f"error: {path}, line 7: malformed archive record "
+                f"(multiplier matrix is not symmetric (residual 1.000e+00))"]
 
     def test_replay_of_archive_from_the_per_element_verifier(self, capsys):
         # records the per-element verifier archived (zero-diagonal violations

@@ -1,5 +1,6 @@
 """Multiplier-family search: generation, margins, replay, archives."""
 
+import json
 import math
 import os
 import tempfile
@@ -18,6 +19,8 @@ from symcone.algebra import (
     Element,
     SpinFactor,
     SymMatrix,
+    descriptor_from_spec,
+    descriptor_to_json,
     descriptor_to_spec,
     jordan_product,
     jordan_product_coords,
@@ -30,6 +33,7 @@ from symcone.search import (
     GENERAL_SIGMA,
     PROBLEMS,
     FamilySpec,
+    SearchRecord,
     SweepResult,
     _margins,
     _standard_projectors,
@@ -204,8 +208,8 @@ class TestSweep:
     @pytest.mark.parametrize("problem", ["general", "cone"])
     @pytest.mark.parametrize("d", CATALOG, ids=descriptor_to_spec)
     def test_sweep_matches_per_sample_loop(self, d, problem, family, seed):
-        # the batched screen keeps exactly the records, and counts exactly the
-        # tests, of the scalar verifier run on every draw
+        # one batch per group of candidates keeps exactly the records, the
+        # margins and the test count of test_candidate run on every draw alone
         spec = (FamilySpec("random_sym", d.rank, zero_diag=True)
                 if family == "zero_diag" else FamilySpec(family, d.rank))
         n_A, n_b = 4, 10
@@ -213,9 +217,7 @@ class TestSweep:
         ref = _per_sample_sweep(spec, d, n_A, n_b, seed, problem)
         assert [r.to_json() for r in res.violations] == [r.to_json() for r in ref.violations]
         assert res.tested == ref.tested == n_A * n_b
-        # the screen's margins carry eigenvalue roundoff, which scales with the
-        # eigenvalues rather than with the margin, hence the absolute floor
-        assert res.min_margin == pytest.approx(ref.min_margin, rel=1e-12, abs=1e-12)
+        assert _bits(res.min_margin) == _bits(ref.min_margin)
         if family == "zero_diag":
             assert len(ref.violations) == ref.tested
         else:
@@ -254,10 +256,32 @@ class TestArchives:
         assert len(back) == len(res.violations)
         for orig, rec in zip(res.violations, back):
             assert np.array_equal(orig.entries, rec.entries)
+            assert not rec.entries.flags.writeable  # its row of the checked stack
             assert np.array_equal(orig.b_witness.coords, rec.b_witness.coords)
             assert rec.margin == orig.margin
             ok, margin = replay_record(rec)
             assert ok and margin == rec.margin
+
+    def test_lines_are_sorted_json_of_the_records(self, tmp_path):
+        # the archive encoder writes what json.dumps(sort_keys=True) writes
+        # for each record taken apart value by value: no family, a direct
+        # sum, -0.0, the least subnormal, 1e308 and an integer seed
+        d = descriptor_from_spec("sum:sym:2+spin:3")
+        odd = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, -2.5]
+        entries = np.array([[-0.0, 5e-324], [5e-324, 1e308]])
+        records = [SearchRecord(None, "sum:sym:2+spin:3", 7, entries,
+                                Element(d, odd[:d.dim]), -0.0, "violated", "general"),
+                   SearchRecord("random_sym", "sym:2", 2**40, np.eye(2),
+                                Element(SymMatrix(2), [5e-324, -0.0, 1e308]), 1e308,
+                                "satisfied", "cone")]
+        records += sweep(FamilySpec("random_sym", d.rank, zero_diag=True), d, 2, 3,
+                         seed=11, problem="cone").violations
+        path = tmp_path / "arch.jsonl"
+        write_archive(path, records)
+        want = [json.dumps(_json_value_by_value(r), sort_keys=True) for r in records]
+        assert path.read_text().splitlines() == want
+        assert '"seed": 7,' in want[0] and '"family": null' in want[0]
+        assert "-0.0" in want[0] and "5e-324" in want[0] and "1e+308" in want[0]
 
     def test_summary_csv(self, tmp_path):
         res = sweep(FamilySpec("psd_gram", 2), SymMatrix(2), 3, 5, seed=0)
@@ -266,6 +290,15 @@ class TestArchives:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "family,n,samples,violations,min_margin"
         assert lines[1].startswith("psd_gram,2,15,0,")
+
+
+def _json_value_by_value(rec):
+    """A record's JSON form built from Python floats one value at a time."""
+    b = descriptor_to_json(rec.b_witness.descriptor)
+    b["coords"] = [float(c) for c in rec.b_witness.coords]
+    return {"family": rec.family, "descriptor": rec.descriptor, "seed": rec.seed,
+            "A": [[float(v) for v in row] for row in rec.entries], "b": b,
+            "margin": float(rec.margin), "verdict": rec.verdict, "problem": rec.problem}
 
 
 # --- one margin path ----------------------------------------------------------------
@@ -340,17 +373,34 @@ class TestMargins:
         assert holds.all()
 
     def test_chunks_do_not_change_rows(self, monkeypatch):
-        # shared multiplier (sweep) and one multiplier per row (replay)
+        # one multiplier per row (replay), and a sweep's groups of candidates
+        # (n_A = 3, n_b = 7): one candidate per group at a chunk of 13 rows or
+        # fewer, its matrix shared by its rows, two then one at 14, all three
+        # above n_A * n_b (a group has at most MARGIN_CHUNK rows unless it is
+        # one candidate); no eigensolve gets more than 2 * MARGIN_CHUNK rows
         records = read_archive(DATA / "zero_diag_archive.jsonl")
-        spec = FamilySpec("random_sym", 3)
+        specs = (FamilySpec("random_sym", 3), FamilySpec("random_sym", 3, zero_diag=True))
         want_replay = replay_records(records)
-        want_sweep = sweep(spec, SymMatrix(3), 2, 7, seed=1)
-        monkeypatch.setattr(search, "MARGIN_CHUNK", 2)
-        assert replay_records(records) == want_replay
-        got = sweep(spec, SymMatrix(3), 2, 7, seed=1)
-        assert got.min_margin == want_sweep.min_margin
-        assert [r.to_json() for r in got.violations] == \
-            [r.to_json() for r in want_sweep.violations]
+        want = [sweep(spec, SymMatrix(3), 3, 7, seed=1) for spec in specs]
+        assert len(want[1].violations) == 21
+        real_solve, real_stack = search.eigvals_batch, search.multiplier_stack
+        for chunk in (1, 2, 6, 7, 8, 14, 22, 256):
+            solves, groups = [], []
+            monkeypatch.setattr(search, "eigvals_batch",
+                                lambda d, X: solves.append(len(X)) or real_solve(d, X))
+            monkeypatch.setattr(search, "MARGIN_CHUNK", chunk)
+            assert replay_records(records) == want_replay
+            monkeypatch.setattr(search, "multiplier_stack", lambda As, rank:
+                                groups.append(len(As)) or real_stack(As, rank))
+            for spec, ref in zip(specs, want):
+                got = sweep(spec, SymMatrix(3), 3, 7, seed=1)
+                assert _bits(got.min_margin) == _bits(ref.min_margin)
+                assert got.tested == ref.tested == 21
+                assert [r.to_json() for r in got.violations] == \
+                    [r.to_json() for r in ref.violations]
+            monkeypatch.setattr(search, "multiplier_stack", real_stack)
+            assert max(solves) <= 2 * chunk
+            assert groups == 2 * ([1, 1, 1] if chunk < 14 else [2, 1] if chunk < 21 else [3])
 
     def test_unknown_problem_rejected(self):
         d = SymMatrix(2)
@@ -389,6 +439,23 @@ class TestReplayRecords:
     def test_replay_record_is_a_batch_of_one(self):
         records = read_archive(DATA / "zero_diag_archive.jsonl")
         assert [replay_record(r) for r in records] == replay_records(records)
+
+    @pytest.mark.parametrize("bad", [[[0.0, 1.0], [2.0, 0.0]], [[0.0, math.inf], [1.0, 0.0]],
+                                     np.eye(3), [[1.0, 1.0, 1.0]],
+                                     [[1e308, 1e308], [1e308, 0.0]]],
+                             ids=["asymmetric", "infinite", "wrong-size", "not-square",
+                                  "too-large"])
+    def test_bad_multiplier_inside_a_group_raises_its_own_message(self, bad):
+        # record 2 is the third of its (sym:2, general) group; the group's
+        # stacked validation raises what building that multiplier alone raises
+        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        assert [(r.descriptor, r.problem) for r in records[:3]] == [("sym:2", "general")] * 3
+        with pytest.raises(ValueError) as alone:
+            schur_matrix(bad, _standard_projectors(SymMatrix(2)))
+        records[2].entries = np.asarray(bad)
+        with pytest.raises(ValueError) as stacked:
+            replay_records(records)
+        assert str(stacked.value) == str(alone.value)
 
     def test_witness_of_another_algebra_rejected(self):
         rec = read_archive(DATA / "zero_diag_archive.jsonl")[0]

@@ -1,6 +1,7 @@
 """Transformations: multiplication/quadratic maps, Peirce and Schur products,
 operator matrices, sublinear spectral maps, positivity machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from symcone.transforms import (
     NEG_FN,
     POS_FN,
     FrameError,
+    MultiplierError,
     PositivityError,
     SchurMatrix,
     SublinearFn,
@@ -51,6 +53,7 @@ from symcone.transforms import (
     lyap,
     lyap_map,
     lyap_multiplier,
+    multiplier_stack,
     peirce_project,
     peirce_projectors,
     positive_quad_map,
@@ -261,6 +264,54 @@ class TestSchurMatrix:
             for j in range(len(frame)):
                 want = comps[(i, j)].coords if i <= j else np.zeros(d.dim)
                 np.testing.assert_allclose(P[i, j] @ b.coords, want, atol=1e-14)
+
+
+class TestMultiplierStack:
+    def test_equals_the_multipliers_built_one_at_a_time(self):
+        # nearly symmetric input (within the 1e-12 band), a SchurMatrix, a
+        # list, -0.0 and the least subnormal: the same bits as SchurMatrix
+        rng = np.random.default_rng(6)
+        G = rng.normal(size=(5, 3, 3))
+        As = [G[0] + G[0].T, (G[1] + G[1].T) + 1e-13 * np.triu(G[2], 1),
+              SchurMatrix(G[3] @ G[3].T), (G[4] + G[4].T).tolist(),
+              [[-0.0, 5e-324, 1.0], [5e-324, 0.0, 2.0], [1.0, 2.0, -0.0]]]
+        E = multiplier_stack(As, 3)
+        want = np.stack([(A if isinstance(A, SchurMatrix) else SchurMatrix(A)).entries
+                         for A in As])
+        assert E.tobytes() == want.tobytes()
+        assert not E.flags.writeable
+        assert multiplier_stack(E, 3).tobytes() == E.tobytes()
+
+    @pytest.mark.parametrize("bad,index,message", [
+        ([[0.0, 1.0], [2.0, 0.0]], 1, "not symmetric"),
+        ([[0.0, math.nan], [math.nan, 0.0]], 1, "must be finite"),
+        ([[1e308, 0.0], [0.0, 1.0]], 1, "too large to symmetrize"),
+        (np.eye(3), 1, "multiplier size 3 does not match frame rank 2"),
+        ([[1.0, 2.0]], 1, "must be square"),
+        ([[1.0], [2.0, 3.0]], 1, "inhomogeneous"),
+        (np.zeros((0, 0)), 1, "must not be empty"),
+    ], ids=["asymmetric", "nan", "too-large", "wrong-size", "not-square", "ragged",
+            "empty"])
+    def test_first_bad_multiplier_raises_its_own_message(self, bad, index, message):
+        As = [np.eye(2), bad, [[0.0, 1.0], [3.0, 0.0]]]
+        with pytest.raises(ValueError, match=message) as alone:
+            schur_matrix(bad, peirce_projectors(standard_frame(SymMatrix(2))))
+        with pytest.raises(MultiplierError) as stacked:
+            multiplier_stack(As, 2)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.index == index
+
+    def test_a_matrix_fails_its_checks_in_order(self):
+        # wrong size everywhere, and row 0 also not finite: row 0's first
+        # failed check names it, as SchurMatrix would before any size check
+        bad = np.stack([np.full((3, 3), math.inf), np.eye(3)])
+        with pytest.raises(MultiplierError, match="must be finite") as exc:
+            multiplier_stack(bad, 2)
+        assert exc.value.index == 0
+        with pytest.raises(MultiplierError, match="size 3 does not match frame rank 2"):
+            multiplier_stack(bad[::-1], 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            SchurMatrix(bad[0])
 
 
 class TestRowForms:
