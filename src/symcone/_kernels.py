@@ -9,6 +9,16 @@ drops below ``tol`` times the Frobenius norm of the input (floored at 1.0).
 The kernel never raises; it returns the final off-diagonal residuals and
 leaves the convergence decision to the caller.
 
+The kernel holds the stack last: the matrices as (n, n, m), and the
+eigenvector columns as rows of another (n, n, m) array, so that row k of it
+is column k of every V.  A rotation then reads and writes contiguous rows of
+length m, one entry per matrix, instead of strided ones.  Every entry is
+computed by the same operations in the same order as on an (m, n, n) stack,
+and the residuals are summed over a C-ordered (m, n, n) copy, so the
+eigenvalues, eigenvectors and residuals have the bits of the (m, n, n)
+kernel, whatever the memory layout of the input.  The results come back as
+(m, n) eigenvalues and C-contiguous (m, n, n) eigenvector columns.
+
 ``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are entry points
 over that kernel; they stay separate names because the benchmark's tracer
 (``perfbench/tracing.py``) wraps each one by name.
@@ -22,92 +32,117 @@ JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 64
 
 
-def _offdiag_mass(A):
-    # summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total would cancel catastrophically near convergence
-    B = np.array(A, copy=True)
-    idx = np.arange(A.shape[1])
+def _offdiag_mass(At):
+    """Off-diagonal Frobenius norm of every matrix of a stack-last (n, n, m)
+    array, (m,).
+
+    The entries are summed directly: subtracting the diagonal mass from the
+    total would cancel catastrophically near convergence.  The sum runs over
+    an explicit C-ordered (m, n, n) copy, because numpy's summation order
+    follows the memory layout and ``off > thresh`` decides which matrices
+    sweep again.
+    """
+    B = At.transpose(2, 0, 1).copy(order="C")
+    idx = np.arange(B.shape[1])
     B[:, idx, idx] = 0.0
     return np.sqrt((B * B).sum(axis=(1, 2)))
 
 
-def _batch_sweep(A, V):
-    """One cyclic sweep over every matrix of the stack A, in place.
+def _batch_sweep(At, Vt):
+    """One cyclic sweep over every matrix of the stack-last (n, n, m) array
+    At, in place, rotating the eigenvector rows Vt (n, n, m) alike unless it
+    is None.
 
     The tangent of the smaller rotation angle, t = sgn(theta) / (|theta| +
     sqrt(theta^2 + 1)) with theta = diff / (2 apq), is written as
     2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
     overflow of theta^2 at tiny pivots, and exactly 0 (an identity rotation)
-    for a zero pivot.
+    for a zero pivot.  ``apq``, ``app`` and ``aqq`` are views of At, so the
+    new diagonal is computed before rows p and q are written.
     """
-    n = A.shape[1]
+    n = At.shape[0]
     for p in range(n - 1):
+        rowp = At[p]
         for q in range(p + 1, n):
-            apq = A[:, p, q].copy()
-            app = A[:, p, p].copy()
-            aqq = A[:, q, q].copy()
+            rowq = At[q]
+            apq, app, aqq = rowp[q], rowp[p], rowq[q]
             diff = aqq - app
-            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
-            mag = 2.0 * np.abs(apq) / np.where(den == 0.0, 1.0, den)
+            apq2 = 2.0 * apq
+            den = np.abs(diff) + np.hypot(diff, apq2)
+            mag = np.abs(apq2) / np.where(den == 0.0, 1.0, den)
             t = np.where(diff * apq < 0.0, -mag, mag)
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            cc = c[:, None]
-            ss = s[:, None]
-            rowp = A[:, p, :]
-            rowq = A[:, q, :]
-            newp = cc * rowp - ss * rowq
-            newq = ss * rowp + cc * rowq
-            A[:, p, :] = newp
-            A[:, q, :] = newq
-            A[:, :, p] = newp
-            A[:, :, q] = newq
             shift = t * apq
-            A[:, p, p] = app - shift
-            A[:, q, q] = aqq + shift
-            A[:, p, q] = 0.0
-            A[:, q, p] = 0.0
-            if V is not None:
-                colp = V[:, :, p]
-                colq = V[:, :, q]
-                newp = cc * colp - ss * colq
-                newq = ss * colp + cc * colq
-                V[:, :, p] = newp
-                V[:, :, q] = newq
+            newpp = app - shift
+            newqq = aqq + shift
+            if n > 2:
+                # at n = 2 rows p and q hold only the pivot block, which the
+                # lines after this one overwrite
+                newp = c * rowp - s * rowq
+                newq = s * rowp + c * rowq
+                rowp[...] = newp
+                rowq[...] = newq
+                At[:, p] = newp
+                At[:, q] = newq
+            rowp[p] = newpp
+            rowq[q] = newqq
+            rowp[q] = 0.0
+            rowq[p] = 0.0
+            if Vt is not None:
+                colp, colq = Vt[p], Vt[q]
+                sp = s * colp
+                cq = c * colq
+                np.subtract(c * colp, s * colq, out=colp)
+                np.add(sp, cq, out=colq)
+
+
+def _store(At, Vt, sel, dest, W, V):
+    """Copy the eigenvalues (and, if V is not None, the eigenvector columns)
+    of the matrices ``sel`` of the stack-last arrays into rows ``dest``."""
+    W[dest] = np.diagonal(At)[sel]
+    if V is not None:
+        V[dest] = Vt.transpose(2, 1, 0)[sel]
 
 
 def jacobi_batch(S, tol, max_sweeps, vectors=False):
     """Cyclic Jacobi on a stack of symmetric matrices, vectorized over the stack.
 
-    Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n) or
-    None when ``vectors`` is false, off-diagonal residuals (m,)).  Each
-    rotation step computes one angle per matrix and rotates all matrices at
-    once.  Each sweep runs on the matrices not yet converged only, so every
-    matrix ends exactly as it would in a stack of its own.  The flag only
-    decides whether the rotations are accumulated; the eigenvalues and the
-    residuals do not depend on it.  ``S`` is not modified.
+    Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n),
+    C-contiguous, or None when ``vectors`` is false, off-diagonal residuals
+    (m,)).  Each rotation step computes one angle per matrix and rotates all
+    matrices at once.  A matrix leaves the stack once converged and is never
+    swept again, so every matrix ends exactly as it would in a stack of its
+    own.  The flag only decides whether the rotations are accumulated; the
+    eigenvalues and the residuals do not depend on it.  ``S`` is not
+    modified.
     """
-    A = np.array(S, dtype=np.float64, copy=True)
+    A = np.ascontiguousarray(S, dtype=np.float64)  # read only; may be S itself
     m, n = A.shape[0], A.shape[1]
-    V = np.tile(np.eye(n), (m, 1, 1)) if vectors else None
     thresh = tol * np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1.0)
-    off = _offdiag_mass(A)
+    At = A.transpose(1, 2, 0).copy()
+    Vt = None
+    if vectors:
+        Vt = np.zeros((n, n, m))
+        Vt[np.arange(n), np.arange(n)] = 1.0
+    off = _offdiag_mass(At)
+    W = np.empty((m, n))
+    V = np.empty((m, n, n)) if vectors else None
+    rows = np.arange(m)  # the input row of each matrix left in At
     for _ in range(max_sweeps):
-        idx = np.flatnonzero(off > thresh)
-        if idx.size == 0:
+        keep = off[rows] > thresh[rows]
+        if not keep.any():
             break
-        if idx.size == m:
-            _batch_sweep(A, V)
-            off = _offdiag_mass(A)
-        else:
-            sub_A = A[idx]
-            sub_V = V[idx] if vectors else None
-            _batch_sweep(sub_A, sub_V)
-            A[idx] = sub_A
+        if not keep.all():
+            _store(At, Vt, ~keep, rows[~keep], W, V)
+            rows = rows[keep]
+            left = np.flatnonzero(keep)
+            At = np.take(At, left, axis=2)
             if vectors:
-                V[idx] = sub_V
-            off[idx] = _offdiag_mass(sub_A)
-    W = np.einsum("bii->bi", A).copy()
+                Vt = np.take(Vt, left, axis=2)
+        _batch_sweep(At, Vt)
+        off[rows] = _offdiag_mass(At)
+    _store(At, Vt, slice(None), slice(None) if rows.size == m else rows, W, V)
     return W, V, off
 
 

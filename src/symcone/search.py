@@ -20,10 +20,10 @@ alone, so a margin has the same bits whether it is computed in a sweep, in
 a replay batch or on its own: :func:`sweep` runs groups of candidates, up to
 ``MARGIN_CHUNK`` elements, as one batch and keeps the margin and verdict of
 every row directly, :func:`test_candidate` is a batch of one, and
-:func:`replay_records` reruns an archive one batch per algebra and problem.
-Multipliers are validated and symmetrized as stacks
-(:func:`transforms.multiplier_stack`), one per group.  The search frame of a
-sweep is always the standard frame of the algebra.
+:func:`replay_records` reruns an archive by algebra and problem, in batches
+of up to ``MARGIN_CHUNK`` records.  Multipliers are validated and
+symmetrized as stacks (:func:`transforms.multiplier_stack`), one per batch.
+The search frame of a sweep is always the standard frame of the algebra.
 """
 
 from __future__ import annotations
@@ -81,8 +81,10 @@ GENERAL_SIGMA = 3.0
 
 # rows per batch in _margins, which bounds its (rows, dim, dim) products and
 # its eigensolves; a sweep stacks as many candidates' elements as fit (at
-# least one candidate) into one _margins call
-MARGIN_CHUNK = 256
+# least one candidate) into one _margins call, and a replay builds one chunk
+# of records at a time.  The eigensolver's cost per row falls with the rows
+# of a call, and a row's bits do not depend on its stack
+MARGIN_CHUNK = 1024
 
 # one encoder for every archive line: json.dumps(obj, sort_keys=True) without
 # building an encoder per record
@@ -276,34 +278,47 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
                    margin_tol: float = 1e-10) -> list:
     """Recompute records from their serialized data alone.
 
-    Records are grouped by (descriptor, problem) and each group runs as one
-    batch on the standard frame: its multipliers are validated, symmetrized
-    and turned into Schur matrices as one stack, and the first bad one raises
-    the message that building it alone raises.  Returns one
-    (confirmed, recomputed margin) pair per record, in order; confirmation
-    requires the same verdict and a margin within margin_tol.
+    Records are grouped by (descriptor, problem) and each group runs on the
+    standard frame in chunks of ``MARGIN_CHUNK`` records, so that memory is
+    bounded by the chunk, not by the archive.  A chunk's multipliers are
+    validated, symmetrized and turned into Schur matrices as one stack.
+    Every multiplier of a group is checked before any of its margins is
+    computed, and the first bad one raises the message that building it
+    alone raises; the chunks after the first are checked once more as they
+    are built, which costs less than holding the group's whole stack.
+    Returns one (confirmed, recomputed margin) pair per record, in order;
+    confirmation requires the same verdict and a margin within margin_tol.
     """
     groups = defaultdict(list)
     for i, rec in enumerate(records):
         groups[rec.descriptor, rec.problem].append(i)
+    # record numbers as arrays: a list holds an int object per record
+    groups = {key: np.array(idx) for key, idx in groups.items()}
     out = [None] * len(records)
     for (spec, problem), idx in groups.items():
         d = descriptor_from_spec(spec)
-        for i in idx:
+        for i in idx.tolist():
             if records[i].b_witness.descriptor != d:
                 raise DescriptorMismatchError(
                     f"record {i}: witness of {records[i].b_witness.descriptor} "
                     f"in a record of {spec}")
-        E = multiplier_stack([records[i].entries for i in idx], d.rank)
-        margins, holds = _margins(
-            d, schur_stack(E, _standard_projectors(d)), _diag_refs(E),
-            np.stack([records[i].b_witness.coords for i in idx]),
-            problem, atol, rtol)
-        for i, margin, ok in zip(idx, margins.tolist(), holds.tolist()):
-            rec = records[i]
-            verdict = "satisfied" if ok else "violated"
-            out[i] = (verdict == rec.verdict and abs(margin - rec.margin) <= margin_tol,
-                      margin)
+        starts = range(0, len(idx), MARGIN_CHUNK)
+        for lo in starts:  # every multiplier is checked before any margin
+            E = multiplier_stack([records[i].entries for i in idx[lo:lo + MARGIN_CHUNK]],
+                                 d.rank)
+        for lo in starts:
+            part = idx[lo:lo + MARGIN_CHUNK].tolist()
+            if len(starts) > 1:  # a group of one chunk keeps its checked stack
+                E = multiplier_stack([records[i].entries for i in part], d.rank)
+            margins, holds = _margins(
+                d, schur_stack(E, _standard_projectors(d)), _diag_refs(E),
+                np.stack([records[i].b_witness.coords for i in part]),
+                problem, atol, rtol)
+            for i, margin, ok in zip(part, margins.tolist(), holds.tolist()):
+                rec = records[i]
+                verdict = "satisfied" if ok else "violated"
+                out[i] = (verdict == rec.verdict and abs(margin - rec.margin) <= margin_tol,
+                          margin)
     return out
 
 

@@ -1,5 +1,5 @@
 """The Jacobi eigensolver against closed-form, LAPACK and high-precision
-oracles."""
+oracles, and against the (m, n, n) kernel it replaced, bit for bit."""
 
 import math
 
@@ -255,3 +255,176 @@ class TestKernelFlag:
         assert np.array_equal(w, W[0]) and np.array_equal(v, V[0]) and o == off[0]
         w, o = _kernels.jacobi_vals(S[0], tol, sweeps)
         assert np.array_equal(w, W[0]) and o == off[0]
+
+
+# --- the kernel on an (m, n, n) stack, frozen as the bit-for-bit oracle ---------------
+
+def _reference_offdiag_mass(A):
+    B = np.array(A, copy=True)
+    idx = np.arange(A.shape[1])
+    B[:, idx, idx] = 0.0
+    return np.sqrt((B * B).sum(axis=(1, 2)))
+
+
+def _reference_sweep(A, V):
+    n = A.shape[1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = A[:, p, q].copy()
+            app = A[:, p, p].copy()
+            aqq = A[:, q, q].copy()
+            diff = aqq - app
+            den = np.abs(diff) + np.hypot(diff, 2.0 * apq)
+            mag = 2.0 * np.abs(apq) / np.where(den == 0.0, 1.0, den)
+            t = np.where(diff * apq < 0.0, -mag, mag)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            cc = c[:, None]
+            ss = s[:, None]
+            rowp = A[:, p, :]
+            rowq = A[:, q, :]
+            newp = cc * rowp - ss * rowq
+            newq = ss * rowp + cc * rowq
+            A[:, p, :] = newp
+            A[:, q, :] = newq
+            A[:, :, p] = newp
+            A[:, :, q] = newq
+            shift = t * apq
+            A[:, p, p] = app - shift
+            A[:, q, q] = aqq + shift
+            A[:, p, q] = 0.0
+            A[:, q, p] = 0.0
+            if V is not None:
+                colp = V[:, :, p]
+                colq = V[:, :, q]
+                newp = cc * colp - ss * colq
+                newq = ss * colp + cc * colq
+                V[:, :, p] = newp
+                V[:, :, q] = newq
+
+
+def _reference_jacobi_batch(S, tol, max_sweeps, vectors=False):
+    """The kernel as it was on (m, n, n) stacks, with strided rotations."""
+    A = np.array(S, dtype=np.float64, copy=True)
+    m, n = A.shape[0], A.shape[1]
+    V = np.tile(np.eye(n), (m, 1, 1)) if vectors else None
+    thresh = tol * np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1.0)
+    off = _reference_offdiag_mass(A)
+    for _ in range(max_sweeps):
+        idx = np.flatnonzero(off > thresh)
+        if idx.size == 0:
+            break
+        if idx.size == m:
+            _reference_sweep(A, V)
+            off = _reference_offdiag_mass(A)
+        else:
+            sub_A = A[idx]
+            sub_V = V[idx] if vectors else None
+            _reference_sweep(sub_A, sub_V)
+            A[idx] = sub_A
+            if vectors:
+                V[idx] = sub_V
+            off[idx] = _reference_offdiag_mass(sub_A)
+    W = np.einsum("bii->bi", A).copy()
+    return W, V, off
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _assert_kernel_is_reference(S, max_sweeps=_kernels.JACOBI_MAX_SWEEPS):
+    S_before = S.copy()
+    for vectors in (False, True):
+        got = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL, max_sweeps, vectors)
+        ref = _reference_jacobi_batch(S, _kernels.JACOBI_TOL, max_sweeps, vectors)
+        assert _bits(got[0]) == _bits(ref[0])  # eigenvalues
+        assert _bits(got[2]) == _bits(ref[2])  # residuals
+        if vectors:
+            assert got[1].flags.c_contiguous
+            assert _bits(got[1]) == _bits(ref[1])
+        else:
+            assert got[1] is None
+        assert S.tobytes() == S_before.tobytes()  # the input is left as it was
+
+
+def _kind_stack(kind, m, n, rng):
+    """An (m, n, n) stack of one kind of symmetric matrix."""
+    G = rng.normal(0.0, 2.0, (m, n, n))
+    S = (G + G.transpose(0, 2, 1)) / 2.0
+    if kind == "zero":
+        return np.zeros((m, n, n))
+    if kind == "diagonal":
+        return S * np.eye(n)
+    if kind == "repeated":
+        # a repeated eigenvalue of multiplicity n - 1, rotated off the diagonal
+        D = np.full(n, 2.0)
+        D[-1] = -1.0
+        Q = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+        R = (Q * D[None, None, :]) @ Q.transpose(0, 2, 1)
+        return (R + R.transpose(0, 2, 1)) / 2.0
+    if kind == "tiny_pivot":
+        S[:, 0, -1] = S[:, -1, 0] = 1e-300 if n > 1 else S[:, 0, 0]
+        S[:, 0, 1 % n] = S[:, 1 % n, 0] = 1e-160 if n > 1 else S[:, 0, 0]
+        return S
+    if kind == "graded":
+        D = 10.0 ** (-4.0 * np.arange(n))
+        return S * np.outer(D, D)
+    if kind == "huge":
+        return S * 1e150
+    if kind == "tiny":
+        return S * 1e-150
+    if kind == "mixed":
+        # every kind in one stack, so matrices converge after different sweeps
+        kinds = [k for k in _KINDS if k != "mixed"]
+        parts = [_kind_stack(k, m, n, rng) for k in kinds]
+        pick = rng.integers(0, len(kinds), m)
+        return np.stack([parts[k][i] for i, k in enumerate(pick)]) if m else S
+    return S
+
+
+_KINDS = ("random", "zero", "diagonal", "repeated", "tiny_pivot", "graded",
+          "huge", "tiny", "mixed")
+
+
+class TestAgainstReferenceKernel:
+    """The stack-last kernel gives the (m, n, n) kernel's eigenvalues,
+    eigenvectors and residuals bit for bit."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_fixed_stacks(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for n in range(1, 7):
+            for m in (0, 1, 2, 1000):
+                _assert_kernel_is_reference(_kind_stack(kind, m, n, rng))
+
+    def test_sweep_caps(self):
+        # stopped after 0, 1 and 2 sweeps, before most matrices converge
+        S = _kind_stack("mixed", 50, 5, np.random.default_rng(4))
+        for max_sweeps in (0, 1, 2):
+            _assert_kernel_is_reference(S, max_sweeps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=6),
+           m=st.integers(min_value=0, max_value=40),
+           exponent=st.integers(min_value=-150, max_value=150),
+           graded=st.booleans(),
+           data=st.data())
+    def test_random_stacks(self, n, m, exponent, graded, data):
+        G = data.draw(arrays(np.float64, (m, n, n), elements=_entries))
+        S = (G + G.transpose(0, 2, 1)) / 2.0 * 10.0 ** exponent
+        if graded:
+            D = 10.0 ** (-4.0 * np.arange(n))
+            S = S * np.outer(D, D)
+        _assert_kernel_is_reference(S)
+
+    def test_input_layout_does_not_matter(self):
+        S = _kind_stack("mixed", 30, 4, np.random.default_rng(9))
+        want = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL,
+                                     _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+        for T in (np.asfortranarray(S), S[::-1].copy()[::-1],
+                  S.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+            got = _kernels.jacobi_batch(T, _kernels.JACOBI_TOL,
+                                        _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+            for g, w in zip(got, want):
+                assert _bits(g) == _bits(w)

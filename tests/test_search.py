@@ -1,9 +1,11 @@
 """Multiplier-family search: generation, margins, replay, archives."""
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -384,7 +386,7 @@ class TestMargins:
         want = [sweep(spec, SymMatrix(3), 3, 7, seed=1) for spec in specs]
         assert len(want[1].violations) == 21
         real_solve, real_stack = search.eigvals_batch, search.multiplier_stack
-        for chunk in (1, 2, 6, 7, 8, 14, 22, 256):
+        for chunk in (1, 2, 6, 7, 8, 14, 22, 256, 1024):
             solves, groups = [], []
             monkeypatch.setattr(search, "eigvals_batch",
                                 lambda d, X: solves.append(len(X)) or real_solve(d, X))
@@ -456,6 +458,42 @@ class TestReplayRecords:
         with pytest.raises(ValueError) as stacked:
             replay_records(records)
         assert str(stacked.value) == str(alone.value)
+
+    def test_every_multiplier_is_checked_before_any_margin(self, monkeypatch):
+        # in chunks of two, the cone group's first witness is outside the cone
+        # and its fifth multiplier (third chunk) is not symmetric: the
+        # multiplier raises, as it does when the group is one chunk
+        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        assert [(r.descriptor, r.problem) for r in records[6:12]] == [("sym:2", "cone")] * 6
+        records[6].b_witness = Element(SymMatrix(2), np.array([-1.0, 0.0, -1.0]))
+        records[10].entries = np.array([[0.0, 1.0], [2.0, 0.0]])
+        for chunk in (2, 1024):
+            monkeypatch.setattr(search, "MARGIN_CHUNK", chunk)
+            with pytest.raises(ValueError, match="not symmetric"):
+                replay_records(records)
+        records[10].entries = records[11].entries
+        with pytest.raises(ValueError, match="not in the cone"):
+            replay_records(records)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # a group's Schur matrices and witnesses are built one chunk at a
+        # time: ten times the records take far less than ten times the memory
+        # (the returned pairs still grow with the records)
+        base = sweep(FamilySpec("random_sym", 5, zero_diag=True), SymMatrix(5),
+                     20, 50, seed=3).violations
+        assert len(base) == 1000
+        peaks = []
+        for k in (2000, 20000):
+            records = [dataclasses.replace(base[i % len(base)]) for i in range(k)]
+            tracemalloc.start()
+            try:
+                replayed = replay_records(records)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(ok for ok, _ in replayed)
+            assert [m for _, m in replayed] == [r.margin for r in records]
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_witness_of_another_algebra_rejected(self):
         rec = read_archive(DATA / "zero_diag_archive.jsonl")[0]
