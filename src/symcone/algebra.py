@@ -246,6 +246,12 @@ def basis_element(d: AlgebraDescriptor, k: int) -> Element:
     return Element(d, coords)
 
 
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of A along its last axis in one order for every layout and stack:
+    numpy takes a reduction's order from the strides, so A is summed C-ordered."""
+    return np.ascontiguousarray(A).sum(axis=-1)
+
+
 def jordan_product_coords(d: AlgebraDescriptor, xc: np.ndarray,
                           yc: np.ndarray) -> np.ndarray:
     """Jordan product on packed coordinates; rows of (m, dim) arrays are
@@ -256,7 +262,7 @@ def jordan_product_coords(d: AlgebraDescriptor, xc: np.ndarray,
         return sym_pack((X @ Y + Y @ X) / 2.0)
     if isinstance(d, SpinFactor):
         out = np.empty(np.shape(xc))
-        out[..., 0] = (xc * yc).sum(axis=-1)
+        out[..., 0] = row_sum(xc * yc)
         out[..., 1:] = xc[..., :1] * yc[..., 1:] + yc[..., :1] * xc[..., 1:]
         return out
     out = np.empty(np.shape(xc))
@@ -291,10 +297,7 @@ def norm(x: Element) -> float:
 
 def norm_rows(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
     """:func:`norm` of every row of an (m, dim) coordinate array."""
-    # summed from a C-ordered copy: the order of a row sum follows the memory
-    # layout, and must not depend on the stack the row sits in
-    X = np.ascontiguousarray(X)
-    return np.sqrt((weight_vector(d) * X * X).sum(axis=-1))
+    return np.sqrt(row_sum(weight_vector(d) * X * X))
 
 
 def random_element(

@@ -38,6 +38,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     from_orthonormal,
+    row_sum,
     to_orthonormal,
     weight_vector,
 )
@@ -131,24 +132,17 @@ class EmpiricalNorm:
     note: str | None = None
 
 
-def _rows_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ x for every row x of X, formed entrywise and summed along the
-    contiguous axis: a BLAS product could block by rows, and then a row's
-    bits would depend on its stack."""
-    return (M * X[:, None, :]).sum(axis=-1)
-
-
 def _ratios_through_matrix(T: np.ndarray, d: AlgebraDescriptor,
                            U: np.ndarray, r: float, s: float) -> np.ndarray:
     """||T u||_s / ||u||_r for every row u of U, and 0 where ||u||_r = 0.
 
     ``U`` is an (m, dim) stack in orthonormal coordinates and ``T`` a map's
-    matrix in the same basis.  The spectra of the rows and of their images
-    come from one :func:`eigvals_batch` call, and no row's ratio depends on
-    the other rows of the stack.
+    matrix in the same basis.  The images are row sums (:func:`algebra.row_sum`;
+    a BLAS product could block by rows), and their spectra and the rows' come
+    from one :func:`eigvals_batch` call, so no row's ratio depends on the others.
     """
     m = len(U)
-    X = np.concatenate([U, _rows_times(T, U)]) / np.sqrt(weight_vector(d))
+    X = np.concatenate([U, row_sum(T * U[:, None, :])]) / np.sqrt(weight_vector(d))
     eig = eigvals_batch(d, X)
     den = vec_pnorm_rows(eig[:m], np.full(m, r))
     num = vec_pnorm_rows(eig[m:], np.full(m, s))
@@ -189,7 +183,7 @@ def norm_empirical(kind: str, operand, r: float, s: float,
 
     def evaluate(P: np.ndarray) -> np.ndarray:
         # a proposal is frame weights on the restricted search, else coordinates
-        U = _rows_times(frame_cols, P) if restricted else P
+        U = row_sum(frame_cols * P[:, None, :]) if restricted else P
         return _ratios_through_matrix(T, alg, U, r, s)
 
     # documented extremal witness
@@ -212,7 +206,7 @@ def norm_empirical(kind: str, operand, r: float, s: float,
                 mags = (a / a.max()) ** (t / r)
         wit_xi = mags * np.sign(dvec)
     witness = rebuild(fr, wit_xi)
-    wit_u = _rows_times(frame_cols, wit_xi[None, :])[0]
+    wit_u = row_sum(frame_cols * wit_xi)
     if not np.any(wit_xi):
         witness_value = 0.0
     else:

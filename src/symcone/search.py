@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
+    _JSON_NUMBERS,
     AlgebraDescriptor,
     DescriptorMismatchError,
     Element,
@@ -46,6 +47,7 @@ from .algebra import (
     element_from_json,
     element_to_json,
     jordan_product_coords,
+    row_sum,
 )
 from .majorization import (
     DEFAULT_ATOL,
@@ -164,16 +166,22 @@ class SearchRecord:
         if problem not in PROBLEMS:
             raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
         descriptor_from_spec(spec)  # reject an unparseable spec here
-        margin = float(obj["margin"])
-        if not math.isfinite(margin):
-            raise ValueError(f"margin must be finite, got {margin!r}")
+        family, seed, A, margin = obj["family"], obj.get("seed"), obj["A"], obj["margin"]
+        if type(family) not in (str, type(None)) or type(seed) not in (int, type(None)):
+            raise ValueError(f"family must be a string or null and seed an integer or "
+                             f"null (not a bool), got {family!r}, {seed!r}")
+        if not (type(A) is list and all(type(row) is list and _JSON_NUMBERS.issuperset(
+                map(type, row)) for row in A)):
+            raise ValueError("multiplier A must be a JSON array of arrays of numbers")
+        if type(margin) not in _JSON_NUMBERS or not math.isfinite(margin):
+            raise ValueError(f"margin must be a finite JSON number, got {margin!r}")
         return cls(
-            family=obj["family"],
+            family=family,
             descriptor=spec,
-            seed=obj.get("seed"),
-            entries=np.asarray(obj["A"], dtype=np.float64),
+            seed=seed,
+            entries=np.asarray(A, dtype=np.float64),
             b_witness=element_from_json(obj["b"]),
-            margin=margin,
+            margin=float(margin),
             verdict=verdict,
             problem=problem,
         )
@@ -213,7 +221,7 @@ def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
     lambda(|diag A|)*lambda(b) and rejects a b outside the cone.
 
     A row's result depends on that row alone: the product A . b is formed
-    entrywise and summed along the contiguous axis (a BLAS product could
+    entrywise and summed by :func:`algebra.row_sum` (a BLAS product could
     block by m), the eigensolver treats every row on its own, and the
     verdict is the scalar ``weak_major`` rule.  Returns (margins (m,),
     verdicts (m,) bool).
@@ -229,7 +237,7 @@ def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
                  for lo in range(0, m, MARGIN_CHUNK)]
         margins, holds = zip(*parts)
         return np.concatenate(margins), np.concatenate(holds)
-    ab = (M * coords[:, None, :]).sum(axis=-1)
+    ab = row_sum(M * coords[:, None, :])
     eig = eigvals_batch(d, np.concatenate([ab, coords]))
     eig_ab, eig_b = eig[:m], eig[m:]
     if problem == "general":

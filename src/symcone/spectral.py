@@ -27,6 +27,7 @@ from .algebra import (
     factor_slices,
     inner,
     norm,
+    row_sum,
     sym_pack,
     sym_unpack,
     unit,
@@ -86,18 +87,10 @@ class SpectralDecomposition:
 
 def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
     """Element sum_i vals[i] * e_i over the given frame: a batch of one of
-    :func:`rebuild_batch`.
-
-    einsum takes its summation order from the memory layout, so the frame is
-    laid out as :func:`spectral_decompose_batch` lays out a frame of its
-    algebra (a Sym frame comes out of ``sym_pack`` with the rank axis
-    contiguous): a decomposed sample rebuilds to the bits of its batch row.
-    """
-    coords = [e.coords for e in frame.idempotents]
-    stack = (np.stack(coords, axis=1).T if isinstance(frame.descriptor, SymMatrix)
-             else np.stack(coords))
+    :func:`rebuild_batch`."""
+    frames = np.stack([e.coords for e in frame.idempotents])
     return Element(frame.descriptor,
-                   rebuild_batch(stack[None], np.asarray(vals, dtype=np.float64)[None])[0])
+                   rebuild_batch(frames[None], np.asarray(vals, dtype=np.float64)[None])[0])
 
 
 def frame_residuals(frame: JordanFrame) -> dict:
@@ -127,7 +120,7 @@ def _jacobi_thresh(S: np.ndarray, tol: float):
     itself is expected and stays silent.
     """
     with np.errstate(over="ignore"):
-        norms = np.sqrt((S * S).sum(axis=(1, 2)))
+        norms = np.sqrt(row_sum((S * S).reshape(len(S), S.shape[-1] ** 2)))
     if not np.isfinite(norms).all():
         raise ValueError("matrix has non-finite entries (or its norm overflows)")
     return tol * np.maximum(norms, 1.0)
@@ -199,7 +192,7 @@ def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
     overflow itself is expected and stays silent.
     """
     with np.errstate(over="ignore"):
-        r = np.linalg.norm(X[:, 1:], axis=1)
+        r = np.sqrt(row_sum(X[:, 1:] * X[:, 1:]))
         top = np.abs(X[:, 0]) + r
     if not np.isfinite(top).all():
         raise ValueError("element has non-finite coordinates (or overflows)")
@@ -274,8 +267,12 @@ def spectral_decompose_batch(d: AlgebraDescriptor,
 
 
 def rebuild_batch(frames: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """:func:`rebuild` of every row: coordinates sum_k vals[i, k] frames[i, k]."""
-    return np.einsum("mk,mkd->md", vals, frames)
+    """:func:`rebuild` of every row: coordinates sum_k vals[i, k] frames[i, k],
+    added in turn from k = 0 (an einsum takes its order from the strides)."""
+    out = np.zeros(frames.shape[:1] + frames.shape[2:])
+    for k in range(frames.shape[1]):
+        out += vals[:, k, None] * frames[:, k]
+    return out
 
 
 def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .algebra import (
     inner,
     jordan_product,
     jordan_product_coords,
+    row_sum,
     weight_vector,
 )
 from .spectral import (
@@ -300,13 +301,10 @@ def schur_rows(d: AlgebraDescriptor, A: np.ndarray, frames: np.ndarray,
     ones <x, e_j> e_j, off-diagonal ones 4 e_i o (e_j o x).
     """
     w = weight_vector(d)
-    # a row sum's order follows the memory layout, so rows are summed from
-    # a C-ordered copy: the same order in any stack, and alone
-    X = np.ascontiguousarray(X)
     out = np.zeros(X.shape)
     for j in range(frames.shape[1]):
         ej = frames[:, j]
-        out += (A[:, j, j] * (w * X * ej).sum(axis=1))[:, None] * ej
+        out += (A[:, j, j] * row_sum(w * X * ej))[:, None] * ej
         tj = jordan_product_coords(d, ej, X)
         for i in range(j):
             out += (4.0 * A[:, i, j])[:, None] * jordan_product_coords(d, frames[:, i], tj)

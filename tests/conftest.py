@@ -39,6 +39,28 @@ def coord_stacks(draw, count: int = 1, max_rows: int = 4):
     return (d, *(draw(arrays(np.float64, (m, d.dim), elements=coord)) for _ in range(count)))
 
 
+def _strided_view(a: np.ndarray) -> np.ndarray:
+    buf = np.empty(tuple(2 * k for k in a.shape), dtype=a.dtype)
+    view = buf[(slice(None, None, 2),) * a.ndim]
+    view[...] = a
+    return view
+
+
+# the same values in other memory layouts: C, F, a negative stride on the
+# rows, a view with every stride doubled, and a copy made by take_along_axis
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "reversed-rows": lambda a: a[::-1].copy()[::-1],
+    "strided": _strided_view,
+    "take_along_axis": lambda a: np.take_along_axis(
+        a, np.arange(len(a)).reshape((-1,) + (1,) * (a.ndim - 1)), axis=0),
+}
+
+# the name of a LAYOUTS entry; one re-lays every operand of a call
+layouts = st.sampled_from(sorted(LAYOUTS))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # first-call costs must never count against timed assertions

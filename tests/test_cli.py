@@ -436,10 +436,15 @@ class TestProspect:
         ("A", [[0.0, math.nan], [math.nan, 0.0]]), ("A", [[0.0, math.inf], [math.inf, 0.0]]),
         ("A", []), ("A", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         ("A", [[1.0, 0.0]]), ("problem", "sideways"),
+        ("A", [["0", "1"], ["1", "0"]]), ("A", [[False, True], [True, False]]),
+        ("margin", "0.5"), ("margin", True), ("seed", {"seed": 5}), ("seed", 1.5),
+        ("family", ["random_sym"]),
     ], ids=["b-list", "b-string", "b-null", "b-fractional-n", "b-nested-coords",
             "descriptor-list", "problem-list", "margin-huge-int", "margin-nan",
             "A-asymmetric", "A-nan", "A-infinite", "A-empty", "A-wrong-size",
-            "A-not-square", "problem-sideways"])
+            "A-not-square", "problem-sideways", "A-strings", "A-bools",
+            "margin-string", "margin-bool", "seed-object", "seed-float",
+            "family-list"])
     def test_replay_of_record_field_of_another_shape_exits_2(self, tmp_path, capsys,
                                                              field, value):
         record = self._mixed_records()[0].to_json()

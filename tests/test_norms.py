@@ -14,6 +14,7 @@ from symcone.algebra import (
     from_matrix,
     from_orthonormal,
     random_element,
+    row_sum,
     to_orthonormal,
     unit,
 )
@@ -143,7 +144,7 @@ def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None)
     frame_cols = np.stack([to_orthonormal(e) for e in fr.idempotents], axis=1)
 
     def coords(xi):
-        return norms._rows_times(frame_cols, xi[None, :])[0]
+        return row_sum(frame_cols * xi)
 
     def ratio(u):
         return float(norms._ratios_through_matrix(T, alg, u[None, :], r, s)[0])
