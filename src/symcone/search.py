@@ -68,6 +68,7 @@ from .transforms import (
     schur_matrix,
     schur_stack,
 )
+from .verifiers import GENERAL_SIGMA, sample_rngs
 
 FAMILIES = (
     "psd_gram",
@@ -79,7 +80,7 @@ FAMILIES = (
 
 PROBLEMS = ("general", "cone")
 
-GENERAL_SIGMA = 3.0
+VERDICTS = ("violated", "satisfied")
 
 # rows per batch in _margins, which bounds its (rows, dim, dim) products and
 # its eigensolves; a sweep stacks as many candidates' elements as fit (at
@@ -139,7 +140,7 @@ class SearchRecord:
     entries: np.ndarray
     b_witness: Element
     margin: float
-    verdict: str  # "violated" | "satisfied"
+    verdict: str  # one of VERDICTS
     problem: str  # "general" | "cone"
 
     def to_json(self) -> dict:
@@ -165,6 +166,8 @@ class SearchRecord:
                              f"got {spec!r}, {verdict!r}, {problem!r}")
         if problem not in PROBLEMS:
             raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}; known: {VERDICTS}")
         descriptor_from_spec(spec)  # reject an unparseable spec here
         family, seed, A, margin = obj["family"], obj.get("seed"), obj["A"], obj["margin"]
         if type(family) not in (str, type(None)) or type(seed) not in (int, type(None)):
@@ -374,7 +377,8 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
     """Test n_A candidates against n_b random elements each.
 
     Candidate ia draws its multiplier, then its elements, from its own
-    generator ``SeedSequence([seed, ia])``.  Consecutive candidates run in
+    generator ``verifiers.sample_rng(seed, ia)``, derived with those of its
+    group (:func:`verifiers.sample_rngs`).  Consecutive candidates run in
     groups of as many as fit in ``MARGIN_CHUNK`` elements (at least one):
     the group's multipliers are validated as one stack and all its elements
     run as one batch through :func:`_margins` on the standard frame, each
@@ -402,8 +406,7 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
                            min_margin, tested)
     group = max(1, MARGIN_CHUNK // n_b)
     for lo in range(0, n_A, group):
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, ia]))
-                for ia in range(lo, min(lo + group, n_A))]
+        rngs = sample_rngs(seed, range(lo, min(lo + group, n_A)))
         E = multiplier_stack([generate_candidate(spec, rng) for rng in rngs], spec.n)
         coords = np.concatenate([_sample_b_coords(descriptor, rng, n_b, problem)
                                  for rng in rngs])

@@ -10,9 +10,9 @@ one row per sample -- (m, dim) coordinates of the elements, plus per-row
 multipliers, frames, exponents, sublinear slopes or cutoffs.  A
 :class:`CheckRunner` bundles the check's ``draw`` (the per-sample
 generators to those arrays), its ``rows`` (verdicts, worst slacks and
-numeric details of every row) and its ``witness`` (every input of one row,
-as the public check serializes it).  ``run_sweep`` applies them to chunks
-of samples.  Each public ``check_*`` call (and
+numeric details of every row) and its ``witness`` (row i of every input,
+recorded by name: :func:`_row_witness`).  ``run_sweep`` applies them to
+chunks of samples.  Each public ``check_*`` call (and
 :func:`build_commuting_factors`) is a batch of one: it validates its
 arguments, builds their one-row inputs and reports row 0, so its verdict,
 worst slack, witness and details are those of a one-sample sweep.  Each
@@ -78,6 +78,7 @@ from .transforms import (
     apply_sublinear_rows,
     certify_positive_by_sampling,
     compose_positive,
+    multiplier_stack,
     positive_quad_map,
     positive_schur_map,
     quad_rep_coords,
@@ -213,8 +214,8 @@ def _det_floor(la: np.ndarray, lb: np.ndarray):
 # --- inputs and witnesses -------------------------------------------------------
 #
 # A check's inputs are a dict of arrays with one row per sample; a public
-# check builds the one-row inputs of its arguments.  Witness helpers
-# serialize every input of row i.
+# check builds the one-row inputs of its arguments.  A witness is row i of
+# every input, recorded under the input's name.
 
 def _pair_rows(a: Element, b: Element) -> dict:
     """The pair a, b as a batch of one."""
@@ -241,20 +242,19 @@ def _el_json(d: AlgebraDescriptor, X: np.ndarray, i: int) -> dict:
     return element_to_json(Element(d, X[i]))
 
 
-def _matrix_json(A: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in A]
-
-
 def _frame_json(d: AlgebraDescriptor, frame: np.ndarray) -> list:
     return [element_to_json(Element(d, e)) for e in frame]
 
 
-def _phi_json(phi: np.ndarray, i: int) -> list:
-    return [float(phi[i, 0]), float(phi[i, 1])]
-
-
-def _pair_witness(d, inp, i):
-    return {"a": _el_json(d, inp["a"], i), "b": _el_json(d, inp["b"], i)}
+def _row_witness(d: AlgebraDescriptor, inp: dict, i: int) -> dict:
+    """Row i of every input, by name: the elements a, b and x as element
+    JSON, a frame as a list of them, and any other input (the multiplier A,
+    the slopes phi, the exponents r and s, the cutoff k) as its row's
+    values."""
+    return {name: _el_json(d, vals, i) if name in ("a", "b", "x")
+            else _frame_json(d, vals[i]) if name == "frame"
+            else vals[i].tolist()
+            for name, vals in inp.items()}
 
 
 def _columns(names: tuple, draws: list) -> dict:
@@ -390,10 +390,6 @@ def _factor_rows(d, inp, atol, rtol):
     return passed, worst, {key: details[key] for key in _FACTOR_DETAILS}
 
 
-def _factor_witness(d, inp, i):
-    return {"a": _el_json(d, inp["a"], i), "k": int(inp["k"][i])}
-
-
 def build_commuting_factors(a: Element, k: int,
                             atol: float = DEFAULT_ATOL,
                             rtol: float = DEFAULT_RTOL,
@@ -421,7 +417,7 @@ def build_commuting_factors(a: Element, k: int,
     details = {key: rows[key][0].item() for key in _FACTOR_DETAILS}
     details.update({key: bool(rows[key][0]) for key in ("i", "ii", "iii", "iv")})
     report = _single("commuting_factors", a, passed[0], worst[0],
-                     _factor_witness(d, inp, 0), details)
+                     _row_witness(d, inp, 0), details)
     return Element(d, x[0]), Element(d, y[0]), report
 
 
@@ -446,12 +442,12 @@ def _factor_rows_of(P: PositiveLinearMap) -> tuple:
                  for f in P.factors)
 
 
-def _factors_json(P: PositiveLinearMap) -> list:
-    d = P.descriptor
-    return [{"kind": "quad", "c": element_to_json(f[1])} if f[0] == "quad"
-            else {"kind": "schur", "A": _matrix_json(f[1].entries),
-                  "frame": _frame_json(d, _frame_coords(f[2]))}
-            for f in P.factors]
+def _factors_json(d: AlgebraDescriptor, factors: tuple) -> list:
+    """One-row factor operands, as apply_factors_rows takes them, as a
+    witness records them."""
+    return [{"kind": "quad", "c": _el_json(d, f[1], 0)} if f[0] == "quad"
+            else {"kind": "schur", "A": f[1][0].tolist(), "frame": _frame_json(d, f[2][0])}
+            for f in factors]
 
 
 def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: SublinearFn,
@@ -471,19 +467,17 @@ def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: Sublinea
     if not P.certified:
         if rng is None or not certify_positive_by_sampling(P, rng):
             raise PositivityError("map lacks a positivity certificate")
-    if P.factors:
-        factors = _factor_rows_of(P)
-
+    factors = _factor_rows_of(P)
+    if factors:
         def apply(X):
             return apply_factors_rows(d, factors, X)
     else:
         def apply(X):
             return P(Element(d, X[0])).coords[None]
 
-    phi_row = _phi_row(phi)
-    passed, worst, _ = _positive_map_verdict(d, apply, x.coords[None], phi_row, atol, rtol)
-    witness = {"x": element_to_json(x), "phi": _phi_json(phi_row, 0), "map": P.label,
-               "factors": _factors_json(P)}
+    inp = {"x": x.coords[None], "phi": _phi_row(phi)}
+    passed, worst, _ = _positive_map_verdict(d, apply, inp["x"], inp["phi"], atol, rtol)
+    witness = {**_row_witness(d, inp, 0), "map": P.label, "factors": _factors_json(d, factors)}
     return _single("positive_map_sublinear", x, passed[0], worst[0], witness, {})
 
 
@@ -498,10 +492,6 @@ def _quadrep_sublinear_rows(d, inp, atol, rtol):
     worst, holds = weak_major_rows(lam[:m], sort_desc_rows(la * la) * lam[m:2 * m],
                                    atol=atol, rtol=rtol)
     return holds, worst, {}
-
-
-def _quadrep_sublinear_witness(d, inp, i):
-    return {**_pair_witness(d, inp, i), "phi": _phi_json(inp["phi"], i)}
 
 
 def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
@@ -530,10 +520,6 @@ def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
     return {"A": A.entries[None], "frame": _frame_coords(frame)[None]}
 
 
-def _multiplier_witness(d, inp, i):
-    return {"A": _matrix_json(inp["A"][i]), "frame": _frame_json(d, inp["frame"][i])}
-
-
 def _schur_diag_rows(d, inp, atol, rtol):
     """lambda(phi(A.b)) against lambda(diag A)*lambda(phi(b)) and against
     lambda(A.phi(b)) per row, the Schur products taken on each row's frame."""
@@ -548,11 +534,6 @@ def _schur_diag_rows(d, inp, atol, rtol):
     worst_diag, holds_diag = weak_major_rows(lhs, diag * lam[m:2 * m], atol=atol, rtol=rtol)
     worst_elem, holds_elem = weak_major_rows(lhs, lam[2 * m:], atol=atol, rtol=rtol)
     return holds_diag & holds_elem, np.minimum(worst_elem, worst_diag), {}
-
-
-def _schur_diag_witness(d, inp, i):
-    return {**_multiplier_witness(d, inp, i), "b": _el_json(d, inp["b"], i),
-            "phi": _phi_json(inp["phi"], i)}
 
 
 def check_schur_diag(A, frame: JordanFrame, b: Element, phi: SublinearFn,
@@ -648,13 +629,6 @@ def _pinch_rows(d, inp, atol, rtol):
     return passed, worst, {}
 
 
-def _pinch_witness(d, inp, i):
-    witness = _pair_witness(d, inp, i)
-    if "A" in inp:
-        witness.update(_multiplier_witness(d, inp, i))
-    return witness
-
-
 def check_quadrep_pinch(a: Element, b: Element, A=None,
                         frame: JordanFrame | None = None,
                         atol: float = DEFAULT_ATOL,
@@ -699,10 +673,6 @@ def _holder_rows(d, inp, atol, rtol):
     rhs = vec_pnorm_rows(lam[m:2 * m], r) * vec_pnorm_rows(lam[2 * m:], s)
     passed = lhs <= rhs * (1.0 + rtol) + atol
     return passed, rhs - lhs, {"p": p, "lhs": lhs, "rhs": rhs}
-
-
-def _holder_witness(d, inp, i):
-    return {**_pair_witness(d, inp, i), "r": float(inp["r"][i]), "s": float(inp["s"][i])}
 
 
 def check_holder(a: Element, b: Element, r: float, s: float,
@@ -811,21 +781,26 @@ def sample_sublinear(rng: np.random.Generator) -> SublinearFn:
 
 _PHI_CHOICES = (ABS_FN, POS_FN, NEG_FN)
 _MAP_KINDS = ("quad", "schur_psd", "quad_compose")
+# the label of each kind's map, as the constructors of transforms name it
+_MAP_LABELS = {"quad": "quad_rep", "schur_psd": "schur_psd",
+               "quad_compose": "quad_rep*quad_rep"}
 
 
 def make_positive_map(d: AlgebraDescriptor, kind: str,
                       rng: np.random.Generator) -> PositiveLinearMap:
-    if kind == "quad":
-        return positive_quad_map(sample_cone(d, rng, 0.0, 2.0))
-    if kind == "schur_psd":
-        A = SchurMatrix(sample_psd_gram(d.rank, rng))
-        return positive_schur_map(A, sample_frame(d, rng))
-    if kind == "quad_compose":
-        return compose_positive(
-            positive_quad_map(sample_cone(d, rng, 0.0, 2.0)),
-            positive_quad_map(sample_cone(d, rng, 0.0, 2.0)),
-        )
-    raise ValueError(f"unknown positive-map kind {kind!r}")
+    """A positive map of one of the ``_MAP_KINDS``, built on operands drawn
+    from rng as a sweep draws a row's (:func:`_map_draws`, a batch of one):
+    P_c with c a cone element on [0, 2) ("quad"), the Schur product with a
+    PSD Gram multiplier on a random frame ("schur_psd"), or the composition
+    of two P_c ("quad_compose")."""
+    if kind not in _MAP_KINDS:
+        raise ValueError(f"unknown positive-map kind {kind!r}")
+    inp = _map_draws(d, [rng], np.array([_MAP_KINDS.index(kind)]))
+    maps = [positive_quad_map(Element(d, f[1][0])) if f[0] == "quad"
+            else positive_schur_map(SchurMatrix(f[1][0]),
+                                    JordanFrame([Element(d, e) for e in f[2][0]]))
+            for f in _row_factors(kind, inp, [0])]
+    return maps[0] if len(maps) == 1 else compose_positive(*maps)
 
 
 _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
@@ -882,18 +857,13 @@ def _factor_draw(d, rngs, atol=0.0, rtol=0.0):
     return {"a": a, "k": np.array([int(rng.integers(1, d.rank + 1)) for rng in rngs])}
 
 
-def _symmetrized(A: np.ndarray) -> np.ndarray:
-    """Each multiplier's entries as SchurMatrix stores them."""
-    return (A + A.swapaxes(1, 2)) / 2.0
-
-
 def _schur_diag_draw(d, rngs, atol=None, rtol=None):
     """A PSD Gram multiplier, a frame, phi in (|t|, t+, t-), then b."""
     inp = _columns(("A", "g", "phi", "b"), [
         (sample_psd_gram(d.rank, rng), _general_draw(d, rng, 1.0), _phi_choice(rng),
          _general_draw(d, rng)) for rng in rngs])
     inp["frame"] = spectral_decompose_batch(d, inp.pop("g"))[1]
-    inp["A"] = _symmetrized(inp["A"])
+    inp["A"] = multiplier_stack(inp["A"], d.rank)
     return inp
 
 
@@ -906,20 +876,25 @@ def _pinch_draw(d, rngs, atol=None, rtol=None):
     _, frames = spectral_decompose_batch(d, np.concatenate([inp.pop("g"), inp.pop("ga")]))
     inp["frame"] = frames[:m]
     inp["a"] = rebuild_batch(frames[m:], _cone_eigs(inp.pop("ua")))
-    inp["A"] = _symmetrized(inp["A"])
+    inp["A"] = multiplier_stack(inp["A"], d.rank)
     return inp
 
 
 def _positive_map_draw(d, rngs, atol=None, rtol=None):
-    """A map kind and phi, then the map's operands and x (:func:`_map_draws`)."""
+    """A map kind and phi, then the map's operands (:func:`_map_draws`),
+    then x (sample_general)."""
     kind = np.array([int(rng.integers(len(_MAP_KINDS))) for rng in rngs], dtype=np.int64)
     phi = np.array([_phi_choice(rng) for rng in rngs])
-    return {"kind": kind, "phi": phi, **_map_draws(d, rngs, kind)}
+    maps = _map_draws(d, rngs, kind)
+    return {"kind": kind, "phi": phi, **maps,
+            "x": np.array([_general_draw(d, rng) for rng in rngs])}
 
 
 def _map_draws(d, rngs, kind):
-    """Row i's positive map of kind ``_MAP_KINDS[kind[i]]``, drawn as
-    make_positive_map draws it, then x (sample_general).
+    """The operands of row i's positive map, of kind ``_MAP_KINDS[kind[i]]``:
+    a PSD Gram multiplier (sample_psd_gram) and a frame's Gaussian draw, or
+    one or two cone elements with eigenvalues on [0, 2), drawn as
+    sample_cone draws them.
 
     Rows hold every operand array; those a row's kind does not use are NaN:
     ``c[:, 0]`` is P_c's operand for "quad" and the outer one for
@@ -928,7 +903,7 @@ def _map_draws(d, rngs, kind):
     """
     m, rank, dim = len(rngs), d.rank, d.dim
     out = {"c": np.full((m, 2, dim), np.nan), "A": np.full((m, rank, rank), np.nan),
-           "frame": np.full((m, rank, dim), np.nan), "x": np.empty((m, dim))}
+           "frame": np.full((m, rank, dim), np.nan)}
     # coordinates to decompose, and the (row, slot) each frame lands in:
     # slot -1 is the Schur frame, slots 0 and 1 the cone operands
     gauss, vals, dest = [], [], []
@@ -944,7 +919,6 @@ def _map_draws(d, rngs, kind):
                 gauss.append(g)
                 vals.append(v)
                 dest.append((i, j))
-        out["x"][i] = _general_draw(d, rng)
     _, frames = spectral_decompose_batch(d, np.array(gauss))
     cones = rebuild_batch(frames, _cone_eigs(np.array(vals), 0.0, 2.0))
     for (i, j), frame, c in zip(dest, frames, cones):
@@ -952,7 +926,8 @@ def _map_draws(d, rngs, kind):
             out["frame"][i] = frame
         else:
             out["c"][i, j] = c
-    out["A"] = _symmetrized(out["A"])
+    schur = kind == _MAP_KINDS.index("schur_psd")
+    out["A"][schur] = multiplier_stack(out["A"][schur], rank)
     return out
 
 
@@ -979,22 +954,13 @@ def _positive_map_rows(d, inp, atol, rtol):
     return _positive_map_verdict(d, apply, inp["x"], inp["phi"], atol, rtol)
 
 
-def _row_map(d, inp, i) -> PositiveLinearMap:
-    """Row i's map, built from its operands as make_positive_map builds it."""
-    kind = _MAP_KINDS[inp["kind"][i]]
-    if kind == "schur_psd":
-        frame = JordanFrame([Element(d, e) for e in inp["frame"][i]])
-        return positive_schur_map(SchurMatrix(inp["A"][i]), frame)
-    maps = [positive_quad_map(Element(d, c))
-            for c in inp["c"][i, :1 if kind == "quad" else 2]]
-    return maps[0] if kind == "quad" else compose_positive(*maps)
-
-
 def _positive_map_witness(d, inp, i):
-    """Row i's inputs as check_positive_map_sublinear records them."""
-    P = _row_map(d, inp, i)
-    return {"x": _el_json(d, inp["x"], i), "phi": _phi_json(inp["phi"], i),
-            "map": P.label, "factors": _factors_json(P)}
+    """Row i's inputs as check_positive_map_sublinear records them: x, phi,
+    and the map's label and factors, read off its operands."""
+    kind = _MAP_KINDS[inp["kind"][i]]
+    return {**_row_witness(d, {key: inp[key] for key in ("x", "phi")}, i),
+            "map": _MAP_LABELS[kind],
+            "factors": _factors_json(d, _row_factors(kind, inp, [i]))}
 
 
 # --- the registry ----------------------------------------------------------------------
@@ -1007,7 +973,9 @@ class CheckRunner:
     generator; ``rows(d, inputs, atol, rtol)`` returns every row's verdict,
     worst slack and numeric details ({name: per-row values, NaN where the
     report has none}); ``witness(d, inputs, i)`` serializes every input of
-    row i, as the public check records them.  The public check reports
+    row i, as the public check records them: by name
+    (:func:`_row_witness`), except for a positive map, recorded by its label
+    and factors.  The public check reports
     ``rows`` and ``witness`` on its one-row inputs (:func:`_single_row`);
     ``check_positive_map_sublinear``, whose map need not be a registered
     kind, shares the rows' verdict step (:func:`_positive_map_verdict`).
@@ -1015,21 +983,20 @@ class CheckRunner:
 
     draw: Callable
     rows: Callable
-    witness: Callable
+    witness: Callable = _row_witness
 
 
 CHECK_RUNNERS: dict[str, CheckRunner] = {
-    "log_major_quadrep": CheckRunner(_cone_pairs, _log_major_rows, _pair_witness),
-    "quadrep_sup_bound": CheckRunner(_cone_pairs, _sup_bound_rows, _pair_witness),
-    "commuting_factors": CheckRunner(_factor_draw, _factor_rows, _factor_witness),
+    "log_major_quadrep": CheckRunner(_cone_pairs, _log_major_rows),
+    "quadrep_sup_bound": CheckRunner(_cone_pairs, _sup_bound_rows),
+    "commuting_factors": CheckRunner(_factor_draw, _factor_rows),
     "positive_map_sublinear": CheckRunner(_positive_map_draw, _positive_map_rows,
                                           _positive_map_witness),
-    "quadrep_sublinear": CheckRunner(_quadrep_sublinear_draw, _quadrep_sublinear_rows,
-                                     _quadrep_sublinear_witness),
-    "schur_diag": CheckRunner(_schur_diag_draw, _schur_diag_rows, _schur_diag_witness),
-    "jordan_weak": CheckRunner(_general_pairs, _jordan_weak_rows, _pair_witness),
-    "quadrep_pinch": CheckRunner(_pinch_draw, _pinch_rows, _pinch_witness),
-    "holder": CheckRunner(_holder_draw, _holder_rows, _holder_witness),
+    "quadrep_sublinear": CheckRunner(_quadrep_sublinear_draw, _quadrep_sublinear_rows),
+    "schur_diag": CheckRunner(_schur_diag_draw, _schur_diag_rows),
+    "jordan_weak": CheckRunner(_general_pairs, _jordan_weak_rows),
+    "quadrep_pinch": CheckRunner(_pinch_draw, _pinch_rows),
+    "holder": CheckRunner(_holder_draw, _holder_rows),
 }
 
 

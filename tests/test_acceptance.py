@@ -126,8 +126,10 @@ def test_sublinear_positive_map_suite(capsys):
         for j, d in enumerate(descriptors):
             index = range(j, count, len(descriptors))
             kinds = np.full(len(index), verifiers._MAP_KINDS.index(kind))
+            rngs = [sample_rng(seed, i) for i in index]
             inputs = {"kind": kinds, "phi": np.tile([phi.alpha, phi.beta], (len(index), 1)),
-                      **verifiers._map_draws(d, [sample_rng(seed, i) for i in index], kinds)}
+                      **verifiers._map_draws(d, rngs, kinds),
+                      "x": np.array([sample_general(d, rng).coords for rng in rngs])}
             passed, worst, _ = verifiers._positive_map_rows(d, inputs, DEFAULT_ATOL,
                                                             DEFAULT_RTOL)
             out.append((passed, worst))

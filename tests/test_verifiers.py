@@ -820,6 +820,7 @@ class TestBatchedSweep:
             assert verifiers._MAP_KINDS[inp["kind"][i]] == kind
             phi = phis[rng.integers(3)]
             assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
+            state = rng.bit_generator.state
             P = make_positive_map(d, kind, rng)
             for j, factor in enumerate(P.factors):
                 if factor[0] == "quad":
@@ -828,6 +829,15 @@ class TestBatchedSweep:
                     assert np.array_equal(inp["A"][i], factor[1].entries)
                     same(inp["frame"][i], frame(factor[2]))
             assert np.array_equal(inp["x"][i], sample_general(d, rng).coords)
+            # make_positive_map draws its operands as the scalar samplers do
+            rng.bit_generator.state = state
+            if kind == "schur_psd":
+                assert np.array_equal(inp["A"][i],
+                                      SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
+                same(inp["frame"][i], frame(sample_frame(d, rng)))
+            else:
+                for j in range(1 if kind == "quad" else 2):
+                    same(inp["c"][i, j], sample_cone(d, rng, 0.0, 2.0).coords)
 
     @pytest.mark.parametrize("seed", [20260809, 4])
     @pytest.mark.parametrize("check", ["log_major_quadrep", "jordan_weak"])
