@@ -9,15 +9,18 @@ drops below ``tol`` times the Frobenius norm of the input (floored at 1.0).
 The kernel never raises; it returns the final off-diagonal residuals and
 leaves the convergence decision to the caller.
 
-The kernel holds the stack last: the matrices as (n, n, m), and the
-eigenvector columns as rows of another (n, n, m) array, so that row k of it
-is column k of every V.  A rotation then reads and writes contiguous rows of
-length m, one entry per matrix, instead of strided ones.  Every entry is
-computed by the same operations in the same order as on an (m, n, n) stack,
-and the residuals are summed over a C-ordered (m, n, n) copy, so the
-eigenvalues, eigenvectors and residuals have the bits of the (m, n, n)
-kernel, whatever the memory layout of the input.  The results come back as
-(m, n) eigenvalues and C-contiguous (m, n, n) eigenvector columns.
+The kernel holds the stack last, in one (n, w, m) block X: ``X[i, :n]`` is
+row i of every matrix, and ``X[i, n:]`` is eigenvector column i of every
+matrix (w = 2n with eigenvectors, w = n without).  One rotation of rows p
+and q of X then turns the matrix rows and the eigenvector columns with the
+same ``c*rowp - s*rowq``, ``s*rowp + c*rowq``, reading and writing
+contiguous rows of length m, one entry per matrix; only the matrix half is
+written back as columns.  Every entry is computed by the same operations in
+the same order as on an (m, n, n) stack, and the residuals are summed over a
+C-ordered (m, n, n) copy, so the eigenvalues, eigenvectors and residuals
+have the bits of the (m, n, n) kernel, whatever the memory layout of the
+input.  The results come back as (m, n) eigenvalues and C-contiguous
+(m, n, n) eigenvector columns.
 
 ``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are entry points
 over that kernel; they stay separate names because the benchmark's tracer
@@ -48,23 +51,30 @@ def _offdiag_mass(At):
     return np.sqrt((B * B).sum(axis=(1, 2)))
 
 
-def _batch_sweep(At, Vt):
-    """One cyclic sweep over every matrix of the stack-last (n, n, m) array
-    At, in place, rotating the eigenvector rows Vt (n, n, m) alike unless it
-    is None.
+def _batch_sweep(X, n):
+    """One cyclic sweep, in place, over every matrix of the (n, w, m) block
+    X: ``X[:, :n]`` holds the matrices stack-last and, when w = 2n,
+    ``X[i, n:]`` holds eigenvector column i of every matrix.
 
     The tangent of the smaller rotation angle, t = sgn(theta) / (|theta| +
     sqrt(theta^2 + 1)) with theta = diff / (2 apq), is written as
     2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
     overflow of theta^2 at tiny pivots, and exactly 0 (an identity rotation)
-    for a zero pivot.  ``apq``, ``app`` and ``aqq`` are views of At, so the
-    new diagonal is computed before rows p and q are written.
+    for a zero pivot.  ``apq``, ``app`` and ``aqq`` are views of X, so the
+    new diagonal is computed before rows p and q are written.  One rotation
+    of the rows p and q of X turns the matrix rows and the eigenvector
+    columns alike; only the matrix half is written back as columns.
     """
-    n = At.shape[0]
+    rows = list(X)
+    # at n = 2 the matrix rows hold only the pivot block, which the lines
+    # after the rotation overwrite, so only the eigenvector half (if any) is
+    # rotated
+    tails = rows if n > 2 else [row[n:] for row in rows]
+    rotate = tails[0].size > 0
     for p in range(n - 1):
-        rowp = At[p]
+        rowp = rows[p]
         for q in range(p + 1, n):
-            rowq = At[q]
+            rowq = rows[q]
             apq, app, aqq = rowp[q], rowp[p], rowq[q]
             diff = aqq - app
             apq2 = 2.0 * apq
@@ -76,33 +86,27 @@ def _batch_sweep(At, Vt):
             shift = t * apq
             newpp = app - shift
             newqq = aqq + shift
-            if n > 2:
-                # at n = 2 rows p and q hold only the pivot block, which the
-                # lines after this one overwrite
-                newp = c * rowp - s * rowq
-                newq = s * rowp + c * rowq
-                rowp[...] = newp
-                rowq[...] = newq
-                At[:, p] = newp
-                At[:, q] = newq
+            if rotate:
+                tailp, tailq = tails[p], tails[q]
+                newp = c * tailp - s * tailq
+                newq = s * tailp + c * tailq
+                tailp[...] = newp
+                tailq[...] = newq
+                if n > 2:
+                    X[:, p] = newp[:n]
+                    X[:, q] = newq[:n]
             rowp[p] = newpp
             rowq[q] = newqq
             rowp[q] = 0.0
             rowq[p] = 0.0
-            if Vt is not None:
-                colp, colq = Vt[p], Vt[q]
-                sp = s * colp
-                cq = c * colq
-                np.subtract(c * colp, s * colq, out=colp)
-                np.add(sp, cq, out=colq)
 
 
-def _store(At, Vt, sel, dest, W, V):
+def _store(X, n, sel, dest, W, V):
     """Copy the eigenvalues (and, if V is not None, the eigenvector columns)
-    of the matrices ``sel`` of the stack-last arrays into rows ``dest``."""
-    W[dest] = np.diagonal(At)[sel]
+    of the matrices ``sel`` of the block X into rows ``dest``."""
+    W[dest] = np.diagonal(X[:, :n])[sel]
     if V is not None:
-        V[dest] = Vt.transpose(2, 1, 0)[sel]
+        V[dest] = X[:, n:].transpose(2, 1, 0)[sel]
 
 
 def jacobi_batch(S, tol, max_sweeps, vectors=False):
@@ -120,29 +124,25 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
     A = np.ascontiguousarray(S, dtype=np.float64)  # read only; may be S itself
     m, n = A.shape[0], A.shape[1]
     thresh = tol * np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1.0)
-    At = A.transpose(1, 2, 0).copy()
-    Vt = None
+    X = np.zeros((n, 2 * n if vectors else n, m))
+    X[:, :n] = A.transpose(1, 2, 0)
     if vectors:
-        Vt = np.zeros((n, n, m))
-        Vt[np.arange(n), np.arange(n)] = 1.0
-    off = _offdiag_mass(At)
+        X[np.arange(n), n + np.arange(n)] = 1.0
+    off = _offdiag_mass(X[:, :n])
     W = np.empty((m, n))
     V = np.empty((m, n, n)) if vectors else None
-    rows = np.arange(m)  # the input row of each matrix left in At
+    rows = np.arange(m)  # the input row of each matrix left in X
     for _ in range(max_sweeps):
         keep = off[rows] > thresh[rows]
         if not keep.any():
             break
         if not keep.all():
-            _store(At, Vt, ~keep, rows[~keep], W, V)
+            _store(X, n, ~keep, rows[~keep], W, V)
             rows = rows[keep]
-            left = np.flatnonzero(keep)
-            At = np.take(At, left, axis=2)
-            if vectors:
-                Vt = np.take(Vt, left, axis=2)
-        _batch_sweep(At, Vt)
-        off[rows] = _offdiag_mass(At)
-    _store(At, Vt, slice(None), slice(None) if rows.size == m else rows, W, V)
+            X = np.take(X, np.flatnonzero(keep), axis=2)
+        _batch_sweep(X, n)
+        off[rows] = _offdiag_mass(X[:, :n])
+    _store(X, n, slice(None), slice(None) if rows.size == m else rows, W, V)
     return W, V, off
 
 

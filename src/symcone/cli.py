@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 a check failed (a witness file is written),
 line that does not parse, a NaN, infinite or negative ``--atol`` or
 ``--rtol`` and a negative ``--seed``, which every subcommand rejects before
 any work, a ``prospect`` sweep with ``--budget`` or ``--samples`` below 1,
-and, for ``verify``, tolerances so large that no sampled element clears the
-commuting-factor check's invertibility floor.
+for ``verify``, tolerances so large that no sampled element clears the
+commuting-factor check's invertibility floor, and a size (``--samples``, an
+operand's dimension) whose arrays do not fit in memory.
 All output is deterministic under a fixed configuration and seed.
 """
 
@@ -65,11 +66,13 @@ class _Parser(argparse.ArgumentParser):
 # Errors that end a command and their exit codes, reported as one ``error:``
 # line; the first matching entry applies.  ConfigError and malformed files
 # are ValueErrors; an eigensolver that does not converge was given input it
-# cannot handle.
+# cannot handle, and a command whose arrays do not fit in memory was asked
+# for more than the machine holds (numpy's message names the array).
 EXIT_CODES = (
     (ValueError, 2),
     (OSError, 2),
     (JacobiConvergenceError, 2),
+    (MemoryError, 2),
 )
 
 

@@ -40,7 +40,6 @@ from .algebra import (
     jordan_product_coords,
     norm_rows,
     operator_commutes_rows,
-    random_element,
     unit,
 )
 from .majorization import (
@@ -77,10 +76,7 @@ from .transforms import (
     apply_factors_rows,
     apply_sublinear_rows,
     certify_positive_by_sampling,
-    compose_positive,
     multiplier_stack,
-    positive_quad_map,
-    positive_schur_map,
     quad_rep_coords,
     quad_rep_sqrt_rows,
     schur_rows,
@@ -255,11 +251,6 @@ def _row_witness(d: AlgebraDescriptor, inp: dict, i: int) -> dict:
             else _frame_json(d, vals[i]) if name == "frame"
             else vals[i].tolist()
             for name, vals in inp.items()}
-
-
-def _columns(names: tuple, draws: list) -> dict:
-    """Per-sample draw tuples to one array per name."""
-    return {name: np.array(col) for name, col in zip(names, zip(*draws))}
 
 
 # --- log-majorization of the square-root quadratic map ---------------------------
@@ -684,74 +675,23 @@ def check_holder(a: Element, b: Element, r: float, s: float,
 
 
 # --- samplers -----------------------------------------------------------------------
-
-# The samplers' raw draws are kept apart so that the batched draws take
-# exactly what the scalar samplers draw, in the same order.
-
-def _general_draw(d: AlgebraDescriptor, rng: np.random.Generator,
-                  sigma: float = GENERAL_SIGMA) -> np.ndarray:
-    """iid Gaussian coordinates, the draw of ``random_element``."""
-    return rng.normal(0.0, sigma, d.dim)
-
-
-def _cone_draws(d: AlgebraDescriptor, rng: np.random.Generator):
-    """Gaussian coordinates whose frame is kept, then the eigenvalues' unit
-    draws (:func:`_cone_eigs` maps them)."""
-    return rng.normal(0.0, 1.0, d.dim), rng.random(d.rank)
-
-
-def _cone_eigs(u, low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH):
-    """Unit draws to eigenvalues on [low, high), with the bits of
-    ``rng.uniform(low, high)``, which computes ``low + (high - low) * u``."""
-    return low + (high - low) * u
-
+#
+# The scalar samplers draw through ``rng.normal`` and ``rng.uniform``; the
+# batched draws below take the same numbers from each generator in the same
+# order, so these samplers are their independent reference.
 
 def sample_general(d: AlgebraDescriptor, rng: np.random.Generator,
                    sigma: float = GENERAL_SIGMA) -> Element:
-    return Element(d, _general_draw(d, rng, sigma))
+    """iid Gaussian coordinates, the draw of ``random_element``."""
+    return Element(d, rng.normal(0.0, sigma, d.dim))
 
 
 def sample_cone(d: AlgebraDescriptor, rng: np.random.Generator,
                 low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH) -> Element:
-    """Cone element with uniform eigenvalues on a random frame."""
-    coords, u = _cone_draws(d, rng)
-    return rebuild(spectral_decompose(Element(d, coords)).frame, _cone_eigs(u, low, high))
-
-
-def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
-                       min_abs: float = INVERTIBLE_MIN_ABS,
-                       atol: float = 0.0, rtol: float = 0.0) -> np.ndarray:
-    """Coordinates (m, dim) of general elements, row i redrawn from
-    ``rngs[i]`` until every |eigenvalue| clears the floor
-    ``max(min_abs, 10 * (atol + rtol * max|eigenvalue|))`` -- at nonzero
-    tolerances the floor of :func:`build_commuting_factors`.
-
-    Raises ResampleError once a row has missed the floor in
-    MAX_RESAMPLE_DRAWS draws.
-    """
-    def clears(lam):
-        mag = np.abs(lam)
-        with np.errstate(over="ignore"):  # an infinite floor rejects every draw
-            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=-1)) * 10.0)
-        return mag.min(axis=-1) > floor, floor
-
-    X = np.array([_general_draw(d, rng, sigma) for rng in rngs]).reshape(-1, d.dim)
-    ok, _ = clears(eigvals_batch(d, X))
-    # rows that missed are redrawn one at a time, so a row that cannot clear
-    # the floor raises after its own MAX_RESAMPLE_DRAWS draws
-    for i in np.flatnonzero(~ok):
-        for _ in range(MAX_RESAMPLE_DRAWS - 1):
-            X[i] = _general_draw(d, rngs[i], sigma)
-            ok_i, floor = clears(eigvals(Element(d, X[i])))
-            if ok_i:
-                break
-        else:
-            raise ResampleError(
-                f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
-                f"max({min_abs:g}, 10 * (atol + rtol * max|eigenvalue|)) = "
-                f"{floor:.3e} (atol {atol:g}, rtol {rtol:g}) in "
-                f"{MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})")
-    return X
+    """Cone element with uniform eigenvalues on a random frame: the frame of
+    Gaussian coordinates, then the eigenvalues."""
+    frame = spectral_decompose(Element(d, rng.normal(0.0, 1.0, d.dim))).frame
+    return rebuild(frame, rng.uniform(low, high, d.rank))
 
 
 def sample_invertible(d: AlgebraDescriptor, rng: np.random.Generator,
@@ -762,11 +702,12 @@ def sample_invertible(d: AlgebraDescriptor, rng: np.random.Generator,
     Raises ResampleError (a ValueError) after MAX_RESAMPLE_DRAWS draws that
     all fail.
     """
-    return Element(d, _invertible_coords(d, [rng], sigma, min_abs)[0])
-
-
-def sample_frame(d: AlgebraDescriptor, rng: np.random.Generator) -> JordanFrame:
-    return spectral_decompose(random_element(d, rng, 1.0)).frame
+    for _ in range(MAX_RESAMPLE_DRAWS):
+        x = sample_general(d, rng, sigma)
+        if np.abs(eigvals(x)).min() > min_abs:
+            return x
+    raise ResampleError(f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
+                        f"{min_abs:g} in {MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})")
 
 
 def sample_psd_gram(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -784,24 +725,8 @@ _MAP_KINDS = ("quad", "schur_psd", "quad_compose")
 # the label of each kind's map, as the constructors of transforms name it
 _MAP_LABELS = {"quad": "quad_rep", "schur_psd": "schur_psd",
                "quad_compose": "quad_rep*quad_rep"}
-
-
-def make_positive_map(d: AlgebraDescriptor, kind: str,
-                      rng: np.random.Generator) -> PositiveLinearMap:
-    """A positive map of one of the ``_MAP_KINDS``, built on operands drawn
-    from rng as a sweep draws a row's (:func:`_map_draws`, a batch of one):
-    P_c with c a cone element on [0, 2) ("quad"), the Schur product with a
-    PSD Gram multiplier on a random frame ("schur_psd"), or the composition
-    of two P_c ("quad_compose")."""
-    if kind not in _MAP_KINDS:
-        raise ValueError(f"unknown positive-map kind {kind!r}")
-    inp = _map_draws(d, [rng], np.array([_MAP_KINDS.index(kind)]))
-    maps = [positive_quad_map(Element(d, f[1][0])) if f[0] == "quad"
-            else positive_schur_map(SchurMatrix(f[1][0]),
-                                    JordanFrame([Element(d, e) for e in f[2][0]]))
-            for f in _row_factors(kind, inp, [0])]
-    return maps[0] if len(maps) == 1 else compose_positive(*maps)
-
+# cone operands of each kind's map, in the order of _MAP_KINDS
+_MAP_CONES = np.array([1, 0, 2])
 
 _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
                 (math.inf, math.inf), (4.0, 2.0), (3.0, 3.0))
@@ -811,8 +736,25 @@ _HOLDER_GRID = ((2.0, 2.0), (3.0, 1.5), (math.inf, 1.0), (1.0, math.inf),
 #
 # Each maps the generators of a chunk of samples to that chunk's inputs,
 # drawing from each generator what the matching scalar samplers draw, in
-# the same order; the decompositions behind cone elements and frames then
-# run once per chunk.
+# the same order.  Gaussian and unit draws go straight into rows of
+# preallocated stacks (``rng.standard_normal(out=...)``, ``rng.random(out=...)``)
+# and are mapped once per stack, with the bits of ``rng.normal`` and
+# ``rng.uniform``; integer choices and Gram multipliers stay per-sample
+# calls.  The decompositions behind cone elements and frames then run once
+# per chunk.
+
+def _gaussian(G: np.ndarray, sigma: float = GENERAL_SIGMA) -> np.ndarray:
+    """Standard normal draws to N(0, sigma^2) draws, with the bits of
+    ``rng.normal(0.0, sigma)``, which computes ``0.0 + sigma * z`` (so a
+    drawn -0.0 comes out +0.0)."""
+    return 0.0 + sigma * G
+
+
+def _cone_eigs(u, low: float = CONE_EIG_LOW, high: float = CONE_EIG_HIGH):
+    """Unit draws to eigenvalues on [low, high), with the bits of
+    ``rng.uniform(low, high)``, which computes ``low + (high - low) * u``."""
+    return low + (high - low) * u
+
 
 def _phi_choice(rng) -> tuple:
     phi = _PHI_CHOICES[int(rng.integers(len(_PHI_CHOICES)))]
@@ -822,32 +764,90 @@ def _phi_choice(rng) -> tuple:
 def _cone_pairs(d, rngs, atol=None, rtol=None):
     """Cone pairs a, b, drawn as sample_cone draws."""
     m = len(rngs)
-    draws = [_cone_draws(d, rng) + _cone_draws(d, rng) for rng in rngs]
-    ga, ua, gb, ub = (np.array(col) for col in zip(*draws))
-    _, frames = spectral_decompose_batch(d, np.concatenate([ga, gb]))
-    ab = rebuild_batch(frames, _cone_eigs(np.concatenate([ua, ub])))
+    G, U = np.empty((2, m, d.dim)), np.empty((2, m, d.rank))
+    for rng, ga, ua, gb, ub in zip(rngs, G[0], U[0], G[1], U[1]):
+        rng.standard_normal(out=ga)
+        rng.random(out=ua)
+        rng.standard_normal(out=gb)
+        rng.random(out=ub)
+    _, frames = spectral_decompose_batch(d, _gaussian(G, 1.0).reshape(2 * m, d.dim))
+    ab = rebuild_batch(frames, _cone_eigs(U.reshape(2 * m, d.rank)))
     return {"a": ab[:m], "b": ab[m:]}
 
 
 def _general_pairs(d, rngs, atol=None, rtol=None):
     """Pairs a, b, drawn as sample_general draws."""
-    return _columns(("a", "b"), [(_general_draw(d, rng), _general_draw(d, rng))
-                                 for rng in rngs])
+    G = np.empty((2, len(rngs), d.dim))
+    for rng, ga, gb in zip(rngs, G[0], G[1]):
+        rng.standard_normal(out=ga)
+        rng.standard_normal(out=gb)
+    a, b = _gaussian(G)
+    return {"a": a, "b": b}
 
 
 def _holder_draw(d, rngs, atol=None, rtol=None):
     """A Hoelder exponent pair from the grid, then a general pair."""
-    return _columns(("r", "s", "a", "b"), [
-        _HOLDER_GRID[int(rng.integers(len(_HOLDER_GRID)))]
-        + (_general_draw(d, rng), _general_draw(d, rng)) for rng in rngs])
+    m = len(rngs)
+    rs, G = np.empty((2, m)), np.empty((2, m, d.dim))
+    for i, (rng, ga, gb) in enumerate(zip(rngs, G[0], G[1])):
+        rs[:, i] = _HOLDER_GRID[int(rng.integers(len(_HOLDER_GRID)))]
+        rng.standard_normal(out=ga)
+        rng.standard_normal(out=gb)
+    a, b = _gaussian(G)
+    return {"r": rs[0], "s": rs[1], "a": a, "b": b}
 
 
 def _quadrep_sublinear_draw(d, rngs, atol=None, rtol=None):
     """A nonnegative sublinear function (sample_sublinear), then a general pair."""
-    def one(rng):
-        phi = sample_sublinear(rng)
-        return (phi.alpha, phi.beta), _general_draw(d, rng), _general_draw(d, rng)
-    return _columns(("phi", "a", "b"), [one(rng) for rng in rngs])
+    m = len(rngs)
+    phi, G = np.empty((m, 2)), np.empty((2, m, d.dim))
+    for rng, row, ga, gb in zip(rngs, phi, G[0], G[1]):
+        f = sample_sublinear(rng)
+        row[:] = f.alpha, f.beta
+        rng.standard_normal(out=ga)
+        rng.standard_normal(out=gb)
+    a, b = _gaussian(G)
+    return {"phi": phi, "a": a, "b": b}
+
+
+def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
+                       min_abs: float = INVERTIBLE_MIN_ABS,
+                       atol: float = 0.0, rtol: float = 0.0) -> np.ndarray:
+    """Coordinates (m, dim) of general elements, row i redrawn from
+    ``rngs[i]`` until every |eigenvalue| clears the floor
+    ``max(min_abs, 10 * (atol + rtol * max|eigenvalue|))`` -- at nonzero
+    tolerances the floor of :func:`build_commuting_factors`, at zero ones
+    the draw of sample_invertible.
+
+    Raises ResampleError once a row has missed the floor in
+    MAX_RESAMPLE_DRAWS draws.
+    """
+    def clears(lam):
+        mag = np.abs(lam)
+        with np.errstate(over="ignore"):  # an infinite floor rejects every draw
+            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=-1)) * 10.0)
+        return mag.min(axis=-1) > floor, floor
+
+    X = np.empty((len(rngs), d.dim))
+    for rng, x in zip(rngs, X):
+        rng.standard_normal(out=x)
+    X = _gaussian(X, sigma)
+    ok, _ = clears(eigvals_batch(d, X))
+    # rows that missed are redrawn one at a time, so a row that cannot clear
+    # the floor raises after its own MAX_RESAMPLE_DRAWS draws
+    for i in np.flatnonzero(~ok):
+        for _ in range(MAX_RESAMPLE_DRAWS - 1):
+            X[i] = rngs[i].normal(0.0, sigma, d.dim)
+            ok_i, floor = clears(eigvals(Element(d, X[i])))
+            if ok_i:
+                break
+        else:
+            raise ResampleError(
+                f"no element of {descriptor_to_spec(d)} with all |eigenvalues| above "
+                f"max({min_abs:g}, 10 * (atol + rtol * max|eigenvalue|)) = "
+                f"{floor:.3e} (atol {atol:g}, rtol {rtol:g}) in "
+                f"{MAX_RESAMPLE_DRAWS} draws (sigma {sigma:g})")
+    return X
 
 
 def _factor_draw(d, rngs, atol=0.0, rtol=0.0):
@@ -859,25 +859,30 @@ def _factor_draw(d, rngs, atol=0.0, rtol=0.0):
 
 def _schur_diag_draw(d, rngs, atol=None, rtol=None):
     """A PSD Gram multiplier, a frame, phi in (|t|, t+, t-), then b."""
-    inp = _columns(("A", "g", "phi", "b"), [
-        (sample_psd_gram(d.rank, rng), _general_draw(d, rng, 1.0), _phi_choice(rng),
-         _general_draw(d, rng)) for rng in rngs])
-    inp["frame"] = spectral_decompose_batch(d, inp.pop("g"))[1]
-    inp["A"] = multiplier_stack(inp["A"], d.rank)
-    return inp
+    m = len(rngs)
+    A, phi, G = np.empty((m, d.rank, d.rank)), np.empty((m, 2)), np.empty((2, m, d.dim))
+    for rng, a, g, row, gb in zip(rngs, A, G[0], phi, G[1]):
+        a[...] = sample_psd_gram(d.rank, rng)
+        rng.standard_normal(out=g)
+        row[:] = _phi_choice(rng)
+        rng.standard_normal(out=gb)
+    return {"A": multiplier_stack(A, d.rank), "phi": phi, "b": _gaussian(G[1]),
+            "frame": spectral_decompose_batch(d, _gaussian(G[0], 1.0))[1]}
 
 
 def _pinch_draw(d, rngs, atol=None, rtol=None):
     """A PSD Gram multiplier, a frame, a cone element a, then b."""
-    inp = _columns(("A", "g", "ga", "ua", "b"), [
-        (sample_psd_gram(d.rank, rng), _general_draw(d, rng, 1.0))
-        + _cone_draws(d, rng) + (_general_draw(d, rng),) for rng in rngs])
     m = len(rngs)
-    _, frames = spectral_decompose_batch(d, np.concatenate([inp.pop("g"), inp.pop("ga")]))
-    inp["frame"] = frames[:m]
-    inp["a"] = rebuild_batch(frames[m:], _cone_eigs(inp.pop("ua")))
-    inp["A"] = multiplier_stack(inp["A"], d.rank)
-    return inp
+    A, G, U = np.empty((m, d.rank, d.rank)), np.empty((3, m, d.dim)), np.empty((m, d.rank))
+    for rng, a, g, ga, ua, gb in zip(rngs, A, G[0], G[1], U, G[2]):
+        a[...] = sample_psd_gram(d.rank, rng)
+        rng.standard_normal(out=g)
+        rng.standard_normal(out=ga)
+        rng.random(out=ua)
+        rng.standard_normal(out=gb)
+    _, frames = spectral_decompose_batch(d, _gaussian(G[:2], 1.0).reshape(2 * m, d.dim))
+    return {"A": multiplier_stack(A, d.rank), "b": _gaussian(G[2]), "frame": frames[:m],
+            "a": rebuild_batch(frames[m:], _cone_eigs(U))}
 
 
 def _positive_map_draw(d, rngs, atol=None, rtol=None):
@@ -886,8 +891,10 @@ def _positive_map_draw(d, rngs, atol=None, rtol=None):
     kind = np.array([int(rng.integers(len(_MAP_KINDS))) for rng in rngs], dtype=np.int64)
     phi = np.array([_phi_choice(rng) for rng in rngs])
     maps = _map_draws(d, rngs, kind)
-    return {"kind": kind, "phi": phi, **maps,
-            "x": np.array([_general_draw(d, rng) for rng in rngs])}
+    X = np.empty((len(rngs), d.dim))
+    for rng, x in zip(rngs, X):
+        rng.standard_normal(out=x)
+    return {"kind": kind, "phi": phi, **maps, "x": _gaussian(X)}
 
 
 def _map_draws(d, rngs, kind):
@@ -904,30 +911,27 @@ def _map_draws(d, rngs, kind):
     m, rank, dim = len(rngs), d.rank, d.dim
     out = {"c": np.full((m, 2, dim), np.nan), "A": np.full((m, rank, rank), np.nan),
            "frame": np.full((m, rank, dim), np.nan)}
-    # coordinates to decompose, and the (row, slot) each frame lands in:
-    # slot -1 is the Schur frame, slots 0 and 1 the cone operands
-    gauss, vals, dest = [], [], []
+    # one Gaussian row per operand to decompose: a cone operand's, whose
+    # unit draws fill the same row of U, or the Schur frame's (its row of U
+    # stays 0 and the element rebuilt on it is discarded)
+    cones = _MAP_CONES[kind]
+    slots = np.maximum(cones, 1)
+    first = np.cumsum(slots) - slots
+    G, U = np.empty((slots.sum(), dim)), np.zeros((slots.sum(), rank))
     for i, rng in enumerate(rngs):
-        if _MAP_KINDS[kind[i]] == "schur_psd":
+        if not cones[i]:
             out["A"][i] = sample_psd_gram(rank, rng)
-            gauss.append(_general_draw(d, rng, 1.0))
-            vals.append(np.zeros(rank))
-            dest.append((i, -1))
-        else:
-            for j in range(1 if _MAP_KINDS[kind[i]] == "quad" else 2):
-                g, v = _cone_draws(d, rng)
-                gauss.append(g)
-                vals.append(v)
-                dest.append((i, j))
-    _, frames = spectral_decompose_batch(d, np.array(gauss))
-    cones = rebuild_batch(frames, _cone_eigs(np.array(vals), 0.0, 2.0))
-    for (i, j), frame, c in zip(dest, frames, cones):
-        if j < 0:
-            out["frame"][i] = frame
-        else:
-            out["c"][i, j] = c
-    schur = kind == _MAP_KINDS.index("schur_psd")
+            rng.standard_normal(out=G[first[i]])
+        for r in range(first[i], first[i] + cones[i]):
+            rng.standard_normal(out=G[r])
+            rng.random(out=U[r])
+    _, frames = spectral_decompose_batch(d, _gaussian(G, 1.0))
+    built = rebuild_batch(frames, _cone_eigs(U, 0.0, 2.0))
+    schur = cones == 0
+    out["frame"][schur] = frames[first[schur]]
     out["A"][schur] = multiplier_stack(out["A"][schur], rank)
+    out["c"][~schur, 0] = built[first[~schur]]
+    out["c"][cones == 2, 1] = built[first[cones == 2] + 1]
     return out
 
 
@@ -1010,11 +1014,28 @@ _INIT_A = 0x43b0d7e5
 _MULT_A = 0x931e8875
 _INIT_B = 0x8b51f9dd
 _MULT_B = 0x58f38ded
-_MIX_MULT_L = 0xca01f9dd
-_MIX_MULT_R = 0x4973f715
+_MIX_MULT_L = np.uint32(0xca01f9dd)
+_MIX_MULT_R = np.uint32(0x4973f715)
 _XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 _WORD = 0xFFFFFFFF
+
+
+def _hash_chain(init: int, mult: int, k: int) -> np.ndarray:
+    """The first k + 1 constants a seed sequence's hash steps use, starting
+    at init and multiplied by mult at each step, as a (k + 1, 1) uint32
+    column."""
+    chain = [init]
+    for _ in range(k):
+        chain.append(chain[-1] * mult & _WORD)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+# 4 entropy words and 4 * 3 mixing steps hash with the A chain, 8 output
+# words with the B chain
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 8)
+_OUT_WORDS = np.arange(8) % _POOL_SIZE
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -1030,41 +1051,34 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int):
-    """numpy's seed-sequence hash step on uint32 words: the hashed words and
-    the next hash constant."""
-    following = const * mult & _WORD
-    value = (value ^ np.uint32(const)) * np.uint32(following)
-    return value ^ (value >> _XSHIFT), following
+def _hashmix(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """numpy's seed-sequence hash step on uint32 words: row j of ``value``
+    (broadcast against the column ``chain``) hashed with step j of the
+    chain slice, whose steps are its consecutive pairs of constants."""
+    value = (value ^ chain[:-1]) * chain[1:]
+    return value ^ (value >> _XSHIFT)
 
 
 def _seed_state_words(seed: int, idx: np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i
     of the uint32 array ``idx`` (seed below 2**32 too, so the entropy is the
-    two words [seed, i]), as an (m, 4) array: numpy's hashing on a (4, m)
-    pool."""
-    m = len(idx)
-    zeros = np.zeros(m, dtype=np.uint32)
-    pool = []
-    const = _INIT_A
-    for word in (np.full(m, seed, dtype=np.uint32), idx, zeros, zeros):
-        word, const = _hashmix(word, const, _MULT_A)
-        pool.append(word)
+    two words [seed, i]), as a C-ordered (m, 4) array: numpy's hashing on a
+    (4, m) pool, one op set per hash step that numpy runs word by word."""
+    pool = np.zeros((_POOL_SIZE, len(idx)), dtype=np.uint32)
+    pool[0] = seed
+    pool[1] = idx
+    pool = _hashmix(pool, _CHAIN_A[:_POOL_SIZE + 1])
+    step = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const, _MULT_A)
-                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * word
-                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+        dst = [j for j in range(_POOL_SIZE) if j != src]
+        word = _hashmix(pool[src], _CHAIN_A[step:step + _POOL_SIZE])
+        step += _POOL_SIZE - 1
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * word
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
     # generate_state: 8 uint32 words cycling over the pool, paired low word
     # first into 4 uint64 words
-    const = _INIT_B
-    state = []
-    for k in range(8):
-        word, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-        state.append(word.astype(np.uint64))
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
-                    axis=1)
+    state = _hashmix(pool[_OUT_WORDS], _CHAIN_B).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
 
 
 def sample_rngs(seed: int, idx) -> list[np.random.Generator]:

@@ -112,8 +112,9 @@ def test_jordan_product_weak_majorization_sweep(capsys):
 
 
 def test_sublinear_positive_map_suite(capsys):
-    # sample i of a (kind, phi) combination: the map make_positive_map(d, kind,
-    # rng) and then x = sample_general(d, rng), rng = sample_rng(seed, i), d
+    # sample i of a (kind, phi) combination: the map's operands as a sweep
+    # draws them (_map_draws) and then x = sample_general(d, rng),
+    # rng = sample_rng(seed, i), d
     # alternating between the two algebras; each algebra's samples of one
     # combination are evaluated as one batch of check_positive_map_sublinear
     descriptors = (SymMatrix(3), SpinFactor(5))

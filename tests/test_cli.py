@@ -135,6 +135,33 @@ def test_negative_seed_exits_2_naming_it(tmp_path, monkeypatch, capsys, command)
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,target", [
+    (["prospect", "--family", "psd_gram", "--alg", "sym:3", "--budget", "2",
+      "--samples", "100000000"], "sweep"),
+    (["norm", "--kind", "lyap", "--operand", "../e.json", "--r", "inf", "--s", "2"],
+     "norm_empirical"),
+], ids=lambda c: c[0] if isinstance(c, list) else None)
+def test_out_of_memory_exits_2_naming_the_array(tmp_path, monkeypatch, capsys, command,
+                                                target):
+    # numpy raises MemoryError, naming the array, when a size does not fit;
+    # it is a size the machine cannot hold, not a failed check (exit 1) or a
+    # traceback.  The command is stubbed to raise: nothing is allocated.
+    message = ("Unable to allocate 4.47 GiB for an array with shape (100000000, 6) "
+               "and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    (tmp_path / "e.json").write_text(json.dumps(element_to_json(unit(SymMatrix(2)))))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(cli, target, too_large)
+    assert main(command) == 2
+    assert error_lines(capsys) == [f"error: {message}"]
+    assert list(work.iterdir()) == []
+
+
 class TestParser:
     def test_built_once_and_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
         # every main call in a process parses with one parser, and no call's

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcone.algebra import (
@@ -19,6 +19,7 @@ from symcone.algebra import (
     jordan_product,
     norm,
     operator_commutes,
+    random_element,
     unit,
 )
 from symcone.majorization import log_major, major, sort_desc, weak_major
@@ -65,12 +66,10 @@ from symcone.verifiers import (
     check_quadrep_sup_bound,
     check_schur_diag,
     holder_exponent,
-    make_positive_map,
     merge_reports,
     run_all,
     run_sweep,
     sample_cone,
-    sample_frame,
     sample_general,
     sample_invertible,
     sample_psd_gram,
@@ -79,6 +78,25 @@ from symcone.verifiers import (
 )
 
 from conftest import CATALOG, SMALL_CATALOG
+
+
+def sample_frame(d, rng) -> JordanFrame:
+    """The frame of a standard Gaussian element."""
+    return spectral_decompose(random_element(d, rng, 1.0)).frame
+
+
+def make_positive_map(d, kind: str, rng) -> PositiveLinearMap:
+    """A positive map of one of the ``_MAP_KINDS``, built on operands drawn
+    from rng as a sweep draws a row's (``_map_draws``, a batch of one): P_c
+    with c a cone element on [0, 2) ("quad"), the Schur product with a PSD
+    Gram multiplier on a random frame ("schur_psd"), or the composition of
+    two P_c ("quad_compose")."""
+    inp = verifiers._map_draws(d, [rng], np.array([verifiers._MAP_KINDS.index(kind)]))
+    maps = [positive_quad_map(Element(d, f[1][0])) if f[0] == "quad"
+            else positive_schur_map(SchurMatrix(f[1][0]),
+                                    JordanFrame([Element(d, e) for e in f[2][0]]))
+            for f in verifiers._row_factors(kind, inp, [0])]
+    return maps[0] if len(maps) == 1 else compose_positive(*maps)
 
 
 class TestLogMajorQuadrep:
@@ -465,18 +483,18 @@ class TestSweepMachinery:
         with pytest.raises(ValueError, match=r"sym:2.*1e\+09"):
             sample_invertible(SymMatrix(2), np.random.default_rng(0), min_abs=1e9)
 
-    def test_hopeless_floor_gives_up_after_one_rows_draws(self, monkeypatch):
+    def test_hopeless_floor_gives_up_after_one_rows_draws(self):
         # no draw clears a floor of 10 * atol = 10 at sigma 3: the chunk is
         # drawn once, then the first row that missed raises after its own
         # MAX_RESAMPLE_DRAWS draws, however many rows the chunk holds
-        draws = []
-        general_draw = verifiers._general_draw
-        monkeypatch.setattr(verifiers, "_general_draw",
-                            lambda *args: draws.append(1) or general_draw(*args))
+        d = SymMatrix(3)
         rngs = [sample_rng(0, i) for i in range(50)]
         with pytest.raises(verifiers.ResampleError, match=r"1\.000e\+01 \(atol 1,"):
-            verifiers._invertible_coords(SymMatrix(3), rngs, atol=1.0)
-        assert len(draws) == len(rngs) + verifiers.MAX_RESAMPLE_DRAWS - 1
+            verifiers._invertible_coords(d, rngs, atol=1.0)
+        for i, rng in enumerate(rngs):
+            ref = sample_rng(0, i)
+            ref.normal(size=(verifiers.MAX_RESAMPLE_DRAWS if i == 0 else 1, d.dim))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def assert_same_generators(seed, idx):
@@ -764,42 +782,51 @@ class TestBatchedSweep:
                     assert np.array_equal(general[key][i], sample_general(d, rng).coords)
 
     @pytest.mark.parametrize("d", CATALOG, ids=descriptor_to_spec)
-    def test_draws_take_what_the_samplers_draw(self, d):
-        # every batched draw takes from each generator what the scalar
-        # samplers take, in the same order, and what a decomposition derives
-        # from the draws has the same bits: a sampler's decomposition is a
-        # batch of one
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    @example(seed=6, n=8)
+    def test_draws_take_what_the_samplers_draw(self, d, seed, n):
+        # every batched draw, on a chunk of n generators, takes from each
+        # generator what the scalar samplers take, in the same order, and
+        # what a decomposition derives from the draws has the same bits: a
+        # sampler's decomposition is a batch of one
         def same(x, y):
             np.testing.assert_array_equal(x, y)
 
         def frame(f):
             return np.stack([e.coords for e in f.idempotents])
 
-        n = 8
-        inputs = {check: CHECK_RUNNERS[check].draw(d, [sample_rng(6, i) for i in range(n)],
-                                                   1e-9, 1e-8)
+        inputs = {check: CHECK_RUNNERS[check].draw(d, sample_rngs(seed, range(n)), 1e-9, 1e-8)
                   for check in CHECK_RUNNERS}
         phis = verifiers._PHI_CHOICES
         for i in range(n):
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
+            for key in ("a", "b"):
+                same(inputs["log_major_quadrep"][key][i], sample_cone(d, rng).coords)
+
+            rng = sample_rng(seed, i)
+            for key in ("a", "b"):
+                same(inputs["jordan_weak"][key][i], sample_general(d, rng).coords)
+
+            rng = sample_rng(seed, i)
             inp = inputs["holder"]
             assert (inp["r"][i], inp["s"][i]) == verifiers._HOLDER_GRID[rng.integers(7)]
             for key in ("a", "b"):
                 assert np.array_equal(inp[key][i], sample_general(d, rng).coords)
 
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
             inp = inputs["quadrep_sublinear"]
             phi = verifiers.sample_sublinear(rng)
             assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
             for key in ("a", "b"):
                 assert np.array_equal(inp[key][i], sample_general(d, rng).coords)
 
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
             inp = inputs["commuting_factors"]
             assert np.array_equal(inp["a"][i], sample_invertible(d, rng).coords)
             assert inp["k"][i] == rng.integers(1, d.rank + 1)
 
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
             inp = inputs["schur_diag"]
             assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
             same(inp["frame"][i], frame(sample_frame(d, rng)))
@@ -807,14 +834,14 @@ class TestBatchedSweep:
             assert tuple(inp["phi"][i]) == (phi.alpha, phi.beta)
             assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
 
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
             inp = inputs["quadrep_pinch"]
             assert np.array_equal(inp["A"][i], SchurMatrix(sample_psd_gram(d.rank, rng)).entries)
             same(inp["frame"][i], frame(sample_frame(d, rng)))
             same(inp["a"][i], sample_cone(d, rng).coords)
             assert np.array_equal(inp["b"][i], sample_general(d, rng).coords)
 
-            rng = sample_rng(6, i)
+            rng = sample_rng(seed, i)
             inp = inputs["positive_map_sublinear"]
             kind = verifiers._MAP_KINDS[rng.integers(3)]
             assert verifiers._MAP_KINDS[inp["kind"][i]] == kind
