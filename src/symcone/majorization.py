@@ -10,6 +10,11 @@ comparisons apply the same rule per index, at that index's own product
 magnitude, because partial products at different k scale by different
 powers of a common factor.  Partial products are compared directly (no
 logarithms) so exact zeros behave exactly.
+
+Each rule is written once, in a row form that compares the rows of two
+(m, n) arrays; no row's result depends on the others in the stack.  The
+scalar predicates and :func:`vec_pnorm` are row 0 of a batch of one, so a
+verdict has the same bits alone as in any sweep.
 """
 
 from __future__ import annotations
@@ -52,129 +57,8 @@ def sort_desc_rows(P) -> np.ndarray:
     return -np.sort(-np.asarray(P, dtype=np.float64), axis=1)
 
 
-def vec_pnorm(v, p: float) -> float:
-    """p-norm of a plain vector, p in [1, inf]."""
-    v = np.abs(np.asarray(v, dtype=np.float64))
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"p must lie in [1, inf], got {p}")
-    if p == math.inf:
-        return float(v.max()) if v.size else 0.0
-    if p == 1.0:
-        return float(v.sum())
-    with np.errstate(over="ignore"):
-        total = (v**p).sum()
-    if total == math.inf and v.max() < math.inf:
-        # the power sum overflowed on the way: the norm is scale-free
-        top = v.max()
-        return float(top * ((v / top) ** p).sum() ** (1.0 / p))
-    return float(total ** (1.0 / p))
-
-
-def _weak_verdict(slacks: np.ndarray, scale: float, kind: str,
-                  atol: float, rtol: float) -> MajorizationVerdict:
-    thresh = atol + rtol * scale
-    worst = float(slacks.min())
-    holds = bool(worst >= -thresh)
-    failing_k = None if holds else int(np.argmin(slacks)) + 1
-    return MajorizationVerdict(holds, worst, failing_k, kind)
-
-
-def _strict_verdict(slacks: np.ndarray, scale: float, gap: float,
-                    kind: str, atol: float, rtol: float) -> MajorizationVerdict:
-    thresh = atol + rtol * scale
-    n = len(slacks)
-    head = slacks[: n - 1] if n > 1 else slacks[:0]
-    head_worst = float(head.min()) if head.size else math.inf
-    weak_ok = head_worst >= -thresh
-    eq_ok = abs(gap) <= thresh
-    holds = bool(weak_ok and eq_ok)
-    worst = min(head_worst, -abs(gap))
-    if holds:
-        return MajorizationVerdict(True, worst, None, kind)
-    if not weak_ok:
-        failing_k = int(np.argmin(head)) + 1
-    else:
-        failing_k = n
-    return MajorizationVerdict(False, worst, failing_k, kind)
-
-
-def weak_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
-    """Partial sums of p-decreasing never exceed those of q-decreasing."""
-    sp = np.cumsum(sort_desc(p))
-    sq = np.cumsum(sort_desc(q))
-    if sp.shape != sq.shape:
-        raise ValueError(f"length mismatch: {sp.shape} vs {sq.shape}")
-    slacks = sq - sp
-    scale = float(max(np.abs(sp).max(), np.abs(sq).max()))
-    return _weak_verdict(slacks, scale, "weak", atol, rtol)
-
-
-def major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
-    """Weak majorization plus total-sum equality."""
-    sp = np.cumsum(sort_desc(p))
-    sq = np.cumsum(sort_desc(q))
-    if sp.shape != sq.shape:
-        raise ValueError(f"length mismatch: {sp.shape} vs {sq.shape}")
-    slacks = sq - sp
-    scale = float(max(np.abs(sp).max(), np.abs(sq).max()))
-    gap = float(sp[-1] - sq[-1])
-    return _strict_verdict(slacks, scale, gap, "strong", atol, rtol)
-
-
-def _clamped_nonneg(p, atol: float, rtol: float, label: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    scale = float(np.abs(p).max()) if p.size else 0.0
-    floor = -(atol + rtol * scale)
-    if p.min() < floor:
-        raise ValueError(f"{label} has a negative entry below tolerance: {p.min():.3e}")
-    return np.maximum(p, 0.0)
-
-
-def _partial_products(p, q, atol, rtol):
-    ps = sort_desc(_clamped_nonneg(p, atol, rtol, "p"))
-    qs = sort_desc(_clamped_nonneg(q, atol, rtol, "q"))
-    if ps.shape != qs.shape:
-        raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
-    top = max(float(ps.max(initial=0.0)), float(qs.max(initial=0.0)))
-    if top > _RESCALE_LIMIT:
-        # verdict is invariant under a common positive rescale: every partial
-        # product at k carries the same k factors of the constant on each side
-        ps = ps / top
-        qs = qs / top
-    return np.cumprod(ps), np.cumprod(qs)
-
-
-def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
-    """Weak log-majorization plus total-product equality."""
-    pp, qp = _partial_products(p, q, atol, rtol)
-    slacks = qp - pp
-    thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
-    n = len(slacks)
-    head_adj = (slacks + thresholds)[: n - 1]
-    weak_ok = bool((head_adj >= 0.0).all()) if head_adj.size else True
-    gap = float(pp[-1] - qp[-1])
-    eq_ok = abs(gap) <= thresholds[-1]
-    holds = weak_ok and eq_ok
-    worst = -abs(gap)
-    if head_adj.size:
-        worst = min(float(slacks[np.argmin(head_adj)]), worst)
-    if holds:
-        return MajorizationVerdict(True, worst, None, "log")
-    failing_k = int(np.argmin(head_adj)) + 1 if not weak_ok else n
-    return MajorizationVerdict(False, worst, failing_k, "log")
-
-
-# --- batched forms ------------------------------------------------------------------
-#
-# The row forms compare the rows of two (m, n) arrays.  Each row gets the
-# arithmetic of the scalar predicate applied to that row alone, so its
-# verdict and worst slack have the same bits as the scalar verdict's, and no
-# row's result depends on the others in the stack.
-
-
 def vec_pnorm_rows(V, p) -> np.ndarray:
-    """:func:`vec_pnorm` of every row of V, row i at order ``p[i]``."""
+    """p-norm of every row of V, row i at order ``p[i]`` in [1, inf]."""
     V = np.abs(np.asarray(V, dtype=np.float64))
     p = np.asarray(p, dtype=np.float64)
     if not (p >= 1.0).all():
@@ -182,58 +66,68 @@ def vec_pnorm_rows(V, p) -> np.ndarray:
     out = np.empty(len(V))
     for q in np.unique(p):
         rows = p == q
+        W = V[rows]
+        top = W.max(axis=1, initial=0.0)
         if q == math.inf:
-            out[rows] = V[rows].max(axis=1)
+            out[rows] = top
         elif q == 1.0:
-            out[rows] = V[rows].sum(axis=1)
+            out[rows] = W.sum(axis=1)
         else:
-            # the root is a scalar power, as in vec_pnorm: numpy's array
-            # power can differ from it in the last bit; a row whose power
-            # sum overflows takes vec_pnorm's rescaled sum
+            # the root is a scalar power: numpy's array power can differ from
+            # it in the last bit.  A power sum that overflows from finite
+            # entries is taken again on the row over its top: the norm is
+            # scale-free
             with np.errstate(over="ignore"):
-                sums = (V[rows] ** q).sum(axis=1)
-            out[rows] = [t ** (1.0 / q) if t < math.inf else vec_pnorm(v, q)
-                         for t, v in zip(sums, V[rows])]
+                sums = (W ** q).sum(axis=1)
+            out[rows] = [c * ((w / c) ** q).sum() ** (1.0 / q)
+                         if t == math.inf and c < math.inf else t ** (1.0 / q)
+                         for t, c, w in zip(sums, top, W)]
     return out
 
+
+def vec_pnorm(v, p: float) -> float:
+    """p-norm of a plain vector, p in [1, inf]: row 0 of :func:`vec_pnorm_rows`."""
+    return float(vec_pnorm_rows(np.asarray(v, dtype=np.float64)[None],
+                                np.array([p], dtype=np.float64))[0])
+
+
+# --- one core per rule ----------------------------------------------------------
+#
+# A core returns, per row, (worst slack, verdict, head, head verdict).  The
+# head is the part of the rule that is an inequality at every index: all the
+# slacks of the weak rule, the slacks at k < n of the strong rule, and the
+# slacks plus their bands at k < n of the log rule.  A failing scalar verdict
+# names the first index where its head is smallest, or k = n when the head
+# holds and only the total equality fails.
 
 def _partial_sums_rows(P, Q):
     sp = np.cumsum(sort_desc_rows(P), axis=1)
     sq = np.cumsum(sort_desc_rows(Q), axis=1)
     if sp.shape != sq.shape:
         raise ValueError(f"length mismatch: {sp.shape} vs {sq.shape}")
-    # each row's tolerance band, by the arithmetic of weak_major and major
-    scale = np.maximum(np.abs(sp).max(axis=1), np.abs(sq).max(axis=1))
-    return sp, sq, scale
+    return sp, sq, np.maximum(np.abs(sp).max(axis=1), np.abs(sq).max(axis=1))
 
 
-def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
-                    rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold)."""
+def _weak_core(P, Q, atol, rtol):
     sp, sq, scale = _partial_sums_rows(P, Q)
-    worst = (sq - sp).min(axis=1)
+    slacks = sq - sp
+    worst = slacks.min(axis=1)
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
-        band = atol + rtol * scale
-    return worst, worst >= -band
+        holds = worst >= -(atol + rtol * scale)
+    return worst, holds, slacks, holds
 
 
-def major_rows(P, Q, atol: float = DEFAULT_ATOL,
-               rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`major` verdict: (worst slacks, rows that hold)."""
+def _strong_core(P, Q, atol, rtol):
     sp, sq, scale = _partial_sums_rows(P, Q)
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
         thresh = atol + rtol * scale
     gap = np.abs(sp[:, -1] - sq[:, -1])
-    holds = gap <= thresh
-    worst = -gap
-    n = sp.shape[1]
-    if n > 1:
-        head = (sq - sp)[:, :n - 1].min(axis=1)
-        holds &= head >= -thresh
-        # np.minimum returns its second argument on a tie, as min() in
-        # _strict_verdict returns its first: a zero slack keeps its sign
-        worst = np.minimum(worst, head)
-    return worst, holds
+    head = (sq - sp)[:, :-1]
+    head_worst = head.min(axis=1, initial=math.inf)
+    head_holds = head_worst >= -thresh
+    # np.minimum returns its second argument on a tie: a zero head slack
+    # keeps its sign
+    return np.minimum(-gap, head_worst), head_holds & (gap <= thresh), head, head_holds
 
 
 def _clamped_nonneg_rows(P, atol, rtol, label):
@@ -248,17 +142,13 @@ def _clamped_nonneg_rows(P, atol, rtol, label):
     return np.maximum(P, 0.0)
 
 
-def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
-                   rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`log_major` verdict: (worst slacks, rows that hold).
-
-    Raises ``ValueError`` when any row has an entry below the nonnegativity
-    floor of :func:`log_major`.
-    """
+def _log_core(P, Q, atol, rtol):
     ps = sort_desc_rows(_clamped_nonneg_rows(P, atol, rtol, "p"))
     qs = sort_desc_rows(_clamped_nonneg_rows(Q, atol, rtol, "q"))
     if ps.shape != qs.shape:
         raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
+    # the verdict is invariant under a common positive rescale: every partial
+    # product at k carries the same k factors of the constant on each side
     top = np.maximum(ps[:, 0], qs[:, 0])
     div = np.where(top > _RESCALE_LIMIT, top, 1.0)[:, None]
     pp = np.cumprod(ps / div, axis=1)
@@ -267,14 +157,58 @@ def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
         thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     gap = np.abs(pp[:, -1] - qp[:, -1])
-    holds = gap <= thresholds[:, -1]
+    head = (slacks + thresholds)[:, :-1]
+    head_holds = (head >= 0.0).all(axis=1)
     worst = -gap
-    n = ps.shape[1]
-    if n > 1:
-        head_adj = (slacks + thresholds)[:, :n - 1]
-        holds &= (head_adj >= 0.0).all(axis=1)
-        binding = np.argmin(head_adj, axis=1)
-        # np.minimum returns its second argument on a tie, as min() in
-        # log_major returns its first: a zero slack keeps its sign
-        worst = np.minimum(worst, np.take_along_axis(slacks, binding[:, None], axis=1)[:, 0])
-    return worst, holds
+    if head.shape[1]:
+        binding = np.argmin(head, axis=1)[:, None]
+        # np.minimum returns its second argument on a tie: a zero slack
+        # keeps its sign
+        worst = np.minimum(worst, np.take_along_axis(slacks, binding, axis=1)[:, 0])
+    return worst, head_holds & (gap <= thresholds[:, -1]), head, head_holds
+
+
+def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
+                    rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`weak_major` verdict: (worst slacks, rows that hold)."""
+    return _weak_core(P, Q, atol, rtol)[:2]
+
+
+def major_rows(P, Q, atol: float = DEFAULT_ATOL,
+               rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`major` verdict: (worst slacks, rows that hold)."""
+    return _strong_core(P, Q, atol, rtol)[:2]
+
+
+def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
+                   rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`log_major` verdict: (worst slacks, rows that hold).
+
+    Raises ``ValueError`` when any row has an entry below the nonnegativity
+    floor ``-(atol + rtol * max |entry|)``.
+    """
+    return _log_core(P, Q, atol, rtol)[:2]
+
+
+def _row0_verdict(core, kind: str, p, q, atol: float, rtol: float) -> MajorizationVerdict:
+    worst, holds, head, head_holds = core(np.asarray(p, dtype=np.float64)[None],
+                                          np.asarray(q, dtype=np.float64)[None], atol, rtol)
+    if holds[0]:
+        return MajorizationVerdict(True, float(worst[0]), None, kind)
+    failing_k = head.shape[1] + 1 if head_holds[0] else int(np.argmin(head[0])) + 1
+    return MajorizationVerdict(False, float(worst[0]), failing_k, kind)
+
+
+def weak_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
+    """Partial sums of p-decreasing never exceed those of q-decreasing."""
+    return _row0_verdict(_weak_core, "weak", p, q, atol, rtol)
+
+
+def major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
+    """Weak majorization plus total-sum equality."""
+    return _row0_verdict(_strong_core, "strong", p, q, atol, rtol)
+
+
+def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
+    """Weak log-majorization plus total-product equality."""
+    return _row0_verdict(_log_core, "log", p, q, atol, rtol)

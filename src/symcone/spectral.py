@@ -26,6 +26,7 @@ from .algebra import (
     SymMatrix,
     factor_slices,
     inner,
+    jordan_product,
     norm,
     row_sum,
     sym_pack,
@@ -95,8 +96,6 @@ def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
 
 def frame_residuals(frame: JordanFrame) -> dict:
     """Worst idempotency / orthonormality / unit-sum residuals of a frame."""
-    from .algebra import jordan_product  # local import keeps module load light
-
     es = frame.idempotents
     idem = max(norm(jordan_product(e, e) - e) for e in es)
     ortho = 0.0

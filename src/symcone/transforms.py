@@ -25,6 +25,7 @@ from .algebra import (
     inner,
     jordan_product,
     jordan_product_coords,
+    random_cone_element,
     row_sum,
     weight_vector,
 )
@@ -33,7 +34,6 @@ from .spectral import (
     eigvals,
     frame_residuals,
     rebuild_batch,
-    spectral_decompose,
     spectral_decompose_batch,
     sqrt_batch,
     sqrt_el,
@@ -135,10 +135,6 @@ class SublinearFn:
     def __call__(self, t: float) -> float:
         return self.alpha * t if t >= 0 else self.beta * t
 
-    def apply_vals(self, vals: np.ndarray) -> np.ndarray:
-        vals = np.asarray(vals, dtype=np.float64)
-        return np.where(vals >= 0, self.alpha * vals, self.beta * vals)
-
 
 ABS_FN = SublinearFn(1.0, -1.0)
 POS_FN = SublinearFn(1.0, 0.0)
@@ -146,11 +142,11 @@ NEG_FN = SublinearFn(0.0, -1.0)
 
 
 def apply_sublinear(phi: SublinearFn, x: Element) -> Element:
-    """Spectral map of a sublinear function on x's frame."""
-    from .spectral import rebuild
-
-    sd = spectral_decompose(x)
-    return rebuild(sd.frame, phi.apply_vals(sd.eigenvalues))
+    """Spectral map of a sublinear function on x's frame: a batch of one of
+    :func:`apply_sublinear_rows`."""
+    d = x.descriptor
+    return Element(d, apply_sublinear_rows(d, np.array([phi.alpha]), np.array([phi.beta]),
+                                           x.coords[None])[0])
 
 
 def apply_sublinear_rows(d: AlgebraDescriptor, alpha: np.ndarray, beta: np.ndarray,
@@ -467,8 +463,6 @@ def certify_positive_by_sampling(
     tol: float = 1e-8,
 ) -> bool:
     """Empirical positivity check on sampled cone elements (sound to refute)."""
-    from .algebra import random_cone_element
-
     for _ in range(samples):
         z = random_cone_element(P.descriptor, rng, scale=1.0)
         vals = eigvals(P(z))

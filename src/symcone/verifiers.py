@@ -57,6 +57,7 @@ from .majorization import (
 # (perfbench/test_perfbench.py patches ``verifiers.eigvals``)
 from .spectral import (
     JordanFrame,
+    abs_el,
     eigvals,
     eigvals_batch,
     rebuild,
@@ -569,8 +570,6 @@ def check_absolute_product_counterexample(atol_product: float = 1e-9,
     Verifies lambda(|a o b|) = (33, 15), lambda(|a| o |b|) = (44.52, -3.48),
     and that weak majorization fails in both directions between them.
     """
-    from .spectral import abs_el
-
     a = from_matrix(_COUNTEREXAMPLE_A)
     b = from_matrix(_COUNTEREXAMPLE_B)
     lhs = sort_desc(np.abs(eigvals(jordan_product(a, b))))

@@ -1,6 +1,9 @@
 """Vector majorization predicates and their classical stability properties."""
 
+import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from symcone.majorization import (
     weak_major_rows,
 )
 
+import majorization_reference as reference
 from conftest import random_majorizing_pair
 
 
@@ -206,40 +210,167 @@ def outcome(predicate, p, q, **tol):
     return result.holds, result.worst_slack
 
 
+PREDICATES = {"weak": (weak_major, weak_major_rows, reference.weak_major),
+              "strong": (major, major_rows, reference.major),
+              "log": (log_major, log_major_rows, reference.log_major)}
+
+
+def verdict_bits(predicate, p, q, **tol):
+    """A scalar verdict with its worst slack as bits, or "raises" for a
+    ValueError."""
+    try:
+        v = predicate(p, q, **tol)
+    except ValueError:
+        return "raises"
+    return v.holds, bits(v.worst_slack), v.failing_k, v.kind
+
+
 class TestWeakMajorRows:
-    @pytest.mark.parametrize("rows,scalar", [(weak_major_rows, weak_major),
-                                             (log_major_rows, log_major),
-                                             (major_rows, major)],
+    @pytest.mark.parametrize("kind", ["weak", "log", "strong"],
                              ids=["weak_major_rows", "log_major_rows", "major_rows"])
     @settings(max_examples=300, deadline=None)
     @given(row_pairs(), st.sampled_from([0.0, 1e-9, 1.0]), st.sampled_from([0.0, 1e-8, -1e-8]))
-    def test_matches_scalar_verdict(self, rows, scalar, pair, atol, rtol):
-        # each row's verdict and worst slack are those of the scalar
-        # predicate on it, to the bit; a stack raises when any row does
+    def test_matches_scalar_verdict(self, kind, pair, atol, rtol):
+        # the package's scalar predicate gives the reference verdict on every
+        # row, to the bit; the row form gives its worst slack and verdict,
+        # and a stack raises when any row does
+        scalar, rows, ref = PREDICATES[kind]
         P, Q = pair
-        try:
-            verdicts = [scalar(p, q, atol=atol, rtol=rtol) for p, q in zip(P, Q)]
-        except ValueError:
+        want = [verdict_bits(ref, p, q, atol=atol, rtol=rtol) for p, q in zip(P, Q)]
+        assert [verdict_bits(scalar, p, q, atol=atol, rtol=rtol) for p, q in zip(P, Q)] == want
+        if "raises" in want:
             with pytest.raises(ValueError):
                 rows(P, Q, atol=atol, rtol=rtol)
             return
         worst, holds = rows(P, Q, atol=atol, rtol=rtol)
-        for i, v in enumerate(verdicts):
-            assert bits(worst[i]) == bits(v.worst_slack)
-            assert holds[i] == v.holds
+        assert [(h, bits(w)) for h, w in zip(holds, worst)] == [v[:2] for v in want]
+
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    @pytest.mark.parametrize("p,q", [
+        ([], []),
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([2.0], [3.0]),
+        ([3.0], [2.0]),
+        ([0.0], [-0.0]),
+        ([-0.0, 0.0], [0.0, -0.0]),
+        ([0.0, -0.0, 1.0], [1.0, -0.0, 0.0]),
+        ([1e300, 1e300], [2e300, 1.0]),
+        ([-1.0, 2.0], [1.0, 1.0]),
+    ])
+    def test_scalar_edge_cases_match_reference(self, kind, p, q):
+        # empty and mismatched vectors, one entry, signed zeros, sums that
+        # overflow, and a negative entry
+        scalar, _, ref = PREDICATES[kind]
+        for tol in ({}, {"atol": 0.0, "rtol": 0.0}):
+            assert verdict_bits(scalar, p, q, **tol) == verdict_bits(ref, p, q, **tol)
+
+
+# the partial sums ("weak", "strong") or products ("log") of a verdict
+PARTIAL_OP = {"weak": operator.add, "strong": operator.add, "log": operator.mul}
+
+
+def exact_slacks(kind, p, q):
+    """(slacks, partial magnitudes) at k = 1..n, in rational arithmetic:
+    partials of q minus partials of p, over the decreasing rearrangements."""
+    sp, sq = (list(itertools.accumulate(sorted(map(Fraction, v), reverse=True),
+                                        PARTIAL_OP[kind])) for v in (p, q))
+    return [b - a for a, b in zip(sp, sq)], [max(abs(a), abs(b)) for a, b in zip(sp, sq)]
+
+
+def exact_verdict(kind, p, q):
+    """(holds, worst slack, failing k) from the definition at zero tolerance:
+    every partial of p at most that of q, and for "strong" and "log" equal
+    totals.  A failing verdict names the first smallest slack among the
+    inequalities when one fails, else k = n."""
+    s, _ = exact_slacks(kind, p, q)
+    head = s if kind == "weak" else s[:-1]
+    total_ok = kind == "weak" or s[-1] == 0
+    worst = min(head + ([] if kind == "weak" else [-abs(s[-1])]))
+    holds = min(head, default=0) >= 0 and total_ok
+    if holds:
+        return True, worst, None
+    return False, worst, (head.index(min(head)) + 1 if min(head, default=0) < 0 else len(s))
+
+
+class TestExactOracle:
+    # the predicates at zero tolerance against the definition in rational
+    # arithmetic
+
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_inputs_give_the_exact_verdict(self, kind, data):
+        # integers whose partial sums (|x| <= 2**10) or products (0..64) of
+        # at most six terms are exact floats: holds, worst slack and failing
+        # index are the rational ones
+        n = data.draw(st.integers(1, 6))
+        entry = (st.integers(0, 64) if kind == "log" else st.integers(-2**10, 2**10))
+        p = data.draw(st.lists(entry, min_size=n, max_size=n))
+        q = (data.draw(st.permutations(p)) if data.draw(st.booleans())
+             else data.draw(st.lists(entry, min_size=n, max_size=n)))
+        v = PREDICATES[kind][0](np.array(p, float), np.array(q, float), atol=0.0, rtol=0.0)
+        assert (v.holds, v.worst_slack, v.failing_k) == exact_verdict(kind, p, q)
+
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    @settings(max_examples=300, deadline=None)
+    @given(row_pairs())
+    def test_clear_verdicts_are_the_exact_ones(self, kind, pair):
+        # on general floats the verdict is the exact one wherever the exact
+        # slacks clear the rounding of the partials: n * 2**-52 * scale for
+        # sums, scale the largest partial magnitude; for products each index
+        # k at its own magnitude, with twice the roundings (a common rescale
+        # divides every entry first) and twice the subnormal spacing per
+        # step.  An equality of totals never clears, so "strong" and "log"
+        # are checked where they fail
+        scalar = PREDICATES[kind][0]
+        for p, q in zip(*pair):
+            if kind == "log" and min(p.min(), q.min()) < 0.0:
+                with pytest.raises(ValueError):
+                    scalar(p, q, atol=0.0, rtol=0.0)
+                continue
+            n = len(p)
+            s, mag = exact_slacks(kind, p, q)
+            if kind == "log":
+                margin = [Fraction(2 * n, 2**52) * m + Fraction(n, 2**1073) for m in mag]
+            else:
+                margin = [Fraction(n, 2**52) * max(mag)] * n
+            clear_fail = [k for k in range(n) if s[k] < -margin[k]]
+            if kind != "weak":
+                clear_fail = [k for k in clear_fail if k < n - 1]
+                if abs(s[-1]) > margin[-1]:
+                    clear_fail.append(n - 1)
+            holds = scalar(p, q, atol=0.0, rtol=0.0).holds
+            if clear_fail:
+                assert not holds
+            elif kind == "weak" and all(s[k] > margin[k] for k in range(n)):
+                assert holds
 
 
 class TestVecPnormRows:
     @settings(max_examples=200, deadline=None)
     @given(row_pairs(), st.data())
     def test_matches_scalar_norm(self, pair, data):
-        # each row at its own order has the bits of vec_pnorm on that row
+        # each row at its own order has the bits of the reference vec_pnorm
+        # on that row, and so has the package's
         P, _ = pair
-        p = np.array([data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+        p = np.array([data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 400.0, math.inf]))
                       for _ in P])
         got = vec_pnorm_rows(P, p)
         for i, row in enumerate(P):
-            assert bits(got[i]) == bits(vec_pnorm(row, p[i]))
+            assert bits(got[i]) == bits(reference.vec_pnorm(row, p[i]))
+            assert bits(vec_pnorm(row, p[i])) == bits(got[i])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 400.0, math.inf])
+    @pytest.mark.parametrize("v", [[], [-2.5], [0.0, -0.0], [-0.0], [1e300, -1e300, 3.0],
+                                   [1e300], [math.inf, 1.0], [math.nan, 1.0],
+                                   [math.inf, math.nan], [5e-324, 1e-310]],
+                             ids=lambda v: repr(v))
+    def test_edge_cases_match_reference(self, v, p):
+        # empty, one entry, signed zeros, a power sum that overflows from
+        # finite entries, and non-finite entries
+        want = bits(reference.vec_pnorm(v, p))
+        assert bits(vec_pnorm(v, p)) == want
+        assert bits(vec_pnorm_rows(np.array(v, dtype=float).reshape(1, -1), [p])[0]) == want
 
     @pytest.mark.parametrize("p", [0.9, -np.inf, math.nan])
     def test_rejects_orders_below_one(self, p):

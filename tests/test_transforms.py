@@ -32,6 +32,7 @@ from symcone.spectral import (
     det,
     eigvals,
     pnorm,
+    rebuild,
     spectral_decompose,
     spectral_decompose_batch,
     standard_frame,
@@ -328,9 +329,12 @@ class TestRowForms:
         got = apply_sublinear_rows(d, np.array([p.alpha for p in phis]),
                                    np.array([p.beta for p in phis]), X)
         for i, phi in enumerate(phis):
-            want = apply_sublinear(phi, Element(d, X[i])).coords
-            scale = max(1.0, float(np.abs(X[i]).max()))
-            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-10 * scale)
+            # the scalar map, and the function applied to each eigenvalue of
+            # the decomposition and rebuilt on its frame, have the row's bits
+            sd = spectral_decompose(Element(d, X[i]))
+            want = rebuild(sd.frame, [phi(t) for t in sd.eigenvalues]).coords
+            assert got[i].tobytes() == want.tobytes()
+            assert apply_sublinear(phi, Element(d, X[i])).coords.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(coord_stacks(count=3), st.data())

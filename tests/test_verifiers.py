@@ -22,7 +22,7 @@ from symcone.algebra import (
     random_element,
     unit,
 )
-from symcone.majorization import log_major, major, sort_desc, weak_major
+from symcone.majorization import sort_desc
 from symcone.spectral import (
     ConeError,
     JordanFrame,
@@ -78,6 +78,7 @@ from symcone.verifiers import (
 )
 
 from conftest import CATALOG, SMALL_CATALOG
+from majorization_reference import log_major, major, weak_major
 
 
 def sample_frame(d, rng) -> JordanFrame:
@@ -620,9 +621,10 @@ def per_sample_sweep(check, d, samples, seed, atol, rtol):
 
 
 def scalar_oracle(check, d, samples, seed, atol, rtol):
-    """The sweep's check recomputed per sample with the scalar samplers,
-    eigensolver and predicates: (passed, worst slack, first failing sample,
-    largest determinant error, scale of the tolerance bands)."""
+    """The sweep's check recomputed per sample with the scalar samplers and
+    eigensolver and the reference predicates of ``majorization_reference``:
+    (passed, worst slack, first failing sample, largest determinant error,
+    scale of the tolerance bands)."""
     passed, worst, first, det_worst, scale = True, math.inf, None, 0.0, 0.0
     for i in range(samples):
         rng = sample_rng(seed, i)
@@ -655,8 +657,9 @@ def scalar_oracle(check, d, samples, seed, atol, rtol):
 
 def scalar_reference(check, d, inp, i, atol, rtol):
     """Row i of a batched draw decided one element at a time through the
-    scalar spectral maps and predicates, as the checks computed it one sample
-    at a time: (passed, worst slack, largest spectral magnitude)."""
+    scalar spectral maps and the reference predicates, as the checks computed
+    it one sample at a time: (passed, worst slack, largest spectral
+    magnitude)."""
     def el(key, j=None):
         return Element(d, inp[key][i] if j is None else inp[key][i, j])
 
