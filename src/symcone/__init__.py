@@ -66,7 +66,6 @@ from .transforms import (
     SchurMatrix,
     SublinearFn,
     apply_sublinear,
-    as_matrix,
     lyap,
     peirce_project,
     quad_rep,

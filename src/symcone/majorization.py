@@ -9,7 +9,11 @@ band, so at ``atol = 0`` every sum verdict is scale-free.  Product
 comparisons apply the same rule per index, at that index's own product
 magnitude, because partial products at different k scale by different
 powers of a common factor.  Partial products are compared directly (no
-logarithms) so exact zeros behave exactly.
+logarithms) so exact zeros behave exactly; a row whose float products of
+nonzero entries leave the normal range (a common rescale divides them by
+the top entry first) is decided on its exact rational products instead.  A
+NaN or infinite entry has no rearrangement to compare, and every rule
+raises ValueError on one.
 
 Each rule is written once, in a row form that compares the rows of two
 (m, n) arrays; no row's result depends on the others in the stack.  The
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +33,7 @@ DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
 
 _RESCALE_LIMIT = 1e8  # partial products above this trigger a common rescale
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # normal floats
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,17 @@ def vec_pnorm(v, p: float) -> float:
 # names the first index where its head is smallest, or k = n when the head
 # holds and only the total equality fails.
 
+def _finite_rows(P, label):
+    """P as float64; raises ValueError on a NaN or infinite entry."""
+    P = np.asarray(P, dtype=np.float64)
+    if not np.isfinite(P).all():
+        raise ValueError(f"{label} has a non-finite entry: {P[~np.isfinite(P)][0]}")
+    return P
+
+
 def _partial_sums_rows(P, Q):
-    sp = np.cumsum(sort_desc_rows(P), axis=1)
-    sq = np.cumsum(sort_desc_rows(Q), axis=1)
+    sp = np.cumsum(sort_desc_rows(_finite_rows(P, "p")), axis=1)
+    sq = np.cumsum(sort_desc_rows(_finite_rows(Q, "q")), axis=1)
     if sp.shape != sq.shape:
         raise ValueError(f"length mismatch: {sp.shape} vs {sq.shape}")
     return sp, sq, np.maximum(np.abs(sp).max(axis=1), np.abs(sq).max(axis=1))
@@ -131,7 +145,7 @@ def _strong_core(P, Q, atol, rtol):
 
 
 def _clamped_nonneg_rows(P, atol, rtol, label):
-    P = np.asarray(P, dtype=np.float64)
+    P = _finite_rows(P, label)
     low = P.min(axis=1)
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
         floor = -(atol + rtol * np.abs(P).max(axis=1))
@@ -142,17 +156,9 @@ def _clamped_nonneg_rows(P, atol, rtol, label):
     return np.maximum(P, 0.0)
 
 
-def _log_core(P, Q, atol, rtol):
-    ps = sort_desc_rows(_clamped_nonneg_rows(P, atol, rtol, "p"))
-    qs = sort_desc_rows(_clamped_nonneg_rows(Q, atol, rtol, "q"))
-    if ps.shape != qs.shape:
-        raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
-    # the verdict is invariant under a common positive rescale: every partial
-    # product at k carries the same k factors of the constant on each side
-    top = np.maximum(ps[:, 0], qs[:, 0])
-    div = np.where(top > _RESCALE_LIMIT, top, 1.0)[:, None]
-    pp = np.cumprod(ps / div, axis=1)
-    qp = np.cumprod(qs / div, axis=1)
+def _log_verdict(pp, qp, atol, rtol):
+    """The log rule on partial products: floats, or ``Fraction`` objects with
+    ``Fraction`` tolerances."""
     slacks = qp - pp
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
         thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
@@ -166,6 +172,36 @@ def _log_core(P, Q, atol, rtol):
         # keeps its sign
         worst = np.minimum(worst, np.take_along_axis(slacks, binding, axis=1)[:, 0])
     return worst, head_holds & (gap <= thresholds[:, -1]), head, head_holds
+
+
+def _log_core(P, Q, atol, rtol):
+    ps = sort_desc_rows(_clamped_nonneg_rows(P, atol, rtol, "p"))
+    qs = sort_desc_rows(_clamped_nonneg_rows(Q, atol, rtol, "q"))
+    if ps.shape != qs.shape:
+        raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
+    # the verdict is invariant under a common positive rescale: every partial
+    # product at k carries the same k factors of the constant on each side
+    top = np.maximum(ps[:, 0], qs[:, 0])
+    div = np.where(top > _RESCALE_LIMIT, top, 1.0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are decided below
+        pp = np.cumprod(ps / div, axis=1)
+        qp = np.cumprod(qs / div, axis=1)
+        worst, holds, head, head_holds = _log_verdict(pp, qp, atol, rtol)
+    # a product of nonzero entries past the normal range (a subnormal, 0 or
+    # inf) has lost bits that can decide the verdict: those rows are decided
+    # on exact products and their worst slack is rounded once (+-inf past
+    # the float range).  An infinite tolerance has a band no loss moves
+    lost = np.flatnonzero(~((((pp >= _TINY) & (pp <= _HUGE)) | (ps == 0.0)) &
+                            (((qp >= _TINY) & (qp <= _HUGE)) | (qs == 0.0))).all(axis=1))
+    if lost.size and math.isfinite(atol) and math.isfinite(rtol):
+        F = np.frompyfunc(Fraction, 1, 1)
+        ew, holds[lost], eh, head_holds[lost] = _log_verdict(
+            *(np.cumprod(F(v[lost]) / F(div[lost]), axis=1) for v in (ps, qs)), F(atol), F(rtol))
+        worst[lost] = [float(w) if abs(w) <= _HUGE else math.inf if w > 0 else -math.inf
+                       for w in ew]
+        head = head.astype(object)
+        head[lost] = eh
+    return worst, holds, head, head_holds
 
 
 def weak_major_rows(P, Q, atol: float = DEFAULT_ATOL,
@@ -185,7 +221,8 @@ def log_major_rows(P, Q, atol: float = DEFAULT_ATOL,
     """Row-wise :func:`log_major` verdict: (worst slacks, rows that hold).
 
     Raises ``ValueError`` when any row has an entry below the nonnegativity
-    floor ``-(atol + rtol * max |entry|)``.
+    floor ``-(atol + rtol * max |entry|)`` (or, as every rule does, a NaN or
+    infinite entry).
     """
     return _log_core(P, Q, atol, rtol)[:2]
 

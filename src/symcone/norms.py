@@ -15,8 +15,9 @@ evaluates the extremal witness (the argmax frame element for r <= s, the
 random sampling plus coordinate ascent.
 
 Proposals are evaluated in batches of at most ``NORM_CHUNK`` rows, each
-batch through one eigenvalue call (:func:`_ratios_through_matrix`), and a
-row's ratio has the same bits in every batch.  The search itself is the
+batch through the map's row form (no dim x dim matrix is built) and one
+eigenvalue call (:func:`_ratios_through_map`), and a row's ratio has the same
+bits in every batch.  The search itself is the
 sequential one, step for step: the random phase keeps a proposal only when
 it is strictly above the best so far, and the ascent draws its moves in the
 sequential order, evaluates a window of them as if every step were
@@ -38,6 +39,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     from_orthonormal,
+    jordan_product_coords,
     row_sum,
     to_orthonormal,
     weight_vector,
@@ -53,17 +55,11 @@ from .spectral import (  # noqa: F401
     spectral_decompose,
     standard_frame,
 )
-from .transforms import (
-    SchurMatrix,
-    as_matrix,
-    lyap_map,
-    quad_rep_map,
-    schur_map,
-)
+from .transforms import SchurMatrix, apply_factors_rows, factor_rows, validate_frame
 
 NORM_KINDS = ("lyap", "quad", "schur")
 
-NORM_CHUNK = 256  # proposals per batch; bounds the (rows, dim, dim) products
+NORM_CHUNK = 256  # proposals per batch; a batch holds a few (rows, dim) stacks
 
 
 def _validate_rs(r: float, s: float) -> tuple[float, float]:
@@ -83,14 +79,18 @@ def dual_exponent(r: float, s: float) -> float:
 
 def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
                     descriptor: AlgebraDescriptor | None):
-    """Frame-diagonal action vector, aligned frame, operator callable, psd flag."""
+    """Frame-diagonal action vector, aligned frame, the map's row form (an
+    (m, dim) stack of packed coordinates to the stack of its images) and psd
+    flag.  The operand is one row, repeated for every row of the stack."""
     if kind == "lyap":
         sd = spectral_decompose(operand)
-        return sd.eigenvalues, sd.frame, lyap_map(operand), True
+        d, a = operand.descriptor, operand.coords
+        return (sd.eigenvalues, sd.frame,
+                lambda X: jordan_product_coords(d, np.broadcast_to(a, X.shape), X), True)
     if kind == "quad":
         sd = spectral_decompose(operand)
-        return sd.eigenvalues**2, sd.frame, quad_rep_map(operand), True
-    if kind == "schur":
+        dvec, frame, factors, psd = sd.eigenvalues**2, sd.frame, (("quad", operand),), True
+    elif kind == "schur":
         A = operand if isinstance(operand, SchurMatrix) else SchurMatrix(np.asarray(operand))
         if frame is None:
             if descriptor is None:
@@ -98,8 +98,12 @@ def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
             frame = standard_frame(descriptor)
         if A.n != len(frame):
             raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
-        return A.diag(), frame, schur_map(A, frame), A.is_psd()
-    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+        validate_frame(frame)
+        dvec, factors, psd = A.diag(), (("schur", A, frame),), A.is_psd()
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    d = frame.descriptor
+    return dvec, frame, lambda X: apply_factors_rows(d, factor_rows(factors, len(X)), X), psd
 
 
 def norm_closed_form(kind: str, operand, r: float, s: float,
@@ -132,18 +136,18 @@ class EmpiricalNorm:
     note: str | None = None
 
 
-def _ratios_through_matrix(T: np.ndarray, d: AlgebraDescriptor,
-                           U: np.ndarray, r: float, s: float) -> np.ndarray:
+def _ratios_through_map(apply, d: AlgebraDescriptor,
+                        U: np.ndarray, r: float, s: float) -> np.ndarray:
     """||T u||_s / ||u||_r for every row u of U, and 0 where ||u||_r = 0.
 
-    ``U`` is an (m, dim) stack in orthonormal coordinates and ``T`` a map's
-    matrix in the same basis.  The images are row sums (:func:`algebra.row_sum`;
-    a BLAS product could block by rows), and their spectra and the rows' come
-    from one :func:`eigvals_batch` call, so no row's ratio depends on the others.
+    ``U`` is an (m, dim) stack in orthonormal coordinates and ``apply`` the
+    row form of T on packed coordinates (:func:`_diag_and_frame`).  The rows'
+    spectra and their images' come from one :func:`eigvals_batch` call, so
+    no row's ratio depends on the others.
     """
     m = len(U)
-    X = np.concatenate([U, row_sum(T * U[:, None, :])]) / np.sqrt(weight_vector(d))
-    eig = eigvals_batch(d, X)
+    X = U / np.sqrt(weight_vector(d))
+    eig = eigvals_batch(d, np.concatenate([X, apply(X)]))
     den = vec_pnorm_rows(eig[:m], np.full(m, r))
     num = vec_pnorm_rows(eig[m:], np.full(m, s))
     out = np.zeros(m)
@@ -177,14 +181,13 @@ def norm_empirical(kind: str, operand, r: float, s: float,
         note = ("multiplier is not PSD: searched the frame-diagonal subspace "
                 "only; off-frame inputs may exceed the reported value")
 
-    T = as_matrix(op, alg)
     # column k holds the orthonormal coordinates of idempotent k
     frame_cols = np.stack([to_orthonormal(e) for e in fr.idempotents], axis=1)
 
     def evaluate(P: np.ndarray) -> np.ndarray:
         # a proposal is frame weights on the restricted search, else coordinates
         U = row_sum(frame_cols * P[:, None, :]) if restricted else P
-        return _ratios_through_matrix(T, alg, U, r, s)
+        return _ratios_through_map(op, alg, U, r, s)
 
     # documented extremal witness
     if r <= s:
@@ -210,7 +213,7 @@ def norm_empirical(kind: str, operand, r: float, s: float,
     if not np.any(wit_xi):
         witness_value = 0.0
     else:
-        witness_value = float(_ratios_through_matrix(T, alg, wit_u[None, :], r, s)[0])
+        witness_value = float(_ratios_through_map(op, alg, wit_u[None, :], r, s)[0])
     evals = 1
 
     best_val = witness_value

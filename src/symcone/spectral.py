@@ -72,6 +72,11 @@ class JordanFrame:
     def __len__(self) -> int:
         return len(self.idempotents)
 
+    @property
+    def coords(self) -> np.ndarray:
+        """(rank, dim) coordinates of the idempotents, one per row."""
+        return np.stack([e.coords for e in self.idempotents])
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -89,9 +94,8 @@ class SpectralDecomposition:
 def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
     """Element sum_i vals[i] * e_i over the given frame: a batch of one of
     :func:`rebuild_batch`."""
-    frames = np.stack([e.coords for e in frame.idempotents])
     return Element(frame.descriptor,
-                   rebuild_batch(frames[None], np.asarray(vals, dtype=np.float64)[None])[0])
+                   rebuild_batch(frame.coords[None], np.asarray(vals, dtype=np.float64)[None])[0])
 
 
 def frame_residuals(frame: JordanFrame) -> dict:

@@ -1,6 +1,8 @@
 """Linear transformations on the algebra: multiplication operators, quadratic
 representations, Peirce projections, frame-relative Schur products, sublinear
-spectral maps, and dense operator matrices for empirical norm work.
+spectral maps, and positive linear maps.  Each linear map is applied by one row
+form on an (m, dim) coordinate stack (``algebra.jordan_product_coords``,
+:func:`quad_rep_coords`, :func:`schur_rows`, :func:`apply_factors_rows`).
 
 The Schur product ``A . x`` relative to a frame {e_1, ..., e_n} multiplies
 the Peirce component x_ij by A[i, j]; with ``A = [(a_i + a_j)/2]`` it equals
@@ -282,9 +284,8 @@ def schur(A, frame: JordanFrame, x: Element, validate: bool = True) -> Element:
             f"mixed algebras: {frame.descriptor} vs {x.descriptor}")
     if validate:
         validate_frame(frame)
-    frames = np.stack([e.coords for e in frame.idempotents])
     return Element(x.descriptor,
-                   schur_rows(x.descriptor, ents[None], frames[None], x.coords[None])[0])
+                   schur_rows(x.descriptor, ents[None], frame.coords[None], x.coords[None])[0])
 
 
 def schur_rows(d: AlgebraDescriptor, A: np.ndarray, frames: np.ndarray,
@@ -363,31 +364,6 @@ def quad_multiplier(vals: np.ndarray) -> SchurMatrix:
     return SchurMatrix(np.outer(v, v))
 
 
-def as_matrix(op: Callable[[Element], Element], d: AlgebraDescriptor) -> np.ndarray:
-    """Dense matrix of a linear map in the orthonormal coordinate basis."""
-    dim = d.dim
-    sw = np.sqrt(weight_vector(d))
-    M = np.empty((dim, dim))
-    for k in range(dim):
-        e_hat = basis_element(d, k) * (1.0 / sw[k])
-        M[:, k] = sw * op(e_hat).coords
-    return M
-
-
-def lyap_map(a: Element) -> Callable[[Element], Element]:
-    return lambda x: jordan_product(a, x)
-
-
-def quad_rep_map(a: Element) -> Callable[[Element], Element]:
-    return lambda x: quad_rep(a, x)
-
-
-def schur_map(A, frame: JordanFrame) -> Callable[[Element], Element]:
-    ents = _as_entries(A, len(frame))
-    validate_frame(frame)
-    return lambda x: schur(ents, frame, x, validate=False)
-
-
 # --- positive linear transformations ---------------------------------------------
 
 class PositivityError(ValueError):
@@ -402,48 +378,72 @@ class PositiveLinearMap:
     representations, Schur products with PSD multipliers, and nonnegative
     combinations / compositions of those).  ``factors`` are the operands of
     a map built by the constructors below, outermost first: ``("quad", c)``
-    for P_c and ``("schur", A, frame)`` for a Schur product; a map given by
-    ``fn`` alone has none.
+    for P_c and ``("schur", A, frame)`` for a Schur product, and no ``fn``;
+    a map given by ``fn`` (element to element) alone has no factors.
     """
 
     descriptor: AlgebraDescriptor
-    fn: Callable[[Element], Element]
+    fn: Callable[[Element], Element] | None
     label: str
     certified: bool
     factors: tuple = ()
 
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The map on every row of an (m, dim) coordinate stack: a built map
+        through its factors, any other through ``fn`` one row at a time."""
+        d = self.descriptor
+        if self.factors:
+            return apply_factors_rows(d, factor_rows(self.factors, len(X)), X)
+        return np.array([self.fn(Element(d, x)).coords for x in X]).reshape(X.shape)
+
     def __call__(self, x: Element) -> Element:
-        return self.fn(x)
+        if x.descriptor != self.descriptor:
+            raise DescriptorMismatchError(f"map on {self.descriptor} vs element of {x.descriptor}")
+        return Element(self.descriptor, self.rows(x.coords[None])[0])
 
 
 def positive_quad_map(c: Element) -> PositiveLinearMap:
     """P_c; maps the cone into itself for every c."""
-    return PositiveLinearMap(c.descriptor, quad_rep_map(c), "quad_rep", True,
-                             (("quad", c),))
+    return PositiveLinearMap(c.descriptor, None, "quad_rep", True, (("quad", c),))
 
 
 def positive_schur_map(A, frame: JordanFrame, tol: float = 1e-10) -> PositiveLinearMap:
-    """Schur product with a PSD multiplier; raises if A is not PSD."""
+    """Schur product with a PSD multiplier; raises if A is not PSD or if the
+    frame fails :func:`validate_frame`."""
     A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
     if not A.is_psd(tol):
         raise PositivityError(
             f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
         )
-    fn = schur_map(A, frame)
-    return PositiveLinearMap(frame.descriptor, fn, "schur_psd", True,
+    if A.n != len(frame):
+        raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
+    validate_frame(frame)
+    return PositiveLinearMap(frame.descriptor, None, "schur_psd", True,
                              (("schur", A, frame),))
 
 
 def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLinearMap:
     if P.descriptor != Q.descriptor:
         raise ValueError("cannot compose maps over different algebras")
+    factors = P.factors + Q.factors if P.factors and Q.factors else ()
     return PositiveLinearMap(
         P.descriptor,
-        lambda x: P(Q(x)),
+        None if factors else (lambda x: P(Q(x))),
         f"{P.label}*{Q.label}",
         P.certified and Q.certified,
-        P.factors + Q.factors if P.factors and Q.factors else (),
+        factors,
     )
+
+
+def factor_rows(factors: tuple, m: int) -> tuple:
+    """Factors ``("quad", c)`` and ``("schur", A, frame)`` (a
+    :class:`PositiveLinearMap`'s) with their operands repeated for m rows,
+    as :func:`apply_factors_rows` takes them."""
+    def rows(op):
+        return np.broadcast_to(op, (m,) + op.shape)
+    return tuple(("quad", rows(f[1].coords)) if f[0] == "quad"
+                 else ("schur", rows(f[1].entries), rows(f[2].coords))
+                 for f in factors)
 
 
 def apply_factors_rows(d: AlgebraDescriptor, factors, X: np.ndarray) -> np.ndarray:

@@ -77,6 +77,7 @@ from .transforms import (
     apply_factors_rows,
     apply_sublinear_rows,
     certify_positive_by_sampling,
+    factor_rows,
     multiplier_stack,
     quad_rep_coords,
     quad_rep_sqrt_rows,
@@ -218,10 +219,6 @@ def _pair_rows(a: Element, b: Element) -> dict:
     """The pair a, b as a batch of one."""
     _check_pair(a, b)
     return {"a": a.coords[None, :], "b": b.coords[None, :]}
-
-
-def _frame_coords(frame: JordanFrame) -> np.ndarray:
-    return np.stack([e.coords for e in frame.idempotents])
 
 
 def _phi_row(phi: SublinearFn) -> np.ndarray:
@@ -427,13 +424,6 @@ def _positive_map_verdict(d, apply: Callable, x: np.ndarray, phi: np.ndarray,
     return holds, worst, {}
 
 
-def _factor_rows_of(P: PositiveLinearMap) -> tuple:
-    """A built map's factors as one-row operands for apply_factors_rows."""
-    return tuple(("quad", f[1].coords[None]) if f[0] == "quad"
-                 else ("schur", f[1].entries[None], _frame_coords(f[2])[None])
-                 for f in P.factors)
-
-
 def _factors_json(d: AlgebraDescriptor, factors: tuple) -> list:
     """One-row factor operands, as apply_factors_rows takes them, as a
     witness records them."""
@@ -448,10 +438,10 @@ def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: Sublinea
                                  rng: np.random.Generator | None = None) -> VerificationReport:
     """phi(P(x)) weakly majorized by P(phi(x)) for positive P and sublinear phi.
 
-    A map built from factors (quadratic representations, PSD Schur products
-    and their compositions) is applied through them and recorded with them
-    in the witness; any other map is applied through ``P.fn``.  Either way
-    the verdict is the registered check's row rule on a batch of one.
+    The map is applied by :meth:`PositiveLinearMap.rows`, and a map built
+    from factors (quadratic representations, PSD Schur products and their
+    compositions) is recorded with them in the witness.  The verdict is the
+    registered check's row rule on a batch of one.
     """
     d = x.descriptor
     if P.descriptor != d:
@@ -459,17 +449,10 @@ def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: Sublinea
     if not P.certified:
         if rng is None or not certify_positive_by_sampling(P, rng):
             raise PositivityError("map lacks a positivity certificate")
-    factors = _factor_rows_of(P)
-    if factors:
-        def apply(X):
-            return apply_factors_rows(d, factors, X)
-    else:
-        def apply(X):
-            return P(Element(d, X[0])).coords[None]
-
     inp = {"x": x.coords[None], "phi": _phi_row(phi)}
-    passed, worst, _ = _positive_map_verdict(d, apply, inp["x"], inp["phi"], atol, rtol)
-    witness = {**_row_witness(d, inp, 0), "map": P.label, "factors": _factors_json(d, factors)}
+    passed, worst, _ = _positive_map_verdict(d, P.rows, inp["x"], inp["phi"], atol, rtol)
+    witness = {**_row_witness(d, inp, 0), "map": P.label,
+               "factors": _factors_json(d, factor_rows(P.factors, 1))}
     return _single("positive_map_sublinear", x, passed[0], worst[0], witness, {})
 
 
@@ -509,7 +492,7 @@ def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
         raise PositivityError(
             f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
         )
-    return {"A": A.entries[None], "frame": _frame_coords(frame)[None]}
+    return {"A": A.entries[None], "frame": frame.coords[None]}
 
 
 def _schur_diag_rows(d, inp, atol, rtol):

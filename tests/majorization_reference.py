@@ -5,11 +5,20 @@ The package's scalar predicates are now row 0 of its row forms, so comparing
 the two would compare a form with itself.  The tests compare both against
 these copies instead, the way ``test_kernels`` keeps a reference Jacobi
 kernel.  Do not edit them to follow the package.
+
+One edit mends a defect of the copies: :func:`log_major` rounded partial
+products of nonzero entries to a subnormal or to 0 (or overflowed them),
+and a row whose top entry passes the rescale limit lost every entry below
+top * 2**-1022 that way, so ``log_major([1e300, 1e-300], [1e300, 0],
+atol=0, rtol=0)`` held although the exact second products are 1 and 0.
+Such a row is now compared on its exact rational products, with the
+tolerances exact too, and the worst slack is rounded once at the end.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +28,7 @@ DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
 
 _RESCALE_LIMIT = 1e8  # partial products above this trigger a common rescale
+_TINY = np.finfo(np.float64).tiny  # the least normal float
 
 
 def sort_desc(p) -> np.ndarray:
@@ -112,28 +122,49 @@ def _partial_products(p, q, atol, rtol):
     if ps.shape != qs.shape:
         raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
     top = max(float(ps.max(initial=0.0)), float(qs.max(initial=0.0)))
-    if top > _RESCALE_LIMIT:
-        # verdict is invariant under a common positive rescale: every partial
-        # product at k carries the same k factors of the constant on each side
-        ps = ps / top
-        qs = qs / top
-    return np.cumprod(ps), np.cumprod(qs)
+    # verdict is invariant under a common positive rescale: every partial
+    # product at k carries the same k factors of the constant on each side
+    div = top if top > _RESCALE_LIMIT else 1.0
+    with np.errstate(over="ignore"):
+        pp, qp = np.cumprod(ps / div), np.cumprod(qs / div)
+    lost = any(not (x == 0.0 or _TINY <= v < math.inf)
+               for x, v in zip(np.concatenate([ps, qs]), np.concatenate([pp, qp])))
+    if lost and math.isfinite(atol) and math.isfinite(rtol):
+        return _exact_cumprod(ps, div), _exact_cumprod(qs, div)
+    return pp, qp
+
+
+def _exact_cumprod(v, div):
+    out, acc = [], Fraction(1)
+    for x in v:
+        acc *= Fraction(x) / Fraction(div)
+        out.append(acc)
+    return np.array(out, dtype=object)
+
+
+def _rounded(x) -> float:
+    if abs(x) > np.finfo(np.float64).max:
+        return math.inf if x > 0 else -math.inf
+    return float(x)
 
 
 def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
     """Weak log-majorization plus total-product equality."""
     pp, qp = _partial_products(p, q, atol, rtol)
+    if pp.dtype == object:
+        atol, rtol = Fraction(atol), Fraction(rtol)
     slacks = qp - pp
     thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     n = len(slacks)
     head_adj = (slacks + thresholds)[: n - 1]
     weak_ok = bool((head_adj >= 0.0).all()) if head_adj.size else True
-    gap = float(pp[-1] - qp[-1])
+    gap = pp[-1] - qp[-1]
     eq_ok = abs(gap) <= thresholds[-1]
     holds = weak_ok and eq_ok
     worst = -abs(gap)
     if head_adj.size:
-        worst = min(float(slacks[np.argmin(head_adj)]), worst)
+        worst = min(slacks[np.argmin(head_adj)], worst)
+    worst = _rounded(worst)
     if holds:
         return MajorizationVerdict(True, worst, None, "log")
     failing_k = int(np.argmin(head_adj)) + 1 if not weak_ok else n

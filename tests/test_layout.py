@@ -18,6 +18,7 @@ from symcone import norms, search
 from symcone.algebra import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
+    Element,
     SpinFactor,
     SymMatrix,
     jordan_product_coords,
@@ -100,8 +101,8 @@ FORMS = {
     "_margins matrix per row": lambda d, X, Y, R: search._margins(
         d, R(np.resize(Y, (len(Y), d.dim, d.dim))), R(np.abs(eigvals_batch(d, Y))),
         R(_cone(d, X)), "cone", DEFAULT_ATOL, DEFAULT_RTOL),
-    "_ratios_through_matrix": lambda d, X, Y, R: norms._ratios_through_matrix(
-        R(np.resize(Y, (d.dim, d.dim))), d, R(X), 3.0, 2.0),
+    "_ratios_through_map": lambda d, X, Y, R: norms._ratios_through_map(
+        norms._diag_and_frame("quad", Element(d, Y[0]), None, None)[2], d, R(X), 3.0, 2.0),
 }
 
 

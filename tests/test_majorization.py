@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -106,6 +106,28 @@ class TestLogVariants:
         q = np.array([2e40] * 4 + [5e39] * 4)
         assert log_major(p, q).holds
         assert not log_major(q, p).holds
+
+    @pytest.mark.parametrize("p,q,holds,failing_k", [
+        # rescaled by the top entry, 1e-300 / 1e300 rounds to 0
+        ([1e300, 1e-300], [1e300, 0.0], False, 2),
+        ([1e300, 0.0], [1e300, 1e-300], False, 2),
+        # unscaled, the second products 1e-400 round to 0
+        ([1e-200, 1e-200], [1e-200, 0.0], False, 2),
+        ([1e-200, 1e-200], [1e-200, 1e-200], True, None),
+        # unscaled (the top entry is at the rescale limit), the products of
+        # forty entries 1e8 overflow; a slack past the float range reads inf
+        ([1e8] * 40, [1e8] * 40, True, None),
+        ([1e8] * 39 + [5e7], [1e8] * 40, False, 40),
+    ])
+    def test_products_past_the_float_range(self, p, q, holds, failing_k):
+        # a row whose float products of nonzero entries leave the normal
+        # range is decided on its exact products, scalar and row form alike
+        v = log_major(p, q, atol=0.0, rtol=0.0)
+        assert (v.holds, v.failing_k) == (holds, failing_k)
+        assert not math.isnan(v.worst_slack)
+        worst, rows_hold = log_major_rows(np.array([p, [1.0] * len(p)]),
+                                          np.array([q, [1.0] * len(p)]), atol=0.0, rtol=0.0)
+        assert list(rows_hold) == [holds, True] and bits(worst[0]) == bits(v.worst_slack)
 
     def test_log_implies_weak_on_nonnegative(self):
         rng = np.random.default_rng(1)
@@ -264,6 +286,23 @@ class TestWeakMajorRows:
         for tol in ({}, {"atol": 0.0, "rtol": 0.0}):
             assert verdict_bits(scalar, p, q, **tol) == verdict_bits(ref, p, q, **tol)
 
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_entries_raise(self, kind, bad, side):
+        # NaN and infinite entries have no verdict: weak_major([nan, 1], ...)
+        # used to report a NaN worst slack, major([inf, 1], ...) to hold, and
+        # log_major([-inf, 1], ...) to clamp -inf to 0.  A stack raises when
+        # any row has one
+        scalar, rows, _ = PREDICATES[kind]
+        pair = [[1.0, 1.0], [1.0, 1.0]]
+        pair[side] = [bad, 1.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            scalar(*pair)
+        stacks = [np.array([[2.0, 1.0], row]) for row in pair]
+        with pytest.raises(ValueError, match="non-finite"):
+            rows(*stacks)
+
 
 # the partial sums ("weak", "strong") or products ("log") of a verdict
 PARTIAL_OP = {"weak": operator.add, "strong": operator.add, "log": operator.mul}
@@ -314,6 +353,8 @@ class TestExactOracle:
     @pytest.mark.parametrize("kind", sorted(PREDICATES))
     @settings(max_examples=300, deadline=None)
     @given(row_pairs())
+    @example((np.array([[0.0, 0.0]]), np.array([[1.00000001e8, 5e-324]])))
+    @example((np.array([[1e300, 1e-300], [1e12, 1e-300]]), np.array([[1e300, 0.0], [1e12, 0.0]])))
     def test_clear_verdicts_are_the_exact_ones(self, kind, pair):
         # on general floats the verdict is the exact one wherever the exact
         # slacks clear the rounding of the partials: n * 2**-52 * scale for
@@ -321,7 +362,10 @@ class TestExactOracle:
         # k at its own magnitude, with twice the roundings (a common rescale
         # divides every entry first) and twice the subnormal spacing per
         # step.  An equality of totals never clears, so "strong" and "log"
-        # are checked where they fail
+        # are checked where they fail.  The examples are rows whose rescaled
+        # products of nonzero entries round to a subnormal or 0
+        # (5e-324 / 1.00000001e8, 1e-300 / 1e300, 1e-300 / 1e12): their
+        # verdict is the exact one too
         scalar = PREDICATES[kind][0]
         for p, q in zip(*pair):
             if kind == "log" and min(p.min(), q.min()) < 0.0:

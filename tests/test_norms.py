@@ -1,6 +1,7 @@
 """Operator-norm closed forms, extremal witnesses, and empirical estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG, coord_stacks
 from symcone import norms
 from symcone.algebra import (
+    SpinFactor,
     SymMatrix,
     from_matrix,
     from_orthonormal,
@@ -20,7 +22,7 @@ from symcone.algebra import (
 )
 from symcone.norms import dual_exponent, norm_closed_form, norm_empirical
 from symcone.spectral import eigvals, pnorm, rebuild
-from symcone.transforms import SchurMatrix, as_matrix, lyap
+from symcone.transforms import SchurMatrix, lyap
 
 GRID = ((1, 1), (2, 2), (math.inf, math.inf), (1, math.inf), (math.inf, 1),
         (3, 2), (2, 3))
@@ -133,6 +135,25 @@ class TestEmpirical:
             norm_closed_form("schur", A, 1, 1, descriptor=SymMatrix(3))
 
 
+def test_memory_grows_with_dim_not_its_square():
+    # the map is applied by its row form to chunks of proposals, so a
+    # search holds a few (rows, dim) stacks: four times the dimension takes
+    # at most about four times the memory, where a dense operator matrix
+    # and its (rows, dim, dim) product took sixteen
+    peaks = []
+    for n in (300, 1200):
+        a = random_element(SpinFactor(n), np.random.default_rng(5), 2.0)
+        tracemalloc.start()
+        try:
+            est = norm_empirical("lyap", a, 2.0, 2.0, budget=200, rng=np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.evaluations == 200
+        assert est.value <= est.closed_form * (1.0 + 1e-9) + 1e-12
+    assert peaks[1] <= 1.5 * (1201 / 301) * peaks[0]
+
+
 def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None):
     """The estimator one proposal at a time, each through a batch of one.
 
@@ -140,14 +161,13 @@ def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None)
     dvec, fr, op, certified = norms._diag_and_frame(kind, operand, None, descriptor)
     alg = fr.descriptor
     restricted = kind == "schur" and not certified
-    T = as_matrix(op, alg)
     frame_cols = np.stack([to_orthonormal(e) for e in fr.idempotents], axis=1)
 
     def coords(xi):
         return row_sum(frame_cols * xi)
 
     def ratio(u):
-        return float(norms._ratios_through_matrix(T, alg, u[None, :], r, s)[0])
+        return float(norms._ratios_through_map(op, alg, u[None, :], r, s)[0])
 
     evaluate = (lambda xi: ratio(coords(xi))) if restricted else ratio
     if r <= s:
@@ -261,14 +281,14 @@ class TestBatchedEstimator:
         # a NaN ratio (an overflow both ways) is never accepted, in either
         # phase, and never hides a larger value later in its batch; the
         # skewed ratio lets proposals beat the witness
-        ratios = norms._ratios_through_matrix
+        ratios = norms._ratios_through_map
 
-        def skewed_with_nans(T, d, U, r, s):
-            out = ratios(T, d, U, r, s) * (1.0 + np.abs(U[:, 1]))
+        def skewed_with_nans(apply, d, U, r, s):
+            out = ratios(apply, d, U, r, s) * (1.0 + np.abs(U[:, 1]))
             out[np.abs(U[:, 0]) > 1.0] = math.nan
             return out
 
-        monkeypatch.setattr(norms, "_ratios_through_matrix", skewed_with_nans)
+        monkeypatch.setattr(norms, "_ratios_through_map", skewed_with_nans)
         a = random_element(SymMatrix(3), np.random.default_rng(6), 2.0)
         accepted = 0
         for r, s in ORDERS:
@@ -289,15 +309,21 @@ class TestBatchedEstimator:
 
     @settings(max_examples=60, deadline=None)
     @given(coord_stacks(max_rows=6), st.integers(0, 2**32 - 1),
-           st.sampled_from(ORDERS), st.booleans())
-    def test_ratio_rows_match_rows_alone(self, drawn, seed, orders, zero_row):
+           st.sampled_from(ORDERS), st.sampled_from(norms.NORM_KINDS), st.booleans())
+    def test_ratio_rows_match_rows_alone(self, drawn, seed, orders, kind, zero_row):
         d, U = drawn
         if zero_row:
             U[0] = 0.0
-        T = np.random.default_rng(seed).normal(0.0, 1.0, (d.dim, d.dim))
+        rng = np.random.default_rng(seed)
+        if kind == "schur":
+            S = rng.normal(0.0, 1.0, (d.rank, d.rank))
+            operand = SchurMatrix(S + S.T)
+        else:
+            operand = random_element(d, rng, 2.0)
+        _, _, apply, _ = norms._diag_and_frame(kind, operand, None, d)
         r, s = orders
-        stacked = norms._ratios_through_matrix(T, d, U, r, s)
-        alone = [norms._ratios_through_matrix(T, d, U[i:i + 1], r, s)[0]
+        stacked = norms._ratios_through_map(apply, d, U, r, s)
+        alone = [norms._ratios_through_map(apply, d, U[i:i + 1], r, s)[0]
                  for i in range(len(U))]
         np.testing.assert_array_equal(stacked, alone)
         if zero_row:
@@ -305,9 +331,9 @@ class TestBatchedEstimator:
 
     def test_ratio_is_the_spectral_norm_ratio(self):
         a = random_element(SymMatrix(3), np.random.default_rng(3), 2.0)
-        T = as_matrix(norms.lyap_map(a), a.descriptor)
+        _, _, apply, _ = norms._diag_and_frame("lyap", a, None, None)
         U = np.random.default_rng(4).normal(size=(5, 6))
-        got = norms._ratios_through_matrix(T, a.descriptor, U, 3.0, 2.0)
+        got = norms._ratios_through_map(apply, a.descriptor, U, 3.0, 2.0)
         for u, g in zip(U, got):
             x = from_orthonormal(a.descriptor, u)
             want = pnorm(lyap(a, x), 2.0) / pnorm(x, 3.0)

@@ -21,8 +21,10 @@ from symcone.algebra import (
     norm,
     random_cone_element,
     random_element,
+    row_sum,
     to_orthonormal,
     unit,
+    weight_vector,
     zero,
 )
 from symcone.majorization import major
@@ -48,11 +50,9 @@ from symcone.transforms import (
     SublinearFn,
     apply_sublinear,
     apply_sublinear_rows,
-    as_matrix,
     certify_positive_by_sampling,
     compose_positive,
     lyap,
-    lyap_map,
     lyap_multiplier,
     multiplier_stack,
     peirce_project,
@@ -61,7 +61,7 @@ from symcone.transforms import (
     positive_schur_map,
     quad_multiplier,
     quad_rep,
-    quad_rep_map,
+    quad_rep_coords,
     quad_rep_sqrt,
     quad_rep_sqrt_rows,
     schur,
@@ -398,30 +398,49 @@ class TestSchurMatrixIO:
 
 
 class TestOperatorMatrices:
-    def test_unit_multiplication_is_identity(self):
-        for d in SMALL_CATALOG:
-            M = as_matrix(lyap_map(unit(d)), d)
-            np.testing.assert_allclose(M, np.eye(d.dim), atol=1e-12)
+    # the operators act on (m, dim) coordinate stacks by their row forms;
+    # no dense matrix of them is built
 
-    def test_multiplication_operator_self_adjoint(self):
-        rng = np.random.default_rng(12)
-        for d in SMALL_CATALOG:
-            a = random_element(d, rng, 2.0)
-            M = as_matrix(lyap_map(a), d)
-            assert np.abs(M - M.T).max() <= 1e-10 * (1.0 + np.abs(M).max())
+    @settings(max_examples=60, deadline=None)
+    @given(coord_stacks())
+    def test_unit_multiplication_is_identity(self, drawn):
+        d, X = drawn
+        e = np.broadcast_to(unit(d).coords, X.shape)
+        np.testing.assert_array_equal(jordan_product_coords(d, e, X), X)
+        np.testing.assert_array_equal(quad_rep_coords(d, e, X), X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coord_stacks(count=2), st.integers(0, 2**32 - 1))
+    def test_multiplication_operator_self_adjoint(self, drawn, seed):
+        # <a o x, y> = <x, a o y> and <P_a x, y> = <x, P_a y>, row by row
+        d, X, Y = drawn
+        a = np.broadcast_to(random_element(d, np.random.default_rng(seed), 2.0).coords,
+                            X.shape)
+        w = weight_vector(d)
+        for op in (jordan_product_coords, quad_rep_coords):
+            left, right = w * op(d, a, X) * Y, w * X * op(d, a, Y)
+            scale = 1.0 + row_sum(np.abs(left)) + row_sum(np.abs(right))
+            assert (np.abs(row_sum(left) - row_sum(right)) <= 1e-12 * scale).all()
 
     def test_action_agreement(self):
+        # a built positive map on an element is its row form on one row,
+        # and on a stack row i is the map of row i alone
         rng = np.random.default_rng(13)
         for d in SMALL_CATALOG:
-            a = random_element(d, rng, 2.0)
-            for op in (lyap_map(a), quad_rep_map(a)):
-                M = as_matrix(op, d)
-                for _ in range(20):
-                    x = random_element(d, rng, 2.0)
-                    lhs = M @ to_orthonormal(x)
-                    rhs = to_orthonormal(op(x))
-                    scale = 1.0 + np.abs(rhs).max()
-                    assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+            quad = positive_quad_map(random_cone_element(d, rng, 1.0))
+            frame = spectral_decompose(random_element(d, rng, 2.0)).frame
+            G = rng.normal(size=(d.rank, d.rank))
+            sch = positive_schur_map(SchurMatrix(G @ G.T), frame)
+            X = rng.normal(0.0, 2.0, (5, d.dim))
+            for P in (quad, sch, compose_positive(quad, sch), compose_positive(sch, quad)):
+                assert P.fn is None and P.factors
+                stacked = P.rows(X)
+                for x, row in zip(X, stacked):
+                    np.testing.assert_array_equal(P(Element(d, x)).coords, row)
+                    np.testing.assert_array_equal(P.rows(x[None])[0], row)
+            c = quad.factors[0][1].coords
+            np.testing.assert_array_equal(quad.rows(X), quad_rep_coords(
+                d, np.broadcast_to(c, X.shape), X))
 
     def test_orthonormal_roundtrip(self):
         rng = np.random.default_rng(14)

@@ -328,6 +328,17 @@ class TestJordanWeak:
                 rep = check_jordan_weak(sample_general(d, rng), sample_general(d, rng))
                 assert rep.passed
 
+    def test_eigenvalue_product_past_the_float_range_raises(self):
+        # a o b = 0 from finite eigenvalues (1.4e154, 0) on each side, but
+        # the right-hand side |lambda(a)| * |lambda(b)| overflows to inf: the
+        # check raises, as eigvals does on a matrix whose norm overflows,
+        # rather than hold with an infinite worst slack
+        d = SpinFactor(3)
+        a = Element(d, [0.7e154, 0.7e154, 0.0])
+        b = Element(d, [0.7e154, -0.7e154, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            check_jordan_weak(a, b)
+
     def test_multiplication_multiplier_need_not_be_psd(self):
         # eigenvalues (1, -1) make [(a_i+a_j)/2] indefinite, so the
         # PSD-multiplier route cannot subsume this check
