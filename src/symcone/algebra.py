@@ -13,7 +13,10 @@ Three algebra kinds are supported:
 The inner product is always the trace form ``<x, y> = tr(x o y)``.  In every
 coordinate system used here it is diagonal with fixed positive weights
 (1 on symmetric-matrix diagonal slots, 2 elsewhere), which keeps inner
-products, orthonormal bases, and dense operator matrices cheap.
+products, norms and orthonormal bases cheap.
+
+Each operation is written once, as a row form on (m, dim) coordinate stacks;
+a function on one element is a batch of one of it.
 
 All values are immutable after construction and all operations are pure;
 random generation takes a caller-owned ``numpy.random.Generator``.
@@ -290,9 +293,8 @@ def inner(x: Element, y: Element) -> float:
 
 
 def norm(x: Element) -> float:
-    """Norm induced by the trace inner product."""
-    w = weight_vector(x.descriptor)
-    return math.sqrt(float(np.dot(w * x.coords, x.coords)))
+    """Norm induced by the trace inner product: row 0 of :func:`norm_rows`."""
+    return float(norm_rows(x.descriptor, x.coords[None])[0])
 
 
 def norm_rows(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
@@ -319,24 +321,16 @@ def random_cone_element(
     return jordan_product(x, x)
 
 
-def operator_commutes(a: Element, b: Element, tol: float | None = None) -> bool:
-    """Whether L_a and L_b commute, checked on the coordinate basis."""
+def operator_commutes(a: Element, b: Element) -> bool:
+    """Whether L_a and L_b commute: row 0 of :func:`operator_commutes_rows`."""
     _check_pair(a, b)
-    if tol is None:
-        tol = DEFAULT_ATOL + DEFAULT_RTOL * norm(a) * norm(b)
-    d = a.descriptor
-    for k in range(d.dim):
-        z = basis_element(d, k)
-        lhs = jordan_product(a, jordan_product(b, z))
-        rhs = jordan_product(b, jordan_product(a, z))
-        if norm(lhs - rhs) > tol:
-            return False
-    return True
+    return bool(operator_commutes_rows(a.descriptor, a.coords[None], b.coords[None])[0])
 
 
 def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`operator_commutes` at its default tolerance of every pair of
-    rows of the (m, dim) arrays a, b."""
+    """Whether L_a and L_b commute, for every pair of rows of the (m, dim)
+    arrays a, b: checked on the coordinate basis, within
+    ``DEFAULT_ATOL + DEFAULT_RTOL * |a| |b|``."""
     tol = DEFAULT_ATOL + DEFAULT_RTOL * norm_rows(d, a) * norm_rows(d, b)
     commute = np.ones(len(a), dtype=bool)
     for k in range(d.dim):  # one basis element at a time keeps memory at O(m dim)
@@ -351,7 +345,7 @@ def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -
 # --- orthonormal coordinates ----------------------------------------------------
 #
 # sqrt(w) * coords is an isometry onto R^dim with the Euclidean dot product;
-# dense operator matrices are expressed in this basis.
+# the norm estimator draws its proposals in this basis.
 
 def to_orthonormal(x: Element) -> np.ndarray:
     return np.sqrt(weight_vector(x.descriptor)) * x.coords

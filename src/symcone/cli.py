@@ -110,13 +110,17 @@ def _report_header(args: argparse.Namespace, command: str) -> dict:
             "config": cfg}
 
 
-def _dump(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """Text to the file at path, or to stdout when there is none."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(obj: dict, path: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -142,12 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines = ["check,descriptor,samples,pass,worst_slack"]
         for r in reports:
             lines.append(f"{r.check},{r.descriptor},{r.samples},{r.passed},{r.worst_slack!r}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _dump(header, args.out)
     for r in reports:

@@ -9,9 +9,11 @@ band, so at ``atol = 0`` every sum verdict is scale-free.  Product
 comparisons apply the same rule per index, at that index's own product
 magnitude, because partial products at different k scale by different
 powers of a common factor.  Partial products are compared directly (no
-logarithms) so exact zeros behave exactly; a row whose float products of
-nonzero entries leave the normal range (a common rescale divides them by
-the top entry first) is decided on its exact rational products instead.  A
+logarithms) so exact zeros behave exactly.  A row whose top entry passes
+1e8 is divided by it first, and its products at index k are then in units of
+top**(k + 1): atol is divided the same way, and the worst slack is reported
+back in the original units.  A row whose float products of nonzero entries
+leave the normal range is decided on its exact rational products instead.  A
 NaN or infinite entry has no rearrangement to compare, and every rule
 raises ValueError on one.
 
@@ -156,21 +158,36 @@ def _clamped_nonneg_rows(P, atol, rtol, label):
     return np.maximum(P, 0.0)
 
 
-def _log_verdict(pp, qp, atol, rtol):
-    """The log rule on partial products: floats, or ``Fraction`` objects with
-    ``Fraction`` tolerances."""
+def _in_units(V, div, op):
+    """V with column k put through ``op(., div)`` k + 1 times in turn, which
+    leaves the float range only where the result does."""
+    V = np.array(V, dtype=np.float64)
+    for k in range(V.shape[1]):
+        V[:, k:] = op(V[:, k:], div)
+    return V
+
+
+def _log_verdict(pp, qp, atol, rtol, div=None):
+    """The log rule on partial products: floats divided by ``div`` (one per
+    row) before the products were taken, or exact ``Fraction`` objects with
+    ``Fraction`` tolerances and no ``div``.  Rescaled products take atol in
+    their units, and the worst slack is scaled back (+-inf past the float
+    range)."""
     slacks = qp - pp
     with np.errstate(over="ignore"):  # a huge tolerance asks for an infinite band
+        scaled = slacks if div is None else _in_units(slacks, div, np.multiply)
+        if div is not None:
+            atol = _in_units(np.full(pp.shape, atol), div, np.divide)
         thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     gap = np.abs(pp[:, -1] - qp[:, -1])
     head = (slacks + thresholds)[:, :-1]
     head_holds = (head >= 0.0).all(axis=1)
-    worst = -gap
+    worst = -np.abs(scaled[:, -1])
     if head.shape[1]:
         binding = np.argmin(head, axis=1)[:, None]
         # np.minimum returns its second argument on a tie: a zero slack
         # keeps its sign
-        worst = np.minimum(worst, np.take_along_axis(slacks, binding, axis=1)[:, 0])
+        worst = np.minimum(worst, np.take_along_axis(scaled, binding, axis=1)[:, 0])
     return worst, head_holds & (gap <= thresholds[:, -1]), head, head_holds
 
 
@@ -186,17 +203,18 @@ def _log_core(P, Q, atol, rtol):
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are decided below
         pp = np.cumprod(ps / div, axis=1)
         qp = np.cumprod(qs / div, axis=1)
-        worst, holds, head, head_holds = _log_verdict(pp, qp, atol, rtol)
+        worst, holds, head, head_holds = _log_verdict(pp, qp, atol, rtol, div)
     # a product of nonzero entries past the normal range (a subnormal, 0 or
     # inf) has lost bits that can decide the verdict: those rows are decided
-    # on exact products and their worst slack is rounded once (+-inf past
-    # the float range).  An infinite tolerance has a band no loss moves
+    # on exact products in the original units and their worst slack is
+    # rounded once (+-inf past the float range).  An infinite tolerance has
+    # a band no loss moves
     lost = np.flatnonzero(~((((pp >= _TINY) & (pp <= _HUGE)) | (ps == 0.0)) &
                             (((qp >= _TINY) & (qp <= _HUGE)) | (qs == 0.0))).all(axis=1))
     if lost.size and math.isfinite(atol) and math.isfinite(rtol):
         F = np.frompyfunc(Fraction, 1, 1)
         ew, holds[lost], eh, head_holds[lost] = _log_verdict(
-            *(np.cumprod(F(v[lost]) / F(div[lost]), axis=1) for v in (ps, qs)), F(atol), F(rtol))
+            *(np.cumprod(F(v[lost]), axis=1) for v in (ps, qs)), F(atol), F(rtol))
         worst[lost] = [float(w) if abs(w) <= _HUGE else math.inf if w > 0 else -math.inf
                        for w in ew]
         head = head.astype(object)

@@ -55,7 +55,7 @@ from .spectral import (  # noqa: F401
     spectral_decompose,
     standard_frame,
 )
-from .transforms import SchurMatrix, apply_factors_rows, factor_rows, validate_frame
+from .transforms import apply_factors_rows, factor_rows, frame_multiplier, validate_frame
 
 NORM_KINDS = ("lyap", "quad", "schur")
 
@@ -91,13 +91,11 @@ def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
         sd = spectral_decompose(operand)
         dvec, frame, factors, psd = sd.eigenvalues**2, sd.frame, (("quad", operand),), True
     elif kind == "schur":
-        A = operand if isinstance(operand, SchurMatrix) else SchurMatrix(np.asarray(operand))
         if frame is None:
             if descriptor is None:
                 raise ValueError("schur norms need a frame or a descriptor")
             frame = standard_frame(descriptor)
-        if A.n != len(frame):
-            raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
+        A = frame_multiplier(operand, frame)
         validate_frame(frame)
         dvec, factors, psd = A.diag(), (("schur", A, frame),), A.is_psd()
     else:

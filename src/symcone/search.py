@@ -60,12 +60,11 @@ from .majorization import (
 from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame  # noqa: F401
 from .transforms import (
     MultiplierError,
-    SchurMatrix,
+    frame_multiplier,
     lyap_multiplier,
     multiplier_stack,
     peirce_projectors,
     quad_multiplier,
-    schur_matrix,
     schur_stack,
 )
 from .verifiers import GENERAL_SIGMA, sample_rngs
@@ -257,13 +256,9 @@ def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
 
 def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
               family: str | None, seed: int | None, problem: str) -> SearchRecord:
-    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
-    if A.n != len(frame):
-        raise ValueError(f"multiplier size {A.n} vs frame rank {len(frame)}")
+    A = frame_multiplier(A, frame, b.descriptor)
     d = b.descriptor
-    if d != frame.descriptor:
-        raise DescriptorMismatchError(f"element of {d} vs frame of {frame.descriptor}")
-    margins, holds = _margins(d, schur_matrix(A, _projectors(frame)),
+    margins, holds = _margins(d, schur_stack(A.entries[None], _projectors(frame))[0],
                               _diag_refs(A.entries[None]), b.coords[None, :],
                               problem, atol, rtol)
     return SearchRecord(family, descriptor_to_spec(d), seed, A.entries, b,

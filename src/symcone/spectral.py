@@ -6,9 +6,9 @@ decreasing order with stable tie order.  Symmetric-matrix factors are solved
 by the in-house batched cyclic Jacobi kernel, spin factors in closed form
 (``x0 +- ||xbar||``), direct sums by merging factor decompositions.  There
 is one code path: the batched forms work on (m, dim) coordinate arrays, and
-the functions on one element (``eigvals``, ``spectral_decompose``,
-``rebuild``, ``sym_eigen``) are batches of one of them, so a sample has the
-same bits alone as in any sweep.
+every function on one element (``eigvals``, ``spectral_decompose``,
+``rebuild``, ``sqrt_el``, ``sym_eigen``) is a batch of one of its row form,
+so a sample has the same bits alone as in any sweep.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from .algebra import (
     SymMatrix,
     factor_slices,
     inner,
-    jordan_product,
-    norm,
+    jordan_product_coords,
+    norm_rows,
     row_sum,
     sym_pack,
     sym_unpack,
     unit,
+    weight_vector,
 )
 from .majorization import vec_pnorm
 
@@ -100,18 +101,11 @@ def rebuild(frame: JordanFrame, vals: np.ndarray) -> Element:
 
 def frame_residuals(frame: JordanFrame) -> dict:
     """Worst idempotency / orthonormality / unit-sum residuals of a frame."""
-    es = frame.idempotents
-    idem = max(norm(jordan_product(e, e) - e) for e in es)
-    ortho = 0.0
-    for i, ei in enumerate(es):
-        for j, ej in enumerate(es):
-            g = inner(ei, ej)
-            ortho = max(ortho, abs(g - (1.0 if i == j else 0.0)))
-    total = es[0]
-    for e in es[1:]:
-        total = total + e
-    unit_res = norm(total - unit(frame.descriptor))
-    return {"idempotency": idem, "orthonormality": ortho, "unit_sum": unit_res}
+    d, E = frame.descriptor, frame.coords
+    gram = (weight_vector(d) * E) @ E.T
+    return {"idempotency": float(norm_rows(d, jordan_product_coords(d, E, E) - E).max()),
+            "orthonormality": float(np.abs(gram - np.eye(len(E))).max()),
+            "unit_sum": float(norm_rows(d, E.sum(axis=0) - unit(d).coords))}
 
 
 def _jacobi_thresh(S: np.ndarray, tol: float):
@@ -279,8 +273,9 @@ def rebuild_batch(frames: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """:func:`sqrt_el` at its default tolerance of every row, given its
-    decomposition (vals, frames) from :func:`spectral_decompose_batch`."""
+    """:func:`sqrt_el` of every row, given its decomposition (vals, frames)
+    from :func:`spectral_decompose_batch`; eigenvalues in
+    [-SQRT_CLAMP_TOL, 0) clamp to 0."""
     low = vals[:, -1].min(initial=0.0)
     if low < -SQRT_CLAMP_TOL:
         raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
@@ -305,15 +300,10 @@ def abs_el(x: Element) -> Element:
     return rebuild(sd.frame, np.abs(sd.eigenvalues))
 
 
-def sqrt_el(x: Element, tol: float = SQRT_CLAMP_TOL) -> Element:
-    """Square root of a cone element; eigenvalues in [-tol, 0) clamp to 0."""
-    sd = spectral_decompose(x)
-    vals = sd.eigenvalues
-    if vals.min() < -tol:
-        raise ConeError(
-            f"sqrt of an element outside the cone (min eigenvalue {vals.min():.3e})"
-        )
-    return rebuild(sd.frame, np.sqrt(np.maximum(vals, 0.0)))
+def sqrt_el(x: Element) -> Element:
+    """Square root of a cone element: row 0 of :func:`sqrt_batch`."""
+    d = x.descriptor
+    return Element(d, sqrt_batch(*spectral_decompose_batch(d, x.coords[None]))[0])
 
 
 def trace(x: Element) -> float:

@@ -2,7 +2,10 @@
 representations, Peirce projections, frame-relative Schur products, sublinear
 spectral maps, and positive linear maps.  Each linear map is applied by one row
 form on an (m, dim) coordinate stack (``algebra.jordan_product_coords``,
-:func:`quad_rep_coords`, :func:`schur_rows`, :func:`apply_factors_rows`).
+:func:`quad_rep_coords`, :func:`schur_rows`, :func:`apply_factors_rows`), and
+every function on one element (``quad_rep``, ``quad_rep_sqrt``, ``schur``,
+``peirce_project``, ``apply_sublinear``) is a batch of one of its row form.
+A multiplier meets the frame it acts on in :func:`frame_multiplier`.
 
 The Schur product ``A . x`` relative to a frame {e_1, ..., e_n} multiplies
 the Peirce component x_ij by A[i, j]; with ``A = [(a_i + a_j)/2]`` it equals
@@ -23,22 +26,19 @@ from .algebra import (
     AlgebraDescriptor,
     DescriptorMismatchError,
     Element,
-    basis_element,
-    inner,
+    _check_pair,
     jordan_product,
     jordan_product_coords,
-    random_cone_element,
     row_sum,
     weight_vector,
 )
 from .spectral import (
     JordanFrame,
-    eigvals,
+    eigvals_batch,
     frame_residuals,
     rebuild_batch,
     spectral_decompose_batch,
     sqrt_batch,
-    sqrt_el,
     sym_eigen,
 )
 
@@ -174,19 +174,21 @@ def quad_rep_coords(d: AlgebraDescriptor, a: np.ndarray, x: np.ndarray) -> np.nd
 
 def quad_rep(a: Element, x: Element) -> Element:
     """Quadratic representation P_a(x) = 2 a o (a o x) - a^2 o x."""
-    if a.descriptor != x.descriptor:
-        raise DescriptorMismatchError(f"mixed algebras: {a.descriptor} vs {x.descriptor}")
+    _check_pair(a, x)
     return Element(a.descriptor, quad_rep_coords(a.descriptor, a.coords, x.coords))
 
 
-def quad_rep_sqrt(a: Element, b: Element, tol: float = 1e-10) -> Element:
-    """P applied at the square root of a cone element a."""
-    return quad_rep(sqrt_el(a, tol=tol), b)
+def quad_rep_sqrt(a: Element, b: Element) -> Element:
+    """P applied at the square root of a cone element a: row 0 of
+    :func:`quad_rep_sqrt_rows`."""
+    _check_pair(a, b)
+    return Element(a.descriptor,
+                   quad_rep_sqrt_rows(a.descriptor, a.coords[None], b.coords[None])[0])
 
 
 def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`quad_rep_sqrt` at its default tolerance of every pair of rows of
-    the (m, dim) arrays a, b."""
+    """P_sqrt(a) b for every pair of rows of the (m, dim) arrays a, b; the
+    square root is :func:`spectral.sqrt_batch`'s."""
     vals, frames = spectral_decompose_batch(d, a)
     return quad_rep_coords(d, sqrt_batch(vals, frames), b)
 
@@ -252,59 +254,65 @@ def multiplier_stack(As, rank: int) -> np.ndarray:
     return _checked_stack(np.asarray(As, dtype=np.float64), rank)
 
 
-def _as_entries(A, rank: int) -> np.ndarray:
-    if isinstance(A, SchurMatrix) and A.n == rank:
-        return A.entries
-    return multiplier_stack([A], rank)[0]
+def frame_multiplier(A, frame: JordanFrame, d: AlgebraDescriptor | None = None) -> SchurMatrix:
+    """A multiplier (a matrix or a :class:`SchurMatrix`) as the SchurMatrix
+    acting on ``frame``; raises unless it has the frame's rank and, given d,
+    the frame is of the algebra d."""
+    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
+    if A.n != len(frame):
+        raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
+    if d is not None and d != frame.descriptor:
+        raise DescriptorMismatchError(f"frame of {frame.descriptor} vs element of {d}")
+    return A
 
 
-def peirce_project(frame: JordanFrame, x: Element, validate: bool = True) -> dict:
-    """Peirce components {(i, j): x_ij, i <= j} relative to a frame.
+def _peirce_terms(d: AlgebraDescriptor, frames: np.ndarray, X: np.ndarray):
+    """The Peirce components x_ij = c[:, None] * v of every row of X on its
+    frame ``frames[i]``, as (i, j, c, v) for i <= j: for each j the diagonal
+    one (c = <x, e_j>, v = e_j), then the off-diagonal ones (c = 4,
+    v = e_i o (e_j o x)) for i < j."""
+    w = weight_vector(d)
+    four = np.full(len(X), 4.0)
+    for j in range(frames.shape[1]):
+        ej = frames[:, j]
+        yield j, j, row_sum(w * X * ej), ej
+        tj = jordan_product_coords(d, ej, X)
+        for i in range(j):
+            yield i, j, four, jordan_product_coords(d, frames[:, i], tj)
+
+
+def peirce_project(frame: JordanFrame, x: Element) -> dict:
+    """Peirce components {(i, j): x_ij, i <= j} relative to a frame, as
+    :func:`schur_rows` weights them, on a batch of one.
 
     Diagonal components are <x, e_i> e_i; off-diagonal ones 4 e_i o (e_j o x).
     The components sum back to x and are mutually orthogonal.
     """
-    if validate:
-        validate_frame(frame)
-    es = frame.idempotents
-    comps = {}
-    for j, ej in enumerate(es):
-        comps[(j, j)] = inner(x, ej) * ej
-        tj = jordan_product(ej, x)
-        for i in range(j):
-            comps[(i, j)] = 4.0 * jordan_product(es[i], tj)
-    return comps
+    _check_pair(frame.idempotents[0], x)
+    validate_frame(frame)
+    return {(i, j): Element(x.descriptor, c[0] * v[0])
+            for i, j, c, v in _peirce_terms(x.descriptor, frame.coords[None], x.coords[None])}
 
 
-def schur(A, frame: JordanFrame, x: Element, validate: bool = True) -> Element:
-    """Frame-relative Schur product A . x = sum_{i<=j} A[i,j] x_ij."""
-    ents = _as_entries(A, len(frame))
-    if frame.descriptor != x.descriptor:
-        raise DescriptorMismatchError(
-            f"mixed algebras: {frame.descriptor} vs {x.descriptor}")
-    if validate:
-        validate_frame(frame)
+def schur(A, frame: JordanFrame, x: Element) -> Element:
+    """Frame-relative Schur product A . x = sum_{i<=j} A[i,j] x_ij: row 0 of
+    :func:`schur_rows`."""
+    A = frame_multiplier(A, frame, x.descriptor)
+    validate_frame(frame)
     return Element(x.descriptor,
-                   schur_rows(x.descriptor, ents[None], frame.coords[None], x.coords[None])[0])
+                   schur_rows(x.descriptor, A.entries[None], frame.coords[None], x.coords[None])[0])
 
 
 def schur_rows(d: AlgebraDescriptor, A: np.ndarray, frames: np.ndarray,
                X: np.ndarray) -> np.ndarray:
     """:func:`schur` of every row: row i of X times the multiplier ``A[i]``
     on the frame ``frames[i]`` ((m, rank, dim) idempotent coordinates, as
-    :func:`spectral.spectral_decompose_batch` returns them).
-
-    The Peirce components are those of :func:`peirce_project`: diagonal
-    ones <x, e_j> e_j, off-diagonal ones 4 e_i o (e_j o x).
+    :func:`spectral.spectral_decompose_batch` returns them), the weighted
+    Peirce components added in the order :func:`peirce_project` lists them.
     """
-    w = weight_vector(d)
     out = np.zeros(X.shape)
-    for j in range(frames.shape[1]):
-        ej = frames[:, j]
-        out += (A[:, j, j] * row_sum(w * X * ej))[:, None] * ej
-        tj = jordan_product_coords(d, ej, X)
-        for i in range(j):
-            out += (4.0 * A[:, i, j])[:, None] * jordan_product_coords(d, frames[:, i], tj)
+    for i, j, c, v in _peirce_terms(d, frames, X):
+        out += (A[:, i, j] * c)[:, None] * v
     return out
 
 
@@ -313,15 +321,14 @@ def peirce_projectors(frame: JordanFrame) -> np.ndarray:
 
     Returns P of shape (rank, rank, dim, dim): for i <= j, ``P[i, j] @
     x.coords`` are the coordinates of the component x_ij of
-    :func:`peirce_project`; ``P[i, j]`` is zero for i > j.
+    :func:`peirce_project`; ``P[i, j]`` is zero for i > j.  Column k is the
+    component of the k-th coordinate basis element, all taken as one stack.
     """
     validate_frame(frame)
-    d = frame.descriptor
+    d, E = frame.descriptor, frame.coords
     P = np.zeros((len(frame), len(frame), d.dim, d.dim))
-    for k in range(d.dim):
-        comps = peirce_project(frame, basis_element(d, k), validate=False)
-        for (i, j), comp in comps.items():
-            P[i, j, :, k] = comp.coords
+    for i, j, c, v in _peirce_terms(d, np.broadcast_to(E, (d.dim,) + E.shape), np.eye(d.dim)):
+        P[i, j] = (c[:, None] * v).T
     return P
 
 
@@ -335,7 +342,7 @@ def schur_matrix(A, P: np.ndarray) -> np.ndarray:
     """
     rank = P.shape[0]
     if isinstance(A, SchurMatrix) or np.ndim(A) == 2:
-        return schur_stack(_as_entries(A, rank)[None], P)[0]
+        return schur_stack(multiplier_stack([A], rank), P)[0]
     return schur_stack(multiplier_stack(A, rank), P)
 
 
@@ -408,15 +415,13 @@ def positive_quad_map(c: Element) -> PositiveLinearMap:
 
 
 def positive_schur_map(A, frame: JordanFrame, tol: float = 1e-10) -> PositiveLinearMap:
-    """Schur product with a PSD multiplier; raises if A is not PSD or if the
-    frame fails :func:`validate_frame`."""
-    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
+    """Schur product with a PSD multiplier; raises, in this order, if A does
+    not fit the frame, is not PSD, or the frame fails :func:`validate_frame`."""
+    A = frame_multiplier(A, frame)
     if not A.is_psd(tol):
         raise PositivityError(
             f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
         )
-    if A.n != len(frame):
-        raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
     validate_frame(frame)
     return PositiveLinearMap(frame.descriptor, None, "schur_psd", True,
                              (("schur", A, frame),))
@@ -462,11 +467,11 @@ def certify_positive_by_sampling(
     samples: int = 32,
     tol: float = 1e-8,
 ) -> bool:
-    """Empirical positivity check on sampled cone elements (sound to refute)."""
-    for _ in range(samples):
-        z = random_cone_element(P.descriptor, rng, scale=1.0)
-        vals = eigvals(P(z))
-        scale = max(1.0, float(np.abs(vals).max()))
-        if vals[-1] < -tol * scale:
-            return False
-    return True
+    """Empirical positivity check on sampled cone elements (sound to refute):
+    the draws of ``samples`` calls of ``algebra.random_cone_element``, as one
+    stack, so the generator advances by all of them whatever the verdict."""
+    d = P.descriptor
+    Z = rng.normal(0.0, 1.0, (samples, d.dim))
+    vals = eigvals_batch(d, P.rows(jordan_product_coords(d, Z, Z)))
+    scale = np.maximum(np.abs(vals).max(axis=1), 1.0)
+    return not (vals[:, -1] < -tol * scale).any()

@@ -72,12 +72,12 @@ from .transforms import (
     POS_FN,
     PositiveLinearMap,
     PositivityError,
-    SchurMatrix,
     SublinearFn,
     apply_factors_rows,
     apply_sublinear_rows,
     certify_positive_by_sampling,
     factor_rows,
+    frame_multiplier,
     multiplier_stack,
     quad_rep_coords,
     quad_rep_sqrt_rows,
@@ -482,12 +482,7 @@ def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
 def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
     """A PSD multiplier with its frame as a batch of one; raises as the
     checks' preconditions require."""
-    A = A if isinstance(A, SchurMatrix) else SchurMatrix(np.asarray(A))
-    if A.n != len(frame):
-        raise ValueError(f"multiplier size {A.n} does not match frame rank {len(frame)}")
-    if frame.descriptor != x.descriptor:
-        raise DescriptorMismatchError(
-            f"frame of {frame.descriptor} vs element of {x.descriptor}")
+    A = frame_multiplier(A, frame, x.descriptor)
     if not A.is_psd():
         raise PositivityError(
             f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"

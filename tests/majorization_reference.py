@@ -13,6 +13,13 @@ top * 2**-1022 that way, so ``log_major([1e300, 1e-300], [1e300, 0],
 atol=0, rtol=0)`` held although the exact second products are 1 and 0.
 Such a row is now compared on its exact rational products, with the
 tolerances exact too, and the worst slack is rounded once at the end.
+
+A second edit mends the units of a rescaled row: its partial product at
+index k is in units of top**(k + 1), but atol was applied unscaled and the
+worst slack reported in those units, so ``log_major([1e9, 1.0], [1e9, 0.5])``
+held with a worst slack of -5e-10.  atol is now divided by top k + 1 times at
+index k, the worst slack is multiplied back the same way (+-inf past the
+float range), and the exact products are taken in the original units.
 """
 
 from __future__ import annotations
@@ -130,16 +137,25 @@ def _partial_products(p, q, atol, rtol):
     lost = any(not (x == 0.0 or _TINY <= v < math.inf)
                for x, v in zip(np.concatenate([ps, qs]), np.concatenate([pp, qp])))
     if lost and math.isfinite(atol) and math.isfinite(rtol):
-        return _exact_cumprod(ps, div), _exact_cumprod(qs, div)
-    return pp, qp
+        return _exact_cumprod(ps), _exact_cumprod(qs), None
+    return pp, qp, div
 
 
-def _exact_cumprod(v, div):
+def _exact_cumprod(v):
     out, acc = [], Fraction(1)
     for x in v:
-        acc *= Fraction(x) / Fraction(div)
+        acc *= Fraction(x)
         out.append(acc)
     return np.array(out, dtype=object)
+
+
+def _in_units(v, div, op):
+    """v with entry k put through op(., div) k + 1 times in turn."""
+    v = np.array(v, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for k in range(len(v)):
+            v[k:] = op(v[k:], div)
+    return v
 
 
 def _rounded(x) -> float:
@@ -150,10 +166,14 @@ def _rounded(x) -> float:
 
 def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> MajorizationVerdict:
     """Weak log-majorization plus total-product equality."""
-    pp, qp = _partial_products(p, q, atol, rtol)
-    if pp.dtype == object:
-        atol, rtol = Fraction(atol), Fraction(rtol)
+    pp, qp, div = _partial_products(p, q, atol, rtol)
     slacks = qp - pp
+    if div is None:
+        atol, rtol = Fraction(atol), Fraction(rtol)
+        reported = slacks
+    else:
+        atol = _in_units(np.full(len(pp), atol), div, np.divide)
+        reported = _in_units(slacks, div, np.multiply)
     thresholds = atol + rtol * np.maximum(np.abs(pp), np.abs(qp))
     n = len(slacks)
     head_adj = (slacks + thresholds)[: n - 1]
@@ -161,9 +181,9 @@ def log_major(p, q, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> M
     gap = pp[-1] - qp[-1]
     eq_ok = abs(gap) <= thresholds[-1]
     holds = weak_ok and eq_ok
-    worst = -abs(gap)
+    worst = -abs(reported[-1])
     if head_adj.size:
-        worst = min(slacks[np.argmin(head_adj)], worst)
+        worst = min(reported[np.argmin(head_adj)], worst)
     worst = _rounded(worst)
     if holds:
         return MajorizationVerdict(True, worst, None, "log")

@@ -277,7 +277,7 @@ def test_kernel_oracles(capsys):
         for _ in range(10):
             frame = spectral_decompose(random_element(d, rng, 1.0)).frame
             x = random_element(d, rng, 3.0)
-            comps = peirce_project(frame, x, validate=False)
+            comps = peirce_project(frame, x)
             total = zero(d)
             for c in comps.values():
                 total = total + c

@@ -34,6 +34,7 @@ from symcone.algebra import (
 )
 from symcone.spectral import eigvals, spectral_decompose
 
+import element_reference as reference
 from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
 
@@ -216,14 +217,15 @@ class TestOperatorCommute:
     @settings(max_examples=100, deadline=None)
     @given(coord_stacks(count=2))
     def test_row_form_matches_scalar(self, case):
-        # drawn pairs, which rarely commute, and pairs (a, a o a), which do
+        # drawn pairs, which rarely commute, and pairs (a, a o a), which do,
+        # against the frozen element loop
         d, A, B = case
         for b in (B, jordan_product_coords(d, A, A)):
             got = operator_commutes_rows(d, A, b)
             for i in range(len(A)):
-                assert got[i] == operator_commutes(Element(d, A[i]), Element(d, b[i]))
-            np.testing.assert_allclose(norm_rows(d, b), [norm(Element(d, x)) for x in b],
-                                       rtol=1e-15)
+                assert got[i] == reference.operator_commutes(Element(d, A[i]), Element(d, b[i]))
+            np.testing.assert_allclose(norm_rows(d, b),
+                                       [reference.norm(Element(d, x)) for x in b], rtol=1e-15)
 
 
 class TestJordanIdentities:

@@ -129,6 +129,29 @@ class TestLogVariants:
                                           np.array([q, [1.0] * len(p)]), atol=0.0, rtol=0.0)
         assert list(rows_hold) == [holds, True] and bits(worst[0]) == bits(v.worst_slack)
 
+    @pytest.mark.parametrize("log_major_of", [log_major, reference.log_major],
+                             ids=["package", "reference"])
+    def test_atol_is_in_the_original_units(self, log_major_of):
+        # a row above the rescale limit (1e8) is divided by its top entry, so
+        # its second products 1 and 0.5 are in units of 1e18: a gap of 5e8
+        # in the original units against a band of about 10.  atol applied
+        # in the rescaled units made it hold with a worst slack of -5e-10
+        for top in (1e8, 1e9):
+            v = log_major_of([top, 1.0], [top, 0.5])
+            assert (v.holds, v.failing_k) == (False, 2)
+            assert v.worst_slack == pytest.approx(-top / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("log_major_of", [log_major, reference.log_major],
+                             ids=["package", "reference"])
+    def test_overflowing_products_hold_at_infinite_atol(self, log_major_of):
+        # the third products (1e600) overflow, and so does top**3 in the
+        # rescaled units; an infinite atol is an infinite band in any units
+        p = [1e200, 1e200, 1e200]
+        q = [1e200, 1e200, 2e200]
+        v = log_major_of(p, q, atol=math.inf)
+        assert v.holds and not math.isnan(v.worst_slack)
+        assert log_major_of(q, p, atol=math.inf).holds
+
     def test_log_implies_weak_on_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(500):

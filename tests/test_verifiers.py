@@ -43,12 +43,10 @@ from symcone.transforms import (
     apply_sublinear,
     compose_positive,
     lyap_multiplier,
-    peirce_projectors,
     positive_quad_map,
     positive_schur_map,
     quad_rep,
     quad_rep_sqrt,
-    schur_matrix,
 )
 from symcone import verifiers
 from symcone.algebra import descriptor_to_spec
@@ -79,6 +77,7 @@ from symcone.verifiers import (
 
 from conftest import CATALOG, SMALL_CATALOG
 from majorization_reference import log_major, major, weak_major
+import element_reference
 
 
 def sample_frame(d, rng) -> JordanFrame:
@@ -677,8 +676,8 @@ def scalar_reference(check, d, inp, i, atol, rtol):
     def frame():
         return JordanFrame(tuple(Element(d, e) for e in inp["frame"][i]))
 
-    def schur_of(x):  # through the Peirce projectors, not schur_rows
-        return Element(d, schur_matrix(inp["A"][i], peirce_projectors(frame())) @ x.coords)
+    def schur_of(x):  # through the frozen Peirce loop, not schur_rows
+        return element_reference.schur(inp["A"][i], frame(), x)
 
     if "phi" in inp:
         phi = SublinearFn(*inp["phi"][i])
