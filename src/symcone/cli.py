@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .majorization import DEFAULT_ATOL, DEFAULT_RTOL
 from .norms import norm_empirical
-from .spectral import JacobiConvergenceError
+from .spectral import JacobiConvergenceError, standard_frame
 from .search import (
     FAMILIES,
     FamilySpec,
@@ -185,16 +185,12 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         if args.kind in ("lyap", "quad"):
             with open(args.operand) as fh:
                 operand = element_from_json(json.load(fh))
-            descriptor = None
+            frame = None
         elif args.kind == "schur":
             operand = SchurMatrix.load(args.operand)
             if not args.alg:
                 raise ConfigError("schur norms need --alg for the frame")
-            descriptor = descriptor_from_spec(args.alg)
-            if descriptor.rank != operand.n:
-                raise ConfigError(
-                    f"multiplier size {operand.n} does not match rank {descriptor.rank}"
-                )
+            frame = standard_frame(descriptor_from_spec(args.alg))
         else:
             raise ConfigError(f"unknown norm kind {args.kind!r}")
     except (OSError, ValueError, KeyError, RecursionError) as exc:
@@ -208,7 +204,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         rng = np.random.default_rng(args.seed)
         est = norm_empirical(args.kind, operand, r, s, budget=args.budget, rng=rng,
-                             descriptor=descriptor)
+                             frame=frame)
     closed = est.closed_form
     gap = closed - est.value
     if not all(math.isfinite(v) for v in (closed, est.value, est.witness_value, gap)):
@@ -242,7 +238,7 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
         # a finite record can overflow float64 in its margin: the eigensolver
         # rejects it, and a non-finite margin never confirms
         with np.errstate(over="ignore", invalid="ignore"):
-            replayed = replay_records(records)
+            replayed = replay_records(records, atol=args.atol, rtol=args.rtol)
         bad = 0
         for i, (rec, (ok, margin)) in enumerate(zip(records, replayed)):
             if not ok:

@@ -53,7 +53,6 @@ from .spectral import (  # noqa: F401
     eigvals_batch,
     rebuild,
     spectral_decompose,
-    standard_frame,
 )
 from .transforms import apply_factors_rows, factor_rows, frame_multiplier, validate_frame
 
@@ -77,11 +76,12 @@ def dual_exponent(r: float, s: float) -> float:
     return r * s / (r - s)
 
 
-def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
-                    descriptor: AlgebraDescriptor | None):
+def _diag_and_frame(kind: str, operand, frame: JordanFrame | None):
     """Frame-diagonal action vector, aligned frame, the map's row form (an
     (m, dim) stack of packed coordinates to the stack of its images) and psd
-    flag.  The operand is one row, repeated for every row of the stack."""
+    flag.  The operand is one row, repeated for every row of the stack.  A
+    Schur multiplier acts on ``frame``, which it needs; L_a and P_a act on
+    the frame of a."""
     if kind == "lyap":
         sd = spectral_decompose(operand)
         d, a = operand.descriptor, operand.coords
@@ -92,9 +92,7 @@ def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
         dvec, frame, factors, psd = sd.eigenvalues**2, sd.frame, (("quad", operand),), True
     elif kind == "schur":
         if frame is None:
-            if descriptor is None:
-                raise ValueError("schur norms need a frame or a descriptor")
-            frame = standard_frame(descriptor)
+            raise ValueError("schur norms need a frame")
         A = frame_multiplier(operand, frame)
         validate_frame(frame)
         dvec, factors, psd = A.diag(), (("schur", A, frame),), A.is_psd()
@@ -105,11 +103,10 @@ def _diag_and_frame(kind: str, operand, frame: JordanFrame | None,
 
 
 def norm_closed_form(kind: str, operand, r: float, s: float,
-                     frame: JordanFrame | None = None,
-                     descriptor: AlgebraDescriptor | None = None) -> float:
+                     frame: JordanFrame | None = None) -> float:
     """Exact operator norm from the spectral r-norm to the spectral s-norm."""
     r, s = _validate_rs(r, s)
-    dvec, _, _, _ = _diag_and_frame(kind, operand, frame, descriptor)
+    dvec, _, _, _ = _diag_and_frame(kind, operand, frame)
     return _closed_form(dvec, r, s)
 
 
@@ -156,8 +153,7 @@ def _ratios_through_map(apply, d: AlgebraDescriptor,
 def norm_empirical(kind: str, operand, r: float, s: float,
                    budget: int = 200,
                    rng: np.random.Generator | None = None,
-                   frame: JordanFrame | None = None,
-                   descriptor: AlgebraDescriptor | None = None) -> EmpiricalNorm:
+                   frame: JordanFrame | None = None) -> EmpiricalNorm:
     """Lower-bound the operator norm by witness evaluation plus random ascent.
 
     The returned value never exceeds the closed form, which the result also
@@ -171,7 +167,7 @@ def norm_empirical(kind: str, operand, r: float, s: float,
     r, s = _validate_rs(r, s)
     if rng is None:
         rng = np.random.default_rng(0)
-    dvec, fr, op, certified = _diag_and_frame(kind, operand, frame, descriptor)
+    dvec, fr, op, certified = _diag_and_frame(kind, operand, frame)
     alg = fr.descriptor
     restricted = kind == "schur" and not certified
     note = None

@@ -11,18 +11,21 @@ scale; ``FamilySpec.zero_diag`` is its only setting, read by ``random_sym``
 alone.  Violations are certified by a stored witness that replays exactly;
 absence of violations is reported as evidence only, never as a claim.
 
-Every margin comes from one batched computation, :func:`_margins`, over an
-(m, dim) stack of elements b: the Schur product as a matrix built from a
-frame's Peirce projectors (one matrix for the whole stack, or one per row),
-eigenvalues of the products and of the elements in one call, and the weak
-majorization verdict row by row.  Each row's arithmetic depends on that row
-alone, so a margin has the same bits whether it is computed in a sweep, in
-a replay batch or on its own: :func:`sweep` runs groups of candidates, up to
-``MARGIN_CHUNK`` elements, as one batch and keeps the margin and verdict of
-every row directly, :func:`test_candidate` is a batch of one, and
+Every margin comes from one batched computation, :func:`_margins`, with one
+input form: an (m, dim) stack of elements b, a checked stack of multipliers
+(:func:`transforms.multiplier_stack`) and an owner index naming the
+multiplier of each row.  In chunks of ``MARGIN_CHUNK`` rows it builds the
+Schur products of the multipliers the chunk uses as matrices from a frame's
+Peirce projectors, takes the eigenvalues of the products and of the elements
+in one call, and decides weak majorization row by row.  Each row's
+arithmetic depends on that row and its multiplier alone, so a margin has the
+same bits whether it is computed in a sweep, in a replay batch or on its
+own.  Each caller states only its own layout: :func:`sweep` runs groups of
+candidates, up to ``MARGIN_CHUNK`` elements (at least one candidate), as one
+call whose row r belongs to candidate r // n_b, and keeps the margin and
+verdict of every row directly; :func:`test_candidate` is a batch of one; and
 :func:`replay_records` reruns an archive by algebra and problem, in batches
-of up to ``MARGIN_CHUNK`` records.  Multipliers are validated and
-symmetrized as stacks (:func:`transforms.multiplier_stack`), one per batch.
+of up to ``MARGIN_CHUNK`` records, one multiplier per row.
 The search frame of a sweep is always the standard frame of the algebra.
 """
 
@@ -204,63 +207,60 @@ def _projectors(frame: JordanFrame) -> np.ndarray:
     return peirce_projectors(frame)
 
 
-def _diag_refs(E: np.ndarray) -> np.ndarray:
-    """lambda(|diag A|) of every multiplier of a (k, n, n) stack: the
-    decreasing absolute diagonals, (k, n)."""
-    return sort_desc_rows(np.abs(np.diagonal(E, axis1=1, axis2=2)))
-
-
-def _margins(d: AlgebraDescriptor, M: np.ndarray, dref: np.ndarray,
+def _margins(d: AlgebraDescriptor, P: np.ndarray, E: np.ndarray, owner,
              coords: np.ndarray, problem: str, atol: float,
              rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Weak-majorization margins and verdicts of the rows of ``coords``.
 
-    ``coords`` is an (m, dim) stack of elements b.  ``M`` is the Schur
-    matrix (:func:`transforms.schur_matrix`) shared by every row, (dim, dim),
-    or one per row, (m, dim, dim); ``dref`` is lambda(|diag A|) to match,
-    (rank,) or (m, rank).  The general problem compares lambda(|A . b|) with
-    lambda(|diag A|)*lambda(|b|), the cone problem lambda(A . b) with
-    lambda(|diag A|)*lambda(b) and rejects a b outside the cone.
+    ``coords`` is an (m, dim) stack of elements b, ``E`` a checked (k, rank,
+    rank) multiplier stack (:func:`transforms.multiplier_stack`) acting on
+    the frame whose Peirce projectors are ``P``, and ``owner`` an (m,)
+    index: row r is tested against ``E[owner[r]]``.  The general problem
+    compares lambda(|A . b|) with lambda(|diag A|)*lambda(|b|), the cone
+    problem lambda(A . b) with lambda(|diag A|)*lambda(b) and rejects a b
+    outside the cone.
 
-    A row's result depends on that row alone: the product A . b is formed
-    entrywise and summed by :func:`algebra.row_sum` (a BLAS product could
-    block by m), the eigensolver treats every row on its own, and the
-    verdict is the scalar ``weak_major`` rule.  Returns (margins (m,),
-    verdicts (m,) bool).
+    Rows run in chunks of ``MARGIN_CHUNK``; a chunk builds the Schur
+    matrices (:func:`transforms.schur_stack`) and lambda(|diag A|) of the
+    slice of ``E`` its owners span, which a non-decreasing ``owner`` (every
+    caller's) keeps within the chunk.  A row's result depends on that row
+    and its multiplier alone: a multiplier's Schur matrix has the same bits
+    in any stack, the product A . b is formed entrywise and summed by
+    :func:`algebra.row_sum` (a BLAS product could block by m), the
+    eigensolver treats every row on its own, and the verdict is the scalar
+    ``weak_major`` rule.  Returns (margins (m,), verdicts (m,) bool).
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
-    coords = np.asarray(coords, dtype=np.float64)
-    m = coords.shape[0]
-    if m > MARGIN_CHUNK:
-        parts = [_margins(d, M[lo:lo + MARGIN_CHUNK] if M.ndim == 3 else M,
-                          dref[lo:lo + MARGIN_CHUNK] if dref.ndim == 2 else dref,
-                          coords[lo:lo + MARGIN_CHUNK], problem, atol, rtol)
-                 for lo in range(0, m, MARGIN_CHUNK)]
-        margins, holds = zip(*parts)
-        return np.concatenate(margins), np.concatenate(holds)
-    ab = row_sum(M * coords[:, None, :])
-    eig = eigvals_batch(d, np.concatenate([ab, coords]))
-    eig_ab, eig_b = eig[:m], eig[m:]
-    if problem == "general":
-        lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
-    else:
-        floor = -1e-8 * np.maximum(np.abs(eig_b).max(axis=1), 1.0)
-        outside = np.flatnonzero(eig_b[:, -1] < floor)
-        if outside.size:
-            raise ValueError(f"b is not in the cone "
-                             f"(min eigenvalue {eig_b[outside[0], -1]:.3e})")
-        lhs, rhs = eig_ab, dref * eig_b
-    return weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
+    coords, owner = np.asarray(coords, dtype=np.float64), np.asarray(owner)
+    margins, holds = np.empty(len(coords)), np.empty(len(coords), dtype=bool)
+    for lo in range(0, len(coords), MARGIN_CHUNK):
+        rows = slice(lo, lo + MARGIN_CHUNK)
+        X, first = coords[rows], owner[rows].min()
+        used, own = E[first:owner[rows].max() + 1], owner[rows] - first
+        ab = row_sum(schur_stack(used, P)[own] * X[:, None, :])
+        dref = sort_desc_rows(np.abs(np.diagonal(used, axis1=1, axis2=2)))[own]
+        eig = eigvals_batch(d, np.concatenate([ab, X]))
+        eig_ab, eig_b = eig[:len(X)], eig[len(X):]
+        if problem == "general":
+            lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
+        else:
+            floor = -1e-8 * np.maximum(np.abs(eig_b).max(axis=1), 1.0)
+            outside = np.flatnonzero(eig_b[:, -1] < floor)
+            if outside.size:
+                raise ValueError(f"b is not in the cone "
+                                 f"(min eigenvalue {eig_b[outside[0], -1]:.3e})")
+            lhs, rhs = eig_ab, dref * eig_b
+        margins[rows], holds[rows] = weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
+    return margins, holds
 
 
 def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
               family: str | None, seed: int | None, problem: str) -> SearchRecord:
     A = frame_multiplier(A, frame, b.descriptor)
     d = b.descriptor
-    margins, holds = _margins(d, schur_stack(A.entries[None], _projectors(frame))[0],
-                              _diag_refs(A.entries[None]), b.coords[None, :],
-                              problem, atol, rtol)
+    margins, holds = _margins(d, _projectors(frame), A.entries[None], [0],
+                              b.coords[None, :], problem, atol, rtol)
     return SearchRecord(family, descriptor_to_spec(d), seed, A.entries, b,
                         float(margins[0]), "satisfied" if holds[0] else "violated",
                         problem)
@@ -287,7 +287,8 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
     Records are grouped by (descriptor, problem) and each group runs on the
     standard frame in chunks of ``MARGIN_CHUNK`` records, so that memory is
     bounded by the chunk, not by the archive.  A chunk's multipliers are
-    validated, symmetrized and turned into Schur matrices as one stack.
+    validated and symmetrized as one stack, which :func:`_margins` takes
+    with one multiplier per row.
     Every multiplier of a group is checked before any of its margins is
     computed, and the first bad one raises the message that building it
     alone raises; the chunks after the first are checked once more as they
@@ -317,7 +318,7 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
             if len(starts) > 1:  # a group of one chunk keeps its checked stack
                 E = multiplier_stack([records[i].entries for i in part], d.rank)
             margins, holds = _margins(
-                d, schur_stack(E, _standard_projectors(d)), _diag_refs(E),
+                d, _standard_projectors(d), E, np.arange(len(part)),
                 np.stack([records[i].b_witness.coords for i in part]),
                 problem, atol, rtol)
             for i, margin, ok in zip(part, margins.tolist(), holds.tolist()):
@@ -376,12 +377,12 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
     group (:func:`verifiers.sample_rngs`).  Consecutive candidates run in
     groups of as many as fit in ``MARGIN_CHUNK`` elements (at least one):
     the group's multipliers are validated as one stack and all its elements
-    run as one batch through :func:`_margins` on the standard frame, each
-    row with its own candidate's Schur matrix.  That gives every element the
-    margin and verdict :func:`test_candidate` would give it alone.  Every
-    violated element becomes a record with its witness, in candidate then
-    element order, so that replay is exact; satisfied ones only contribute
-    to the aggregate margin.
+    run as one :func:`_margins` call on the standard frame, row r against
+    candidate r // n_b.  That gives every element the margin and verdict
+    :func:`test_candidate` would give it alone.  Every violated element
+    becomes a record with its witness, in candidate then element order, so
+    that replay is exact; satisfied ones only contribute to the aggregate
+    margin.
     """
     if n_A < 1:
         raise ValueError("need at least one candidate")
@@ -405,11 +406,8 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
         E = multiplier_stack([generate_candidate(spec, rng) for rng in rngs], spec.n)
         coords = np.concatenate([_sample_b_coords(descriptor, rng, n_b, problem)
                                  for rng in rngs])
-        # row r tests candidate r // n_b; a lone candidate shares its matrix
-        # across its rows, which may be more than MARGIN_CHUNK
-        owner = np.arange(len(coords)) // n_b if len(rngs) > 1 else 0
-        margins, holds = _margins(descriptor, schur_stack(E, P)[owner],
-                                  _diag_refs(E)[owner], coords, problem, atol, rtol)
+        margins, holds = _margins(descriptor, P, E, np.arange(len(coords)) // n_b,
+                                  coords, problem, atol, rtol)
         for r in np.flatnonzero(~holds):
             violations.append(SearchRecord(
                 spec.family, d_spec, seed, E[r // n_b], Element(descriptor, coords[r]),

@@ -39,6 +39,8 @@ from .majorization import vec_pnorm
 JACOBI_TOL = _kernels.JACOBI_TOL
 JACOBI_MAX_SWEEPS = _kernels.JACOBI_MAX_SWEEPS
 SQRT_CLAMP_TOL = 1e-10
+# below this spin radius the sum of squares leaves the normal range
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 class JacobiConvergenceError(ArithmeticError):
@@ -182,18 +184,33 @@ def sym_eigh_batch(
             np.take_along_axis(V, order[:, None, :], axis=2))
 
 
-def _spin_radius_batch(X: np.ndarray) -> np.ndarray:
-    """||xbar|| of every row of an (m, n) spin-factor array.
+def _spin_radius_batch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||xbar|| of every row of an (m, n) spin-factor array, with the
+    direction xbar / ||xbar|| as a quotient V / s of a rescaled xbar.
 
-    Non-finite coordinates, or a norm that overflows, are rejected; the
-    overflow itself is expected and stays silent.
+    Returns (r, V, s).  Where the sum of squares stays in the normal range,
+    V is xbar and s = r.  On a row with xbar != 0 whose plain radius is
+    below sqrt(tiny), where the squares lose bits or underflow to 0, V is
+    xbar / max|xbar_i|, s = ||V|| and r = max|xbar_i| * s.  Non-finite
+    coordinates, or a norm that overflows, are rejected; the overflow
+    itself is expected and stays silent.
     """
+    V = X[:, 1:]
     with np.errstate(over="ignore"):
-        r = np.sqrt(row_sum(X[:, 1:] * X[:, 1:]))
+        r = np.sqrt(row_sum(V * V))
         top = np.abs(X[:, 0]) + r
     if not np.isfinite(top).all():
         raise ValueError("element has non-finite coordinates (or overflows)")
-    return r
+    s = r
+    low = r < _SQRT_TINY
+    if low.any():
+        low &= V.any(axis=1)  # xbar = 0 keeps r = 0
+        big = np.abs(V[low]).max(axis=1, initial=0.0)
+        V, s = V.copy(), r.copy()
+        V[low] /= big[:, None]
+        s[low] = np.sqrt(row_sum(V[low] * V[low]))
+        r[low] = big * s[low]
+    return r, V, s
 
 
 def spectral_decompose(x: Element) -> SpectralDecomposition:
@@ -220,7 +237,7 @@ def eigvals_batch(d: AlgebraDescriptor, X: np.ndarray) -> np.ndarray:
     if isinstance(d, SymMatrix):
         return sym_eigvals_batch(sym_unpack(X, d.n))
     if isinstance(d, SpinFactor):
-        r = _spin_radius_batch(X)
+        r = _spin_radius_batch(X)[0]
         return np.stack([X[:, 0] + r, X[:, 0] - r], axis=1)
     vals = np.concatenate([eigvals_batch(f, X[:, sl]) for f, sl in factor_slices(d)],
                           axis=1)
@@ -241,11 +258,11 @@ def spectral_decompose_batch(d: AlgebraDescriptor,
         # frames[i, k] = pack(v_k v_k^T) for the k-th eigenvector of sample i
         return W, sym_pack(np.einsum("mik,mjk->mkij", V, V))
     if isinstance(d, SpinFactor):
-        r = _spin_radius_batch(X)
+        r, V, s = _spin_radius_batch(X)
         u = np.zeros((m, d.n - 1))
         u[:, 0] = 1.0  # deterministic completion for the degenerate direction
-        nz = r != 0.0
-        u[nz] = X[nz, 1:] / r[nz, None]
+        nz = s != 0.0
+        u[nz] = V[nz] / s[nz, None]
         frames = np.empty((m, 2, d.n))
         frames[:, :, 0] = 0.5
         frames[:, 0, 1:] = 0.5 * u

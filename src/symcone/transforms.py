@@ -332,20 +332,6 @@ def peirce_projectors(frame: JordanFrame) -> np.ndarray:
     return P
 
 
-def schur_matrix(A, P: np.ndarray) -> np.ndarray:
-    """Matrix of x -> A . x on packed coordinates, for the frame whose
-    :func:`peirce_projectors` are P.
-
-    ``A`` is one multiplier, giving a (dim, dim) matrix, or a sequence of
-    them (checked by :func:`multiplier_stack`), giving an (m, dim, dim)
-    stack of :func:`schur_stack`.
-    """
-    rank = P.shape[0]
-    if isinstance(A, SchurMatrix) or np.ndim(A) == 2:
-        return schur_stack(multiplier_stack([A], rank), P)[0]
-    return schur_stack(multiplier_stack(A, rank), P)
-
-
 def schur_stack(E: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Schur matrices ``sum_{i<=j} E[k, i, j] P[i, j]`` of a checked (k, rank,
     rank) multiplier stack (:func:`multiplier_stack`), as (k, dim, dim); the

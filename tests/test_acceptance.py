@@ -26,7 +26,7 @@ from symcone.algebra import (
 from symcone.majorization import sort_desc
 from symcone.norms import norm_closed_form, norm_empirical
 from symcone.search import FamilySpec, replay_record, sweep
-from symcone.spectral import eigvals_batch, spectral_decompose, sym_eigh_batch
+from symcone.spectral import eigvals_batch, spectral_decompose, standard_frame, sym_eigh_batch
 from symcone.transforms import (
     ABS_FN,
     NEG_FN,
@@ -183,6 +183,7 @@ NORM_GRID = ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, math.inf),
 
 def test_norm_formulas_and_witnesses(capsys):
     d = SymMatrix(3)
+    frame = standard_frame(d)
     operands = {"lyap": [], "quad": [], "schur": []}
     for i in range(100):
         rng = sample_rng(SWEEP_SEED + 4, i)
@@ -196,9 +197,8 @@ def test_norm_formulas_and_witnesses(capsys):
         for i, op in enumerate(ops):
             rng = sample_rng(SWEEP_SEED + 5, i)
             for r, s in NORM_GRID:
-                closed = norm_closed_form(kind, op, r, s, descriptor=d)
-                est = norm_empirical(kind, op, r, s, budget=48, rng=rng,
-                                     descriptor=d)
+                closed = norm_closed_form(kind, op, r, s, frame=frame)
+                est = norm_empirical(kind, op, r, s, budget=48, rng=rng, frame=frame)
                 scale = max(1.0, closed)
                 overshoot = max(overshoot, (est.value - closed) / scale)
                 witness_err = max(witness_err,

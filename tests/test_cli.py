@@ -21,7 +21,8 @@ from symcone import cli, norms, spectral
 from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to_json, unit
 from symcone.cli import main
 from symcone.search import FAMILIES, PROBLEMS, FamilySpec, sweep, write_archive
-from symcone.spectral import JacobiConvergenceError
+from symcone.search import test_candidate as eval_candidate
+from symcone.spectral import JacobiConvergenceError, standard_frame
 from symcone.verifiers import CHECK_RUNNERS
 
 
@@ -247,6 +248,13 @@ class TestNorm:
         assert main(["norm", "--kind", "schur", "--operand", str(op),
                      "--r", "1", "--s", "1"]) == 2
 
+    def test_schur_of_another_rank_exits_2_with_the_size_message(self, tmp_path, capsys):
+        op = tmp_path / "m.csv"
+        op.write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n0.0,0.0,1.0\n")
+        assert main(["norm", "--kind", "schur", "--operand", str(op),
+                     "--alg", "sym:2", "--r", "2", "--s", "2"]) == 2
+        assert error_lines(capsys) == ["error: multiplier size 3 does not match frame rank 2"]
+
     def test_malformed_operand_exits_2(self, tmp_path, capsys):
         op = tmp_path / "bad.json"
         op.write_text("{not json")
@@ -409,6 +417,20 @@ class TestProspect:
         rec["margin"] = rec["margin"] - 1.0
         path.write_text(json.dumps(rec) + "\n")
         assert main(["prospect", "--replay", str(path)]) == 1
+
+    def test_replay_takes_the_tolerances_of_its_sweep(self, tmp_path, capsys):
+        # a violation found at atol = rtol = 0 lies inside the default band:
+        # it confirms at the tolerances it was found with, not at the defaults
+        d = SymMatrix(2)
+        rec = eval_candidate([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]], standard_frame(d),
+                             Element(d, [1.0, 5.0, -1.0]), atol=0.0, rtol=0.0)
+        assert rec.verdict == "violated"
+        path = tmp_path / "tight.jsonl"
+        write_archive(path, [rec])
+        assert main(["prospect", "--replay", str(path), "--atol", "0", "--rtol", "0"]) == 0
+        assert "replayed 1 records, 0 mismatches" in capsys.readouterr().out
+        assert main(["prospect", "--replay", str(path)]) == 1
+        assert "record 0: MISMATCH" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
                                             ("--budget", "0")])

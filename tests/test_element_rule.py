@@ -38,14 +38,12 @@ from symcone.transforms import (
     frame_multiplier,
     multiplier_stack,
     peirce_project,
-    peirce_projectors,
     positive_schur_map,
     quad_rep,
     quad_rep_coords,
     quad_rep_sqrt,
     quad_rep_sqrt_rows,
     schur,
-    schur_matrix,
     schur_rows,
 )
 from symcone.verifiers import check_quadrep_pinch, check_schur_diag
@@ -141,7 +139,6 @@ def _entry_points():
     return {
         "frame_multiplier": lambda: frame_multiplier(A, frame, d),
         "schur": lambda: schur(A, frame, b),
-        "schur_matrix": lambda: schur_matrix(A, peirce_projectors(frame)),
         "multiplier_stack": lambda: multiplier_stack([A], 2),
         "positive_schur_map": lambda: positive_schur_map(A, frame),
         "norm_closed_form": lambda: norm_closed_form("schur", A, 2.0, 1.0, frame=frame),

@@ -44,6 +44,7 @@ from symcone.spectral import (
 from symcone.transforms import (
     apply_factors_rows,
     apply_sublinear_rows,
+    multiplier_stack,
     quad_rep_coords,
     quad_rep_sqrt_rows,
     schur_rows,
@@ -95,14 +96,13 @@ FORMS = {
         R(eigvals_batch(d, X)), R(eigvals_batch(d, Y))),
     "log_major_rows": lambda d, X, Y, R: log_major_rows(
         R(np.abs(eigvals_batch(d, X))), R(np.abs(eigvals_batch(d, Y)))),
-    "_margins shared matrix": lambda d, X, Y, R: search._margins(
-        d, R(np.resize(Y, (d.dim, d.dim))), R(np.abs(eigvals_batch(d, Y[:1]))[0]), R(X),
-        "general", DEFAULT_ATOL, DEFAULT_RTOL),
-    "_margins matrix per row": lambda d, X, Y, R: search._margins(
-        d, R(np.resize(Y, (len(Y), d.dim, d.dim))), R(np.abs(eigvals_batch(d, Y))),
-        R(_cone(d, X)), "cone", DEFAULT_ATOL, DEFAULT_RTOL),
+    "_margins": lambda d, X, Y, R: [search._margins(
+        d, R(search._standard_projectors(d)),
+        R(multiplier_stack(_sym_stack(d.rank, Y), d.rank)), R(np.arange(len(X))[::-1]),
+        R(b), problem, DEFAULT_ATOL, DEFAULT_RTOL)
+        for b, problem in ((X, "general"), (_cone(d, X), "cone"))],
     "_ratios_through_map": lambda d, X, Y, R: norms._ratios_through_map(
-        norms._diag_and_frame("quad", Element(d, Y[0]), None, None)[2], d, R(X), 3.0, 2.0),
+        norms._diag_and_frame("quad", Element(d, Y[0]), None)[2], d, R(X), 3.0, 2.0),
 }
 
 

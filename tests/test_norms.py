@@ -21,7 +21,7 @@ from symcone.algebra import (
     unit,
 )
 from symcone.norms import dual_exponent, norm_closed_form, norm_empirical
-from symcone.spectral import eigvals, pnorm, rebuild
+from symcone.spectral import eigvals, pnorm, rebuild, standard_frame
 from symcone.transforms import SchurMatrix, lyap
 
 GRID = ((1, 1), (2, 2), (math.inf, math.inf), (1, math.inf), (math.inf, 1),
@@ -40,8 +40,9 @@ class TestClosedForm:
 
     def test_zero_diagonal_schur(self):
         A = SchurMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        frame = standard_frame(SymMatrix(2))
         for r, s in ((3, 2), (math.inf, 1), (2, 1)):
-            assert norm_closed_form("schur", A, r, s, descriptor=SymMatrix(2)) == 0.0
+            assert norm_closed_form("schur", A, r, s, frame=frame) == 0.0
 
     def test_dual_exponent(self):
         assert dual_exponent(math.inf, 2) == 2.0
@@ -79,9 +80,9 @@ class TestEmpirical:
         rng = np.random.default_rng(7)
         G = rng.normal(size=(3, 3))
         A = SchurMatrix(G.T @ G)
-        d = SymMatrix(3)
-        closed = norm_closed_form("schur", A, r, s, descriptor=d)
-        est = norm_empirical("schur", A, r, s, budget=60, rng=rng, descriptor=d)
+        frame = standard_frame(SymMatrix(3))
+        closed = norm_closed_form("schur", A, r, s, frame=frame)
+        est = norm_empirical("schur", A, r, s, budget=60, rng=rng, frame=frame)
         scale = max(1.0, closed)
         assert est.value <= closed + 1e-9 * scale
         assert abs(est.witness_value - closed) <= 1e-6 * scale
@@ -89,9 +90,8 @@ class TestEmpirical:
 
     def test_zero_diagonal_restricted_search(self):
         A = SchurMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        d = SymMatrix(2)
-        est = norm_empirical("schur", A, 3, 2, budget=40,
-                             rng=np.random.default_rng(0), descriptor=d)
+        est = norm_empirical("schur", A, 3, 2, budget=40, rng=np.random.default_rng(0),
+                             frame=standard_frame(SymMatrix(2)))
         assert est.value == 0.0
         assert est.note is not None and "frame-diagonal" in est.note
         # off the frame diagonal the map genuinely exceeds the closed form,
@@ -124,15 +124,15 @@ class TestEmpirical:
         assert abs(est.witness_value - closed) <= 1e-6
         assert t1_claim > est.value * (1.0 + 1e-6)
 
-    def test_schur_needs_frame_or_descriptor(self):
+    def test_schur_needs_a_frame(self):
         A = SchurMatrix(np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="schur norms need a frame"):
             norm_closed_form("schur", A, 1, 1)
 
     def test_schur_rank_mismatch(self):
         A = SchurMatrix(np.eye(2))
         with pytest.raises(ValueError):
-            norm_closed_form("schur", A, 1, 1, descriptor=SymMatrix(3))
+            norm_closed_form("schur", A, 1, 1, frame=standard_frame(SymMatrix(3)))
 
 
 def test_memory_grows_with_dim_not_its_square():
@@ -154,11 +154,11 @@ def test_memory_grows_with_dim_not_its_square():
     assert peaks[1] <= 1.5 * (1201 / 301) * peaks[0]
 
 
-def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None):
+def sequential_norm_empirical(kind, operand, r, s, budget, rng, frame=None):
     """The estimator one proposal at a time, each through a batch of one.
 
     Returns (EmpiricalNorm, accepted ascent steps)."""
-    dvec, fr, op, certified = norms._diag_and_frame(kind, operand, None, descriptor)
+    dvec, fr, op, certified = norms._diag_and_frame(kind, operand, frame)
     alg = fr.descriptor
     restricted = kind == "schur" and not certified
     frame_cols = np.stack([to_orthonormal(e) for e in fr.idempotents], axis=1)
@@ -208,7 +208,7 @@ def sequential_norm_empirical(kind, operand, r, s, budget, rng, descriptor=None)
         witness = rebuild(fr, best_u) if restricted else from_orthonormal(alg, best_u)
     else:
         witness, best_val = rebuild(fr, wit_xi), witness_value
-    closed = norm_closed_form(kind, operand, r, s, descriptor=descriptor)
+    closed = norm_closed_form(kind, operand, r, s, frame=frame)
     return norms.EmpiricalNorm(best_val, witness, witness_value, evals, closed), accepted
 
 
@@ -258,7 +258,7 @@ class TestBatchedEstimator:
         for d, kind, op, r, s, budget, seed in _parity_cases():
             rng = np.random.default_rng(seed)
             ref, accepted = sequential_norm_empirical(kind, op, r, s, budget, rng,
-                                                      descriptor=d)
+                                                      frame=standard_frame(d))
             out.append(((d, kind, op, r, s, budget, seed), ref, rng, accepted))
         return out
 
@@ -268,7 +268,8 @@ class TestBatchedEstimator:
             monkeypatch.setattr(norms, "NORM_CHUNK", chunk)
         for (d, kind, op, r, s, budget, seed), ref, ref_rng, _ in references:
             rng = np.random.default_rng(seed)
-            got = norm_empirical(kind, op, r, s, budget=budget, rng=rng, descriptor=d)
+            got = norm_empirical(kind, op, r, s, budget=budget, rng=rng,
+                                 frame=standard_frame(d))
             _same(got, ref, rng, ref_rng)
             assert (got.note is None) == (kind != "schur" or op.is_psd())
 
@@ -320,7 +321,7 @@ class TestBatchedEstimator:
             operand = SchurMatrix(S + S.T)
         else:
             operand = random_element(d, rng, 2.0)
-        _, _, apply, _ = norms._diag_and_frame(kind, operand, None, d)
+        _, _, apply, _ = norms._diag_and_frame(kind, operand, standard_frame(d))
         r, s = orders
         stacked = norms._ratios_through_map(apply, d, U, r, s)
         alone = [norms._ratios_through_map(apply, d, U[i:i + 1], r, s)[0]
@@ -331,7 +332,7 @@ class TestBatchedEstimator:
 
     def test_ratio_is_the_spectral_norm_ratio(self):
         a = random_element(SymMatrix(3), np.random.default_rng(3), 2.0)
-        _, _, apply, _ = norms._diag_and_frame("lyap", a, None, None)
+        _, _, apply, _ = norms._diag_and_frame("lyap", a, None)
         U = np.random.default_rng(4).normal(size=(5, 6))
         got = norms._ratios_through_map(apply, a.descriptor, U, 3.0, 2.0)
         for u, g in zip(U, got):

@@ -28,7 +28,6 @@ from symcone.algebra import (
     jordan_product_coords,
     sym_pack,
 )
-from symcone.majorization import sort_desc
 from symcone.search import test_candidate as eval_candidate
 from symcone.search import test_candidate_cone as eval_candidate_cone
 from symcone.search import (
@@ -48,7 +47,7 @@ from symcone.search import (
     write_summary_csv,
 )
 from symcone.spectral import standard_frame, sym_eigen
-from symcone.transforms import SchurMatrix, schur_matrix
+from symcone.transforms import SchurMatrix, multiplier_stack, schur_stack
 from symcone.verifiers import sample_general
 
 DATA = Path(__file__).parent / "data"
@@ -333,30 +332,26 @@ def _bits(a) -> bytes:
 class TestMargins:
     @settings(max_examples=120, deadline=None)
     @given(margin_stacks())
-    def test_row_is_independent_of_its_stack(self, case):
-        # alone, inside a sweep stack (one shared multiplier) and inside a
-        # shuffled replay stack (one multiplier per row), a row gets the
-        # same bits
+    def test_row_is_independent_of_its_owner_layout(self, case):
+        # alone (a stack of one multiplier), inside a sweep group (owner
+        # r // rows) and under a shuffled owner index (one multiplier per
+        # row, as a replay has), a row gets the same bits
         d, problem, mults, X, perm = case
         P = _standard_projectors(d)
-        Ms = [schur_matrix(A, P) for A in mults]
-        drefs = [sort_desc(np.abs(np.diag(A.entries))) for A in mults]
+        E = multiplier_stack(mults, d.rank)
 
-        def run(M, dref, coords):
-            return _margins(d, M, dref, coords, problem, 1e-9, 1e-8)
+        def run(E, owner, coords):
+            return _margins(d, P, E, owner, coords, problem, 1e-9, 1e-8)
 
         k, rows = X.shape[:2]
-        alone = {(a, r): run(Ms[a], drefs[a], X[a, r:r + 1])
+        alone = {(a, r): run(E[a:a + 1], [0], X[a, r:r + 1])
                  for a in range(k) for r in range(rows)}
-        for a in range(k):
-            margins, holds = run(Ms[a], drefs[a], X[a])
-            for r in range(rows):
-                assert _bits(margins[r]) == _bits(alone[a, r][0][0])
-                assert holds[r] == alone[a, r][1][0]
+        margins, holds = run(E, np.arange(k * rows) // rows, X.reshape(k * rows, d.dim))
+        for i, key in enumerate(alone):
+            assert _bits(margins[i]) == _bits(alone[key][0][0])
+            assert holds[i] == alone[key][1][0]
         order = [list(alone)[i] for i in perm]
-        margins, holds = run(schur_matrix([mults[a] for a, _ in order], P),
-                             np.stack([drefs[a] for a, _ in order]),
-                             np.stack([X[a, r] for a, r in order]))
+        margins, holds = run(E, [a for a, _ in order], np.stack([X[a, r] for a, r in order]))
         for i, key in enumerate(order):
             assert _bits(margins[i]) == _bits(alone[key][0][0])
             assert holds[i] == alone[key][1][0]
@@ -368,18 +363,20 @@ class TestMargins:
     def test_cone_rows_outside_the_cone_raise(self):
         d = SymMatrix(2)
         b = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])  # diag(1, 1), diag(1, -1)
-        M = schur_matrix(np.eye(2), _standard_projectors(d))
+        P, E = _standard_projectors(d), multiplier_stack([np.eye(2)], 2)
         with pytest.raises(ValueError, match="not in the cone"):
-            _margins(d, M, np.ones(2), b, "cone", 1e-9, 1e-8)
-        margins, holds = _margins(d, M, np.ones(2), b, "general", 1e-9, 1e-8)
+            _margins(d, P, E, [0, 0], b, "cone", 1e-9, 1e-8)
+        margins, holds = _margins(d, P, E, [0, 0], b, "general", 1e-9, 1e-8)
         assert holds.all()
 
     def test_chunks_do_not_change_rows(self, monkeypatch):
-        # one multiplier per row (replay), and a sweep's groups of candidates
+        # one multiplier per row (replay), a sweep's groups of candidates
         # (n_A = 3, n_b = 7): one candidate per group at a chunk of 13 rows or
-        # fewer, its matrix shared by its rows, two then one at 14, all three
-        # above n_A * n_b (a group has at most MARGIN_CHUNK rows unless it is
-        # one candidate); no eigensolve gets more than 2 * MARGIN_CHUNK rows
+        # fewer, two then one at 14, all three above n_A * n_b (a group has
+        # at most MARGIN_CHUNK rows unless it is one candidate), and a lone
+        # candidate whose 2 * chunk + 3 rows _margins runs as three chunks,
+        # against that sweep in one chunk; no eigensolve gets more than
+        # 2 * MARGIN_CHUNK rows
         records = read_archive(DATA / "zero_diag_archive.jsonl")
         specs = (FamilySpec("random_sym", 3), FamilySpec("random_sym", 3, zero_diag=True))
         want_replay = replay_records(records)
@@ -387,6 +384,9 @@ class TestMargins:
         assert len(want[1].violations) == 21
         real_solve, real_stack = search.eigvals_batch, search.multiplier_stack
         for chunk in (1, 2, 6, 7, 8, 14, 22, 256, 1024):
+            lone = 2 * chunk + 3
+            monkeypatch.setattr(search, "MARGIN_CHUNK", lone)
+            want_lone = sweep(specs[1], SymMatrix(3), 1, lone, seed=2)
             solves, groups = [], []
             monkeypatch.setattr(search, "eigvals_batch",
                                 lambda d, X: solves.append(len(X)) or real_solve(d, X))
@@ -394,20 +394,25 @@ class TestMargins:
             assert replay_records(records) == want_replay
             monkeypatch.setattr(search, "multiplier_stack", lambda As, rank:
                                 groups.append(len(As)) or real_stack(As, rank))
-            for spec, ref in zip(specs, want):
-                got = sweep(spec, SymMatrix(3), 3, 7, seed=1)
+            for spec, ref, n_A, n_b, seed in ((specs[0], want[0], 3, 7, 1),
+                                              (specs[1], want[1], 3, 7, 1),
+                                              (specs[1], want_lone, 1, lone, 2)):
+                got = sweep(spec, SymMatrix(3), n_A, n_b, seed=seed)
                 assert _bits(got.min_margin) == _bits(ref.min_margin)
-                assert got.tested == ref.tested == 21
+                assert got.tested == ref.tested == n_A * n_b
                 assert [r.to_json() for r in got.violations] == \
                     [r.to_json() for r in ref.violations]
             monkeypatch.setattr(search, "multiplier_stack", real_stack)
             assert max(solves) <= 2 * chunk
-            assert groups == 2 * ([1, 1, 1] if chunk < 14 else [2, 1] if chunk < 21 else [3])
+            assert groups == 2 * ([1, 1, 1] if chunk < 14 else [2, 1] if chunk < 21
+                                  else [3]) + [1]
+        assert len(want_lone.violations) == lone
 
     def test_unknown_problem_rejected(self):
         d = SymMatrix(2)
         with pytest.raises(ValueError, match="unknown problem"):
-            _margins(d, np.eye(3), np.ones(2), np.ones((1, 3)), "sideways", 1e-9, 1e-8)
+            _margins(d, _standard_projectors(d), multiplier_stack([np.eye(2)], 2), [0],
+                     np.ones((1, 3)), "sideways", 1e-9, 1e-8)
 
 
 class TestReplayRecords:
@@ -453,7 +458,7 @@ class TestReplayRecords:
         records = read_archive(DATA / "zero_diag_archive.jsonl")
         assert [(r.descriptor, r.problem) for r in records[:3]] == [("sym:2", "general")] * 3
         with pytest.raises(ValueError) as alone:
-            schur_matrix(bad, _standard_projectors(SymMatrix(2)))
+            schur_stack(multiplier_stack([bad], 2), _standard_projectors(SymMatrix(2)))
         records[2].entries = np.asarray(bad)
         with pytest.raises(ValueError) as stacked:
             replay_records(records)

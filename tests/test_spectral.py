@@ -86,6 +86,20 @@ class TestDecomposition:
         np.testing.assert_allclose(sd.eigenvalues, [2.0, 2.0])
         np.testing.assert_allclose(sd.frame.idempotents[0].coords, [0.5, 0.5, 0, 0])
 
+    @pytest.mark.parametrize("t", [2e-162, 3e-162, 1e-160, 5e-324])
+    def test_spin_radius_below_the_normal_range(self, t):
+        # ||xbar||^2 leaves the normal range: the radius is max|xbar_i| times
+        # the norm of xbar / max|xbar_i|, and the frame's direction is that
+        # rescaled row over its norm
+        d = SpinFactor(3)
+        sd = spectral_decompose(Element(d, [1.0, t, t]))
+        assert max(frame_residuals(sd.frame).values()) <= 1e-15
+        u = 1.0 / math.sqrt(2.0)
+        np.testing.assert_array_equal(sd.frame.coords,
+                                      [[0.5, 0.5 * u, 0.5 * u], [0.5, -0.5 * u, -0.5 * u]])
+        r = t * math.sqrt(2.0)
+        np.testing.assert_array_equal(eigvals(Element(d, [0.0, t, t])), [r, -r])
+
     def test_standard_frames_valid(self):
         for d in CATALOG:
             res = frame_residuals(standard_frame(d))

@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symcone.algebra import (
     Element,
     jordan_product_coords,
+    SpinFactor,
     SymMatrix,
     from_matrix,
     from_orthonormal,
@@ -66,8 +67,8 @@ from symcone.transforms import (
     quad_rep_sqrt,
     quad_rep_sqrt_rows,
     schur,
-    schur_matrix,
     schur_rows,
+    schur_stack,
     validate_frame,
 )
 
@@ -245,14 +246,22 @@ def schur_cases(draw):
     return (G + G.T) / 2.0, frame, b
 
 
-class TestSchurMatrix:
+# the frame of spin:3 x = (1, t, t) at t = 2e-162, where ||xbar||^2 leaves
+# the normal range; its plain radius gave a frame of residual 0.095
+_TINY_SPIN_FRAME = spectral_decompose(Element(SpinFactor(3), [1.0, 2e-162, 2e-162])).frame
+
+
+class TestSchurStack:
     @settings(max_examples=150, deadline=None)
     @given(schur_cases())
+    @example(case=(np.array([[1.0, 2.0], [2.0, -3.0]]), _TINY_SPIN_FRAME,
+                   Element(SpinFactor(3), [0.5, -1.0, 2.0])))
     def test_matches_scalar_schur(self, case):
         # A . x is linear in x; its matrix from the Peirce projectors acts
         # as the scalar Schur product does
         A, frame, b = case
-        got = schur_matrix(A, peirce_projectors(frame)) @ b.coords
+        P = peirce_projectors(frame)
+        got = schur_stack(multiplier_stack([A], len(frame)), P)[0] @ b.coords
         want = schur(A, frame, b).coords
         scale = max(1.0, np.abs(A).max()) * max(1.0, np.abs(b.coords).max())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -298,7 +307,8 @@ class TestMultiplierStack:
     def test_first_bad_multiplier_raises_its_own_message(self, bad, index, message):
         As = [np.eye(2), bad, [[0.0, 1.0], [3.0, 0.0]]]
         with pytest.raises(ValueError, match=message) as alone:
-            schur_matrix(bad, peirce_projectors(standard_frame(SymMatrix(2))))
+            schur_stack(multiplier_stack([bad], 2),
+                        peirce_projectors(standard_frame(SymMatrix(2))))
         with pytest.raises(MultiplierError) as stacked:
             multiplier_stack(As, 2)
         assert str(stacked.value) == str(alone.value)
