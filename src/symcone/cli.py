@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .algebra import (
     descriptor_from_spec,
+    descriptor_to_spec,
     element_from_json,
     element_to_json,
 )
@@ -198,6 +199,10 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"cannot load operand: {exc}") from None
+    if frame is None and args.alg is not None \
+            and descriptor_from_spec(args.alg) != operand.descriptor:
+        raise ConfigError(f"--alg {args.alg} does not name the operand's algebra "
+                          f"{descriptor_to_spec(operand.descriptor)}")
     # a finite operand can still overflow float64 on its way to a norm; the
     # eigensolver's gates and the finiteness check below reject that, so
     # numpy need not warn about it first
@@ -240,10 +245,10 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             replayed = replay_records(records, atol=args.atol, rtol=args.rtol)
         bad = 0
-        for i, (rec, (ok, margin)) in enumerate(zip(records, replayed)):
+        for i, (stored, (ok, margin)) in enumerate(zip(records.margin.tolist(), replayed)):
             if not ok:
                 bad += 1
-                print(f"record {i}: MISMATCH (stored {rec.margin!r}, replayed {margin!r})")
+                print(f"record {i}: MISMATCH (stored {stored!r}, replayed {margin!r})")
         print(f"replayed {len(records)} records, {bad} mismatches")
         return 0 if bad == 0 else 1
     if args.family not in FAMILIES:
@@ -303,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--kind", required=True, choices=("lyap", "quad", "schur"))
     pn.add_argument("--operand", required=True,
                     help="element JSON (lyap/quad) or multiplier CSV/JSON (schur)")
-    pn.add_argument("--alg", default=None, help="algebra spec for schur frames")
+    pn.add_argument("--alg", default=None,
+                    help="algebra spec: the frame of a schur norm; checked against "
+                         "a lyap or quad operand")
     pn.add_argument("--r", required=True, help='source norm order, e.g. "2" or "inf"')
     pn.add_argument("--s", required=True, help='target norm order, e.g. "1" or "inf"')
     pn.add_argument("--budget", type=int, default=200, help="ratio evaluations")

@@ -82,14 +82,14 @@ def vec_pnorm_rows(V, p) -> np.ndarray:
             out[rows] = W.sum(axis=1)
         else:
             # the root is a scalar power: numpy's array power can differ from
-            # it in the last bit.  A power sum that overflows from finite
-            # entries is taken again on the row over its top: the norm is
-            # scale-free
+            # it in the last bit.  A power sum that leaves the normal range
+            # (overflows, or underflows from nonzero entries) is taken again
+            # on the row over its top: the norm is scale-free
             with np.errstate(over="ignore"):
                 sums = (W ** q).sum(axis=1)
             out[rows] = [c * ((w / c) ** q).sum() ** (1.0 / q)
-                         if t == math.inf and c < math.inf else t ** (1.0 / q)
-                         for t, c, w in zip(sums, top, W)]
+                         if not _TINY <= t < math.inf and 0.0 < c < math.inf
+                         else t ** (1.0 / q) for t, c, w in zip(sums, top, W)]
     return out
 
 

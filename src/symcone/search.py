@@ -35,8 +35,10 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,7 +47,9 @@ from .algebra import (
     AlgebraDescriptor,
     DescriptorMismatchError,
     Element,
+    descriptor_from_json,
     descriptor_from_spec,
+    descriptor_to_json,
     descriptor_to_spec,
     element_from_json,
     element_to_json,
@@ -62,7 +66,6 @@ from .majorization import (
 # tracer self-test (perfbench/test_perfbench.py) patches ``search.eigvals``
 from .spectral import JordanFrame, eigvals, eigvals_batch, standard_frame  # noqa: F401
 from .transforms import (
-    MultiplierError,
     frame_multiplier,
     lyap_multiplier,
     multiplier_stack,
@@ -91,9 +94,8 @@ VERDICTS = ("violated", "satisfied")
 # of a call, and a row's bits do not depend on its stack
 MARGIN_CHUNK = 1024
 
-# one encoder for every archive line: json.dumps(obj, sort_keys=True) without
-# building an encoder per record
-_ARCHIVE_ENCODER = json.JSONEncoder(sort_keys=True)
+# records per chunk of read_archive, which bounds the decoded JSON it holds
+ARCHIVE_CHUNK = 256
 
 
 @dataclass
@@ -145,6 +147,14 @@ class SearchRecord:
     verdict: str  # one of VERDICTS
     problem: str  # "general" | "cone"
 
+    @property
+    def witness(self) -> AlgebraDescriptor:
+        return self.b_witness.descriptor
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self.b_witness.coords
+
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -156,40 +166,6 @@ class SearchRecord:
             "verdict": self.verdict,
             "problem": self.problem,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SearchRecord":
-        if not isinstance(obj, dict):
-            raise ValueError(f"a record must be a JSON object, got {type(obj).__name__}")
-        spec, verdict = obj["descriptor"], obj["verdict"]
-        problem = obj.get("problem", "general")
-        if not all(type(v) is str for v in (spec, verdict, problem)):
-            raise ValueError(f"descriptor, verdict and problem must be strings, "
-                             f"got {spec!r}, {verdict!r}, {problem!r}")
-        if problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
-        if verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {verdict!r}; known: {VERDICTS}")
-        descriptor_from_spec(spec)  # reject an unparseable spec here
-        family, seed, A, margin = obj["family"], obj.get("seed"), obj["A"], obj["margin"]
-        if type(family) not in (str, type(None)) or type(seed) not in (int, type(None)):
-            raise ValueError(f"family must be a string or null and seed an integer or "
-                             f"null (not a bool), got {family!r}, {seed!r}")
-        if not (type(A) is list and all(type(row) is list and _JSON_NUMBERS.issuperset(
-                map(type, row)) for row in A)):
-            raise ValueError("multiplier A must be a JSON array of arrays of numbers")
-        if type(margin) not in _JSON_NUMBERS or not math.isfinite(margin):
-            raise ValueError(f"margin must be a finite JSON number, got {margin!r}")
-        return cls(
-            family=family,
-            descriptor=spec,
-            seed=seed,
-            entries=np.asarray(A, dtype=np.float64),
-            b_witness=element_from_json(obj["b"]),
-            margin=float(margin),
-            verdict=verdict,
-            problem=problem,
-        )
 
 
 @lru_cache(maxsize=None)
@@ -284,48 +260,54 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
                    margin_tol: float = 1e-10) -> list:
     """Recompute records from their serialized data alone.
 
-    Records are grouped by (descriptor, problem) and each group runs on the
-    standard frame in chunks of ``MARGIN_CHUNK`` records, so that memory is
-    bounded by the chunk, not by the archive.  A chunk's multipliers are
-    validated and symmetrized as one stack, which :func:`_margins` takes
-    with one multiplier per row.
-    Every multiplier of a group is checked before any of its margins is
-    computed, and the first bad one raises the message that building it
-    alone raises; the chunks after the first are checked once more as they
-    are built, which costs less than holding the group's whole stack.
+    ``records`` is an :class:`Archive`, whose multipliers :func:`read_archive`
+    checked, or a sequence of SearchRecords, whose multipliers are checked
+    here: every multiplier of a group before any of its margins, the first
+    bad one raising the message that building it alone raises, and the
+    chunks after the first once more as they are built, which costs less
+    than holding the group's whole stack.  Records are grouped by (descriptor, problem) and
+    each group runs on the standard frame in chunks of ``MARGIN_CHUNK``
+    records, so that memory is bounded by the chunk, not by the archive;
+    :func:`_margins` takes a chunk's multipliers with one per row.
     Returns one (confirmed, recomputed margin) pair per record, in order;
     confirmation requires the same verdict and a margin within margin_tol.
     """
-    groups = defaultdict(list)
-    for i, rec in enumerate(records):
-        groups[rec.descriptor, rec.problem].append(i)
-    # record numbers as arrays: a list holds an int object per record
-    groups = {key: np.array(idx) for key, idx in groups.items()}
+    checked = isinstance(records, Archive)
+
+    def column(name, idx) -> list:  # the field ``name`` of records[idx]
+        if checked:
+            values = getattr(records, name)
+            return [values[i] for i in idx]
+        return [getattr(records[i], name) for i in idx]
+
+    every = range(len(records))
     out = [None] * len(records)
+    # record numbers as arrays: a list holds an int object per record
+    groups = {key: np.array(idx) for key, idx in _groups(
+        zip(column("descriptor", every), column("problem", every))).items()}
     for (spec, problem), idx in groups.items():
         d = descriptor_from_spec(spec)
-        for i in idx.tolist():
-            if records[i].b_witness.descriptor != d:
+        for i, witness in zip(idx.tolist(), column("witness", idx.tolist())):
+            if witness != d:
                 raise DescriptorMismatchError(
-                    f"record {i}: witness of {records[i].b_witness.descriptor} "
-                    f"in a record of {spec}")
+                    f"record {i}: witness of {witness} in a record of {spec}")
         starts = range(0, len(idx), MARGIN_CHUNK)
-        for lo in starts:  # every multiplier is checked before any margin
-            E = multiplier_stack([records[i].entries for i in idx[lo:lo + MARGIN_CHUNK]],
-                                 d.rank)
+        for lo in starts if not checked else ():  # every multiplier before any margin
+            E = multiplier_stack(column("entries", idx[lo:lo + MARGIN_CHUNK].tolist()), d.rank)
         for lo in starts:
             part = idx[lo:lo + MARGIN_CHUNK].tolist()
-            if len(starts) > 1:  # a group of one chunk keeps its checked stack
-                E = multiplier_stack([records[i].entries for i in part], d.rank)
+            if checked:
+                E = np.array(column("entries", part))
+            elif len(starts) > 1:  # a group of one chunk keeps its checked stack
+                E = multiplier_stack(column("entries", part), d.rank)
             margins, holds = _margins(
                 d, _standard_projectors(d), E, np.arange(len(part)),
-                np.stack([records[i].b_witness.coords for i in part]),
-                problem, atol, rtol)
-            for i, margin, ok in zip(part, margins.tolist(), holds.tolist()):
-                rec = records[i]
-                verdict = "satisfied" if ok else "violated"
-                out[i] = (verdict == rec.verdict and abs(margin - rec.margin) <= margin_tol,
-                          margin)
+                np.array(column("coords", part)), problem, atol, rtol)
+            for i, margin, ok, stored, verdict in zip(
+                    part, margins.tolist(), holds.tolist(), column("margin", part),
+                    column("verdict", part)):
+                out[i] = (verdict == ("satisfied" if ok else "violated")
+                          and abs(margin - stored) <= margin_tol, margin)
     return out
 
 
@@ -421,55 +403,241 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
 # --- archives -----------------------------------------------------------------------
 
 def write_archive(path, records) -> None:
-    """JSON-lines archive, one record per line, keys sorted."""
-    with open(path, "w") as fh:
-        fh.writelines(_ARCHIVE_ENCODER.encode(rec.to_json()) + "\n" for rec in records)
+    """JSON-lines archive, one record per line: the line of ``rec`` is
+    ``json.dumps(rec.to_json(), sort_keys=True)``.
 
-
-def read_archive(path) -> list:
-    """Records of a JSON-lines archive; a malformed line raises ValueError
-    naming its line number.
-
-    A record's multiplier must be one its algebra's replay accepts; the
-    multipliers are checked as one stack per rank
-    (:func:`transforms.multiplier_stack`) and each record keeps its row of
-    the stack, read-only and symmetrized.  Of several malformed lines, the
-    first is named.
+    A line is joined from fragments formatted once: a multiplier for all the
+    records that share its bytes (a sweep's n_b records share their
+    candidate's), and the witness algebra and the fields around the margin
+    for each distinct (algebra, descriptor, family, problem, seed, verdict);
+    floats are written by repr, as json writes finite floats.  JSON has no
+    NaN or infinity: before the file is opened, ValueError names the first
+    record with a non-finite multiplier, else witness coordinate, else
+    margin.  The lines are written as they are joined.
     """
-    out, lines = [], []
-    error = None  # (line number, message) of the first line that fails to parse
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(SearchRecord.from_json(json.loads(line)))
-            except KeyError as exc:
-                error = lineno, f"archive record lacks the field {exc}"
-                break
-            except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-                # OverflowError: an integer beyond the float range;
-                # RecursionError: JSON nested deeper than the parser goes
-                error = lineno, f"malformed archive record ({exc})"
-                break
-            lines.append(lineno)
-    by_rank = defaultdict(list)
-    for i, rec in enumerate(out):
-        by_rank[descriptor_from_spec(rec.descriptor).rank].append(i)
-    for rank, idx in by_rank.items():
+    records = list(records)
+    multipliers, around_margin, shared = {}, {}, []
+    for i, rec in enumerate(records):
+        A = np.asarray(rec.entries, dtype=np.float64)
+        key = A.shape, A.tobytes()
+        if key not in multipliers:
+            if not np.isfinite(A).all():
+                raise ValueError(f"record {i}: cannot archive a non-finite multiplier")
+            multipliers[key] = repr(A.tolist())
+        values = rec.descriptor, rec.family, rec.problem, rec.seed, rec.verdict
+        # json writes true and 1 apart
+        around = (rec.b_witness.descriptor, *values, *map(type, values))
+        if around not in around_margin:
+            around_margin[around] = (
+                json.dumps(descriptor_to_json(around[0]), sort_keys=True)[1:],
+                json.dumps(dict(zip(("descriptor", "family"), values)), sort_keys=True)[1:-1],
+                json.dumps(dict(zip(("problem", "seed", "verdict"), values[2:])),
+                           sort_keys=True)[1:])
+        shared.append((multipliers[key], around_margin[around]))
+    coords, margins = [r.b_witness.coords for r in records], [float(r.margin) for r in records]
+    if coords and not np.isfinite(np.concatenate(coords)).all():
+        i = next(i for i, x in enumerate(coords) if not np.isfinite(x).all())
+        raise ValueError(f"record {i}: cannot archive a non-finite witness")
+    if not all(map(math.isfinite, margins)):
+        i = next(i for i, m in enumerate(margins) if not math.isfinite(m))
+        raise ValueError(f"record {i}: cannot archive a non-finite margin")
+    with open(path, "w") as fh:
+        fh.writelines(f'{{"A": {A}, "b": {{"coords": {x.tolist()!r}, {algebra}, {head}, '
+                      f'"margin": {m!r}, {tail}\n'
+                      for x, m, (A, (algebra, head, tail)) in zip(coords, margins, shared))
+
+
+def _groups(column) -> dict:
+    """The positions of each distinct value of a column, in order."""
+    groups = defaultdict(list)
+    for i, value in enumerate(column):
+        groups[value].append(i)
+    return groups
+
+
+def _numbers(rows) -> bool:
+    """Whether rows is a list of lists of JSON numbers."""
+    return (type(rows) is list and all(type(r) is list for r in rows)
+            and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows))))
+
+
+def _float_stack(items: list, depth: int):
+    """Lists nested ``depth`` deep, of one shape and with JSON numbers at
+    the bottom, as one float array of the shape numpy gives them; None if
+    they are not, or if a number is beyond the float range."""
+    shape = [len(items)]
+    for _ in range(depth):
+        if not items:
+            break
+        if not {list}.issuperset(map(type, items)) or len(set(map(len, items))) > 1:
+            return None
+        shape.append(len(items[0]))
+        items = list(chain.from_iterable(items))
+    if not _JSON_NUMBERS.issuperset(map(type, items)):
+        return None
+    try:
+        return np.array(items, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        return None
+
+
+@dataclass(eq=False)
+class Archive(Sequence):
+    """The records of an archive by columns; indexing gives a
+    :class:`SearchRecord`.  ``entries`` holds read-only rows of checked
+    multiplier stacks (:func:`transforms.multiplier_stack`), which
+    :func:`replay_records` takes as they are; ``witness`` and ``coords`` hold
+    each witness b's algebra and read-only coordinate row."""
+
+    family: list
+    descriptor: list
+    seed: list
+    entries: list
+    witness: list
+    coords: list
+    margin: np.ndarray
+    verdict: list
+    problem: list
+
+    def __post_init__(self):
+        self.margin = np.asarray(self.margin, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.margin)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return SearchRecord(self.family[i], self.descriptor[i], self.seed[i],
+                            self.entries[i], Element(self.witness[i], self.coords[i]),
+                            float(self.margin[i]), self.verdict[i], self.problem[i])
+
+
+def _columns(objs: list) -> tuple:
+    """The :class:`Archive` columns of decoded JSON records.
+
+    Each check runs over all the records, in the order in which one record's
+    fields are checked, and the multipliers are checked as one stack per
+    algebra; a bad record raises the message of its failed check (KeyError
+    for a field it lacks).  So for one record the message is that of its
+    first failed check, whichever checks follow."""
+    for o in objs:
+        if type(o) is not dict:
+            raise ValueError(f"a record must be a JSON object, got {type(o).__name__}")
+    spec, verdict = [o["descriptor"] for o in objs], [o["verdict"] for o in objs]
+    problem = [o.get("problem", "general") for o in objs]
+    for s, v, p in zip(spec, verdict, problem):
+        if not type(s) is type(v) is type(p) is str:
+            raise ValueError(f"descriptor, verdict and problem must be strings, "
+                             f"got {s!r}, {v!r}, {p!r}")
+    for p in set(problem).difference(PROBLEMS):
+        raise ValueError(f"unknown problem {p!r}; known: {PROBLEMS}")
+    for v in set(verdict).difference(VERDICTS):
+        raise ValueError(f"unknown verdict {v!r}; known: {VERDICTS}")
+    algebras = {s: descriptor_from_spec(s) for s in set(spec)}
+    family, seed = [o["family"] for o in objs], [o.get("seed") for o in objs]
+    A, margin = [o["A"] for o in objs], [o["margin"] for o in objs]
+    for f, s in zip(family, seed):
+        if type(f) not in (str, type(None)) or type(s) not in (int, type(None)):
+            raise ValueError(f"family must be a string or null and seed an integer or "
+                             f"null (not a bool), got {f!r}, {s!r}")
+    stacks = {s: (idx, _float_stack([A[i] for i in idx], 2))
+              for s, idx in _groups(spec).items()}
+    one_by_one = any(E is None for _, E in stacks.values())  # or ragged or too large
+    if one_by_one and not all(map(_numbers, A)):
+        raise ValueError("multiplier A must be a JSON array of arrays of numbers")
+    for m in margin:
+        if type(m) not in _JSON_NUMBERS or not math.isfinite(m):
+            raise ValueError(f"margin must be a finite JSON number, got {m!r}")
+    if one_by_one:
+        stacks = {s: (idx, [np.asarray(A[i], dtype=np.float64) for i in idx])
+                  for s, (idx, _) in stacks.items()}
+    b = [o["b"] for o in objs]
+    witness, coords = _witnesses(b)
+    if witness is None:  # record by record, to raise the message of a bad one
+        witness, coords = zip(*((x.descriptor, x.coords) for x in map(element_from_json, b)))
+    entries = [None] * len(objs)
+    for s, (idx, E) in stacks.items():
+        for i, row in zip(idx, multiplier_stack(E, algebras[s].rank)):
+            entries[i] = row
+    return family, spec, seed, entries, witness, coords, margin, verdict, problem
+
+
+def _witnesses(bs: list):
+    """(algebras, read-only coordinate rows) of witnesses in JSON, or
+    (None, None) unless every one is valid.  Witnesses that spell their
+    algebra alike are checked and stacked together."""
+    witness, coords = [None] * len(bs), [None] * len(bs)
+    try:
+        keys = [repr((b.get("kind"), b.get("n"), b.get("factors"))) for b in bs]
+    except (AttributeError, RecursionError):  # not a JSON object, or nested too deep
+        return None, None
+    for idx in _groups(keys).values():
         try:
-            E = multiplier_stack([out[i].entries for i in idx], rank)
-        except MultiplierError as exc:
-            lineno = lines[idx[exc.index]]
-            if error is None or lineno < error[0]:
-                error = lineno, f"malformed archive record ({exc})"
-            continue
-        for i, entries in zip(idx, E):
-            out[i].entries = entries
+            d = descriptor_from_json(bs[idx[0]])
+        except (TypeError, ValueError, OverflowError, RecursionError):
+            return None, None
+        X = _float_stack([bs[i].get("coords") for i in idx], 1)
+        if X is None or X.shape != (len(idx), d.dim) or not np.isfinite(X).all():
+            return None, None
+        X.flags.writeable = False
+        for i, row in zip(idx, X):
+            witness[i], coords[i] = d, row
+    return witness, coords
+
+
+def _record_error(obj) -> str | None:
+    """The message of a record that fails its checks alone, or None."""
+    try:
+        _columns([obj])
+    except KeyError as exc:
+        return f"archive record lacks the field {exc}"
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # OverflowError: an integer beyond the float range;
+        # RecursionError: JSON nested deeper than the parser goes
+        return f"malformed archive record ({exc})"
+    return None
+
+
+def read_archive(path) -> Archive:
+    """The records of a JSON-lines archive by columns (:class:`Archive`); a
+    malformed line raises ValueError naming its line number.
+
+    Lines are read ``ARCHIVE_CHUNK`` records at a time, so that the decoded
+    JSON held at once is bounded by the chunk.  Each line is one
+    ``json.loads``; each field of a chunk is then checked in one pass over
+    its records, and a record's multiplier must be one its algebra's replay
+    accepts.  A chunk that fails is checked again record by record, so that
+    of several malformed lines the first is named, with the message of
+    checking its record alone.
+    """
+    columns = [[] for _ in fields(Archive)]
+    error = None  # (line number, message) of the first malformed line
+    with open(path) as fh:
+        numbered = ((lineno, line) for lineno, line in enumerate(map(str.strip, fh), 1)
+                    if line)
+        while error is None and (chunk := list(islice(numbered, ARCHIVE_CHUNK))):
+            objs, lines = [], []
+            for lineno, line in chunk:
+                try:
+                    objs.append(json.loads(line))
+                except (ValueError, RecursionError) as exc:
+                    error = lineno, f"malformed archive record ({exc})"
+                    break
+                lines.append(lineno)
+            try:
+                for column, part in zip(columns, _columns(objs)):
+                    column += part
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+                # the first bad record comes before any line that fails to parse
+                error = next(((lineno, message) for lineno, message in
+                              zip(lines, map(_record_error, objs)) if message), None)
+                if error is None:  # no record fails alone: not a record's fault
+                    raise
     if error is not None:
         raise ValueError(f"{path}, line {error[0]}: {error[1]}")
-    return out
+    return Archive(*columns)
 
 
 def write_summary_csv(path, results) -> None:

@@ -20,6 +20,12 @@ worst slack reported in those units, so ``log_major([1e9, 1.0], [1e9, 0.5])``
 held with a worst slack of -5e-10.  atol is now divided by top k + 1 times at
 index k, the worst slack is multiplied back the same way (+-inf past the
 float range), and the exact products are taken in the original units.
+
+A third edit mends an underflow of :func:`vec_pnorm`: it rescaled a row
+whose power sum overflowed but not one whose power sum fell below the
+normal range, so ``vec_pnorm([1e-200, 1e-200], 2)`` and
+``vec_pnorm([1e-170, 0], 2)`` returned 0.0.  Such a row with a nonzero
+entry is now taken on the row over its top as well.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ def vec_pnorm(v, p: float) -> float:
         return float(v.sum())
     with np.errstate(over="ignore"):
         total = (v**p).sum()
-    if total == math.inf and v.max() < math.inf:
-        # the power sum overflowed on the way: the norm is scale-free
+    if not _TINY <= total < math.inf and v.size and 0.0 < v.max() < math.inf:
+        # the power sum left the normal range on the way: the norm is scale-free
         top = v.max()
         return float(top * ((v / top) ** p).sum() ** (1.0 / p))
     return float(total ** (1.0 / p))

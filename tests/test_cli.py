@@ -255,6 +255,23 @@ class TestNorm:
                      "--alg", "sym:2", "--r", "2", "--s", "2"]) == 2
         assert error_lines(capsys) == ["error: multiplier size 3 does not match frame rank 2"]
 
+    @pytest.mark.parametrize("kind", ["lyap", "quad"])
+    def test_alg_is_checked_against_the_operand(self, tmp_path, capsys, kind):
+        # an --alg that names the operand's algebra is accepted; one that
+        # does not parse or names another algebra (spin:6 has sym:3's
+        # dimension) exits 2 on one line
+        op = tmp_path / "a.json"
+        op.write_text(json.dumps(element_to_json(2.0 * unit(SymMatrix(3)))))
+        argv = ["norm", "--kind", kind, "--operand", str(op), "--r", "2", "--s", "2",
+                "--budget", "5"]
+        assert main(argv + ["--alg", "sym:3"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--alg", "nonsense"]) == 2
+        assert error_lines(capsys) == ["error: cannot parse algebra spec 'nonsense'"]
+        assert main(argv + ["--alg", "spin:6"]) == 2
+        assert error_lines(capsys) == [
+            "error: --alg spin:6 does not name the operand's algebra sym:3"]
+
     def test_malformed_operand_exits_2(self, tmp_path, capsys):
         op = tmp_path / "bad.json"
         op.write_text("{not json")

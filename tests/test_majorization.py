@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -438,6 +438,28 @@ class TestVecPnormRows:
         want = bits(reference.vec_pnorm(v, p))
         assert bits(vec_pnorm(v, p)) == want
         assert bits(vec_pnorm_rows(np.array(v, dtype=float).reshape(1, -1), [p])[0]) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=5),
+           st.sampled_from([1.5, 2.0, 3.0, 400.0]), st.integers(-1074, 0))
+    @example([1.0, 1.0], 2.0, -664)  # [1e-200, 1e-200] up to a power of two
+    @example([1.0, 0.0], 2.0, -565)  # [1e-170, 0] up to a power of two
+    def test_power_sums_below_the_normal_range_are_rescaled(self, v, p, k):
+        # the norm of v scaled by 2**k is the norm of v scaled by 2**k, to
+        # rounding, wherever the scaled entries stay normal or zero; the
+        # reference agrees bit for bit
+        v = np.array(v)
+        small = np.ldexp(v, k)
+        assume(np.all((small == 0) | (small >= np.finfo(float).tiny)) and v.max() > 0)
+        got = vec_pnorm(small, p)
+        assert bits(got) == bits(reference.vec_pnorm(small, p))
+        assert got == pytest.approx(math.ldexp(vec_pnorm(v, p), k), rel=1e-12)
+
+    def test_underflowing_power_sums(self):
+        assert vec_pnorm([1e-200, 1e-200], 2) == pytest.approx(math.sqrt(2) * 1e-200,
+                                                                rel=1e-15)
+        assert vec_pnorm([1e-170, 0.0], 2) == 1e-170
+        assert vec_pnorm([5e-324, 0.0], 3) == 5e-324
 
     @pytest.mark.parametrize("p", [0.9, -np.inf, math.nan])
     def test_rejects_orders_below_one(self, p):

@@ -1,6 +1,7 @@
 """Multiplier-family search: generation, margins, replay, archives."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from archive_reference import read_archive as reference_read_archive
 from conftest import CATALOG
 from symcone import search
 from symcone.algebra import (
@@ -293,6 +295,214 @@ class TestArchives:
         assert lines[1].startswith("psd_gram,2,15,0,")
 
 
+class TestArchiveFormat:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from(CATALOG), family=st.sampled_from(search.FAMILIES),
+           problem=st.sampled_from(PROBLEMS), seed=st.integers(0, 2**16),
+           odd=st.lists(st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+                         min_size=1, max_size=4))
+    def test_lines_are_json_dumps_of_the_records(self, d, family, problem, seed, odd):
+        # sweep records share their candidate's multiplier; records made
+        # outside a sweep (no family, a seed beyond 32 bits) have their own,
+        # and the same values are written as -0.0, 5e-324 and 1e+308 wherever
+        # they sit
+        spec = FamilySpec(family, d.rank, zero_diag=family == "random_sym")
+        res = sweep(spec, d, 2, 3, seed, problem=problem)
+        records = list(res.violations)
+        for k, value in enumerate(odd):
+            A = np.full((d.rank, d.rank), value)
+            coords = np.resize(np.array(odd), d.dim)
+            records.append(SearchRecord(None, descriptor_to_spec(d), None if k % 2 else 2**40,
+                                        A, Element(d, coords), value,
+                                        ("violated", "satisfied")[k % 2], problem))
+        records += records[:2]  # the same multipliers again, after others
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "archive.jsonl")
+            write_archive(path, records)
+            text = Path(path).read_text()
+        assert text.splitlines() == [json.dumps(r.to_json(), sort_keys=True) for r in records]
+        assert text.endswith("\n") or not records
+
+    @pytest.mark.parametrize("field,value", [("margin", math.nan), ("margin", -math.inf),
+                                             ("entries", math.nan), ("entries", math.inf),
+                                             ("coords", math.inf), ("coords", math.nan)])
+    def test_non_finite_values_raise_before_the_file_is_opened(self, tmp_path, field, value):
+        # json would write NaN and Infinity, tokens that JSON does not define
+        # and that read_archive rejects
+        records = sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
+                        seed=1).violations
+        bad = records[4]
+        if field == "margin":
+            bad.margin = value
+        elif field == "entries":
+            bad.entries = np.where(np.eye(2, dtype=bool), value, bad.entries)
+        else:
+            bad.b_witness = Element(SymMatrix(2), [1.0, value, 0.0])
+        path = tmp_path / "archive.jsonl"
+        what = {"entries": "multiplier", "coords": "witness"}.get(field, field)
+        with pytest.raises(ValueError, match=f"^record 4: cannot archive a non-finite {what}$"):
+            write_archive(path, records)
+        assert not path.exists()
+
+    def test_an_archive_replays_without_checking_its_multipliers_again(self, monkeypatch):
+        archive = read_archive(DATA / "zero_diag_archive.jsonl")
+        calls = []
+        real = search.multiplier_stack
+        monkeypatch.setattr(search, "multiplier_stack",
+                            lambda As, rank: calls.append(len(As)) or real(As, rank))
+        assert replay_records(archive) == replay_records(list(archive))
+        assert sum(calls) == len(archive)  # the list's, each group being one chunk
+
+
+_JSON_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# values of the wrong type, out of range or beyond the float range for
+# some field, or any JSON value
+_WRONG = st.one_of(st.sampled_from([None, True, 2, -1, 1.5, 10**400, math.nan, math.inf, "",
+                                    "sym:2", "spin:4", "sym:0", "sym", "general",
+                                    "violated", [], [1.0], {}]), _JSON_ANY)
+_DAMAGES = ("family", "descriptor", "seed", "A", "b", "margin", "verdict", "problem",
+            "b.kind", "b.n", "b.factors", "b.coords", "A entry", "b entry", "A shape")
+
+
+@st.composite
+def corrupted_lines(draw):
+    """Lines of the fixture archive, some with one to three fields damaged
+    (dropped or given another value, at the top or inside the witness, an
+    entry of the witness or the multiplier, or the multiplier's shape), or
+    the whole line replaced."""
+    pool = (DATA / "zero_diag_archive.jsonl").read_text().splitlines()
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 2)):
+            out.append(line)
+            continue
+        if not draw(st.integers(0, 5)):
+            out.append(draw(st.one_of(_JSON_ANY.map(json.dumps), st.text(max_size=8))))
+            continue
+        obj = json.loads(line)
+        b, A = obj["b"], obj["A"]
+        for damage in draw(st.sets(st.sampled_from(_DAMAGES), min_size=1, max_size=3)):
+            owner, key = (b, damage[2:]) if damage.startswith("b.") else (obj, damage)
+            if damage == "A shape":
+                obj["A"] = draw(st.sampled_from([A[:-1], [[0.0] + r for r in A], A + [A[0]],
+                                                 [], [[]], [A[0], A[1][:-1]]]))
+            elif damage.endswith("entry"):
+                where = b.get("coords") if damage[0] == "b" else A[0]
+                if type(where) is list and where:  # unless the coordinates went
+                    where[draw(st.integers(0, len(where) - 1))] = draw(_WRONG)
+            elif draw(st.booleans()):
+                owner.pop(key, None)
+            else:
+                owner[key] = draw(_WRONG)
+        out.append(json.dumps(obj))
+    return out
+
+
+_GONE = object()  # a damage that drops the field
+# one damage per check of a record: (field, value), "b." naming a field of
+# the witness
+_FIELD_DAMAGES = [
+    ("descriptor", _GONE), ("descriptor", ["sym:2"]), ("descriptor", "sym:x"),
+    ("verdict", _GONE), ("verdict", 5), ("verdict", "sideways"),
+    ("problem", ["general"]), ("problem", "sideways"), ("problem", "cone"),
+    ("family", _GONE), ("family", ["random_sym"]), ("seed", 1.5), ("seed", True),
+    ("A", _GONE), ("A", [["0", "1"], ["1", "0"]]), ("A", [[0.0, 1.0], [2.0, 0.0]]),
+    ("A", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ("A", []),
+    ("A", [[1.0, 2.0], [3.0]]), ("A", [[10**400, 0.0], [0.0, 0.0]]),
+    ("A", [[math.inf, 0.0], [0.0, 0.0]]), ("A", [[1e308, 1e308], [1e308, 0.0]]),
+    ("margin", _GONE), ("margin", "0.5"), ("margin", True), ("margin", math.nan),
+    ("margin", 10**400), ("b", _GONE), ("b", [1.0, 0.0, 1.0]), ("b.kind", "sum"),
+    ("b.n", 2.5), ("b.n", _GONE), ("b.coords", [[1.0], [0.0], [1.0]]),
+    ("b.coords", [1.0, math.inf, 0.0]), ("b.coords", [1.0, 0.0]),
+    ("b.coords", [10**400, 0.0, 0.0]), ("b.coords", [1.0, "0", 0.0]),
+    ("b.kind", "spin"), ("b.n", 3),
+]
+
+
+def _damaged(obj: dict, field: str, value) -> dict:
+    obj = json.loads(json.dumps(obj))
+    owner = obj["b"] if field.startswith("b.") and type(obj.get("b")) is dict else obj
+    key = field[2:] if owner is not obj else field
+    if value is _GONE:
+        owner.pop(key, None)
+    else:
+        owner[key] = value
+    return obj
+
+
+def _outcome(reader, path):
+    try:
+        records = reader(path)
+    except Exception as exc:  # noqa: BLE001 -- the type and message are compared
+        return type(exc).__name__, str(exc)
+    return [(json.dumps(r.to_json(), sort_keys=True), _bits(r.entries),
+             not r.entries.flags.writeable) for r in records]
+
+
+class TestArchiveReader:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_lines(), st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2),
+           st.sampled_from([1, 2, 3, search.ARCHIVE_CHUNK]))
+    def test_names_the_line_and_message_of_the_record_by_record_reader(self, lines, blanks,
+                                                                       chunk):
+        # field by field and chunk by chunk, the reader names the first bad
+        # line with the message of checking its record alone, and otherwise
+        # reads the records the record-by-record reader reads
+        default, search.ARCHIVE_CHUNK = search.ARCHIVE_CHUNK, chunk
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "archive.jsonl")
+                Path(path).write_text("\n".join(blanks + lines) + "\n")
+                assert _outcome(read_archive, path) == _outcome(reference_read_archive, path)
+        finally:
+            search.ARCHIVE_CHUNK = default
+
+    def test_every_pair_of_damages_is_named_as_record_by_record(self, tmp_path):
+        # two damages in one record, in either order, and in two records of
+        # one archive: the first line and its first failed check are named
+        base = json.loads((DATA / "zero_diag_archive.jsonl").read_text().splitlines()[0])
+        pairs = list(itertools.combinations(_FIELD_DAMAGES, 2))
+        path = tmp_path / "archive.jsonl"
+        for (f1, v1), (f2, v2) in pairs + [(q, p) for p, q in pairs]:
+            one = _damaged(_damaged(base, f1, v1), f2, v2)
+            two = [_damaged(base, f1, v1), _damaged(base, f2, v2)]
+            for objs in ([one], two):
+                path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+                assert _outcome(read_archive, path) == _outcome(reference_read_archive, path)
+
+    def test_of_two_bad_lines_the_earlier_is_named(self, tmp_path):
+        # line 3 lacks its margin and line 2 has a verdict of another shape;
+        # then line 2 has an asymmetric multiplier and line 3 no verdict
+        lines = (DATA / "zero_diag_archive.jsonl").read_text().splitlines()[:4]
+        objs = [json.loads(line) for line in lines]
+        del objs[2]["margin"]
+        objs[1]["verdict"] = ["violated"]
+        path = tmp_path / "archive.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        want = (f"{path}, line 2: malformed archive record (descriptor, verdict and "
+                f"problem must be strings, got 'sym:2', ['violated'], 'general')")
+        for reader in (read_archive, reference_read_archive):
+            with pytest.raises(ValueError) as exc:
+                reader(path)
+            assert str(exc.value) == want
+        objs[1]["verdict"], objs[1]["A"] = "violated", [[0.0, 1.0], [0.0, 0.0]]
+        objs[2]["margin"] = 0.5
+        del objs[2]["verdict"]
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        want = (f"{path}, line 2: malformed archive record (multiplier matrix is not "
+                f"symmetric (residual 1.000e+00))")
+        for reader in (read_archive, reference_read_archive):
+            with pytest.raises(ValueError) as exc:
+                reader(path)
+            assert str(exc.value) == want
+
+
 def _json_value_by_value(rec):
     """A record's JSON form built from Python floats one value at a time."""
     b = descriptor_to_json(rec.b_witness.descriptor)
@@ -455,7 +665,8 @@ class TestReplayRecords:
     def test_bad_multiplier_inside_a_group_raises_its_own_message(self, bad):
         # record 2 is the third of its (sym:2, general) group; the group's
         # stacked validation raises what building that multiplier alone raises
-        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        # (the archive's records as a list, whose multipliers replay checks)
+        records = list(read_archive(DATA / "zero_diag_archive.jsonl"))
         assert [(r.descriptor, r.problem) for r in records[:3]] == [("sym:2", "general")] * 3
         with pytest.raises(ValueError) as alone:
             schur_stack(multiplier_stack([bad], 2), _standard_projectors(SymMatrix(2)))
@@ -468,7 +679,7 @@ class TestReplayRecords:
         # in chunks of two, the cone group's first witness is outside the cone
         # and its fifth multiplier (third chunk) is not symmetric: the
         # multiplier raises, as it does when the group is one chunk
-        records = read_archive(DATA / "zero_diag_archive.jsonl")
+        records = list(read_archive(DATA / "zero_diag_archive.jsonl"))
         assert [(r.descriptor, r.problem) for r in records[6:12]] == [("sym:2", "cone")] * 6
         records[6].b_witness = Element(SymMatrix(2), np.array([-1.0, 0.0, -1.0]))
         records[10].entries = np.array([[0.0, 1.0], [2.0, 0.0]])
