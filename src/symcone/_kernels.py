@@ -13,14 +13,17 @@ The kernel holds the stack last, in one (n, w, m) block X: ``X[i, :n]`` is
 row i of every matrix, and ``X[i, n:]`` is eigenvector column i of every
 matrix (w = 2n with eigenvectors, w = n without).  One rotation of rows p
 and q of X then turns the matrix rows and the eigenvector columns with the
-same ``c*rowp - s*rowq``, ``s*rowp + c*rowq``, reading and writing
+same ``c*rowp - s*rowq``, ``c*rowq + s*rowp``, reading and writing
 contiguous rows of length m, one entry per matrix; only the matrix half is
-written back as columns.  Every entry is computed by the same operations in
-the same order as on an (m, n, n) stack, and the residuals are summed over a
-C-ordered (m, n, n) copy, so the eigenvalues, eigenvectors and residuals
-have the bits of the (m, n, n) kernel, whatever the memory layout of the
-input.  The results come back as (m, n) eigenvalues and C-contiguous
-(m, n, n) eigenvector columns.
+written back as columns.  A rotation costs numpy's fixed overhead per call
+many times over its arithmetic at the stack sizes the package uses, so each
+step is one numpy call on operands of one shape, writing into views and
+buffers built once per block (:func:`_sweeper`).  Every entry is computed by
+the same IEEE operations in the same order as on an (m, n, n) stack, and the
+residuals are summed over a C-ordered (m, n, n) copy, so the eigenvalues,
+eigenvectors and residuals have the bits of the (m, n, n) kernel, whatever
+the memory layout of the input.  The results come back as (m, n)
+eigenvalues and C-contiguous (m, n, n) eigenvector columns.
 
 ``jacobi_eigh``, ``jacobi_vals`` and ``jacobi_vals_batch`` are entry points
 over that kernel; they stay separate names because the benchmark's tracer
@@ -51,54 +54,95 @@ def _offdiag_mass(At):
     return np.sqrt((B * B).sum(axis=(1, 2)))
 
 
-def _batch_sweep(X, n):
-    """One cyclic sweep, in place, over every matrix of the (n, w, m) block
-    X: ``X[:, :n]`` holds the matrices stack-last and, when w = 2n,
-    ``X[i, n:]`` holds eigenvector column i of every matrix.
+def _sweeper(X, n):
+    """A function that runs one cyclic sweep, in place, over every matrix of
+    the (n, w, m) block X: ``X[:, :n]`` holds the matrices stack-last and,
+    when w = 2n, ``X[i, n:]`` holds eigenvector column i of every matrix.
 
     The tangent of the smaller rotation angle, t = sgn(theta) / (|theta| +
     sqrt(theta^2 + 1)) with theta = diff / (2 apq), is written as
     2 |apq| / (|diff| + hypot(diff, 2 apq)): the same value without the
     overflow of theta^2 at tiny pivots, and exactly 0 (an identity rotation)
-    for a zero pivot.  ``apq``, ``app`` and ``aqq`` are views of X, so the
-    new diagonal is computed before rows p and q are written.  One rotation
-    of the rows p and q of X turns the matrix rows and the eigenvector
-    columns alike; only the matrix half is written back as columns.
+    for a zero pivot.  One rotation of the rows p and q of X turns the matrix
+    rows and the eigenvector columns alike; only the matrix half is written
+    back as columns.
+
+    The views of X and the buffers the rotations write are built here, once
+    per block, and every arithmetic step is a ufunc call on operands of one
+    shape that writes into its buffer: none converts a Python float,
+    broadcasts an (m,) row against a block or allocates its result.  Each
+    step gives the bits of the plain form of the same rotation: ``apq +
+    apq`` is ``2 * apq``; flooring den at the least positive double stands
+    for replacing a zero den by 1 (the same for every den > 0, and a zero
+    den has a zero numerator); ``copysign(mag, diff * apq + 0.0)`` is the
+    sign test ``diff * apq < 0.0`` (adding +0.0 turns a -0.0 product into
+    +0.0); and c and s are tiled once to the rows rotated, which are turned
+    in place as ``c*rowp - s*rowq`` and ``c*rowq + s*rowp``.  The new
+    diagonal is computed before the rows are turned, as the rotation
+    overwrites the pivot entries.
     """
+    m = X.shape[2]
     rows = list(X)
     # at n = 2 the matrix rows hold only the pivot block, which the lines
     # after the rotation overwrite, so only the eigenvector half (if any) is
     # rotated
     tails = rows if n > 2 else [row[n:] for row in rows]
-    rotate = tails[0].size > 0
-    for p in range(n - 1):
-        rowp = rows[p]
-        for q in range(p + 1, n):
-            rowq = rows[q]
-            apq, app, aqq = rowp[q], rowp[p], rowq[q]
-            diff = aqq - app
-            apq2 = 2.0 * apq
-            den = np.abs(diff) + np.hypot(diff, apq2)
-            mag = np.abs(apq2) / np.where(den == 0.0, 1.0, den)
-            t = np.where(diff * apq < 0.0, -mag, mag)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            shift = t * apq
-            newpp = app - shift
-            newqq = aqq + shift
-            if rotate:
-                tailp, tailq = tails[p], tails[q]
-                newp = c * tailp - s * tailq
-                newq = s * tailp + c * tailq
-                tailp[...] = newp
-                tailq[...] = newq
-                if n > 2:
-                    X[:, p] = newp[:n]
-                    X[:, q] = newq[:n]
-            rowp[p] = newpp
-            rowq[q] = newqq
-            rowp[q] = 0.0
-            rowq[p] = 0.0
+    width = tails[0].shape[0]
+    (tiny, zero, one, diff, apq2, den, mag, t, tmp, shift, newpp, newqq,
+     c, s) = np.empty((14, m))
+    tiny.fill(5e-324)
+    zero.fill(0.0)
+    one.fill(1.0)
+    C, S, T, U = np.empty((4, width, m))
+    pairs = [(rows[p][q], rows[q][p], rows[p][p], rows[q][q], tails[p], tails[q],
+              X[:, p], X[:, q], rows[p][:n], rows[q][:n])
+             for p in range(n - 1) for q in range(p + 1, n)]
+    # local names, and the out buffer passed by position (np.maximum takes
+    # only the keyword), trim the Python side of each call
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    hypot, absolute, maximum, copysign, sqrt = (np.hypot, np.absolute, np.maximum,
+                                                np.copysign, np.sqrt)
+    cols = n > 2
+
+    def sweep():
+        for apq, aqp, app, aqq, rowp, rowq, colp, colq, matp, matq in pairs:
+            subtract(aqq, app, diff)
+            add(apq, apq, apq2)
+            hypot(diff, apq2, den)
+            absolute(diff, tmp)
+            add(tmp, den, den)
+            maximum(den, tiny, out=den)
+            absolute(apq2, mag)
+            divide(mag, den, mag)
+            multiply(diff, apq, tmp)
+            add(tmp, zero, tmp)
+            copysign(mag, tmp, t)
+            multiply(t, apq, shift)
+            subtract(app, shift, newpp)
+            add(aqq, shift, newqq)
+            if width:
+                multiply(t, t, tmp)
+                add(tmp, one, tmp)
+                sqrt(tmp, tmp)
+                divide(one, tmp, c)
+                C[...] = c
+                multiply(t, c, s)
+                S[...] = s
+                multiply(S, rowq, T)
+                multiply(C, rowq, rowq)
+                multiply(S, rowp, U)
+                add(rowq, U, rowq)
+                multiply(C, rowp, rowp)
+                subtract(rowp, T, rowp)
+                if cols:
+                    colp[...] = matp
+                    colq[...] = matq
+            app[...] = newpp
+            aqq[...] = newqq
+            apq.fill(0.0)
+            aqp.fill(0.0)
+
+    return sweep
 
 
 def _store(X, n, sel, dest, W, V):
@@ -132,6 +176,7 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
     W = np.empty((m, n))
     V = np.empty((m, n, n)) if vectors else None
     rows = np.arange(m)  # the input row of each matrix left in X
+    sweep = None  # built for each block X
     for _ in range(max_sweeps):
         keep = off[rows] > thresh[rows]
         if not keep.any():
@@ -140,7 +185,10 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
             _store(X, n, ~keep, rows[~keep], W, V)
             rows = rows[keep]
             X = np.take(X, np.flatnonzero(keep), axis=2)
-        _batch_sweep(X, n)
+            sweep = None
+        if sweep is None:
+            sweep = _sweeper(X, n)
+        sweep()
         off[rows] = _offdiag_mass(X[:, :n])
     _store(X, n, slice(None), slice(None) if rows.size == m else rows, W, V)
     return W, V, off

@@ -182,6 +182,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     s = _parse_order(args.s)
     if args.budget < 1:
         raise ConfigError("--budget must be >= 1")
+    alg = None if args.alg is None else descriptor_from_spec(args.alg)
     try:
         if args.kind in ("lyap", "quad"):
             with open(args.operand) as fh:
@@ -189,9 +190,9 @@ def _cmd_norm(args: argparse.Namespace) -> int:
             frame = None
         elif args.kind == "schur":
             operand = SchurMatrix.load(args.operand)
-            if not args.alg:
+            if alg is None:
                 raise ConfigError("schur norms need --alg for the frame")
-            frame = standard_frame(descriptor_from_spec(args.alg))
+            frame = standard_frame(alg)
         else:
             raise ConfigError(f"unknown norm kind {args.kind!r}")
     except (OSError, ValueError, KeyError, RecursionError) as exc:
@@ -199,8 +200,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"cannot load operand: {exc}") from None
-    if frame is None and args.alg is not None \
-            and descriptor_from_spec(args.alg) != operand.descriptor:
+    if frame is None and alg is not None and alg != operand.descriptor:
         raise ConfigError(f"--alg {args.alg} does not name the operand's algebra "
                           f"{descriptor_to_spec(operand.descriptor)}")
     # a finite operand can still overflow float64 on its way to a norm; the

@@ -410,10 +410,13 @@ def write_archive(path, records) -> None:
     records that share its bytes (a sweep's n_b records share their
     candidate's), and the witness algebra and the fields around the margin
     for each distinct (algebra, descriptor, family, problem, seed, verdict);
-    floats are written by repr, as json writes finite floats.  JSON has no
-    NaN or infinity: before the file is opened, ValueError names the first
-    record with a non-finite multiplier, else witness coordinate, else
-    margin.  The lines are written as they are joined.
+    floats are written by repr, as json writes finite floats.  Before the
+    file is opened, ValueError names the first record that
+    :func:`read_archive` would reject for its descriptor, verdict, problem,
+    family or seed (checked once per distinct tuple, by the reader's rules)
+    or for a non-finite multiplier, and otherwise the first with a
+    non-finite witness coordinate, else margin: JSON has no NaN or
+    infinity.  The lines are written as they are joined.
     """
     records = list(records)
     multipliers, around_margin, shared = {}, {}, []
@@ -428,6 +431,11 @@ def write_archive(path, records) -> None:
         # json writes true and 1 apart
         around = (rec.b_witness.descriptor, *values, *map(type, values))
         if around not in around_margin:
+            try:
+                _check_names([rec.descriptor], [rec.verdict], [rec.problem])
+                _check_family_seed([rec.family], [rec.seed])
+            except ValueError as exc:
+                raise ValueError(f"record {i}: {exc}") from None
             around_margin[around] = (
                 json.dumps(descriptor_to_json(around[0]), sort_keys=True)[1:],
                 json.dumps(dict(zip(("descriptor", "family"), values)), sort_keys=True)[1:-1],
@@ -514,6 +522,28 @@ class Archive(Sequence):
                             float(self.margin[i]), self.verdict[i], self.problem[i])
 
 
+def _check_names(spec: list, verdict: list, problem: list) -> dict:
+    """Check the descriptor, verdict and problem columns of archive records;
+    returns the algebra of each distinct descriptor."""
+    for s, v, p in zip(spec, verdict, problem):
+        if not type(s) is type(v) is type(p) is str:
+            raise ValueError(f"descriptor, verdict and problem must be strings, "
+                             f"got {s!r}, {v!r}, {p!r}")
+    for p in set(problem).difference(PROBLEMS):
+        raise ValueError(f"unknown problem {p!r}; known: {PROBLEMS}")
+    for v in set(verdict).difference(VERDICTS):
+        raise ValueError(f"unknown verdict {v!r}; known: {VERDICTS}")
+    return {s: descriptor_from_spec(s) for s in set(spec)}
+
+
+def _check_family_seed(family: list, seed: list) -> None:
+    """Check the family and seed columns of archive records."""
+    for f, s in zip(family, seed):
+        if type(f) not in (str, type(None)) or type(s) not in (int, type(None)):
+            raise ValueError(f"family must be a string or null and seed an integer or "
+                             f"null (not a bool), got {f!r}, {s!r}")
+
+
 def _columns(objs: list) -> tuple:
     """The :class:`Archive` columns of decoded JSON records.
 
@@ -527,21 +557,10 @@ def _columns(objs: list) -> tuple:
             raise ValueError(f"a record must be a JSON object, got {type(o).__name__}")
     spec, verdict = [o["descriptor"] for o in objs], [o["verdict"] for o in objs]
     problem = [o.get("problem", "general") for o in objs]
-    for s, v, p in zip(spec, verdict, problem):
-        if not type(s) is type(v) is type(p) is str:
-            raise ValueError(f"descriptor, verdict and problem must be strings, "
-                             f"got {s!r}, {v!r}, {p!r}")
-    for p in set(problem).difference(PROBLEMS):
-        raise ValueError(f"unknown problem {p!r}; known: {PROBLEMS}")
-    for v in set(verdict).difference(VERDICTS):
-        raise ValueError(f"unknown verdict {v!r}; known: {VERDICTS}")
-    algebras = {s: descriptor_from_spec(s) for s in set(spec)}
+    algebras = _check_names(spec, verdict, problem)
     family, seed = [o["family"] for o in objs], [o.get("seed") for o in objs]
     A, margin = [o["A"] for o in objs], [o["margin"] for o in objs]
-    for f, s in zip(family, seed):
-        if type(f) not in (str, type(None)) or type(s) not in (int, type(None)):
-            raise ValueError(f"family must be a string or null and seed an integer or "
-                             f"null (not a bool), got {f!r}, {s!r}")
+    _check_family_seed(family, seed)
     stacks = {s: (idx, _float_stack([A[i] for i in idx], 2))
               for s, idx in _groups(spec).items()}
     one_by_one = any(E is None for _, E in stacks.values())  # or ragged or too large

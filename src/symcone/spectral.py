@@ -24,12 +24,12 @@ from .algebra import (
     Element,
     SpinFactor,
     SymMatrix,
+    _triu_ix,
     factor_slices,
     inner,
     jordan_product_coords,
     norm_rows,
     row_sum,
-    sym_pack,
     sym_unpack,
     unit,
     weight_vector,
@@ -255,8 +255,10 @@ def spectral_decompose_batch(d: AlgebraDescriptor,
     m = X.shape[0]
     if isinstance(d, SymMatrix):
         W, V = sym_eigh_batch(sym_unpack(X, d.n))
-        # frames[i, k] = pack(v_k v_k^T) for the k-th eigenvector of sample i
-        return W, sym_pack(np.einsum("mik,mjk->mkij", V, V))
+        # frames[i, k] = pack(v_k v_k^T) for the k-th eigenvector of sample i,
+        # each packed entry one product v_k[r] v_k[c]
+        rows, cols = _triu_ix(d.n)
+        return W, (V[:, rows, :] * V[:, cols, :]).transpose(0, 2, 1)
     if isinstance(d, SpinFactor):
         r, V, s = _spin_radius_batch(X)
         u = np.zeros((m, d.n - 1))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,6 +101,10 @@ INVERTIBLE_MIN_ABS = 1e-3
 
 # samples per batched evaluation in run_sweep
 SWEEP_CHUNK = 1000
+# (seed, indices) pairs whose seed-sequence words sample_rngs keeps: run_all
+# draws the same chunks for every check, and a chunk's words take 32 bytes a
+# sample
+SEED_WORDS_CACHE = 16
 
 
 class ResampleError(ValueError):
@@ -1058,17 +1063,28 @@ def _seed_state_words(seed: int, idx: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
 
 
+@lru_cache(maxsize=SEED_WORDS_CACHE)
+def _cached_state_words(seed: int, idx: tuple) -> np.ndarray:
+    """:func:`_seed_state_words` of an index tuple, read-only, kept for the
+    chunks whose generators are derived again."""
+    words = _seed_state_words(seed, np.array(idx, dtype=np.uint32))
+    words.flags.writeable = False
+    return words
+
+
 def sample_rngs(seed: int, idx) -> list[np.random.Generator]:
     """``[sample_rng(seed, i) for i in idx]``, derived together.
 
     The seed-sequence hashing runs once on the whole index set, and each
     generator's PCG64 is seeded from its row of state words, so every
     generator is independent and has the state of ``sample_rng(seed, i)``.
+    The words of the last ``SEED_WORDS_CACHE`` (seed, indices) pairs are
+    kept, read-only (each check of a sweep draws the same chunks again).
     A seed or index of 2**32 or more (several entropy words) takes
     ``sample_rng`` itself.  Raises ValueError on a negative seed or index,
     as SeedSequence does.
     """
-    idx = [int(i) for i in idx]
+    idx = tuple(int(i) for i in idx)
     if not idx:
         return []
     if seed < 0 or min(idx) < 0:
@@ -1076,7 +1092,7 @@ def sample_rngs(seed: int, idx) -> list[np.random.Generator]:
                          f"least index {min(idx)}")
     if seed > _WORD or max(idx) > _WORD:
         return [sample_rng(seed, i) for i in idx]
-    words = _seed_state_words(seed, np.array(idx, dtype=np.uint32))
+    words = _cached_state_words(seed, idx)
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 

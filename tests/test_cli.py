@@ -255,13 +255,20 @@ class TestNorm:
                      "--alg", "sym:2", "--r", "2", "--s", "2"]) == 2
         assert error_lines(capsys) == ["error: multiplier size 3 does not match frame rank 2"]
 
-    @pytest.mark.parametrize("kind", ["lyap", "quad"])
+    @pytest.mark.parametrize("kind", ["lyap", "quad", "schur"])
     def test_alg_is_checked_against_the_operand(self, tmp_path, capsys, kind):
         # an --alg that names the operand's algebra is accepted; one that
-        # does not parse or names another algebra (spin:6 has sym:3's
-        # dimension) exits 2 on one line
-        op = tmp_path / "a.json"
-        op.write_text(json.dumps(element_to_json(2.0 * unit(SymMatrix(3)))))
+        # does not parse exits 2 with the parser's message, whatever the
+        # kind, and one that names another algebra (spin:6 has sym:3's
+        # dimension and rank 2) exits 2 on one line
+        if kind == "schur":
+            op = tmp_path / "m.csv"
+            op.write_text("1.0,0.5,0.0\n0.5,1.0,0.0\n0.0,0.0,1.0\n")
+            other = "error: multiplier size 3 does not match frame rank 2"
+        else:
+            op = tmp_path / "a.json"
+            op.write_text(json.dumps(element_to_json(2.0 * unit(SymMatrix(3)))))
+            other = "error: --alg spin:6 does not name the operand's algebra sym:3"
         argv = ["norm", "--kind", kind, "--operand", str(op), "--r", "2", "--s", "2",
                 "--budget", "5"]
         assert main(argv + ["--alg", "sym:3"]) == 0
@@ -269,8 +276,7 @@ class TestNorm:
         assert main(argv + ["--alg", "nonsense"]) == 2
         assert error_lines(capsys) == ["error: cannot parse algebra spec 'nonsense'"]
         assert main(argv + ["--alg", "spin:6"]) == 2
-        assert error_lines(capsys) == [
-            "error: --alg spin:6 does not name the operand's algebra sym:3"]
+        assert error_lines(capsys) == [other]
 
     def test_malformed_operand_exits_2(self, tmp_path, capsys):
         op = tmp_path / "bad.json"

@@ -370,6 +370,24 @@ def _kind_stack(kind, m, n, rng):
     if kind == "graded":
         D = 10.0 ** (-4.0 * np.arange(n))
         return S * np.outer(D, D)
+    if kind == "signed_zeros":
+        # +-0.0 off the diagonal and, in every other matrix, a -0.0 diagonal:
+        # pivots and diffs of either sign of zero
+        rows, cols = np.triu_indices(n)
+        vals = rng.choice(np.array([-0.0, 0.0, 0.0, -1.5, 2.0]), (m, rows.size))
+        Z = np.empty((m, n, n))
+        Z[:, rows, cols] = vals
+        Z[:, cols, rows] = vals
+        Z[::2, np.arange(n), np.arange(n)] = -0.0
+        return Z
+    if kind == "equal_diagonals":
+        # one diagonal value per matrix (diff = 0, pivots of both signs);
+        # in every other matrix the diagonal entries are a subnormal apart
+        # and the pivots about 1e-12, so diff * apq underflows to +-0.0
+        E = S * (1.0 - np.eye(n)) + rng.normal(0.0, 2.0, (m, 1, 1)) * np.eye(n)
+        E[1::2] = (S[1::2] * (1.0 - np.eye(n)) * 1e-12
+                   + np.diag(np.resize([0.0, -5e-324, 5e-324, -1e-320], n)))
+        return E
     if kind == "huge":
         return S * 1e150
     if kind == "tiny":
@@ -384,7 +402,7 @@ def _kind_stack(kind, m, n, rng):
 
 
 _KINDS = ("random", "zero", "diagonal", "repeated", "tiny_pivot", "graded",
-          "huge", "tiny", "mixed")
+          "signed_zeros", "equal_diagonals", "huge", "tiny", "mixed")
 
 
 class TestAgainstReferenceKernel:

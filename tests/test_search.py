@@ -344,6 +344,40 @@ class TestArchiveFormat:
             write_archive(path, records)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", True, "family must be a string or null and seed an integer or null "
+                       "(not a bool), got 'random_sym', True"),
+        ("seed", 2.0, "family must be a string or null and seed an integer or null "
+                      "(not a bool), got 'random_sym', 2.0"),
+        ("family", 3, "family must be a string or null and seed an integer or null "
+                      "(not a bool), got 3, 1"),
+        ("verdict", "sideways", "unknown verdict 'sideways'; known: ('violated', 'satisfied')"),
+        ("problem", "elsewhere", "unknown problem 'elsewhere'; known: ('general', 'cone')"),
+        ("descriptor", "nonsense", "cannot parse algebra spec 'nonsense'"),
+        ("verdict", None, "descriptor, verdict and problem must be strings, "
+                          "got 'sym:2', None, 'general'"),
+    ])
+    def test_records_the_reader_rejects_raise_before_the_file_is_opened(
+            self, tmp_path, field, value, message):
+        # the writer refuses what read_archive would refuse, with the
+        # reader's message; the other records are written as before
+        records = sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
+                        seed=1).violations
+        path = tmp_path / "archive.jsonl"
+        write_archive(path, records)
+        assert path.read_text().splitlines() == [json.dumps(r.to_json(), sort_keys=True)
+                                                 for r in records]
+        path.unlink()
+        setattr(records[4], field, value)
+        with pytest.raises(ValueError) as exc:
+            write_archive(path, records)
+        assert str(exc.value) == f"record 4: {message}"
+        assert not path.exists()
+        path.write_text(json.dumps(records[4].to_json(), sort_keys=True) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_archive(path)
+        assert str(exc.value) == f"{path}, line 1: malformed archive record ({message})"
+
     def test_an_archive_replays_without_checking_its_multipliers_again(self, monkeypatch):
         archive = read_archive(DATA / "zero_diag_archive.jsonl")
         calls = []

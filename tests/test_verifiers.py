@@ -552,6 +552,21 @@ class TestSampleRngs:
         assert rngs[2].bit_generator.state == before[2]
         assert rngs[1].bit_generator.state != before[1]
 
+    def test_kept_words_share_no_state(self):
+        # a chunk derived again takes its kept words: the generators drawn
+        # from before leave no trace in the new ones, and the words are
+        # read-only
+        seed, k = 20260809, 40
+        for rng in sample_rngs(seed, range(k)):
+            rng.normal(size=7)
+        again = sample_rngs(seed, range(k))
+        for i, rng in enumerate(again):
+            assert rng.bit_generator.state == sample_rng(seed, i).bit_generator.state
+        words = verifiers._cached_state_words(seed, tuple(range(k)))
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
+
     @pytest.mark.parametrize("seed,idx", [(-1, [0]), (0, [3, -1])])
     def test_negative_seed_or_index_raises(self, seed, idx):
         with pytest.raises(ValueError):
