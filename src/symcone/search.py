@@ -27,6 +27,14 @@ verdict of every row directly; :func:`test_candidate` is a batch of one; and
 :func:`replay_records` reruns an archive by algebra and problem, in batches
 of up to ``MARGIN_CHUNK`` records, one multiplier per row.
 The search frame of a sweep is always the standard frame of the algebra.
+
+Records have one form and one check.  :class:`Archive` holds them by
+columns, and every Archive holds records that :func:`read_archive` accepts:
+the reader checks its lines by its rules (:func:`_columns`),
+:meth:`Archive.of` checks SearchRecords by the same rules on their JSON form,
+and :func:`sweep` builds its violations from its own checked multiplier rows.
+So :func:`write_archive` only formats an Archive, and writes nothing the
+reader rejects, and :func:`replay_records` only replays one.
 """
 
 from __future__ import annotations
@@ -147,14 +155,6 @@ class SearchRecord:
     verdict: str  # one of VERDICTS
     problem: str  # "general" | "cone"
 
-    @property
-    def witness(self) -> AlgebraDescriptor:
-        return self.b_witness.descriptor
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.b_witness.coords
-
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -260,53 +260,49 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
                    margin_tol: float = 1e-10) -> list:
     """Recompute records from their serialized data alone.
 
-    ``records`` is an :class:`Archive`, whose multipliers :func:`read_archive`
-    checked, or a sequence of SearchRecords, whose multipliers are checked
-    here: every multiplier of a group before any of its margins, the first
-    bad one raising the message that building it alone raises, and the
-    chunks after the first once more as they are built, which costs less
-    than holding the group's whole stack.  Records are grouped by (descriptor, problem) and
-    each group runs on the standard frame in chunks of ``MARGIN_CHUNK``
-    records, so that memory is bounded by the chunk, not by the archive;
-    :func:`_margins` takes a chunk's multipliers with one per row.
-    Returns one (confirmed, recomputed margin) pair per record, in order;
-    confirmation requires the same verdict and a margin within margin_tol.
+    ``records`` is an :class:`Archive`, or a sequence of SearchRecords taken
+    as the Archives (:meth:`Archive.of`) of its slices of ``MARGIN_CHUNK``
+    records: every slice is built, and so checked, before any margin is
+    computed, and built again for its replay unless it is the only one, so
+    that a list's memory is bounded by the slice.  An Archive's records are
+    grouped by (descriptor, problem) and each group runs on the standard
+    frame in chunks of ``MARGIN_CHUNK`` records; :func:`_margins` takes a
+    chunk's multipliers with one per row.  Returns one (confirmed,
+    recomputed margin) pair per record, in order; confirmation requires the
+    same verdict and a margin within margin_tol.
     """
-    checked = isinstance(records, Archive)
+    if isinstance(records, Archive):
+        return _replay(records, 0, atol, rtol, margin_tol)
 
-    def column(name, idx) -> list:  # the field ``name`` of records[idx]
-        if checked:
-            values = getattr(records, name)
-            return [values[i] for i in idx]
-        return [getattr(records[i], name) for i in idx]
+    def part(lo: int) -> Archive:
+        return Archive.of(records[lo:lo + MARGIN_CHUNK], lo)
 
-    every = range(len(records))
-    out = [None] * len(records)
-    # record numbers as arrays: a list holds an int object per record
-    groups = {key: np.array(idx) for key, idx in _groups(
-        zip(column("descriptor", every), column("problem", every))).items()}
-    for (spec, problem), idx in groups.items():
+    starts = range(0, len(records), MARGIN_CHUNK)
+    for lo in starts if len(starts) > 1 else ():  # every record before any margin
+        part(lo)
+    return [pair for lo in starts for pair in _replay(part(lo), lo, atol, rtol, margin_tol)]
+
+
+def _replay(archive: Archive, first: int, atol: float, rtol: float,
+            margin_tol: float) -> list:
+    """:func:`replay_records` of an Archive whose records are numbered from
+    ``first`` in messages."""
+    out = [None] * len(archive)
+    for (spec, problem), idx in _groups(zip(archive.descriptor, archive.problem)).items():
         d = descriptor_from_spec(spec)
-        for i, witness in zip(idx.tolist(), column("witness", idx.tolist())):
-            if witness != d:
-                raise DescriptorMismatchError(
-                    f"record {i}: witness of {witness} in a record of {spec}")
-        starts = range(0, len(idx), MARGIN_CHUNK)
-        for lo in starts if not checked else ():  # every multiplier before any margin
-            E = multiplier_stack(column("entries", idx[lo:lo + MARGIN_CHUNK].tolist()), d.rank)
-        for lo in starts:
-            part = idx[lo:lo + MARGIN_CHUNK].tolist()
-            if checked:
-                E = np.array(column("entries", part))
-            elif len(starts) > 1:  # a group of one chunk keeps its checked stack
-                E = multiplier_stack(column("entries", part), d.rank)
+        for i in idx:
+            if archive.witness[i] != d:
+                raise DescriptorMismatchError(f"record {first + i}: witness of "
+                                              f"{archive.witness[i]} in a record of {spec}")
+        for lo in range(0, len(idx), MARGIN_CHUNK):
+            part = idx[lo:lo + MARGIN_CHUNK]
             margins, holds = _margins(
-                d, _standard_projectors(d), E, np.arange(len(part)),
-                np.array(column("coords", part)), problem, atol, rtol)
-            for i, margin, ok, stored, verdict in zip(
-                    part, margins.tolist(), holds.tolist(), column("margin", part),
-                    column("verdict", part)):
-                out[i] = (verdict == ("satisfied" if ok else "violated")
+                d, _standard_projectors(d), np.array([archive.entries[i] for i in part]),
+                np.arange(len(part)), np.array([archive.coords[i] for i in part]),
+                problem, atol, rtol)
+            for i, margin, ok, stored in zip(part, margins.tolist(), holds.tolist(),
+                                             archive.margin[part].tolist()):
+                out[i] = (archive.verdict[i] == ("satisfied" if ok else "violated")
                           and abs(margin - stored) <= margin_tol, margin)
     return out
 
@@ -326,7 +322,7 @@ class SweepResult:
     n_b: int
     seed: int
     problem: str
-    violations: list
+    violations: Archive
     min_margin: float
     tested: int
 
@@ -341,8 +337,8 @@ class SweepResult:
 
 
 def _sample_b_coords(d: AlgebraDescriptor, rng: np.random.Generator,
-                     n_b: int, problem: str) -> np.ndarray:
-    coords = rng.normal(0.0, GENERAL_SIGMA, (n_b, d.dim))
+                     rows: int, problem: str) -> np.ndarray:
+    coords = rng.normal(0.0, GENERAL_SIGMA, (rows, d.dim))
     if problem == "cone":
         x = coords / math.sqrt(GENERAL_SIGMA)
         coords = jordan_product_coords(d, x, x)
@@ -361,41 +357,50 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
     the group's multipliers are validated as one stack and all its elements
     run as one :func:`_margins` call on the standard frame, row r against
     candidate r // n_b.  That gives every element the margin and verdict
-    :func:`test_candidate` would give it alone.  Every violated element
-    becomes a record with its witness, in candidate then element order, so
-    that replay is exact; satisfied ones only contribute to the aggregate
-    margin.
+    :func:`test_candidate` would give it alone.  A lone candidate with more
+    than ``MARGIN_CHUNK`` elements draws and runs them that many at a time,
+    which draws the same numbers.  Every violated element becomes a record
+    with its witness, in candidate then element order, so that replay is
+    exact; ``violations`` is an :class:`Archive` of the group's checked
+    multiplier rows and the violated coordinate rows.  Satisfied elements
+    only contribute to the aggregate margin.
     """
     if n_A < 1:
         raise ValueError("need at least one candidate")
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
+    if type(seed) is not int:  # as read_archive requires of a record's seed
+        raise ValueError(f"seed must be an integer (not a bool), got {seed!r}")
     if descriptor.rank != spec.n:
         raise ValueError(
             f"family size {spec.n} does not match algebra rank {descriptor.rank}"
         )
     P = _standard_projectors(descriptor)
     d_spec = descriptor_to_spec(descriptor)
-    violations: list[SearchRecord] = []
+    entries, coords, margin = [], [], []
     min_margin = math.inf
     tested = 0
-    if n_b < 1:
-        return SweepResult(spec.family, d_spec, n_A, n_b, seed, problem, violations,
-                           min_margin, tested)
-    group = max(1, MARGIN_CHUNK // n_b)
-    for lo in range(0, n_A, group):
+    group = max(1, MARGIN_CHUNK // max(n_b, 1))
+    for lo in range(0, n_A if n_b > 0 else 0, group):
         rngs = sample_rngs(seed, range(lo, min(lo + group, n_A)))
         E = multiplier_stack([generate_candidate(spec, rng) for rng in rngs], spec.n)
-        coords = np.concatenate([_sample_b_coords(descriptor, rng, n_b, problem)
-                                 for rng in rngs])
-        margins, holds = _margins(descriptor, P, E, np.arange(len(coords)) // n_b,
-                                  coords, problem, atol, rtol)
-        for r in np.flatnonzero(~holds):
-            violations.append(SearchRecord(
-                spec.family, d_spec, seed, E[r // n_b], Element(descriptor, coords[r]),
-                float(margins[r]), "violated", problem))
-        min_margin = min(min_margin, float(margins.min()))
-        tested += len(coords)
+        rows = list(E)  # one read-only view per candidate, shared by its records
+        for start in range(0, n_b, MARGIN_CHUNK):  # more than once for a lone candidate
+            k = min(n_b - start, MARGIN_CHUNK)
+            X = np.concatenate([_sample_b_coords(descriptor, rng, k, problem) for rng in rngs])
+            owner = np.arange(len(X)) // k
+            margins, holds = _margins(descriptor, P, E, owner, X, problem, atol, rtol)
+            bad = np.flatnonzero(~holds)
+            X = X[bad]
+            X.flags.writeable = False
+            entries += [rows[i] for i in owner[bad].tolist()]
+            coords += list(X)
+            margin += margins[bad].tolist()
+            min_margin = min(min_margin, float(margins.min()))
+            tested += len(owner)
+    m = len(margin)
+    violations = Archive([spec.family] * m, [d_spec] * m, [seed] * m, entries,
+                         [descriptor] * m, coords, margin, ["violated"] * m, [problem] * m)
     return SweepResult(spec.family, d_spec, n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
 
@@ -403,56 +408,39 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
 # --- archives -----------------------------------------------------------------------
 
 def write_archive(path, records) -> None:
-    """JSON-lines archive, one record per line: the line of ``rec`` is
-    ``json.dumps(rec.to_json(), sort_keys=True)``.
+    """JSON-lines archive of an :class:`Archive`, or of SearchRecords taken as
+    theirs (:meth:`Archive.of`), one record per line: the line of record i
+    is ``json.dumps(archive[i].to_json(), sort_keys=True)``.  So a record
+    that :func:`read_archive` would reject raises ValueError ``record i:
+    <the reader's message>`` before the file is opened, and every float
+    written is finite (JSON has no NaN or infinity).
 
     A line is joined from fragments formatted once: a multiplier for all the
     records that share its bytes (a sweep's n_b records share their
     candidate's), and the witness algebra and the fields around the margin
     for each distinct (algebra, descriptor, family, problem, seed, verdict);
-    floats are written by repr, as json writes finite floats.  Before the
-    file is opened, ValueError names the first record that
-    :func:`read_archive` would reject for its descriptor, verdict, problem,
-    family or seed (checked once per distinct tuple, by the reader's rules)
-    or for a non-finite multiplier, and otherwise the first with a
-    non-finite witness coordinate, else margin: JSON has no NaN or
-    infinity.  The lines are written as they are joined.
+    floats are written by repr, as json writes finite floats.  The lines are
+    written as they are joined.
     """
-    records = list(records)
+    archive = records if isinstance(records, Archive) else Archive.of(records)
     multipliers, around_margin, shared = {}, {}, []
-    for i, rec in enumerate(records):
-        A = np.asarray(rec.entries, dtype=np.float64)
-        key = A.shape, A.tobytes()
+    for A, around in zip(archive.entries, zip(archive.witness, archive.descriptor, archive.family,
+                                              archive.problem, archive.seed, archive.verdict)):
+        key = A.tobytes()  # of a square matrix, whose size its length gives
         if key not in multipliers:
-            if not np.isfinite(A).all():
-                raise ValueError(f"record {i}: cannot archive a non-finite multiplier")
             multipliers[key] = repr(A.tolist())
-        values = rec.descriptor, rec.family, rec.problem, rec.seed, rec.verdict
-        # json writes true and 1 apart
-        around = (rec.b_witness.descriptor, *values, *map(type, values))
         if around not in around_margin:
-            try:
-                _check_names([rec.descriptor], [rec.verdict], [rec.problem])
-                _check_family_seed([rec.family], [rec.seed])
-            except ValueError as exc:
-                raise ValueError(f"record {i}: {exc}") from None
             around_margin[around] = (
                 json.dumps(descriptor_to_json(around[0]), sort_keys=True)[1:],
-                json.dumps(dict(zip(("descriptor", "family"), values)), sort_keys=True)[1:-1],
-                json.dumps(dict(zip(("problem", "seed", "verdict"), values[2:])),
+                json.dumps(dict(zip(("descriptor", "family"), around[1:])), sort_keys=True)[1:-1],
+                json.dumps(dict(zip(("problem", "seed", "verdict"), around[3:])),
                            sort_keys=True)[1:])
         shared.append((multipliers[key], around_margin[around]))
-    coords, margins = [r.b_witness.coords for r in records], [float(r.margin) for r in records]
-    if coords and not np.isfinite(np.concatenate(coords)).all():
-        i = next(i for i, x in enumerate(coords) if not np.isfinite(x).all())
-        raise ValueError(f"record {i}: cannot archive a non-finite witness")
-    if not all(map(math.isfinite, margins)):
-        i = next(i for i, m in enumerate(margins) if not math.isfinite(m))
-        raise ValueError(f"record {i}: cannot archive a non-finite margin")
     with open(path, "w") as fh:
         fh.writelines(f'{{"A": {A}, "b": {{"coords": {x.tolist()!r}, {algebra}, {head}, '
                       f'"margin": {m!r}, {tail}\n'
-                      for x, m, (A, (algebra, head, tail)) in zip(coords, margins, shared))
+                      for x, m, (A, (algebra, head, tail)) in zip(
+                          archive.coords, archive.margin.tolist(), shared))
 
 
 def _groups(column) -> dict:
@@ -491,10 +479,11 @@ def _float_stack(items: list, depth: int):
 
 @dataclass(eq=False)
 class Archive(Sequence):
-    """The records of an archive by columns; indexing gives a
-    :class:`SearchRecord`.  ``entries`` holds read-only rows of checked
-    multiplier stacks (:func:`transforms.multiplier_stack`), which
-    :func:`replay_records` takes as they are; ``witness`` and ``coords`` hold
+    """The prospector's one record form: records by columns, each one that
+    :func:`read_archive` accepts; indexing gives a :class:`SearchRecord`.
+    ``entries`` holds read-only rows of checked multiplier stacks
+    (:func:`transforms.multiplier_stack`), which :func:`write_archive` and
+    :func:`replay_records` take as they are; ``witness`` and ``coords`` hold
     each witness b's algebra and read-only coordinate row."""
 
     family: list
@@ -521,27 +510,21 @@ class Archive(Sequence):
                             self.entries[i], Element(self.witness[i], self.coords[i]),
                             float(self.margin[i]), self.verdict[i], self.problem[i])
 
-
-def _check_names(spec: list, verdict: list, problem: list) -> dict:
-    """Check the descriptor, verdict and problem columns of archive records;
-    returns the algebra of each distinct descriptor."""
-    for s, v, p in zip(spec, verdict, problem):
-        if not type(s) is type(v) is type(p) is str:
-            raise ValueError(f"descriptor, verdict and problem must be strings, "
-                             f"got {s!r}, {v!r}, {p!r}")
-    for p in set(problem).difference(PROBLEMS):
-        raise ValueError(f"unknown problem {p!r}; known: {PROBLEMS}")
-    for v in set(verdict).difference(VERDICTS):
-        raise ValueError(f"unknown verdict {v!r}; known: {VERDICTS}")
-    return {s: descriptor_from_spec(s) for s in set(spec)}
-
-
-def _check_family_seed(family: list, seed: list) -> None:
-    """Check the family and seed columns of archive records."""
-    for f, s in zip(family, seed):
-        if type(f) not in (str, type(None)) or type(s) not in (int, type(None)):
-            raise ValueError(f"family must be a string or null and seed an integer or "
-                             f"null (not a bool), got {f!r}, {s!r}")
+    @classmethod
+    def of(cls, records, first: int = 0) -> Archive:
+        """The Archive of SearchRecords, checked by the reader's rules
+        (:func:`_columns`) on their JSON form; the first record that fails
+        them raises ValueError ``record i: <the reader's message>``, with the
+        records numbered from ``first``."""
+        objs = [r.to_json() for r in records]
+        try:
+            return cls(*_columns(objs))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+            bad = next(((i, exc) for i, exc in enumerate(map(_record_error, objs), first)
+                        if exc), None)
+            if bad is None:  # no record fails alone: not a record's fault
+                raise
+            raise ValueError(f"record {bad[0]}: {bad[1]}") from None
 
 
 def _columns(objs: list) -> tuple:
@@ -557,10 +540,21 @@ def _columns(objs: list) -> tuple:
             raise ValueError(f"a record must be a JSON object, got {type(o).__name__}")
     spec, verdict = [o["descriptor"] for o in objs], [o["verdict"] for o in objs]
     problem = [o.get("problem", "general") for o in objs]
-    algebras = _check_names(spec, verdict, problem)
+    for s, v, p in zip(spec, verdict, problem):
+        if not type(s) is type(v) is type(p) is str:
+            raise ValueError(f"descriptor, verdict and problem must be strings, "
+                             f"got {s!r}, {v!r}, {p!r}")
+    for p in set(problem).difference(PROBLEMS):
+        raise ValueError(f"unknown problem {p!r}; known: {PROBLEMS}")
+    for v in set(verdict).difference(VERDICTS):
+        raise ValueError(f"unknown verdict {v!r}; known: {VERDICTS}")
+    algebras = {s: descriptor_from_spec(s) for s in set(spec)}
     family, seed = [o["family"] for o in objs], [o.get("seed") for o in objs]
     A, margin = [o["A"] for o in objs], [o["margin"] for o in objs]
-    _check_family_seed(family, seed)
+    for f, s in zip(family, seed):
+        if type(f) not in (str, type(None)) or type(s) not in (int, type(None)):
+            raise ValueError(f"family must be a string or null and seed an integer or "
+                             f"null (not a bool), got {f!r}, {s!r}")
     stacks = {s: (idx, _float_stack([A[i] for i in idx], 2))
               for s, idx in _groups(spec).items()}
     one_by_one = any(E is None for _, E in stacks.values())  # or ragged or too large
@@ -606,16 +600,14 @@ def _witnesses(bs: list):
     return witness, coords
 
 
-def _record_error(obj) -> str | None:
-    """The message of a record that fails its checks alone, or None."""
+def _record_error(obj) -> Exception | None:
+    """The error of a record that fails its checks alone, or None."""
     try:
         _columns([obj])
-    except KeyError as exc:
-        return f"archive record lacks the field {exc}"
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # OverflowError: an integer beyond the float range;
-        # RecursionError: JSON nested deeper than the parser goes
-        return f"malformed archive record ({exc})"
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # KeyError: a field it lacks; OverflowError: an integer beyond the
+        # float range; RecursionError: JSON nested deeper than the parser goes
+        return exc
     return None
 
 
@@ -650,10 +642,13 @@ def read_archive(path) -> Archive:
                     column += part
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
                 # the first bad record comes before any line that fails to parse
-                error = next(((lineno, message) for lineno, message in
-                              zip(lines, map(_record_error, objs)) if message), None)
-                if error is None:  # no record fails alone: not a record's fault
+                lineno, exc = next(((lineno, exc) for lineno, exc in
+                                    zip(lines, map(_record_error, objs)) if exc), (0, None))
+                if exc is None:  # no record fails alone: not a record's fault
                     raise
+                error = lineno, (f"archive record lacks the field {exc}"
+                                 if isinstance(exc, KeyError)
+                                 else f"malformed archive record ({exc})")
     if error is not None:
         raise ValueError(f"{path}, line {error[0]}: {error[1]}")
     return Archive(*columns)

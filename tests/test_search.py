@@ -190,11 +190,18 @@ class TestSweep:
 
     def test_no_elements_tested(self):
         res = sweep(FamilySpec("psd_gram", 2), SymMatrix(2), 3, 0, seed=0)
-        assert res.tested == 0 and res.violations == []
+        assert res.tested == 0 and len(res.violations) == 0
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sweep(FamilySpec("psd_gram", 3), SymMatrix(2), 1, 1, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, np.int64(3), 3.0], ids=repr)
+    def test_seed_an_archive_cannot_hold_rejected(self, seed):
+        # every record carries the sweep's seed, and the reader takes only
+        # an integer (a bool is not one)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 1, 2, seed)
 
     def test_overflowing_products_raise(self):
         # A . b has finite entries whose spin radius overflows: the batched
@@ -225,6 +232,26 @@ class TestSweep:
             assert len(ref.violations) == ref.tested
         else:
             assert ref.violations == []
+
+    @pytest.mark.parametrize("zero_diag", [True, False], ids=["zero_diag", "random_sym"])
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_elements_are_drawn_a_chunk_at_a_time(self, monkeypatch, problem, zero_diag):
+        # a lone candidate's 19 elements in draws of at most 8 rows give the
+        # violations, margins and minimum margin of one 19-row draw
+        d, spec = SymMatrix(3), FamilySpec("random_sym", 3, zero_diag=zero_diag)
+        whole = sweep(spec, d, 3, 19, seed=4, problem=problem)
+        rows, real = [], search._sample_b_coords
+        monkeypatch.setattr(search, "_sample_b_coords", lambda d, rng, k, problem:
+                            rows.append(k) or real(d, rng, k, problem))
+        monkeypatch.setattr(search, "MARGIN_CHUNK", 8)
+        sliced = sweep(spec, d, 3, 19, seed=4, problem=problem)
+        assert rows == [8, 8, 3] * 3
+        assert sliced.tested == whole.tested == 57
+        assert _bits(sliced.min_margin) == _bits(whole.min_margin)
+        assert len(sliced.violations) == len(whole.violations) >= 57 * zero_diag
+        assert _bits(sliced.violations.margin) == _bits(whole.violations.margin)
+        assert [r.to_json() for r in sliced.violations] == \
+            [r.to_json() for r in whole.violations]
 
 
 def _per_sample_sweep(spec, d, n_A, n_b, seed, problem):
@@ -268,10 +295,13 @@ class TestArchives:
     def test_lines_are_sorted_json_of_the_records(self, tmp_path):
         # the archive encoder writes what json.dumps(sort_keys=True) writes
         # for each record taken apart value by value: no family, a direct
-        # sum, -0.0, the least subnormal, 1e308 and an integer seed
+        # sum, -0.0, the least subnormal, 1e308 and an integer seed (a
+        # multiplier of the direct sum's rank 4, with entries small enough
+        # to symmetrize, as the reader requires)
         d = descriptor_from_spec("sum:sym:2+spin:3")
         odd = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, -2.5]
-        entries = np.array([[-0.0, 5e-324], [5e-324, 1e308]])
+        entries = np.full((4, 4), 5e-324)
+        entries[0, 0], entries[3, 3] = -0.0, 8e307
         records = [SearchRecord(None, "sum:sym:2+spin:3", 7, entries,
                                 Element(d, odd[:d.dim]), -0.0, "violated", "general"),
                    SearchRecord("random_sym", "sym:2", 2**40, np.eye(2),
@@ -310,7 +340,8 @@ class TestArchiveFormat:
         res = sweep(spec, d, 2, 3, seed, problem=problem)
         records = list(res.violations)
         for k, value in enumerate(odd):
-            A = np.full((d.rank, d.rank), value)
+            # the reader takes no multiplier entry too large to symmetrize
+            A = np.full((d.rank, d.rank), value if abs(value) < 1e308 else value / 2)
             coords = np.resize(np.array(odd), d.dim)
             records.append(SearchRecord(None, descriptor_to_spec(d), None if k % 2 else 2**40,
                                         A, Element(d, coords), value,
@@ -329,8 +360,8 @@ class TestArchiveFormat:
     def test_non_finite_values_raise_before_the_file_is_opened(self, tmp_path, field, value):
         # json would write NaN and Infinity, tokens that JSON does not define
         # and that read_archive rejects
-        records = sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
-                        seed=1).violations
+        records = list(sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
+                             seed=1).violations)
         bad = records[4]
         if field == "margin":
             bad.margin = value
@@ -339,9 +370,12 @@ class TestArchiveFormat:
         else:
             bad.b_witness = Element(SymMatrix(2), [1.0, value, 0.0])
         path = tmp_path / "archive.jsonl"
-        what = {"entries": "multiplier", "coords": "witness"}.get(field, field)
-        with pytest.raises(ValueError, match=f"^record 4: cannot archive a non-finite {what}$"):
+        message = {"margin": f"margin must be a finite JSON number, got {value!r}",
+                   "entries": "multiplier matrix entries must be finite",
+                   "coords": "element coordinates must be finite"}[field]
+        with pytest.raises(ValueError) as exc:
             write_archive(path, records)
+        assert str(exc.value) == f"record 4: {message}"
         assert not path.exists()
 
     @pytest.mark.parametrize("field,value,message", [
@@ -361,8 +395,8 @@ class TestArchiveFormat:
             self, tmp_path, field, value, message):
         # the writer refuses what read_archive would refuse, with the
         # reader's message; the other records are written as before
-        records = sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
-                        seed=1).violations
+        records = list(sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
+                             seed=1).violations)
         path = tmp_path / "archive.jsonl"
         write_archive(path, records)
         assert path.read_text().splitlines() == [json.dumps(r.to_json(), sort_keys=True)
@@ -378,6 +412,27 @@ class TestArchiveFormat:
             read_archive(path)
         assert str(exc.value) == f"{path}, line 1: malformed archive record ({message})"
 
+    @pytest.mark.parametrize("entries,message", [
+        ([[1.0, 2.0], [3.0, 4.0]], "multiplier matrix is not symmetric (residual 1.000e+00)"),
+        (np.eye(3), "multiplier size 3 does not match frame rank 2"),
+        (np.full((2, 2), 1e308), "multiplier matrix entries too large to symmetrize "
+                                 "(1.000e+308)"),
+    ], ids=["asymmetric", "wrong-size", "too-large"])
+    def test_multipliers_the_reader_rejects_are_not_written(self, tmp_path, entries, message):
+        # a finite multiplier the reader rejects is refused with its message
+        records = list(sweep(FamilySpec("random_sym", 2, zero_diag=True), SymMatrix(2), 2, 3,
+                             seed=1).violations)
+        records[3].entries = np.asarray(entries)
+        path = tmp_path / "archive.jsonl"
+        with pytest.raises(ValueError) as exc:
+            write_archive(path, records)
+        assert str(exc.value) == f"record 3: {message}"
+        assert not path.exists()
+        path.write_text(json.dumps(records[3].to_json(), sort_keys=True) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_archive(path)
+        assert str(exc.value) == f"{path}, line 1: malformed archive record ({message})"
+
     def test_an_archive_replays_without_checking_its_multipliers_again(self, monkeypatch):
         archive = read_archive(DATA / "zero_diag_archive.jsonl")
         calls = []
@@ -386,6 +441,52 @@ class TestArchiveFormat:
                             lambda As, rank: calls.append(len(As)) or real(As, rank))
         assert replay_records(archive) == replay_records(list(archive))
         assert sum(calls) == len(archive)  # the list's, each group being one chunk
+
+
+class TestOneRecordForm:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from(CATALOG), family=st.sampled_from(search.FAMILIES),
+           problem=st.sampled_from(PROBLEMS), seed=st.integers(0, 2**16),
+           odd=st.lists(st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+                         min_size=1, max_size=4))
+    def test_records_read_back_as_they_are_checked(self, d, family, problem, seed, odd):
+        # sweep records and records made by hand (no family, -0.0, the least
+        # subnormal, 1e308): Archive.of gives the columns read_archive reads
+        # back from write_archive bit for bit, and a list replays as its
+        # Archive does, to the same pairs or the same error
+        spec = FamilySpec(family, d.rank, zero_diag=family == "random_sym")
+        records = list(sweep(spec, d, 2, 3, seed, problem=problem).violations)
+        for k, value in enumerate(odd):
+            A = np.full((d.rank, d.rank), value if abs(value) < 1e308 else value / 2)
+            records.append(SearchRecord(None, descriptor_to_spec(d), None if k % 2 else 2**40,
+                                        A, Element(d, np.resize(np.array(odd), d.dim)), value,
+                                        ("violated", "satisfied")[k % 2], "general"))
+        built = search.Archive.of(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "archive.jsonl")
+            write_archive(path, records)
+            back = read_archive(path)
+        assert _columns_bits(built) == _columns_bits(back)
+        with np.errstate(all="ignore"):  # elements near the float range
+            assert _replayed(records) == _replayed(built) == _replayed(back)
+
+
+def _columns_bits(archive) -> list:
+    """Every column of an Archive, floats as their bytes."""
+    out = []
+    for field in dataclasses.fields(archive):
+        values = getattr(archive, field.name)
+        if field.name in ("entries", "coords", "margin"):
+            values = [_bits(v) for v in values]
+        out.append([(type(v), v) for v in values])
+    return out
+
+
+def _replayed(records):
+    try:
+        return replay_records(records)
+    except Exception as exc:  # noqa: BLE001 -- the type and message are compared
+        return type(exc).__name__, str(exc)
 
 
 _JSON_ANY = st.recursive(
@@ -707,7 +808,7 @@ class TestReplayRecords:
         records[2].entries = np.asarray(bad)
         with pytest.raises(ValueError) as stacked:
             replay_records(records)
-        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value) == f"record 2: {alone.value}"
 
     def test_every_multiplier_is_checked_before_any_margin(self, monkeypatch):
         # in chunks of two, the cone group's first witness is outside the cone
