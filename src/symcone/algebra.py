@@ -31,8 +31,8 @@ from typing import Union
 
 import numpy as np
 
-DEFAULT_ATOL = 1e-10
-DEFAULT_RTOL = 1e-8
+COMMUTE_ATOL = 1e-10
+COMMUTE_RTOL = 1e-8
 
 
 class DescriptorMismatchError(ValueError):
@@ -209,20 +209,29 @@ def _check_pair(x: Element, y: Element) -> None:
         )
 
 
-def from_matrix(M: np.ndarray) -> Element:
-    """SymMatrix element from a full symmetric matrix."""
+def _symmetric(M) -> np.ndarray:
+    """(M + M.T) / 2 of a square, nonempty, finite matrix M that is symmetric
+    within 1e-10 of its scale; raises ValueError on any other M."""
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
+    if n == 0:
+        raise ValueError("matrix must not be empty")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        asym = np.abs(M - M.T).max() if n > 1 else 0.0
+        asym = np.abs(M - M.T).max()
         S = (M + M.T) / 2.0
     if not np.isfinite(S).all():
         raise ValueError("matrix has non-finite entries (or overflows when symmetrized)")
     if asym > 1e-10 * max(1.0, np.abs(M).max()):
         raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
-    return Element(SymMatrix(n), sym_pack(S))
+    return S
+
+
+def from_matrix(M: np.ndarray) -> Element:
+    """SymMatrix element from a full symmetric matrix (:func:`_symmetric`)."""
+    S = _symmetric(M)
+    return Element(SymMatrix(len(S)), sym_pack(S))
 
 
 @lru_cache(maxsize=None)
@@ -330,8 +339,8 @@ def operator_commutes(a: Element, b: Element) -> bool:
 def operator_commutes_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether L_a and L_b commute, for every pair of rows of the (m, dim)
     arrays a, b: checked on the coordinate basis, within
-    ``DEFAULT_ATOL + DEFAULT_RTOL * |a| |b|``."""
-    tol = DEFAULT_ATOL + DEFAULT_RTOL * norm_rows(d, a) * norm_rows(d, b)
+    ``COMMUTE_ATOL + COMMUTE_RTOL * |a| |b|``."""
+    tol = COMMUTE_ATOL + COMMUTE_RTOL * norm_rows(d, a) * norm_rows(d, b)
     commute = np.ones(len(a), dtype=bool)
     for k in range(d.dim):  # one basis element at a time keeps memory at O(m dim)
         z = np.zeros(a.shape)

@@ -24,6 +24,7 @@ from .algebra import (
     Element,
     SpinFactor,
     SymMatrix,
+    _symmetric,
     _triu_ix,
     factor_slices,
     inner,
@@ -110,8 +111,8 @@ def frame_residuals(frame: JordanFrame) -> dict:
             "unit_sum": float(norm_rows(d, E.sum(axis=0) - unit(d).coords))}
 
 
-def _jacobi_thresh(S: np.ndarray, tol: float):
-    """Convergence threshold ``tol * max(||M||_F, 1)`` of every matrix M of
+def _jacobi_thresh(S: np.ndarray):
+    """Convergence threshold ``JACOBI_TOL * max(||M||_F, 1)`` of every matrix M of
     an (m, n, n) stack.
 
     A NaN or infinite entry, or finite entries whose squares overflow, leave
@@ -122,61 +123,40 @@ def _jacobi_thresh(S: np.ndarray, tol: float):
         norms = np.sqrt(row_sum((S * S).reshape(len(S), S.shape[-1] ** 2)))
     if not np.isfinite(norms).all():
         raise ValueError("matrix has non-finite entries (or its norm overflows)")
-    return tol * np.maximum(norms, 1.0)
+    return JACOBI_TOL * np.maximum(norms, 1.0)
 
 
-def sym_eigen(
-    M: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(M: np.ndarray,
+              max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a symmetric matrix.
 
-    A batch of one of :func:`sym_eigh_batch` after the square and symmetry
-    checks; raises :class:`JacobiConvergenceError` when the off-diagonal mass
-    has not dropped below ``tol * max(||M||_F, 1)`` within ``max_sweeps``
-    sweeps, and ``ValueError`` on non-finite input.
+    A batch of one of :func:`sym_eigh_batch` after the symmetric-matrix
+    intake (:func:`algebra.from_matrix`'s checks); raises
+    :class:`JacobiConvergenceError` when the off-diagonal mass has not
+    dropped below ``JACOBI_TOL * max(||M||_F, 1)`` within ``max_sweeps``
+    sweeps.
     """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > 1:
-        # inf - inf, or a sum that overflows: the threshold gate rejects it
-        with np.errstate(over="ignore", invalid="ignore"):
-            asym = np.abs(M - M.T).max()
-            S = (M + M.T) / 2.0
-        if asym > 1e-10 * max(1.0, np.abs(M).max()):
-            raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
-        M = S
-    W, V = sym_eigh_batch(M[None], tol, max_sweeps)
+    W, V = sym_eigh_batch(_symmetric(M)[None], max_sweeps)
     return W[0], V[0]
 
 
-def sym_eigvals_batch(
-    S: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
+def sym_eigvals_batch(S: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
     """Decreasing eigenvalues of a stack of symmetric matrices."""
     S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(S, tol)
-    W, offs = _kernels.jacobi_vals_batch(S, tol, max_sweeps)
+    thresh = _jacobi_thresh(S)
+    W, offs = _kernels.jacobi_vals_batch(S, JACOBI_TOL, max_sweeps)
     if not (offs <= thresh).all():
         raise JacobiConvergenceError(float(offs.max()), max_sweeps)
     return -np.sort(-W, axis=1)
 
 
-def sym_eigh_batch(
-    S: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigh_batch(S: np.ndarray,
+                   max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sym_eigen` over a stack: decreasing eigenvalues (m, n) and the
     matching orthonormal eigenvector columns (m, n, n)."""
     S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(S, tol)
-    W, V, offs = _kernels.jacobi_batch(S, tol, max_sweeps, vectors=True)
+    thresh = _jacobi_thresh(S)
+    W, V, offs = _kernels.jacobi_batch(S, JACOBI_TOL, max_sweeps, vectors=True)
     if not (offs <= thresh).all():
         raise JacobiConvergenceError(float(offs.max()), max_sweeps)
     order = np.argsort(-W, axis=1, kind="stable")
@@ -299,6 +279,19 @@ def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:
     if low < -SQRT_CLAMP_TOL:
         raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
     return rebuild_batch(frames, np.sqrt(np.maximum(vals, 0.0)))
+
+
+def cone_floor(vals: np.ndarray, atol: float) -> np.ndarray:
+    """Lowest smallest eigenvalue accepted from each cone element of a stack
+    whose decreasing eigenvalues are the rows of ``vals``."""
+    return -(1e-8 * np.maximum(1.0, np.abs(vals).max(axis=1)) + atol)
+
+
+def require_cone(vals: np.ndarray, atol: float, label: str) -> None:
+    """Raise ConeError unless every row of ``vals`` clears :func:`cone_floor`."""
+    bad = np.flatnonzero(vals[:, -1] < cone_floor(vals, atol))
+    if bad.size:
+        raise ConeError(f"{label} is not in the cone (min eigenvalue {vals[bad[0], -1]:.3e})")
 
 
 @lru_cache(maxsize=None)

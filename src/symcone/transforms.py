@@ -34,12 +34,13 @@ from .algebra import (
 )
 from .spectral import (
     JordanFrame,
+    cone_floor,
     eigvals_batch,
     frame_residuals,
     rebuild_batch,
     spectral_decompose_batch,
     sqrt_batch,
-    sym_eigen,
+    sym_eigvals_batch,
 )
 
 
@@ -51,10 +52,9 @@ _FRAME_CHECK_TOL = 1e-7
 _HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
-def validate_frame(frame: JordanFrame, tol: float = _FRAME_CHECK_TOL) -> None:
-    res = frame_residuals(frame)
-    worst = max(res.values())
-    if worst > tol:
+def validate_frame(frame: JordanFrame) -> None:
+    worst = max(frame_residuals(frame).values())
+    if worst > _FRAME_CHECK_TOL:
         raise FrameError(f"invalid Jordan frame (worst residual {worst:.3e})")
 
 
@@ -76,12 +76,15 @@ class SchurMatrix:
         return np.diag(self.entries).copy()
 
     def min_eigenvalue(self) -> float:
-        w, _ = sym_eigen(self.entries)
-        return float(w[-1])
+        return float(sym_eigvals_batch(self.entries[None])[0, -1])
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
+    def psd_floor(self) -> float:
+        """Lowest min eigenvalue of a PSD multiplier: -1e-10 * max(1, max|A_ij|)."""
         scale = max(1.0, float(np.abs(self.entries).max()))
-        return self.min_eigenvalue() >= -tol * scale
+        return -1e-10 * scale
+
+    def is_psd(self) -> bool:
+        return self.min_eigenvalue() >= self.psd_floor()
 
     @classmethod
     def from_csv(cls, path) -> "SchurMatrix":
@@ -400,17 +403,21 @@ def positive_quad_map(c: Element) -> PositiveLinearMap:
     return PositiveLinearMap(c.descriptor, None, "quad_rep", True, (("quad", c),))
 
 
-def positive_schur_map(A, frame: JordanFrame, tol: float = 1e-10) -> PositiveLinearMap:
-    """Schur product with a PSD multiplier; raises, in this order, if A does
-    not fit the frame, is not PSD, or the frame fails :func:`validate_frame`."""
-    A = frame_multiplier(A, frame)
-    if not A.is_psd(tol):
-        raise PositivityError(
-            f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
-        )
+def psd_multiplier(A, frame: JordanFrame, d: AlgebraDescriptor | None = None) -> SchurMatrix:
+    """:func:`frame_multiplier`, then a PositivityError unless A is PSD, then
+    :func:`validate_frame`."""
+    A = frame_multiplier(A, frame, d)
+    low = A.min_eigenvalue()
+    if low < A.psd_floor():
+        raise PositivityError(f"multiplier is not positive semidefinite (min eig {low:.3e})")
     validate_frame(frame)
-    return PositiveLinearMap(frame.descriptor, None, "schur_psd", True,
-                             (("schur", A, frame),))
+    return A
+
+
+def positive_schur_map(A, frame: JordanFrame) -> PositiveLinearMap:
+    """Schur product with a PSD multiplier (:func:`psd_multiplier`)."""
+    A = psd_multiplier(A, frame)
+    return PositiveLinearMap(frame.descriptor, None, "schur_psd", True, (("schur", A, frame),))
 
 
 def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLinearMap:
@@ -447,17 +454,12 @@ def apply_factors_rows(d: AlgebraDescriptor, factors, X: np.ndarray) -> np.ndarr
     return X
 
 
-def certify_positive_by_sampling(
-    P: PositiveLinearMap,
-    rng: np.random.Generator,
-    samples: int = 32,
-    tol: float = 1e-8,
-) -> bool:
+def certify_positive_by_sampling(P: PositiveLinearMap, rng: np.random.Generator,
+                                 samples: int = 32) -> bool:
     """Empirical positivity check on sampled cone elements (sound to refute):
     the draws of ``samples`` calls of ``algebra.random_cone_element``, as one
     stack, so the generator advances by all of them whatever the verdict."""
     d = P.descriptor
     Z = rng.normal(0.0, 1.0, (samples, d.dim))
     vals = eigvals_batch(d, P.rows(jordan_product_coords(d, Z, Z)))
-    scale = np.maximum(np.abs(vals).max(axis=1), 1.0)
-    return not (vals[:, -1] < -tol * scale).any()
+    return not (vals[:, -1] < cone_floor(vals, 0.0)).any()

@@ -63,6 +63,7 @@ from .spectral import (
     eigvals_batch,
     rebuild,
     rebuild_batch,
+    require_cone,
     spectral_decompose,
     spectral_decompose_batch,
     sqrt_batch,
@@ -78,8 +79,8 @@ from .transforms import (
     apply_sublinear_rows,
     certify_positive_by_sampling,
     factor_rows,
-    frame_multiplier,
     multiplier_stack,
+    psd_multiplier,
     quad_rep_coords,
     quad_rep_sqrt_rows,
     schur_rows,
@@ -193,25 +194,16 @@ def merge_reports(check: str, descriptor: str, seed: int | None,
     )
 
 
-def _cone_floor(vals: np.ndarray, atol: float):
-    """Lowest smallest eigenvalue still accepted from each cone element of a
-    stack whose decreasing eigenvalues are the rows of ``vals``."""
-    return -(1e-8 * np.maximum(1.0, np.abs(vals).max(axis=1)) + atol)
-
-
-def _require_cone(vals: np.ndarray, atol: float, label: str) -> None:
-    """Raise unless every element of the stack whose decreasing eigenvalues
-    are the rows of ``vals`` (m, rank) lies in the cone up to its floor."""
-    low = vals[:, -1]
-    bad = np.flatnonzero(low < _cone_floor(vals, atol))
-    if bad.size:
-        raise ValueError(f"{label} is not in the symmetric cone "
-                         f"(min eigenvalue {low[bad[0]]:.3e})")
-
-
 def _det_floor(la: np.ndarray, lb: np.ndarray):
     """Smallest eigenvalue above which the determinant identity is checked."""
     return 1e-7 * np.maximum(1.0, np.maximum(la.max(axis=-1), lb.max(axis=-1)))
+
+
+def _inv_floor(mag: np.ndarray, atol: float, rtol: float):
+    """Invertibility floor ``10 (atol + rtol max|lambda|)`` of each row of
+    absolute eigenvalues ``mag``; an infinite floor rejects the row."""
+    with np.errstate(over="ignore"):
+        return (atol + rtol * mag.max(axis=-1)) * 10.0
 
 
 # --- inputs and witnesses -------------------------------------------------------
@@ -262,14 +254,14 @@ def _quadrep_spectra(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray, atol: f
     """Per row of the cone pairs a, b ((m, dim) arrays): lambda(a), lambda(b)
     and lambda(P_sqrt(a)(b)).
 
-    Raises ValueError, or ConeError at the square root's clamp, when any
-    row is not a pair of cone elements.
+    Raises ConeError, at the cone floor or at the square root's clamp, when
+    any row is not a pair of cone elements.
     """
     m = len(a)
     vals, frames = spectral_decompose_batch(d, np.concatenate([a, b]))
     la, lb = vals[:m], vals[m:]
-    _require_cone(la, atol, "a")
-    _require_cone(lb, atol, "b")
+    require_cone(la, atol, "a")
+    require_cone(lb, atol, "b")
     lz = eigvals_batch(d, quad_rep_coords(d, sqrt_batch(la, frames[:m]), b))
     return la, lb, lz
 
@@ -330,9 +322,7 @@ def _commuting_factors(d, a, k, atol, rtol, det_rtol):
     av = np.take_along_axis(vals, order, axis=1)
     frames = np.take_along_axis(frames, order[:, :, None], axis=1)
     mag = np.abs(av)
-    with np.errstate(over="ignore"):  # an infinite floor rejects every row
-        inv_floor = (atol + rtol * mag.max(axis=1)) * 10.0
-    bad = np.flatnonzero(mag.min(axis=1) <= inv_floor)
+    bad = np.flatnonzero(mag.min(axis=1) <= _inv_floor(mag, atol, rtol))
     if bad.size:
         raise ValueError(
             f"a is not invertible enough (min |eigenvalue| {mag[bad[0]].min():.3e})"
@@ -485,13 +475,9 @@ def check_quadrep_sublinear(a: Element, b: Element, phi: SublinearFn,
 
 
 def _multiplier_rows(A, frame: JordanFrame, x: Element) -> dict:
-    """A PSD multiplier with its frame as a batch of one; raises as the
-    checks' preconditions require."""
-    A = frame_multiplier(A, frame, x.descriptor)
-    if not A.is_psd():
-        raise PositivityError(
-            f"multiplier is not positive semidefinite (min eig {A.min_eigenvalue():.3e})"
-        )
+    """A PSD multiplier on a valid frame (:func:`transforms.psd_multiplier`)
+    with its frame as a batch of one."""
+    A = psd_multiplier(A, frame, x.descriptor)
     return {"A": A.entries[None], "frame": frame.coords[None]}
 
 
@@ -587,7 +573,7 @@ def _pinch_rows(d, inp, atol, rtol):
     if "A" in inp:
         legs.append(rebuild_batch(inp["frame"], np.diagonal(inp["A"], axis1=1, axis2=2)))
     vals, frames = spectral_decompose_batch(d, np.concatenate(legs))
-    _require_cone(vals[:m], atol, "a")
+    require_cone(vals[:m], atol, "a")
     roots = sqrt_batch(vals, frames)
     parts = [quad_rep_coords(d, roots[:m], b), jordan_product_coords(d, a, b)]
     if "A" in inp:
@@ -806,8 +792,7 @@ def _invertible_coords(d: AlgebraDescriptor, rngs, sigma: float = GENERAL_SIGMA,
     """
     def clears(lam):
         mag = np.abs(lam)
-        with np.errstate(over="ignore"):  # an infinite floor rejects every draw
-            floor = np.maximum(min_abs, (atol + rtol * mag.max(axis=-1)) * 10.0)
+        floor = np.maximum(min_abs, _inv_floor(mag, atol, rtol))
         return mag.min(axis=-1) > floor, floor
 
     X = np.empty((len(rngs), d.dim))

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from symcone.algebra import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
+    COMMUTE_ATOL,
+    COMMUTE_RTOL,
     Element,
     basis_element,
     inner,
@@ -33,7 +33,7 @@ def norm(x: Element) -> float:
 
 def operator_commutes(a: Element, b: Element) -> bool:
     """Whether L_a and L_b commute, checked on the coordinate basis."""
-    tol = DEFAULT_ATOL + DEFAULT_RTOL * norm(a) * norm(b)
+    tol = COMMUTE_ATOL + COMMUTE_RTOL * norm(a) * norm(b)
     d = a.descriptor
     for k in range(d.dim):
         z = basis_element(d, k)

@@ -32,7 +32,7 @@ from symcone.algebra import (
     unit,
     zero,
 )
-from symcone.spectral import eigvals, spectral_decompose
+from symcone.spectral import eigvals, spectral_decompose, sym_eigen
 
 import element_reference as reference
 from conftest import CATALOG, SMALL_CATALOG, coord_stacks
@@ -258,6 +258,11 @@ class TestElement:
     def test_from_matrix_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("intake", [from_matrix, sym_eigen], ids=lambda f: f.__name__)
+    def test_symmetric_intake_rejects_an_empty_matrix(self, intake):
+        with pytest.raises(ValueError, match="^matrix must not be empty$"):
+            intake(np.zeros((0, 0)))
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
-"""No dead code in the package: every import is used, and every module-level
-private name is referenced somewhere in the package.
+"""No dead code in the package: every import is used, every module-level
+private name is referenced somewhere in the package, and no constant is
+written in two modules.
 
 The modules of ``src/symcone`` are read with ``ast``, not imported.  An
 import is used when its bound name is loaded anywhere in its module; a line
@@ -7,7 +8,9 @@ marked ``# noqa: F401`` keeps an import that only something outside the
 package looks up (the benchmark's tracer), and ``__init__.py`` re-exports
 what it imports.  A private module-level name (a function, class or
 assignment whose name starts with one underscore) is referenced when some
-module loads it by name or as an attribute, outside its own definition.
+module loads it by name or as an attribute, outside its own definition.  A
+module-level name bound to a literal (a constant, such as a tolerance) is
+bound so in one module only: two bindings of one name can drift apart.
 """
 
 import ast
@@ -85,9 +88,31 @@ def test_every_private_name_is_referenced():
     assert not unreferenced, f"private names nothing in the package uses: {unreferenced}"
 
 
+def _literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_no_constant_is_bound_in_two_modules():
+    homes = {}
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and _literal(stmt.value):
+                for name in _defined(stmt):
+                    homes.setdefault(name, []).append(path.name)
+    shared = sorted(f"{name}: {', '.join(mods)}" for name, mods in homes.items()
+                    if len(mods) > 1)
+    assert not shared, f"constants bound to a literal in two modules: {shared}"
+
+
 def test_finds_what_it_looks_for(tmp_path, monkeypatch):
-    # the checks flag an unused import and an orphaned helper, and respect a
-    # noqa mark
+    # the checks flag an unused import, an orphaned helper and a constant
+    # bound in two modules (not a name bound to an expression), and respect
+    # a noqa mark
+    (tmp_path / "other.py").write_text("TOL = 1e-8\nVALUE = TOL * 2\n")
     (tmp_path / "mod.py").write_text(
         "import json\n"
         "import math  # noqa: F401\n"
@@ -96,9 +121,12 @@ def test_finds_what_it_looks_for(tmp_path, monkeypatch):
         "    return _orphan()\n"
         "def _used():\n"
         "    return os.sep\n"
-        "VALUE = _used()\n")
-    monkeypatch.setitem(globals(), "MODULES", [tmp_path / "mod.py"])
+        "VALUE = _used()\n"
+        "TOL = 1e-9\n")
+    monkeypatch.setitem(globals(), "MODULES", [tmp_path / "mod.py", tmp_path / "other.py"])
     with pytest.raises(AssertionError, match=r"mod\.py:1 json'\]"):
         test_every_import_is_used(tmp_path / "mod.py")
     with pytest.raises(AssertionError, match=r"mod\.py:4 _orphan'\]"):
         test_every_private_name_is_referenced()
+    with pytest.raises(AssertionError, match=r"modules: \['TOL: mod\.py, other\.py'\]"):
+        test_no_constant_is_bound_in_two_modules()

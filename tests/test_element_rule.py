@@ -1,6 +1,7 @@
 """The element-function rule: every function on one element is row 0 of its
-row form on a batch of one, to the bit; and every entry point that takes a
-multiplier on a frame rejects a wrong size with one message."""
+row form on a batch of one, to the bit; every entry point that takes a
+multiplier on a frame rejects a wrong size with one message; and every entry
+point that takes a frame rejects an invalid one."""
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from symcone.norms import norm_closed_form, norm_empirical
 from symcone.search import test_candidate as candidate_general
 from symcone.search import test_candidate_cone as candidate_cone
 from symcone.spectral import (
+    JordanFrame,
     eigvals,
     eigvals_batch,
     rebuild,
@@ -32,6 +34,7 @@ from symcone.spectral import (
     standard_frame,
 )
 from symcone.transforms import (
+    FrameError,
     SublinearFn,
     apply_sublinear,
     apply_sublinear_rows,
@@ -130,11 +133,9 @@ def test_element_function_is_row_zero_of_its_row_form(name, d):
 SIZE_MESSAGE = "multiplier size 3 does not match frame rank 2"
 
 
-def _entry_points():
+def _entry_points(A=np.eye(3), frame=standard_frame(SymMatrix(2))):
     d = SymMatrix(2)
-    frame = standard_frame(d)
     b = Element(d, [2.0, 0.5, 1.0])
-    A = np.eye(3)
     phi = SublinearFn(1.0, 0.0)
     return {
         "frame_multiplier": lambda: frame_multiplier(A, frame, d),
@@ -162,3 +163,20 @@ def test_positive_schur_map_checks_size_before_psd():
     frame = standard_frame(SymMatrix(2))
     with pytest.raises(ValueError, match=SIZE_MESSAGE):
         positive_schur_map(-np.eye(3), frame)
+
+
+def _invalid_frame_entry_points():
+    """The twin of :func:`_entry_points` on the frame (e, e), which is not
+    orthonormal, with a PSD multiplier of the right size: every entry point
+    that takes a frame, and peirce_project."""
+    d = SymMatrix(2)
+    frame = JordanFrame((unit(d), unit(d)))
+    points = _entry_points(np.eye(2), frame)
+    del points["frame_multiplier"], points["multiplier_stack"]  # no frame check
+    return {**points, "peirce_project": lambda: peirce_project(frame, Element(d, [2.0, 0.5, 1.0]))}
+
+
+@pytest.mark.parametrize("entry", sorted(_invalid_frame_entry_points()))
+def test_invalid_frame_raises_frame_error(entry):
+    with pytest.raises(FrameError, match="^invalid Jordan frame"):
+        _invalid_frame_entry_points()[entry]()

@@ -16,8 +16,6 @@ from hypothesis import example, given, settings
 from conftest import LAYOUTS, coord_stacks, layouts
 from symcone import norms, search
 from symcone.algebra import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     Element,
     SpinFactor,
     SymMatrix,
@@ -27,6 +25,8 @@ from symcone.algebra import (
     sym_unpack,
 )
 from symcone.majorization import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     log_major_rows,
     major_rows,
     sort_desc_rows,

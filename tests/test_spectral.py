@@ -20,10 +20,12 @@ from symcone.algebra import (
     random_element,
     unit,
 )
-from symcone.majorization import sort_desc
+from symcone import search
+from symcone.majorization import DEFAULT_ATOL, sort_desc
 from symcone.spectral import (
     ConeError,
     abs_el,
+    cone_floor,
     det,
     eigvals,
     eigvals_batch,
@@ -39,6 +41,7 @@ from symcone.spectral import (
     trace,
 )
 from symcone.transforms import NEG_FN, POS_FN, apply_sublinear
+from symcone.verifiers import check_quadrep_sup_bound
 
 from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
@@ -214,6 +217,21 @@ class TestSpectralParts:
     def test_sqrt_outside_cone_raises(self):
         with pytest.raises(ConeError):
             sqrt_el(-unit(SymMatrix(2)))
+
+    @pytest.mark.parametrize("site", ["check_quadrep_sup_bound", "test_candidate_cone"])
+    def test_cone_floor_is_one_rule_at_every_site(self, site):
+        # b = diag(2, y) needs no Jacobi rotation, so its eigenvalues are
+        # exact; a verifier takes b at its atol, the prospector at atol 0
+        d = SymMatrix(2)
+        if site == "check_quadrep_sup_bound":
+            atol, run = DEFAULT_ATOL, lambda b: check_quadrep_sup_bound(unit(d), b)
+        else:
+            atol, run = 0.0, lambda b: search.test_candidate_cone(np.eye(2), standard_frame(d), b)
+        floor = cone_floor(np.array([[2.0, 0.0]]), atol)[0]
+        run(Element(d, [2.0, 0.0, floor]))
+        message = r"^b is not in the cone \(min eigenvalue -2\.\d+e-08\)$"
+        with pytest.raises(ConeError, match=message):
+            run(Element(d, [2.0, 0.0, np.nextafter(floor, -np.inf)]))
 
 
 class TestScalarFunctions:
