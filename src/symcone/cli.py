@@ -8,13 +8,14 @@ norm           closed-form vs empirical operator norm for one operand
 prospect       sweep a multiplier family for violations, or replay an archive
 
 Exit codes: 0 success, 1 a check failed (a witness file is written),
-2 malformed configuration or input (see ``EXIT_CODES``), including a command
-line that does not parse, a NaN, infinite or negative ``--atol`` or
-``--rtol`` and a negative ``--seed``, which every subcommand rejects before
-any work, a ``prospect`` sweep with ``--budget`` or ``--samples`` below 1,
-for ``verify``, tolerances so large that no sampled element clears the
-commuting-factor check's invertibility floor, and a size (``--samples``, an
-operand's dimension) whose arrays do not fit in memory.
+2 malformed configuration or input (see ``_INPUT_ERRORS``), including a
+command line that does not parse (among it a NaN, infinite or negative
+``--atol`` or ``--rtol`` and a negative ``--seed``, rejected by the parser
+of each subcommand that takes the flag, before any work), a ``prospect``
+sweep with ``--budget`` or ``--samples`` below 1, for ``verify``,
+tolerances so large that no sampled element clears the commuting-factor
+check's invertibility floor, and a size (``--samples``, an operand's
+dimension) whose arrays do not fit in memory.
 All output is deterministic under a fixed configuration and seed.
 """
 
@@ -64,17 +65,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-# Errors that end a command and their exit codes, reported as one ``error:``
-# line; the first matching entry applies.  ConfigError and malformed files
-# are ValueErrors; an eigensolver that does not converge was given input it
-# cannot handle, and a command whose arrays do not fit in memory was asked
-# for more than the machine holds (numpy's message names the array).
-EXIT_CODES = (
-    (ValueError, 2),
-    (OSError, 2),
-    (JacobiConvergenceError, 2),
-    (MemoryError, 2),
-)
+# Errors that end a command with exit code 2, reported as one ``error:``
+# line.  ConfigError and malformed files are ValueErrors; an eigensolver that
+# does not converge was given input it cannot handle, and a command whose
+# arrays do not fit in memory was asked for more than the machine holds
+# (numpy's message names the array).
+_INPUT_ERRORS = (ValueError, OSError, JacobiConvergenceError, MemoryError)
 
 
 def _parse_order(text: str) -> float:
@@ -88,19 +84,25 @@ def _parse_order(text: str) -> float:
     return value
 
 
-def _check_tolerances(args: argparse.Namespace) -> None:
+# The parser types of --atol, --rtol and --seed.  A value that is not a
+# number raises ValueError, which the parser reports as "invalid tolerance
+# value" or "invalid seed value".
+
+def tolerance(text: str) -> float:
     # the library takes a negative atol as a band stricter than exact
     # comparison; a flag value is a tolerance, so it must be finite and >= 0
-    for flag in ("atol", "rtol"):
-        value = getattr(args, flag)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"--{flag} must be finite and >= 0, got {value!r}")
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value!r}")
+    return value
 
 
-def _check_seed(args: argparse.Namespace) -> None:
+def seed(text: str) -> int:
     # seed sequences take non-negative integers only
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _report_header(args: argparse.Namespace, command: str) -> dict:
@@ -286,10 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    def add_seed(p):
+        p.add_argument("--seed", type=seed, default=0, help="base RNG seed")
+
+    def add_tolerances(p):
+        p.add_argument("--atol", type=tolerance, default=DEFAULT_ATOL)
+        p.add_argument("--rtol", type=tolerance, default=DEFAULT_RTOL)
+
+    def add_out(p):
         p.add_argument("--out", default=None, help="report output path")
 
     pv = sub.add_parser("verify", help="run every inequality sweep on one algebra")
@@ -297,11 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help='algebra spec: "sym:N", "spin:N", or "sum:sym:2+spin:3"')
     pv.add_argument("--samples", type=int, default=100, help="samples per check")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
-    common(pv)
+    add_seed(pv)
+    add_tolerances(pv)
+    add_out(pv)
     pv.set_defaults(func=_cmd_verify)
 
     pr = sub.add_parser("repro-example", help="reproduce the 2x2 counterexample pair")
-    common(pr)
+    add_out(pr)
     pr.set_defaults(func=_cmd_repro_example)
 
     pn = sub.add_parser("norm", help="closed-form vs empirical operator norm")
@@ -314,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--r", required=True, help='source norm order, e.g. "2" or "inf"')
     pn.add_argument("--s", required=True, help='target norm order, e.g. "1" or "inf"')
     pn.add_argument("--budget", type=int, default=200, help="ratio evaluations")
-    common(pn)
+    add_seed(pn)
+    add_out(pn)
     pn.set_defaults(func=_cmd_norm)
 
     pp = sub.add_parser("prospect", help="sweep a multiplier family for violations")
@@ -327,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--problem", choices=("general", "cone"), default="general")
     pp.add_argument("--replay", default=None,
                     help="re-verify every record of an existing archive and exit")
-    common(pp)
+    add_seed(pp)
+    add_tolerances(pp)
+    add_out(pp)
     pp.set_defaults(func=_cmd_prospect)
     return parser
 
@@ -342,12 +353,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _check_tolerances(args)
-        _check_seed(args)
         return args.func(args)
-    except tuple(kind for kind, _ in EXIT_CODES) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return 2
 
 
 if __name__ == "__main__":

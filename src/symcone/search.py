@@ -14,16 +14,17 @@ absence of violations is reported as evidence only, never as a claim.
 Every margin comes from one batched computation, :func:`_margins`, with one
 input form: an (m, dim) stack of elements b, a checked stack of multipliers
 (:func:`transforms.multiplier_stack`) and an owner index naming the
-multiplier of each row.  In chunks of ``MARGIN_CHUNK`` rows it builds the
-Schur products of the multipliers the chunk uses as matrices from a frame's
-Peirce projectors, takes the eigenvalues of the products and of the elements
-in one call, and decides weak majorization row by row.  Each row's
-arithmetic depends on that row and its multiplier alone, so a margin has the
-same bits whether it is computed in a sweep, in a replay batch or on its
-own.  Each caller states only its own layout: :func:`sweep` runs groups of
-candidates, up to ``MARGIN_CHUNK`` elements (at least one candidate), as one
-call whose row r belongs to candidate r // n_b, and keeps the margin and
-verdict of every row directly; :func:`test_candidate` is a batch of one; and
+multiplier of each row.  In one pass it builds the Schur products of the
+multipliers as matrices from a frame's Peirce projectors, takes the
+eigenvalues of the products and of the elements in one call, and decides
+weak majorization row by row.  Each row's arithmetic depends on that row and
+its multiplier alone, so a margin has the same bits whether it is computed
+in a sweep, in a replay batch or on its own.  Each caller states its own
+layout and passes at most ``MARGIN_CHUNK`` rows: :func:`sweep` runs groups
+of candidates, up to ``MARGIN_CHUNK`` elements, as one call whose row r
+belongs to candidate r // n_b (a lone candidate with more elements runs
+them that many at a time), and keeps the margin and verdict of every row
+directly; :func:`test_candidate` is a batch of one; and
 :func:`replay_records` reruns an archive by algebra and problem, in batches
 of up to ``MARGIN_CHUNK`` records, one multiplier per row.
 The search frame of a sweep is always the standard frame of the algebra.
@@ -96,12 +97,17 @@ PROBLEMS = ("general", "cone")
 
 VERDICTS = ("violated", "satisfied")
 
-# rows per batch in _margins, which bounds its (rows, dim, dim) products and
-# its eigensolves; a sweep stacks as many candidates' elements as fit (at
-# least one candidate) into one _margins call, and a replay builds one chunk
-# of records at a time.  The eigensolver's cost per row falls with the rows
-# of a call, and a row's bits do not depend on its stack
+# rows per _margins call, which bounds its (rows, dim, dim) products and its
+# eigensolves; the callers keep to it: a sweep stacks as many candidates'
+# elements as fit into one call (a lone candidate's elements that many at a
+# time), and a replay builds one chunk of records at a time.  The
+# eigensolver's cost per row falls with the rows of a call, and a row's bits
+# do not depend on its stack
 MARGIN_CHUNK = 1024
+
+# largest difference between a replayed margin and the stored one that
+# confirms a record
+REPLAY_MARGIN_TOL = 1e-10
 
 # records per chunk of read_archive, which bounds the decoded JSON it holds
 ARCHIVE_CHUNK = 256
@@ -197,35 +203,30 @@ def _margins(d: AlgebraDescriptor, P: np.ndarray, E: np.ndarray, owner,
     problem lambda(A . b) with lambda(|diag A|)*lambda(b) and rejects a b
     outside the cone.
 
-    Rows run in chunks of ``MARGIN_CHUNK``; a chunk builds the Schur
-    matrices (:func:`transforms.schur_stack`) and lambda(|diag A|) of the
-    slice of ``E`` its owners span, which a non-decreasing ``owner`` (every
-    caller's) keeps within the chunk.  A row's result depends on that row
-    and its multiplier alone: a multiplier's Schur matrix has the same bits
-    in any stack, the product A . b is formed entrywise and summed by
-    :func:`algebra.row_sum` (a BLAS product could block by m), the
-    eigensolver treats every row on its own, and the verdict is the scalar
-    ``weak_major`` rule.  Returns (margins (m,), verdicts (m,) bool).
+    It builds the Schur matrices (:func:`transforms.schur_stack`) and
+    lambda(|diag A|) of every multiplier of ``E`` in one pass, so a caller
+    passes at most ``MARGIN_CHUNK`` rows and only the multipliers its rows
+    use.
+    A row's result depends on that row and its multiplier alone: a
+    multiplier's Schur matrix has the same bits in any stack, the product
+    A . b is formed entrywise and summed by :func:`algebra.row_sum` (a BLAS
+    product could block by m), the eigensolver treats every row on its own,
+    and the verdict is the scalar ``weak_major`` rule.  Returns (margins
+    (m,), verdicts (m,) bool).
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
-    coords, owner = np.asarray(coords, dtype=np.float64), np.asarray(owner)
-    margins, holds = np.empty(len(coords)), np.empty(len(coords), dtype=bool)
-    for lo in range(0, len(coords), MARGIN_CHUNK):
-        rows = slice(lo, lo + MARGIN_CHUNK)
-        X, first = coords[rows], owner[rows].min()
-        used, own = E[first:owner[rows].max() + 1], owner[rows] - first
-        ab = row_sum(schur_stack(used, P)[own] * X[:, None, :])
-        dref = sort_desc_rows(np.abs(np.diagonal(used, axis1=1, axis2=2)))[own]
-        eig = eigvals_batch(d, np.concatenate([ab, X]))
-        eig_ab, eig_b = eig[:len(X)], eig[len(X):]
-        if problem == "general":
-            lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
-        else:
-            require_cone(eig_b, 0.0, "b")
-            lhs, rhs = eig_ab, dref * eig_b
-        margins[rows], holds[rows] = weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
-    return margins, holds
+    X, owner = np.asarray(coords, dtype=np.float64), np.asarray(owner)
+    ab = row_sum(schur_stack(E, P)[owner] * X[:, None, :])
+    dref = sort_desc_rows(np.abs(np.diagonal(E, axis1=1, axis2=2)))[owner]
+    eig = eigvals_batch(d, np.concatenate([ab, X]))
+    eig_ab, eig_b = eig[:len(X)], eig[len(X):]
+    if problem == "general":
+        lhs, rhs = np.abs(eig_ab), dref * sort_desc_rows(np.abs(eig_b))
+    else:
+        require_cone(eig_b, 0.0, "b")
+        lhs, rhs = eig_ab, dref * eig_b
+    return weak_major_rows(lhs, rhs, atol=atol, rtol=rtol)
 
 
 def _test_one(A, frame: JordanFrame, b: Element, atol: float, rtol: float,
@@ -253,46 +254,32 @@ def test_candidate_cone(A, frame: JordanFrame, b: Element,
     return _test_one(A, frame, b, atol, rtol, family, seed, "cone")
 
 
-def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                   margin_tol: float = 1e-10) -> list:
+def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL) -> list:
     """Recompute records from their serialized data alone.
 
-    ``records`` is an :class:`Archive`, or a sequence of SearchRecords taken
-    as the Archives (:meth:`Archive.of`) of its slices of ``MARGIN_CHUNK``
-    records: every slice is built, and so checked, before any margin is
-    computed, and built again for its replay unless it is the only one, so
-    that a list's memory is bounded by the slice.  An Archive's records are
-    grouped by (descriptor, problem) and each group runs on the standard
-    frame in chunks of ``MARGIN_CHUNK`` records; :func:`_margins` takes a
-    chunk's multipliers with one per row.  Returns one (confirmed,
-    recomputed margin) pair per record, in order; confirmation requires the
-    same verdict and a margin within margin_tol.
+    ``records`` is an :class:`Archive`, or SearchRecords taken as theirs
+    (:meth:`Archive.of`), which checks every record before any margin is
+    computed.  The records are grouped by (descriptor, problem) and each
+    group runs on the standard frame in chunks of ``MARGIN_CHUNK`` records;
+    :func:`_margins` takes a chunk's multipliers with one per row.  Returns
+    one (confirmed, recomputed margin) pair per record, in order;
+    confirmation requires the same verdict and a margin within
+    ``REPLAY_MARGIN_TOL`` of the stored one.
     """
-    if isinstance(records, Archive):
-        return _replay(records, 0, atol, rtol, margin_tol)
-
-    def part(lo: int) -> Archive:
-        return Archive.of(records[lo:lo + MARGIN_CHUNK], lo)
-
-    starts = range(0, len(records), MARGIN_CHUNK)
-    for lo in starts if len(starts) > 1 else ():  # every record before any margin
-        part(lo)
-    return [pair for lo in starts for pair in _replay(part(lo), lo, atol, rtol, margin_tol)]
-
-
-def _replay(archive: Archive, first: int, atol: float, rtol: float,
-            margin_tol: float) -> list:
-    """:func:`replay_records` of an Archive whose records are numbered from
-    ``first`` in messages."""
+    archive = records if isinstance(records, Archive) else Archive.of(records)
     out = [None] * len(archive)
-    for (spec, problem), idx in _groups(zip(archive.descriptor, archive.problem)).items():
+    # each group's positions as an array: the index held through the replay
+    # takes 8 bytes a record, not a Python int's 36
+    groups = {key: np.array(idx) for key, idx in
+              _groups(zip(archive.descriptor, archive.problem)).items()}
+    for (spec, problem), idx in groups.items():
         d = descriptor_from_spec(spec)
         for i in idx:
             if archive.witness[i] != d:
-                raise DescriptorMismatchError(f"record {first + i}: witness of "
+                raise DescriptorMismatchError(f"record {i}: witness of "
                                               f"{archive.witness[i]} in a record of {spec}")
         for lo in range(0, len(idx), MARGIN_CHUNK):
-            part = idx[lo:lo + MARGIN_CHUNK]
+            part = idx[lo:lo + MARGIN_CHUNK].tolist()
             margins, holds = _margins(
                 d, _standard_projectors(d), np.array([archive.entries[i] for i in part]),
                 np.arange(len(part)), np.array([archive.coords[i] for i in part]),
@@ -300,15 +287,14 @@ def _replay(archive: Archive, first: int, atol: float, rtol: float,
             for i, margin, ok, stored in zip(part, margins.tolist(), holds.tolist(),
                                              archive.margin[part].tolist()):
                 out[i] = (archive.verdict[i] == ("satisfied" if ok else "violated")
-                          and abs(margin - stored) <= margin_tol, margin)
+                          and abs(margin - stored) <= REPLAY_MARGIN_TOL, margin)
     return out
 
 
 def replay_record(record: SearchRecord,
-                  atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                  margin_tol: float = 1e-10):
+                  atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL):
     """:func:`replay_records` of one record: (confirmed, recomputed margin)."""
-    return replay_records([record], atol=atol, rtol=rtol, margin_tol=margin_tol)[0]
+    return replay_records([record], atol=atol, rtol=rtol)[0]
 
 
 @dataclass
@@ -508,16 +494,15 @@ class Archive(Sequence):
                             float(self.margin[i]), self.verdict[i], self.problem[i])
 
     @classmethod
-    def of(cls, records, first: int = 0) -> Archive:
+    def of(cls, records) -> Archive:
         """The Archive of SearchRecords, checked by the reader's rules
         (:func:`_columns`) on their JSON form; the first record that fails
-        them raises ValueError ``record i: <the reader's message>``, with the
-        records numbered from ``first``."""
+        them raises ValueError ``record i: <the reader's message>``."""
         objs = [r.to_json() for r in records]
         try:
             return cls(*_columns(objs))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-            bad = next(((i, exc) for i, exc in enumerate(map(_record_error, objs), first)
+            bad = next(((i, exc) for i, exc in enumerate(map(_record_error, objs))
                         if exc), None)
             if bad is None:  # no record fails alone: not a record's fault
                 raise

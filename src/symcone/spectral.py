@@ -39,7 +39,6 @@ from .majorization import vec_pnorm
 
 JACOBI_TOL = _kernels.JACOBI_TOL
 JACOBI_MAX_SWEEPS = _kernels.JACOBI_MAX_SWEEPS
-SQRT_CLAMP_TOL = 1e-10
 # below this spin radius the sum of squares leaves the normal range
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
@@ -272,12 +271,10 @@ def rebuild_batch(frames: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def sqrt_batch(vals: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """:func:`sqrt_el` of every row, given its decomposition (vals, frames)
-    from :func:`spectral_decompose_batch`; eigenvalues in
-    [-SQRT_CLAMP_TOL, 0) clamp to 0."""
-    low = vals[:, -1].min(initial=0.0)
-    if low < -SQRT_CLAMP_TOL:
-        raise ConeError(f"sqrt of an element outside the cone (min eigenvalue {low:.3e})")
+    """The square root of every row, given its decomposition (vals, frames)
+    from :func:`spectral_decompose_batch`; negative eigenvalues clamp to 0.
+    The caller decides which rows are cone elements
+    (:func:`require_cone`)."""
     return rebuild_batch(frames, np.sqrt(np.maximum(vals, 0.0)))
 
 
@@ -313,9 +310,12 @@ def abs_el(x: Element) -> Element:
 
 
 def sqrt_el(x: Element) -> Element:
-    """Square root of a cone element: row 0 of :func:`sqrt_batch`."""
+    """Square root of a cone element, one that clears the cone floor at atol
+    0 (:func:`require_cone`): row 0 of :func:`sqrt_batch`."""
     d = x.descriptor
-    return Element(d, sqrt_batch(*spectral_decompose_batch(d, x.coords[None]))[0])
+    vals, frames = spectral_decompose_batch(d, x.coords[None])
+    require_cone(vals, 0.0, "x")
+    return Element(d, sqrt_batch(vals, frames)[0])
 
 
 def trace(x: Element) -> float:

@@ -38,6 +38,7 @@ from .spectral import (
     eigvals_batch,
     frame_residuals,
     rebuild_batch,
+    require_cone,
     spectral_decompose_batch,
     sqrt_batch,
     sym_eigvals_batch,
@@ -105,15 +106,6 @@ class SchurMatrix:
         if str(path).endswith(".csv"):
             return cls.from_csv(path)
         return cls.from_json(path)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.entries:
-                writer.writerow([repr(float(v)) for v in row])
-
-    def to_json_obj(self) -> dict:
-        return {"entries": [[float(v) for v in row] for row in self.entries]}
 
 
 @dataclass(frozen=True)
@@ -190,9 +182,11 @@ def quad_rep_sqrt(a: Element, b: Element) -> Element:
 
 
 def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """P_sqrt(a) b for every pair of rows of the (m, dim) arrays a, b; the
-    square root is :func:`spectral.sqrt_batch`'s."""
+    """P_sqrt(a) b for every pair of rows of the (m, dim) arrays a, b; each a
+    must clear the cone floor at atol 0 (:func:`spectral.require_cone`), and
+    the square root is :func:`spectral.sqrt_batch`'s."""
     vals, frames = spectral_decompose_batch(d, a)
+    require_cone(vals, 0.0, "a")
     return quad_rep_coords(d, sqrt_batch(vals, frames), b)
 
 
@@ -454,12 +448,11 @@ def apply_factors_rows(d: AlgebraDescriptor, factors, X: np.ndarray) -> np.ndarr
     return X
 
 
-def certify_positive_by_sampling(P: PositiveLinearMap, rng: np.random.Generator,
-                                 samples: int = 32) -> bool:
+def certify_positive_by_sampling(P: PositiveLinearMap, rng: np.random.Generator) -> bool:
     """Empirical positivity check on sampled cone elements (sound to refute):
-    the draws of ``samples`` calls of ``algebra.random_cone_element``, as one
-    stack, so the generator advances by all of them whatever the verdict."""
+    the draws of 32 calls of ``algebra.random_cone_element``, as one stack,
+    so the generator advances by all of them whatever the verdict."""
     d = P.descriptor
-    Z = rng.normal(0.0, 1.0, (samples, d.dim))
+    Z = rng.normal(0.0, 1.0, (32, d.dim))
     vals = eigvals_batch(d, P.rows(jordan_product_coords(d, Z, Z)))
     return not (vals[:, -1] < cone_floor(vals, 0.0)).any()

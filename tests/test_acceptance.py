@@ -62,7 +62,7 @@ def announce(capsys, label: str, ok: bool, extra: str = "") -> None:
 
 def test_counterexample_pair_reproduction(capsys):
     start = time.perf_counter()
-    rep = check_absolute_product_counterexample(atol_product=1e-9, atol_mixed=1e-2)
+    rep = check_absolute_product_counterexample()
     elapsed = time.perf_counter() - start
     ok = rep.passed and elapsed < 1.0
     announce(capsys, "2x2 counterexample pair", ok, f"{elapsed*1e3:.0f} ms")
@@ -158,7 +158,7 @@ def test_sublinear_positive_map_suite(capsys):
 
 def test_commuting_factor_construction(capsys):
     # sample i of an algebra: a = sample_invertible(d, sample_rng(seed, i)),
-    # factored by build_commuting_factors(a, k, det_rtol=1e-8) at every
+    # factored by build_commuting_factors(a, k) at every
     # cutoff k; each cutoff's samples are evaluated as one batch
     per_descriptor = 1000
     all_pass = True
@@ -168,7 +168,7 @@ def test_commuting_factor_construction(capsys):
             d, [sample_rng(SWEEP_SEED + 3, i) for i in range(per_descriptor)])
         for k in range(1, d.rank + 1):
             _, _, passed, _, details = verifiers._commuting_factors(
-                d, a, np.full(per_descriptor, k), DEFAULT_ATOL, DEFAULT_RTOL, det_rtol=1e-8)
+                d, a, np.full(per_descriptor, k), DEFAULT_ATOL, DEFAULT_RTOL)
             all_pass &= bool(passed.all())
             det_worst = max(det_worst, float(details["det_rel_err"].max()))
     announce(capsys, "commuting-factor construction 11x10^3, all cutoffs",
@@ -244,7 +244,7 @@ def test_prospector_known_families_and_zero_diag(capsys):
         found = len(res.violations) >= 1
         certified &= found
         if found:
-            ok, margin = replay_record(res.violations[0], margin_tol=1e-10)
+            ok, margin = replay_record(res.violations[0])
             certified &= ok
     ok = clean and certified
     announce(capsys, "prospector: known families clean, zero-diag certified", ok)

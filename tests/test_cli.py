@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, determinism, file outputs."""
 
+import argparse
+import ast
 import contextlib
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
 import re
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -92,7 +96,7 @@ class TestVerify:
         assert witness["failures"][0]["witness"]["stub"] is True
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
 @pytest.mark.parametrize("flag", ["--atol", "--rtol"])
 @pytest.mark.parametrize("command", [["verify", "--alg", "sym:3", "--samples", "2"],
                                      ["prospect"]], ids=lambda c: c[0])
@@ -195,8 +199,39 @@ class TestParser:
         assert sorted(config) == ["alg", "atol", "command", "format", "rtol", "samples",
                                   "seed"]
         config = json.loads((tmp_path / "norm-1.json").read_text())["config"]
-        assert sorted(config) == ["alg", "atol", "budget", "command", "kind", "operand",
-                                  "r", "rtol", "s", "seed"]
+        assert sorted(config) == ["alg", "budget", "command", "kind", "operand", "r", "s",
+                                  "seed"]
+
+    def test_every_flag_has_a_reader(self):
+        # a flag its handler never reads is parsed, validated and echoed into
+        # reports for nothing: every argument of a subcommand is read as
+        # args.<dest> in the body of that subcommand's handler
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        unread = []
+        for name, sub in commands.choices.items():
+            handler = sub.get_default("func")
+            tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+            (param,) = inspect.signature(handler).parameters
+            read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == param}
+            unread += [f"{name} {action.dest}" for action in sub._actions
+                       if action.dest != "help" and action.dest not in read]
+        assert not unread
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--kind", "lyap", "--operand", "e.json", "--r", "1", "--s", "2", "--atol", "0"],
+        ["norm", "--kind", "lyap", "--operand", "e.json", "--r", "1", "--s", "2", "--rtol", "0"],
+        ["repro-example", "--seed", "1"],
+        ["repro-example", "--atol", "0"],
+        ["repro-example", "--rtol", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_a_command_does_not_take_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        (line,) = error_lines(capsys)
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in line
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReproExample:
@@ -615,7 +650,6 @@ TOLERANCE_TEXTS = st.one_of(
 # small runs of each command a tolerance reaches
 TOLERANCE_COMMANDS = {
     "verify": ["verify", "--alg", "sym:2", "--samples", "2"],
-    "norm": ["norm", "--kind", "lyap", "--r", "3", "--s", "2", "--budget", "4"],
     "prospect": ["prospect", "--family", "random_sym", "--zero-diag", "--alg", "sym:3",
                  "--budget", "2", "--samples", "3"],
     "prospect-spin": ["prospect", "--family", "psd_gram", "--alg", "spin:4",
@@ -747,11 +781,7 @@ class TestExitCodesOnFuzzedInput:
     @example("prospect-spin", "1e308", "1e308")
     def test_tolerances(self, command, atol, rtol):
         with tempfile.TemporaryDirectory() as tmp:
-            op = Path(tmp) / "op.json"
-            op.write_text(json.dumps({"kind": "sym", "n": 2, "coords": [2.0, 0.5, -1.0]}),
-                          encoding="utf-8")
-            extra = ["--operand", str(op)] if command == "norm" else []
-            outcome = run_main([*TOLERANCE_COMMANDS[command], *extra,
+            outcome = run_main([*TOLERANCE_COMMANDS[command],
                                 f"--atol={atol}", f"--rtol={rtol}",
                                 "--out", str(Path(tmp) / "out")])
         assert_exit_contract(*outcome)

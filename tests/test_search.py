@@ -719,9 +719,9 @@ class TestMargins:
         # (n_A = 3, n_b = 7): one candidate per group at a chunk of 13 rows or
         # fewer, two then one at 14, all three above n_A * n_b (a group has
         # at most MARGIN_CHUNK rows unless it is one candidate), and a lone
-        # candidate whose 2 * chunk + 3 rows _margins runs as three chunks,
-        # against that sweep in one chunk; no eigensolve gets more than
-        # 2 * MARGIN_CHUNK rows
+        # candidate whose 2 * chunk + 3 rows the sweep draws and runs as three
+        # _margins calls, against that sweep in one call; no eigensolve gets
+        # more than 2 * MARGIN_CHUNK rows
         records = read_archive(DATA / "zero_diag_archive.jsonl")
         specs = (FamilySpec("random_sym", 3), FamilySpec("random_sym", 3, zero_diag=True))
         want_replay = replay_records(records)
@@ -835,7 +835,8 @@ class TestReplayRecords:
         assert len(base) == 1000
         peaks = []
         for k in (2000, 20000):
-            records = [dataclasses.replace(base[i % len(base)]) for i in range(k)]
+            records = search.Archive.of(
+                [dataclasses.replace(base[i % len(base)]) for i in range(k)])
             tracemalloc.start()
             try:
                 replayed = replay_records(records)

@@ -40,8 +40,12 @@ from symcone.spectral import (
     sym_eigen,
     trace,
 )
-from symcone.transforms import NEG_FN, POS_FN, apply_sublinear
-from symcone.verifiers import check_quadrep_sup_bound
+from symcone.transforms import NEG_FN, POS_FN, apply_sublinear, quad_rep_sqrt
+from symcone.verifiers import (
+    check_log_major_quadrep,
+    check_quadrep_pinch,
+    check_quadrep_sup_bound,
+)
 
 from conftest import CATALOG, SMALL_CATALOG, coord_stacks
 
@@ -218,18 +222,29 @@ class TestSpectralParts:
         with pytest.raises(ConeError):
             sqrt_el(-unit(SymMatrix(2)))
 
-    @pytest.mark.parametrize("site", ["check_quadrep_sup_bound", "test_candidate_cone"])
+    @pytest.mark.parametrize("site", ["check_quadrep_sup_bound", "test_candidate_cone",
+                                      "check_log_major_quadrep", "check_quadrep_pinch",
+                                      "sqrt_el", "quad_rep_sqrt"])
     def test_cone_floor_is_one_rule_at_every_site(self, site):
-        # b = diag(2, y) needs no Jacobi rotation, so its eigenvalues are
-        # exact; a verifier takes b at its atol, the prospector at atol 0
+        # diag(2, y) needs no Jacobi rotation, so its eigenvalues are exact;
+        # a verifier takes a and b at its atol, the prospector's b and the
+        # square roots take theirs at atol 0
         d = SymMatrix(2)
-        if site == "check_quadrep_sup_bound":
-            atol, run = DEFAULT_ATOL, lambda b: check_quadrep_sup_bound(unit(d), b)
-        else:
-            atol, run = 0.0, lambda b: search.test_candidate_cone(np.eye(2), standard_frame(d), b)
+        e = unit(d)
+        label, atol, run = {
+            "check_quadrep_sup_bound": ("b", DEFAULT_ATOL,
+                                        lambda x: check_quadrep_sup_bound(e, x)),
+            "test_candidate_cone": ("b", 0.0, lambda x: search.test_candidate_cone(
+                np.eye(2), standard_frame(d), x)),
+            "check_log_major_quadrep": ("a", DEFAULT_ATOL,
+                                        lambda x: check_log_major_quadrep(x, e)),
+            "check_quadrep_pinch": ("a", DEFAULT_ATOL, lambda x: check_quadrep_pinch(x, e)),
+            "sqrt_el": ("x", 0.0, sqrt_el),
+            "quad_rep_sqrt": ("a", 0.0, lambda x: quad_rep_sqrt(x, e)),
+        }[site]
         floor = cone_floor(np.array([[2.0, 0.0]]), atol)[0]
         run(Element(d, [2.0, 0.0, floor]))
-        message = r"^b is not in the cone \(min eigenvalue -2\.\d+e-08\)$"
+        message = rf"^{label} is not in the cone \(min eigenvalue -2\.\d+e-08\)$"
         with pytest.raises(ConeError, match=message):
             run(Element(d, [2.0, 0.0, np.nextafter(floor, -np.inf)]))
 

@@ -131,11 +131,11 @@ class TestLogMajorQuadrep:
 
     def test_rejects_non_cone_input(self):
         d = SymMatrix(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConeError, match="^a is not in the cone"):
             check_log_major_quadrep(-unit(d), unit(d))
-        # inside the cone floor but below the square root's clamp
-        with pytest.raises(ConeError):
-            check_log_major_quadrep(from_matrix(np.diag([1.0, -1e-9])), unit(d))
+        # inside the cone floor: a is admitted by the rule b is, and its
+        # square root clamps the negative eigenvalue
+        assert check_log_major_quadrep(from_matrix(np.diag([1.0, -1e-9])), unit(d)).passed
 
     def test_rejects_mixed_algebras_of_one_dimension(self):
         with pytest.raises(DescriptorMismatchError):
