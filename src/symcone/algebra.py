@@ -8,7 +8,7 @@ Three algebra kinds are supported:
 * ``SpinFactor(n)`` -- vectors ``(x0, xbar)`` in R x R^{n-1} with the product
   ``(x0*y0 + <xbar, ybar>, x0*ybar + y0*xbar)``; rank two for every n >= 2.
 * ``DirectSum(factors)`` -- coordinate concatenation of the above, with all
-  operations acting factor-wise.
+  operations acting factor-wise; a nested sum is stored flat.
 
 The inner product is always the trace form ``<x, y> = tr(x o y)``.  In every
 coordinate system used here it is diagonal with fixed positive weights
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -79,7 +80,9 @@ class SpinFactor:
 
 @dataclass(frozen=True)
 class DirectSum:
-    """Direct sum of algebras; rank and dimension add up."""
+    """Direct sum of algebras; rank and dimension add up.  A sum among the
+    factors is stored by its own factors, so a nested sum equals its flat
+    form, whose coordinates are the same."""
 
     factors: tuple
 
@@ -90,7 +93,8 @@ class DirectSum:
         for f in factors:
             if not isinstance(f, (SymMatrix, SpinFactor, DirectSum)):
                 raise ValueError(f"invalid direct-sum factor {f!r}")
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factors", tuple(chain.from_iterable(
+            f.factors if isinstance(f, DirectSum) else (f,) for f in factors)))
 
     @property
     def rank(self) -> int:
@@ -372,12 +376,7 @@ def descriptor_to_spec(d: AlgebraDescriptor) -> str:
         return f"sym:{d.n}"
     if isinstance(d, SpinFactor):
         return f"spin:{d.n}"
-    parts = []
-    for f in d.factors:
-        if isinstance(f, DirectSum):
-            raise ValueError("nested direct sums have no spec-string form")
-        parts.append(descriptor_to_spec(f))
-    return "sum:" + "+".join(parts)
+    return "sum:" + "+".join(map(descriptor_to_spec, d.factors))
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,8 @@ built by :func:`transforms.lyap_multiplier` and
 :func:`transforms.quad_multiplier`) and the known-bad territory
 (zero-diagonal symmetric matrices), plus free symmetric and
 rank-one-perturbed samples in between.  Each family draws at one fixed
-scale; ``FamilySpec.zero_diag`` is its only setting, read by ``random_sym``
-alone.  Violations are certified by a stored witness that replays exactly;
+scale; ``FamilySpec.zero_diag``, a bool, is its only setting, and only
+``random_sym`` takes it.  Violations are certified by a stored witness that replays exactly;
 absence of violations is reported as evidence only, never as a claim.
 
 Every margin comes from one batched computation, :func:`_margins`, with one
@@ -31,7 +31,8 @@ The search frame of a sweep is always the standard frame of the algebra.
 
 Records have one form and one check.  :class:`Archive` holds them by
 columns, and every Archive holds records that :func:`read_archive` accepts:
-the reader checks its lines by its rules (:func:`_columns`),
+the reader checks its lines by its rules (:func:`_columns`; among them, a
+witness b is of its record's algebra),
 :meth:`Archive.of` checks SearchRecords by the same rules on their JSON form,
 and :func:`sweep` builds its violations from its own checked multiplier rows.
 So :func:`write_archive` only formats an Archive, and writes nothing the
@@ -54,7 +55,6 @@ import numpy as np
 from .algebra import (
     _JSON_NUMBERS,
     AlgebraDescriptor,
-    DescriptorMismatchError,
     Element,
     descriptor_from_json,
     descriptor_from_spec,
@@ -124,6 +124,10 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}; known: {FAMILIES}")
         if self.n < 1:
             raise ValueError("candidate size must be >= 1")
+        if type(self.zero_diag) is not bool:
+            raise ValueError(f"zero_diag must be a bool, got {self.zero_diag!r}")
+        if self.zero_diag and self.family != "random_sym":
+            raise ValueError(f"zero_diag applies to random_sym only, not {self.family}")
 
 
 def generate_candidate(spec: FamilySpec, rng: np.random.Generator) -> np.ndarray:
@@ -274,10 +278,6 @@ def replay_records(records, atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RT
               _groups(zip(archive.descriptor, archive.problem)).items()}
     for (spec, problem), idx in groups.items():
         d = descriptor_from_spec(spec)
-        for i in idx:
-            if archive.witness[i] != d:
-                raise DescriptorMismatchError(f"record {i}: witness of "
-                                              f"{archive.witness[i]} in a record of {spec}")
         for lo in range(0, len(idx), MARGIN_CHUNK):
             part = idx[lo:lo + MARGIN_CHUNK].tolist()
             margins, holds = _margins(
@@ -382,8 +382,8 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
             min_margin = min(min_margin, float(margins.min()))
             tested += len(owner)
     m = len(margin)
-    violations = Archive([spec.family] * m, [d_spec] * m, [seed] * m, entries,
-                         [descriptor] * m, coords, margin, ["violated"] * m, [problem] * m)
+    violations = Archive([spec.family] * m, [d_spec] * m, [seed] * m, entries, coords,
+                         margin, ["violated"] * m, [problem] * m)
     return SweepResult(spec.family, d_spec, n_A, n_b,
                        seed, problem, violations, float(min_margin), tested)
 
@@ -400,23 +400,25 @@ def write_archive(path, records) -> None:
 
     A line is joined from fragments formatted once: a multiplier for all the
     records that share its bytes (a sweep's n_b records share their
-    candidate's), and the witness algebra and the fields around the margin
-    for each distinct (algebra, descriptor, family, problem, seed, verdict);
+    candidate's), and the witness algebra (the record's) and the fields
+    around the margin for each distinct (descriptor, family, problem, seed,
+    verdict);
     floats are written by repr, as json writes finite floats.  The lines are
     written as they are joined.
     """
     archive = records if isinstance(records, Archive) else Archive.of(records)
     multipliers, around_margin, shared = {}, {}, []
-    for A, around in zip(archive.entries, zip(archive.witness, archive.descriptor, archive.family,
+    for A, around in zip(archive.entries, zip(archive.descriptor, archive.family,
                                               archive.problem, archive.seed, archive.verdict)):
         key = A.tobytes()  # of a square matrix, whose size its length gives
         if key not in multipliers:
             multipliers[key] = repr(A.tolist())
         if around not in around_margin:
             around_margin[around] = (
-                json.dumps(descriptor_to_json(around[0]), sort_keys=True)[1:],
-                json.dumps(dict(zip(("descriptor", "family"), around[1:])), sort_keys=True)[1:-1],
-                json.dumps(dict(zip(("problem", "seed", "verdict"), around[3:])),
+                json.dumps(descriptor_to_json(descriptor_from_spec(around[0])),
+                           sort_keys=True)[1:],
+                json.dumps(dict(zip(("descriptor", "family"), around)), sort_keys=True)[1:-1],
+                json.dumps(dict(zip(("problem", "seed", "verdict"), around[2:])),
                            sort_keys=True)[1:])
         shared.append((multipliers[key], around_margin[around]))
     with open(path, "w") as fh:
@@ -466,14 +468,13 @@ class Archive(Sequence):
     :func:`read_archive` accepts; indexing gives a :class:`SearchRecord`.
     ``entries`` holds read-only rows of checked multiplier stacks
     (:func:`transforms.multiplier_stack`), which :func:`write_archive` and
-    :func:`replay_records` take as they are; ``witness`` and ``coords`` hold
-    each witness b's algebra and read-only coordinate row."""
+    :func:`replay_records` take as they are; ``coords`` holds each witness
+    b's read-only coordinate row, in the record's algebra."""
 
     family: list
     descriptor: list
     seed: list
     entries: list
-    witness: list
     coords: list
     margin: np.ndarray
     verdict: list
@@ -490,7 +491,8 @@ class Archive(Sequence):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         return SearchRecord(self.family[i], self.descriptor[i], self.seed[i],
-                            self.entries[i], Element(self.witness[i], self.coords[i]),
+                            self.entries[i],
+                            Element(descriptor_from_spec(self.descriptor[i]), self.coords[i]),
                             float(self.margin[i]), self.verdict[i], self.problem[i])
 
     @classmethod
@@ -513,10 +515,12 @@ def _columns(objs: list) -> tuple:
     """The :class:`Archive` columns of decoded JSON records.
 
     Each check runs over all the records, in the order in which one record's
-    fields are checked, and the multipliers are checked as one stack per
-    algebra; a bad record raises the message of its failed check (KeyError
-    for a field it lacks).  So for one record the message is that of its
-    first failed check, whichever checks follow."""
+    fields are checked: the witnesses b are parsed, then each must be of its
+    record's algebra (checked once per distinct pair), then the multipliers
+    are checked as one stack per algebra.  A bad record raises the message
+    of its failed check (KeyError for a field it lacks).  So for one record
+    the message is that of its first failed check, whichever checks
+    follow."""
     for o in objs:
         if type(o) is not dict:
             raise ValueError(f"a record must be a JSON object, got {type(o).__name__}")
@@ -552,11 +556,14 @@ def _columns(objs: list) -> tuple:
     witness, coords = _witnesses(b)
     if witness is None:  # record by record, to raise the message of a bad one
         witness, coords = zip(*((x.descriptor, x.coords) for x in map(element_from_json, b)))
+    for s, w in dict.fromkeys(zip(spec, witness)):
+        if w != algebras[s]:
+            raise ValueError(f"witness of {w} in a record of {s}")
     entries = [None] * len(objs)
     for s, (idx, E) in stacks.items():
         for i, row in zip(idx, multiplier_stack(E, algebras[s].rank)):
             entries[i] = row
-    return family, spec, seed, entries, witness, coords, margin, verdict, problem
+    return family, spec, seed, entries, coords, margin, verdict, problem
 
 
 def _witnesses(bs: list):

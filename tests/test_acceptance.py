@@ -239,7 +239,7 @@ def test_prospector_known_families_and_zero_diag(capsys):
             clean &= len(res.violations) == 0
     certified = True
     for n in (2, 3, 4):
-        spec = FamilySpec("random_sym", n, {"zero_diag": True})
+        spec = FamilySpec("random_sym", n, True)
         res = sweep(spec, SymMatrix(n), 2, 50, seed=SWEEP_SEED)
         found = len(res.violations) >= 1
         certified &= found

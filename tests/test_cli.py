@@ -509,6 +509,17 @@ class TestProspect:
         (line,) = error_lines(capsys)
         assert "unknown family" in line
 
+    def test_zero_diag_of_another_family_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["prospect", "--family", "psd_gram", "--zero-diag", "--alg", "sym:2"]) == 2
+        assert error_lines(capsys) == [
+            "error: zero_diag applies to random_sym only, not psd_gram"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unparseable_algebra_exits_2(self, capsys):
+        assert main(["prospect", "--alg", "nonsense"]) == 2
+        assert error_lines(capsys) == ["error: cannot parse algebra spec 'nonsense'"]
+
     @pytest.mark.parametrize("problem", PROBLEMS)
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_runs(self, tmp_path, capsys, family, problem):
@@ -562,6 +573,18 @@ class TestProspect:
         (line,) = error_lines(capsys)
         assert "line 1: malformed archive record" in line
 
+    def test_replay_of_witness_of_another_algebra_exits_2_naming_its_line(self, tmp_path,
+                                                                         capsys):
+        record = self._mixed_records()[0].to_json()
+        assert record["descriptor"] == "sym:2"
+        record["b"] = {"kind": "spin", "n": 3, "coords": [1.0, 0.0, 0.0]}
+        path = tmp_path / "other.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["prospect", "--replay", str(path)]) == 2
+        assert error_lines(capsys) == [
+            f"error: {path}, line 1: malformed archive record "
+            f"(witness of SpinFactor(n=3) in a record of sym:2)"]
+
     def test_replay_names_the_line_of_a_bad_multiplier(self, tmp_path, capsys):
         # record 6 of the fixture gets an asymmetric multiplier: the error names
         # its line (7); a later unparseable line does not take its place
@@ -594,7 +617,7 @@ class TestProspect:
         for spec, problem in (("sym:2", "general"), ("spin:4", "cone"),
                               ("sym:2", "cone"), ("spin:4", "general")):
             d = descriptor_from_spec(spec)
-            records += sweep(FamilySpec("random_sym", d.rank, {"zero_diag": True}),
+            records += sweep(FamilySpec("random_sym", d.rank, True),
                              d, 1, 3, seed=4, problem=problem).violations
         return records[::2] + records[1::2]
 

@@ -85,6 +85,17 @@ class TestFamilies:
         A = generate_candidate(FamilySpec("random_sym", 5, zero_diag=True), rng)
         assert np.all(np.diag(A) == 0.0)
 
+    @pytest.mark.parametrize("value", [{"zero_diag": False}, 1, 0, "yes", None])
+    def test_zero_diag_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="zero_diag must be a bool"):
+            FamilySpec("random_sym", 3, value)
+
+    @pytest.mark.parametrize("family", [f for f in search.FAMILIES if f != "random_sym"])
+    def test_zero_diag_applies_to_random_sym_only(self, family):
+        assert not FamilySpec(family, 3).zero_diag
+        with pytest.raises(ValueError, match="random_sym only"):
+            FamilySpec(family, 3, True)
+
     def test_rank_one_perturbed_symmetric(self):
         rng = np.random.default_rng(4)
         A = generate_candidate(FamilySpec("rank_one_perturbed", 3), rng)
@@ -768,7 +779,7 @@ class TestReplayRecords:
     def test_archive_round_trip(self, runs, seed):
         records = []
         for d, problem, zero_diag in runs:
-            spec = FamilySpec("random_sym", d.rank, {"zero_diag": zero_diag})
+            spec = FamilySpec("random_sym", d.rank, zero_diag)
             records += sweep(spec, d, 2, 4, seed, problem=problem).violations
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "archive.jsonl")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from symcone.algebra import (
     DescriptorMismatchError,
+    DirectSum,
     Element,
     SpinFactor,
     SymMatrix,
@@ -226,22 +227,29 @@ class TestPositiveMapSublinear:
             rep = check_positive_map_sublinear(P, sample_general(d, rng), phi)
             assert rep.passed and abs(rep.worst_slack) <= 1e-10
 
-    def test_uncertified_map_needs_rng(self):
-        d = SymMatrix(2)
-        P = PositiveLinearMap(d, lambda x: x, "identity", certified=False)
-        with pytest.raises(PositivityError):
-            check_positive_map_sublinear(P, unit(d), ABS_FN)
-        # the identity map certifies empirically and then verifies
-        rep = check_positive_map_sublinear(P, unit(d), ABS_FN,
-                                           rng=np.random.default_rng(0))
-        assert rep.passed
-
-    def test_negation_map_fails_certification(self):
-        d = SymMatrix(2)
-        P = PositiveLinearMap(d, lambda x: -1.0 * x, "negation", certified=False)
-        with pytest.raises(PositivityError):
-            check_positive_map_sublinear(P, unit(d), ABS_FN,
-                                         rng=np.random.default_rng(0))
+    def test_failing_composition_replays_from_its_factors(self):
+        # compositions outside the registered map kinds, checked at atol -1
+        # (a slack below 1 fails), rebuild from the witness's factors to the
+        # same worst slack, bit for bit
+        rng = np.random.default_rng(11)
+        replayed = {2: 0, 3: 0}  # FAILs replayed, by number of factors
+        for d in SMALL_CATALOG:
+            quad = make_positive_map(d, "quad", rng)
+            sch = make_positive_map(d, "schur_psd", rng)
+            for P in (compose_positive(sch, quad),
+                      compose_positive(quad, compose_positive(sch, quad))):
+                rep = check_positive_map_sublinear(P, sample_general(d, rng), ABS_FN, atol=-1.0)
+                if rep.passed:
+                    continue
+                w = json.loads(json.dumps(rep.witness))
+                assert [f["kind"] for f in w["factors"]] == [f[0] for f in P.factors]
+                again = check_positive_map_sublinear(map_from_json(w["factors"]),
+                                                     element_from_json(w["x"]),
+                                                     SublinearFn(*w["phi"]), atol=-1.0)
+                assert not again.passed
+                assert again.worst_slack.hex() == rep.worst_slack.hex()
+                replayed[len(P.factors)] += 1
+        assert all(replayed.values()), replayed
 
 
 class TestQuadrepSublinear:
@@ -319,6 +327,17 @@ class TestJordanWeak:
         for d in SMALL_CATALOG:
             rep = check_jordan_weak(sample_general(d, rng), unit(d))
             assert rep.passed
+
+    def test_nested_sum_runs_as_its_flat_form(self):
+        flat = DirectSum((SymMatrix(2), SpinFactor(3)))
+        nested = DirectSum((SymMatrix(2), DirectSum((SpinFactor(3),))))
+        assert nested == flat
+        rng = np.random.default_rng(18)
+        a, b = sample_general(nested, rng), sample_general(nested, rng)
+        rep = check_jordan_weak(a, b)
+        assert rep.passed and rep.descriptor == "sum:sym:2+spin:3"
+        again = check_jordan_weak(Element(flat, a.coords), Element(flat, b.coords))
+        assert rep.to_json() == again.to_json()
 
     def test_random_pairs_every_descriptor(self):
         rng = np.random.default_rng(17)
@@ -1040,12 +1059,10 @@ class TestBatchedSweep:
         a, b, x = sample_cone(d, rng), sample_cone(d, rng), sample_general(d, rng)
         A, frame = SchurMatrix(sample_psd_gram(3, rng)), sample_frame(d, rng)
         built = make_positive_map(d, "quad_compose", rng)
-        bare = PositiveLinearMap(d, lambda y: 2.0 * y, "doubling", True)
         cases = [
             ("log_major_quadrep", lambda: check_log_major_quadrep(a, b)),
             ("quadrep_sup_bound", lambda: check_quadrep_sup_bound(a, b)),
             ("map verdict", lambda: check_positive_map_sublinear(built, x, ABS_FN)),
-            ("map verdict", lambda: check_positive_map_sublinear(bare, x, POS_FN)),
             ("quadrep_sublinear", lambda: check_quadrep_sublinear(x, b, ABS_FN)),
             ("schur_diag", lambda: check_schur_diag(A, frame, x, NEG_FN)),
             ("jordan_weak", lambda: check_jordan_weak(x, b)),
