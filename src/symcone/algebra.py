@@ -25,6 +25,7 @@ random generation takes a caller-owned ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -419,7 +420,7 @@ _JSON_NUMBERS = frozenset((float, int))
 
 
 def descriptor_from_json(obj: dict) -> AlgebraDescriptor:
-    """Inverse of :func:`descriptor_to_json`; anything else raises ValueError."""
+    """Inverse of :func:`descriptor_to_json` (no sum among a sum's factors); else ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"algebra JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -432,8 +433,44 @@ def descriptor_from_json(obj: dict) -> AlgebraDescriptor:
         factors = obj.get("factors")
         if not isinstance(factors, list):
             raise ValueError(f"direct-sum factors must be a JSON array, got {factors!r}")
-        return DirectSum(tuple(descriptor_from_json(f) for f in factors))
+        if any(type(f) is dict and f.get("kind") == "sum" for f in factors):
+            raise ValueError("a direct-sum factor must be sym or spin, not a sum")
+        return DirectSum(tuple(map(descriptor_from_json, factors)))
     raise ValueError(f"unknown algebra kind {kind!r}")
+
+
+def _groups(column) -> dict:
+    """The positions of each distinct value of a column, in order."""
+    groups = defaultdict(list)
+    for i, value in enumerate(column):
+        groups[value].append(i)
+    return groups
+
+
+def _numbers(rows) -> bool:
+    """Whether rows is a list of lists of JSON numbers."""
+    return (type(rows) is list and all(type(r) is list for r in rows)
+            and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows))))
+
+
+def _float_stack(items: list, depth: int):
+    """Lists nested ``depth`` deep, of one shape and with JSON numbers at
+    the bottom, as one float array of the shape numpy gives them; None if
+    they are not, or if a number is beyond the float range."""
+    shape = [len(items)]
+    for _ in range(depth):
+        if not items:
+            break
+        if not {list}.issuperset(map(type, items)) or len(set(map(len, items))) > 1:
+            return None
+        shape.append(len(items[0]))
+        items = list(chain.from_iterable(items))
+    if not _JSON_NUMBERS.issuperset(map(type, items)):
+        return None
+    try:
+        return np.array(items, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        return None
 
 
 def element_to_json(x: Element) -> dict:
@@ -443,16 +480,38 @@ def element_to_json(x: Element) -> dict:
     return obj
 
 
-def element_from_json(obj: dict) -> Element:
-    """Inverse of :func:`element_to_json`; rejects NaN and infinite coordinates."""
-    d = descriptor_from_json(obj)
-    coords = obj.get("coords")
-    if not (type(coords) is list and _JSON_NUMBERS.issuperset(map(type, coords))):
-        raise ValueError("element coords must be a flat JSON array of numbers")
+def elements_from_json(objs: list) -> tuple[list, list]:
+    """(algebras, read-only coordinate rows) of elements in JSON, the one
+    reader of :func:`element_to_json`'s form.  Elements that spell their
+    algebra alike are checked and stacked together; a bad one raises the
+    ValueError of its first failed check (one of the first group's)."""
     try:
-        coords = np.array(coords, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError("element coordinates must be finite") from None
-    if not np.isfinite(coords).all():
-        raise ValueError("element coordinates must be finite")
+        keys = [repr((o.get("kind"), o.get("n"), o.get("factors"))) for o in objs]
+    except (AttributeError, RecursionError):  # not a JSON object, or nested too deep
+        keys = range(len(objs))  # each element alone
+    algebras, rows = [None] * len(objs), [None] * len(objs)
+    for idx in _groups(keys).values():
+        d = descriptor_from_json(objs[idx[0]])
+        coords = [objs[i].get("coords") for i in idx]
+        flat = list(chain.from_iterable(coords)) if {list}.issuperset(map(type, coords)) else [None]
+        if not _JSON_NUMBERS.issuperset(map(type, flat)):  # [None]: not every one a list
+            raise ValueError("element coords must be a flat JSON array of numbers")
+        try:
+            X = np.array(flat, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError("element coordinates must be finite") from None
+        if not np.isfinite(X).all():
+            raise ValueError("element coordinates must be finite")
+        for k in set(map(len, coords)).difference({d.dim}):
+            raise ValueError(f"coordinate length {k} does not match dim {d.dim} of {d}")
+        X = X.reshape(len(idx), d.dim)
+        X.flags.writeable = False
+        for i, row in zip(idx, X):
+            algebras[i], rows[i] = d, row
+    return algebras, rows
+
+
+def element_from_json(obj: dict) -> Element:
+    """Inverse of :func:`element_to_json`: a batch of one of :func:`elements_from_json`."""
+    (d,), (coords,) = elements_from_json([obj])
     return Element(d, coords)

@@ -182,21 +182,18 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ConfigError("--budget must be >= 1")
     alg = None if args.alg is None else descriptor_from_spec(args.alg)
+    if args.kind == "schur" and alg is None:
+        raise ConfigError("schur norms need --alg for the frame")
     try:
         if args.kind in ("lyap", "quad"):
             with open(args.operand) as fh:
                 operand = element_from_json(json.load(fh))
-            frame = None
         else:  # schur, the last of the parser's choices
             operand = SchurMatrix.load(args.operand)
-            if alg is None:
-                raise ConfigError("schur norms need --alg for the frame")
-            frame = standard_frame(alg)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser goes
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"cannot load operand: {exc}") from None
+    frame = standard_frame(alg) if args.kind == "schur" else None
     if frame is None and alg is not None and alg != operand.descriptor:
         raise ConfigError(f"--alg {args.alg} does not name the operand's algebra "
                           f"{descriptor_to_spec(operand.descriptor)}")

@@ -44,11 +44,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -56,12 +55,14 @@ from .algebra import (
     _JSON_NUMBERS,
     AlgebraDescriptor,
     Element,
-    descriptor_from_json,
+    _float_stack,
+    _groups,
+    _numbers,
     descriptor_from_spec,
     descriptor_to_json,
     descriptor_to_spec,
-    element_from_json,
     element_to_json,
+    elements_from_json,
     jordan_product_coords,
     row_sum,
 )
@@ -428,40 +429,6 @@ def write_archive(path, records) -> None:
                           archive.coords, archive.margin.tolist(), shared))
 
 
-def _groups(column) -> dict:
-    """The positions of each distinct value of a column, in order."""
-    groups = defaultdict(list)
-    for i, value in enumerate(column):
-        groups[value].append(i)
-    return groups
-
-
-def _numbers(rows) -> bool:
-    """Whether rows is a list of lists of JSON numbers."""
-    return (type(rows) is list and all(type(r) is list for r in rows)
-            and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(rows))))
-
-
-def _float_stack(items: list, depth: int):
-    """Lists nested ``depth`` deep, of one shape and with JSON numbers at
-    the bottom, as one float array of the shape numpy gives them; None if
-    they are not, or if a number is beyond the float range."""
-    shape = [len(items)]
-    for _ in range(depth):
-        if not items:
-            break
-        if not {list}.issuperset(map(type, items)) or len(set(map(len, items))) > 1:
-            return None
-        shape.append(len(items[0]))
-        items = list(chain.from_iterable(items))
-    if not _JSON_NUMBERS.issuperset(map(type, items)):
-        return None
-    try:
-        return np.array(items, dtype=np.float64).reshape(shape)
-    except OverflowError:
-        return None
-
-
 @dataclass(eq=False)
 class Archive(Sequence):
     """The prospector's one record form: records by columns, each one that
@@ -515,12 +482,12 @@ def _columns(objs: list) -> tuple:
     """The :class:`Archive` columns of decoded JSON records.
 
     Each check runs over all the records, in the order in which one record's
-    fields are checked: the witnesses b are parsed, then each must be of its
-    record's algebra (checked once per distinct pair), then the multipliers
-    are checked as one stack per algebra.  A bad record raises the message
-    of its failed check (KeyError for a field it lacks).  So for one record
-    the message is that of its first failed check, whichever checks
-    follow."""
+    fields are checked: the witnesses b are read (:func:`elements_from_json`),
+    then each must be of its record's algebra (checked once per distinct
+    pair), then the multipliers are checked as one stack per algebra.  A bad
+    record raises the message of its failed check (KeyError for a field it
+    lacks).  So for one record the message is that of its first failed
+    check, whichever checks follow."""
     for o in objs:
         if type(o) is not dict:
             raise ValueError(f"a record must be a JSON object, got {type(o).__name__}")
@@ -552,10 +519,7 @@ def _columns(objs: list) -> tuple:
     if one_by_one:
         stacks = {s: (idx, [np.asarray(A[i], dtype=np.float64) for i in idx])
                   for s, (idx, _) in stacks.items()}
-    b = [o["b"] for o in objs]
-    witness, coords = _witnesses(b)
-    if witness is None:  # record by record, to raise the message of a bad one
-        witness, coords = zip(*((x.descriptor, x.coords) for x in map(element_from_json, b)))
+    witness, coords = elements_from_json([o["b"] for o in objs])
     for s, w in dict.fromkeys(zip(spec, witness)):
         if w != algebras[s]:
             raise ValueError(f"witness of {w} in a record of {s}")
@@ -564,29 +528,6 @@ def _columns(objs: list) -> tuple:
         for i, row in zip(idx, multiplier_stack(E, algebras[s].rank)):
             entries[i] = row
     return family, spec, seed, entries, coords, margin, verdict, problem
-
-
-def _witnesses(bs: list):
-    """(algebras, read-only coordinate rows) of witnesses in JSON, or
-    (None, None) unless every one is valid.  Witnesses that spell their
-    algebra alike are checked and stacked together."""
-    witness, coords = [None] * len(bs), [None] * len(bs)
-    try:
-        keys = [repr((b.get("kind"), b.get("n"), b.get("factors"))) for b in bs]
-    except (AttributeError, RecursionError):  # not a JSON object, or nested too deep
-        return None, None
-    for idx in _groups(keys).values():
-        try:
-            d = descriptor_from_json(bs[idx[0]])
-        except (TypeError, ValueError, OverflowError, RecursionError):
-            return None, None
-        X = _float_stack([bs[i].get("coords") for i in idx], 1)
-        if X is None or X.shape != (len(idx), d.dim) or not np.isfinite(X).all():
-            return None, None
-        X.flags.writeable = False
-        for i, row in zip(idx, X):
-            witness[i], coords[i] = d, row
-    return witness, coords
 
 
 def _record_error(obj) -> Exception | None:

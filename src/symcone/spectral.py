@@ -125,39 +125,36 @@ def _jacobi_thresh(S: np.ndarray):
     return JACOBI_TOL * np.maximum(norms, 1.0)
 
 
-def sym_eigen(M: np.ndarray,
-              max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a symmetric matrix.
 
     A batch of one of :func:`sym_eigh_batch` after the symmetric-matrix
     intake (:func:`algebra.from_matrix`'s checks); raises
     :class:`JacobiConvergenceError` when the off-diagonal mass has not
-    dropped below ``JACOBI_TOL * max(||M||_F, 1)`` within ``max_sweeps``
-    sweeps.
+    dropped below ``JACOBI_TOL * max(||M||_F, 1)`` in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
-    W, V = sym_eigh_batch(_symmetric(M)[None], max_sweeps)
+    W, V = sym_eigh_batch(_symmetric(M)[None])
     return W[0], V[0]
 
 
-def sym_eigvals_batch(S: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+def sym_eigvals_batch(S: np.ndarray) -> np.ndarray:
     """Decreasing eigenvalues of a stack of symmetric matrices."""
     S = np.asarray(S, dtype=np.float64)
     thresh = _jacobi_thresh(S)
-    W, offs = _kernels.jacobi_vals_batch(S, JACOBI_TOL, max_sweeps)
+    W, offs = _kernels.jacobi_vals_batch(S, JACOBI_TOL, JACOBI_MAX_SWEEPS)
     if not (offs <= thresh).all():
-        raise JacobiConvergenceError(float(offs.max()), max_sweeps)
+        raise JacobiConvergenceError(float(offs.max()), JACOBI_MAX_SWEEPS)
     return -np.sort(-W, axis=1)
 
 
-def sym_eigh_batch(S: np.ndarray,
-                   max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sym_eigen` over a stack: decreasing eigenvalues (m, n) and the
     matching orthonormal eigenvector columns (m, n, n)."""
     S = np.asarray(S, dtype=np.float64)
     thresh = _jacobi_thresh(S)
-    W, V, offs = _kernels.jacobi_batch(S, JACOBI_TOL, max_sweeps, vectors=True)
+    W, V, offs = _kernels.jacobi_batch(S, JACOBI_TOL, JACOBI_MAX_SWEEPS, vectors=True)
     if not (offs <= thresh).all():
-        raise JacobiConvergenceError(float(offs.max()), max_sweeps)
+        raise JacobiConvergenceError(float(offs.max()), JACOBI_MAX_SWEEPS)
     order = np.argsort(-W, axis=1, kind="stable")
     return (np.take_along_axis(W, order, axis=1),
             np.take_along_axis(V, order[:, None, :], axis=2))

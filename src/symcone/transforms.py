@@ -26,6 +26,7 @@ from .algebra import (
     DescriptorMismatchError,
     Element,
     _check_pair,
+    _float_stack,
     jordan_product,
     jordan_product_coords,
     row_sum,
@@ -92,11 +93,15 @@ class SchurMatrix:
 
     @classmethod
     def from_json(cls, path) -> "SchurMatrix":
+        """A JSON multiplier: rows of numbers (``algebra._float_stack``) or {"entries": rows}."""
         with open(path) as fh:
             obj = json.load(fh)
         if isinstance(obj, dict):
             obj = obj["entries"]
-        return cls(np.asarray(obj, dtype=np.float64))
+        E = _float_stack([obj], 2)
+        if E is None:
+            raise ValueError("multiplier JSON must be equal-length rows of float-range numbers")
+        return cls(E[0])
 
     @classmethod
     def load(cls, path) -> "SchurMatrix":

@@ -6,7 +6,8 @@ own; the multipliers of the records read are then checked as one stack per
 rank.  The package's reader must name the same line with the same message,
 and otherwise return the same records.  Do not edit it to follow the
 package.  One rule was added later, as the package's reader gained it: a
-witness b must be of its record's algebra, checked after b is parsed.
+witness b must be of its record's algebra, checked after b is parsed.  The
+witness is read by the frozen element reader of ``element_reference``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from symcone.algebra import descriptor_from_spec, element_from_json
+from element_reference import element_from_json
+from symcone.algebra import descriptor_from_spec
 from symcone.search import PROBLEMS, VERDICTS, SearchRecord
 from symcone.transforms import MultiplierError, multiplier_stack
 

@@ -4,7 +4,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symcone import _kernels
-from symcone.algebra import DirectSum, SpinFactor, SymMatrix
+from symcone.algebra import (
+    DirectSum,
+    Element,
+    SpinFactor,
+    SymMatrix,
+    descriptor_from_spec,
+    element_to_json,
+)
 
 # every algebra the harness is expected to handle at desk scale
 CATALOG = (
@@ -96,3 +103,35 @@ def random_majorizing_pair(rng: np.random.Generator, n: int, nonnegative: bool =
         p[i] = t * pi + (1 - t) * pj
         p[j] = (1 - t) * pi + t * pj
     return p, q
+
+
+# --- fuzzed JSON input -------------------------------------------------------------
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
+                        st.floats(), st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+# finite numbers across the float range, small ones and integers too
+NUMBERS = st.one_of(st.floats(-10.0, 10.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**20, 10**20))
+FUZZ_ALGEBRAS = ("sym:1", "sym:2", "sym:3", "spin:3", "spin:5", "sum:sym:2+spin:3")
+
+
+@st.composite
+def element_objects(draw):
+    """An element's JSON, the same with one field replaced by any JSON
+    value, or any JSON value at all."""
+    choice = draw(st.integers(0, 2))
+    if choice == 2:
+        return draw(JSON_VALUES)
+    d = descriptor_from_spec(draw(st.sampled_from(FUZZ_ALGEBRAS)))
+    obj = element_to_json(Element(d, np.zeros(d.dim)))
+    obj["coords"] = draw(st.lists(NUMBERS, min_size=d.dim, max_size=d.dim))
+    if choice == 1:
+        obj[draw(st.sampled_from(("kind", "n", "factors", "coords")))] = draw(JSON_VALUES)
+    return obj

@@ -1,10 +1,12 @@
 """Core algebra: descriptors, products, inner products, random generation."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symcone.algebra import (
     DescriptorMismatchError,
@@ -19,6 +21,7 @@ from symcone.algebra import (
     descriptor_to_spec,
     element_from_json,
     element_to_json,
+    elements_from_json,
     from_matrix,
     inner,
     jordan_product,
@@ -35,7 +38,7 @@ from symcone.algebra import (
 from symcone.spectral import eigvals, spectral_decompose, sym_eigen
 
 import element_reference as reference
-from conftest import CATALOG, SMALL_CATALOG, coord_stacks
+from conftest import CATALOG, SMALL_CATALOG, coord_stacks, element_objects
 
 
 class TestDescriptors:
@@ -282,6 +285,8 @@ class TestElement:
         {"kind": "spin", "n": True}, {"kind": "spin"}, {"kind": "sym", "n": [2]},
         {"kind": "sum", "factors": 5}, {"kind": "sum", "factors": "sym"},
         {"kind": "sum", "factors": [[1]]}, {"kind": "sum"}, {"kind": "cube", "n": 2},
+        {"kind": "sum", "factors": [{"kind": "sym", "n": 2},
+                                    {"kind": "sum", "factors": [{"kind": "spin", "n": 3}]}]},
     ], ids=repr)
     def test_descriptor_json_rejects_other_values(self, obj):
         with pytest.raises(ValueError):
@@ -295,6 +300,35 @@ class TestElement:
     def test_element_json_rejects_coords_not_a_flat_array_of_numbers(self, coords):
         with pytest.raises(ValueError):
             element_from_json({"kind": "sym", "n": 2, "coords": coords})
+
+    def test_element_json_of_a_nested_sum_is_rejected(self):
+        # the flat spelling, which descriptor_to_json writes, is the only one
+        flat = element_to_json(unit(DirectSum((SymMatrix(2), SpinFactor(3)))))
+        nested = dict(flat, factors=[flat["factors"][0],
+                                     {"kind": "sum", "factors": flat["factors"][1:]}])
+        assert element_from_json(flat).descriptor == DirectSum((SymMatrix(2), SpinFactor(3)))
+        with pytest.raises(ValueError, match="^a direct-sum factor must be sym or spin"):
+            element_from_json(nested)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(element_objects(), min_size=1, max_size=5))
+    # elements failing two checks, and a batch of two bad ones
+    @example([{"kind": "sym", "n": 2, "coords": [math.nan, 1.0]}])
+    @example([{"kind": "sym", "n": 2, "coords": [10**400, "1"]}])
+    @example([{"kind": "spin", "n": 3, "coords": [1.0, 2.0]},
+              {"kind": "spin", "n": 3, "coords": [1.0, 2.0, math.inf]}])
+    def test_reader_is_the_frozen_one_record_by_record(self, objs):
+        # each element reads as the record-by-record reader reads it, with
+        # its message if it is bad; a batch reads as its elements do, or
+        # raises the message of one of its bad elements
+        objs = [o for o in objs if not _nests_a_sum(o)]
+        want = [_read(reference.element_from_json, o) for o in objs]
+        assert [_read(element_from_json, o) for o in objs] == want
+        batch = _read(elements_from_json, objs)
+        if all(type(w) is tuple for w in want):
+            assert batch == ([d for d, _ in want], [c for _, c in want])
+        else:
+            assert batch in [w for w in want if type(w) is str]
 
     def test_element_json_accepts_integer_coords(self):
         x = element_from_json({"kind": "sym", "n": 2, "coords": [1, 2, 3]})
@@ -312,3 +346,23 @@ class TestElement:
         for k in range(d.dim):
             total = total + basis_element(d, k)
         assert norm(total) > 0
+
+
+def _nests_a_sum(obj) -> bool:
+    """Whether obj spells a sum with a sum among its factors."""
+    factors = obj.get("factors") if type(obj) is dict and obj.get("kind") == "sum" else []
+    return type(factors) is list and any(
+        type(f) is dict and f.get("kind") == "sum" for f in factors)
+
+
+def _read(reader, obj):
+    """The message of a ValueError from reader(obj), or what it read: an
+    Element's algebra and coordinate bits, or the algebras and coordinate
+    bits of a batch."""
+    try:
+        out = reader(obj)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, Element):
+        return out.descriptor, out.coords.tobytes()
+    return list(out[0]), [c.tobytes() for c in out[1]]

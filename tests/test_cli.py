@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symcone
+from conftest import FUZZ_ALGEBRAS, JSON_VALUES, NUMBERS, element_objects
 from symcone import cli, norms, spectral
 from symcone.algebra import Element, SymMatrix, descriptor_from_spec, element_to_json, unit
 from symcone.cli import main
@@ -276,6 +277,21 @@ class TestNorm:
                      "--alg", "sym:2", "--r", "inf", "--s", "1", "--budget", "20"])
         assert code == 0
         assert "4.0" in capsys.readouterr().out
+
+    def test_schur_json_operand_takes_the_json_number_rule(self, tmp_path, capsys):
+        # the same rows an archive line's multiplier must be: the documented
+        # {"entries": ...} form is read, JSON strings and booleans are not
+        op = tmp_path / "m.json"
+        argv = ["norm", "--kind", "schur", "--operand", str(op), "--alg", "sym:2",
+                "--r", "2", "--s", "2", "--budget", "5"]
+        op.write_text('{"entries": [[2, 0], [0, 3.0]]}')
+        assert main(argv) == 0
+        assert "3.0" in capsys.readouterr().out
+        op.write_text('[["2", true], [true, "3"]]')
+        assert main(argv) == 2
+        assert error_lines(capsys) == [
+            "error: cannot load operand: multiplier JSON must be equal-length rows of "
+            "float-range numbers"]
 
     def test_schur_needs_alg(self, tmp_path, capsys):
         op = tmp_path / "m.csv"
@@ -644,19 +660,6 @@ class TestProspect:
 
 # --- exit codes on fuzzed input ---------------------------------------------------
 
-JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10**400, 10**400),
-                        st.floats(), st.text(max_size=6))
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=12,
-)
-# finite numbers across the float range, small ones and integers too
-NUMBERS = st.one_of(st.floats(-10.0, 10.0),
-                    st.floats(allow_nan=False, allow_infinity=False),
-                    st.integers(-10**20, 10**20))
-FUZZ_ALGEBRAS = ("sym:1", "sym:2", "sym:3", "spin:3", "spin:5", "sum:sym:2+spin:3")
 FUZZ_ORDERS = (("1", "1"), ("2", "2"), ("inf", "inf"), ("1", "inf"), ("inf", "1"),
                ("3", "2"), ("2", "3"))
 
@@ -678,21 +681,6 @@ TOLERANCE_COMMANDS = {
     "prospect-spin": ["prospect", "--family", "psd_gram", "--alg", "spin:4",
                       "--budget", "2", "--samples", "3"],
 }
-
-
-@st.composite
-def element_objects(draw):
-    """An element's JSON, the same with one field replaced by any JSON
-    value, or any JSON value at all."""
-    choice = draw(st.integers(0, 2))
-    if choice == 2:
-        return draw(JSON_VALUES)
-    d = descriptor_from_spec(draw(st.sampled_from(FUZZ_ALGEBRAS)))
-    obj = element_to_json(Element(d, np.zeros(d.dim)))
-    obj["coords"] = draw(st.lists(NUMBERS, min_size=d.dim, max_size=d.dim))
-    if choice == 1:
-        obj[draw(st.sampled_from(("kind", "n", "factors", "coords")))] = draw(JSON_VALUES)
-    return obj
 
 
 @st.composite
@@ -817,3 +805,67 @@ class TestExitCodesOnFuzzedInput:
             path.write_text(text, encoding="utf-8")
             outcome = run_main(["prospect", "--replay", str(path)])
         assert_exit_contract(*outcome)
+
+
+# --- one rule for hostile values in every JSON file reader ---------------------------
+
+# each damages a valid input's numbers (an element's coordinates, a
+# multiplier's rows) or the algebra an element spells
+HOSTILE = ("string-entry", "boolean-entry", "integer-beyond-float", "ragged-rows",
+           "nested-sum")
+HOSTILE_ENTRIES = {"string-entry": "1.0", "boolean-entry": True,
+                   "integer-beyond-float": 10**400}
+# the readers: an element operand, a multiplier operand, and an archive
+# line's multiplier A and witness b; only an element spells an algebra
+FILE_READERS = ("norm-lyap", "norm-schur", "replay-A", "replay-b")
+
+
+def _damaged_rows(rows: list, damage: str) -> list:
+    rows = json.loads(json.dumps(rows))
+    if damage == "ragged-rows":
+        rows[-1].pop()
+    else:
+        rows[0][0] = HOSTILE_ENTRIES[damage]
+    return rows
+
+
+def _damaged_element(obj: dict, damage: str) -> dict:
+    """A sum:sym:2+spin:3 element's JSON with one hostile value."""
+    obj = dict(obj)
+    if damage == "nested-sum":
+        obj["factors"] = [obj["factors"][0], {"kind": "sum", "factors": obj["factors"][1:]}]
+    elif damage == "ragged-rows":
+        obj["coords"] = _damaged_rows([obj["coords"][:3], obj["coords"][3:]], damage)
+    else:
+        obj["coords"] = _damaged_rows([obj["coords"]], damage)[0]
+    return obj
+
+
+@pytest.mark.parametrize("reader,damage", [
+    (reader, damage) for reader in FILE_READERS for damage in HOSTILE
+    if damage != "nested-sum" or reader in ("norm-lyap", "replay-b")])
+def test_every_file_reader_rejects_a_hostile_value_on_one_line(tmp_path, reader, damage):
+    path = tmp_path / "input.json"
+    if reader == "norm-lyap":
+        valid = element_to_json(unit(descriptor_from_spec("sum:sym:2+spin:3")))
+        damaged = _damaged_element(valid, damage)
+        argv = ["norm", "--kind", "lyap", "--operand", str(path)]
+    elif reader == "norm-schur":
+        valid = [[2.0, 0.5], [0.5, 3.0]]
+        damaged = _damaged_rows(valid, damage)
+        argv = ["norm", "--kind", "schur", "--operand", str(path), "--alg", "sym:2"]
+    else:
+        lines = (Path(__file__).parent / "data" / "zero_diag_archive.jsonl").read_text()
+        valid = json.loads(next(ln for ln in lines.splitlines()
+                                if '"sum:sym:2+spin:3"' in ln))
+        damaged = (dict(valid, A=_damaged_rows(valid["A"], damage)) if reader == "replay-A"
+                   else dict(valid, b=_damaged_element(valid["b"], damage)))
+        argv = ["prospect", "--replay", str(path)]
+    if argv[0] == "norm":
+        argv += ["--r", "2", "--s", "2", "--budget", "5"]
+    path.write_text(json.dumps(valid) + "\n")
+    assert run_main(argv)[0] == 0
+    path.write_text(json.dumps(damaged) + "\n")
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -327,6 +327,13 @@ class TestArchives:
         assert '"seed": 7,' in want[0] and '"family": null' in want[0]
         assert "-0.0" in want[0] and "5e-324" in want[0] and "1e+308" in want[0]
 
+    def test_fixture_archive_reads_and_writes_back_byte_equal(self, tmp_path):
+        # each witness algebra and number has one JSON spelling, the one
+        # the writer writes
+        path = tmp_path / "again.jsonl"
+        write_archive(path, read_archive(DATA / "zero_diag_archive.jsonl"))
+        assert path.read_bytes() == (DATA / "zero_diag_archive.jsonl").read_bytes()
+
     def test_summary_csv(self, tmp_path):
         res = sweep(FamilySpec("psd_gram", 2), SymMatrix(2), 3, 5, seed=0)
         path = tmp_path / "summary.csv"
