@@ -16,7 +16,9 @@ coordinate system used here it is diagonal with fixed positive weights
 products, norms and orthonormal bases cheap.
 
 Each operation is written once, as a row form on (m, dim) coordinate stacks;
-a function on one element is a batch of one of it.
+a function on one element is a batch of one of it.  Every symmetric matrix
+from outside, an element's full matrix or a Schur multiplier, comes in
+through one check, :func:`symmetric_stack`.
 
 All values are immutable after construction and all operations are pure;
 random generation takes a caller-owned ``numpy.random.Generator``.
@@ -214,28 +216,50 @@ def _check_pair(x: Element, y: Element) -> None:
         )
 
 
-def _symmetric(M) -> np.ndarray:
-    """(M + M.T) / 2 of a square, nonempty, finite matrix M that is symmetric
-    within 1e-10 of its scale; raises ValueError on any other M."""
+_HALF_MAX = np.finfo(np.float64).max / 2.0
+
+
+class StackError(ValueError):
+    """A matrix of a stack failed a check; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def symmetric_stack(M, label: str = "matrix") -> np.ndarray:
+    """The one intake of symmetric matrices from outside, for a (k, n, n)
+    stack: each matrix must be square and nonempty, finite, no larger than
+    _HALF_MAX (M + M.T could overflow) and symmetric within its scale,
+    max|M - M.T| <= 1e-12 * max(1, max|M_ij|).  The first matrix that fails
+    raises the message of its first failed check, led by ``label``, as a
+    StackError; otherwise returns the read-only stack of the (M + M.T) / 2."""
     M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        raise ValueError("matrix must not be empty")
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        asym = np.abs(M - M.T).max()
-        S = (M + M.T) / 2.0
-    if not np.isfinite(S).all():
-        raise ValueError("matrix has non-finite entries (or overflows when symmetrized)")
-    if asym > 1e-10 * max(1.0, np.abs(M).max()):
-        raise ValueError(f"matrix is not symmetric (residual {asym:.3e})")
-    return S
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise StackError(f"{label} must be square", 0)
+    if M.shape[1] == 0:
+        raise StackError(f"{label} must not be empty", 0)
+    with np.errstate(invalid="ignore", over="ignore"):  # where not finite or too large
+        scale = np.abs(M).max(axis=(1, 2))  # NaN or inf where not finite
+        asym = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2))
+    ok = (scale <= _HALF_MAX) & (asym <= 1e-12 * np.maximum(scale, 1.0))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not np.isfinite(M[i]).all():
+            message = f"{label} entries must be finite"
+        elif scale[i] > _HALF_MAX:
+            message = f"{label} entries too large to symmetrize ({scale[i]:.3e})"
+        else:
+            message = f"{label} is not symmetric (residual {asym[i]:.3e})"
+        raise StackError(message, i)
+    M = (M + M.swapaxes(1, 2)) / 2.0
+    M.flags.writeable = False
+    return M
 
 
 def from_matrix(M: np.ndarray) -> Element:
-    """SymMatrix element from a full symmetric matrix (:func:`_symmetric`)."""
-    S = _symmetric(M)
+    """SymMatrix element from a full symmetric matrix (:func:`symmetric_stack`)."""
+    (S,) = symmetric_stack(np.asarray(M)[None])
     return Element(SymMatrix(len(S)), sym_pack(S))
 
 

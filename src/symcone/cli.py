@@ -10,12 +10,12 @@ prospect       sweep a multiplier family for violations, or replay an archive
 Exit codes: 0 success, 1 a check failed (a witness file is written),
 2 malformed configuration or input (see ``_INPUT_ERRORS``), including a
 command line that does not parse (among it a NaN, infinite or negative
-``--atol`` or ``--rtol`` and a negative ``--seed``, rejected by the parser
-of each subcommand that takes the flag, before any work), a ``prospect``
-sweep with ``--budget`` or ``--samples`` below 1, for ``verify``,
-tolerances so large that no sampled element clears the commuting-factor
-check's invertibility floor, and a size (``--samples``, an operand's
-dimension) whose arrays do not fit in memory.
+``--atol`` or ``--rtol``, a negative ``--seed`` and a ``--budget`` or
+``--samples`` below 1, rejected by the parser of each subcommand that takes
+the flag, before any work), for ``verify``, tolerances so large that no
+sampled element clears the commuting-factor check's invertibility floor,
+and a size (``--samples``, an operand's dimension) whose arrays do not fit
+in memory.
 All output is deterministic under a fixed configuration and seed.
 """
 
@@ -84,9 +84,10 @@ def _parse_order(text: str) -> float:
     return value
 
 
-# The parser types of --atol, --rtol and --seed.  A value that is not a
-# number raises ValueError, which the parser reports as "invalid tolerance
-# value" or "invalid seed value".
+# The parser types of every numeric flag (--atol, --rtol, --seed, --budget,
+# --samples).  A value that is not a number raises ValueError, which the
+# parser reports as "invalid tolerance value", "invalid seed value" or
+# "invalid count value".
 
 def tolerance(text: str) -> float:
     # the library takes a negative atol as a band stricter than exact
@@ -102,6 +103,14 @@ def seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def count(text: str) -> int:
+    # an empty sweep or estimate would report on nothing
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -128,8 +137,6 @@ def _dump(obj: dict, path: str | None) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     d = descriptor_from_spec(args.alg)
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
     try:
         reports = run_all(d, args.samples, args.seed, atol=args.atol, rtol=args.rtol)
     except ResampleError as exc:
@@ -179,8 +186,6 @@ def _cmd_repro_example(args: argparse.Namespace) -> int:
 def _cmd_norm(args: argparse.Namespace) -> int:
     r = _parse_order(args.r)
     s = _parse_order(args.s)
-    if args.budget < 1:
-        raise ConfigError("--budget must be >= 1")
     alg = None if args.alg is None else descriptor_from_spec(args.alg)
     if args.kind == "schur" and alg is None:
         raise ConfigError("schur norms need --alg for the frame")
@@ -190,7 +195,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                 operand = element_from_json(json.load(fh))
         else:  # schur, the last of the parser's choices
             operand = SchurMatrix.load(args.operand)
-    except (OSError, ValueError, KeyError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser goes
         raise ConfigError(f"cannot load operand: {exc}") from None
     frame = standard_frame(alg) if args.kind == "schur" else None
@@ -245,10 +250,6 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
                 print(f"record {i}: MISMATCH (stored {stored!r}, replayed {margin!r})")
         print(f"replayed {len(records)} records, {bad} mismatches")
         return 0 if bad == 0 else 1
-    # an empty sweep would report no violations over 0 tests
-    for flag in ("budget", "samples"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     d = descriptor_from_spec(args.alg)
     spec = FamilySpec(args.family, d.rank, zero_diag=args.zero_diag)
     result = sweep(spec, d, args.budget, args.samples, args.seed,
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run every inequality sweep on one algebra")
     pv.add_argument("--alg", required=True,
                     help='algebra spec: "sym:N", "spin:N", or "sum:sym:2+spin:3"')
-    pv.add_argument("--samples", type=int, default=100, help="samples per check")
+    pv.add_argument("--samples", type=count, default=100, help="samples per check")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     add_seed(pv)
     add_tolerances(pv)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "a lyap or quad operand")
     pn.add_argument("--r", required=True, help='source norm order, e.g. "2" or "inf"')
     pn.add_argument("--s", required=True, help='target norm order, e.g. "1" or "inf"')
-    pn.add_argument("--budget", type=int, default=200, help="ratio evaluations")
+    pn.add_argument("--budget", type=count, default=200, help="ratio evaluations")
     add_seed(pn)
     add_out(pn)
     pn.set_defaults(func=_cmd_norm)
@@ -316,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("prospect", help="sweep a multiplier family for violations")
     pp.add_argument("--family", default="random_sym", help=f"one of {FAMILIES}")
     pp.add_argument("--alg", default="sym:2", help="algebra spec (fixes the rank)")
-    pp.add_argument("--budget", type=int, default=100, help="candidate matrices")
-    pp.add_argument("--samples", type=int, default=100, help="elements per candidate")
+    pp.add_argument("--budget", type=count, default=100, help="candidate matrices")
+    pp.add_argument("--samples", type=count, default=100, help="elements per candidate")
     pp.add_argument("--zero-diag", action="store_true",
                     help="force a zero diagonal (random_sym only)")
     pp.add_argument("--problem", choices=("general", "cone"), default="general")

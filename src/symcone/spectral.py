@@ -24,7 +24,6 @@ from .algebra import (
     Element,
     SpinFactor,
     SymMatrix,
-    _symmetric,
     _triu_ix,
     factor_slices,
     inner,
@@ -32,6 +31,7 @@ from .algebra import (
     norm_rows,
     row_sum,
     sym_unpack,
+    symmetric_stack,
     unit,
     weight_vector,
 )
@@ -129,11 +129,11 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a symmetric matrix.
 
     A batch of one of :func:`sym_eigh_batch` after the symmetric-matrix
-    intake (:func:`algebra.from_matrix`'s checks); raises
+    intake (:func:`algebra.symmetric_stack`); raises
     :class:`JacobiConvergenceError` when the off-diagonal mass has not
     dropped below ``JACOBI_TOL * max(||M||_F, 1)`` in ``JACOBI_MAX_SWEEPS`` sweeps.
     """
-    W, V = sym_eigh_batch(_symmetric(M)[None])
+    W, V = sym_eigh_batch(symmetric_stack(np.asarray(M)[None]))
     return W[0], V[0]
 
 

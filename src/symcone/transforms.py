@@ -5,7 +5,8 @@ form on an (m, dim) coordinate stack (``algebra.jordan_product_coords``,
 :func:`quad_rep_coords`, :func:`schur_rows`, :func:`apply_factors_rows`), and
 every function on one element (``quad_rep``, ``quad_rep_sqrt``, ``schur``,
 ``peirce_project``, ``apply_sublinear``) is a batch of one of its row form.
-A multiplier meets the frame it acts on in :func:`frame_multiplier`.
+A multiplier (:class:`SchurMatrix`, :func:`multiplier_stack`) comes in through
+``algebra.symmetric_stack``, and meets the frame it acts on in :func:`frame_multiplier`.
 
 The Schur product ``A . x`` relative to a frame {e_1, ..., e_n} multiplies
 the Peirce component x_ij by A[i, j]; with ``A = [(a_i + a_j)/2]`` it equals
@@ -15,7 +16,6 @@ taken on a's own frame.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -25,11 +25,13 @@ from .algebra import (
     AlgebraDescriptor,
     DescriptorMismatchError,
     Element,
+    StackError,
     _check_pair,
     _float_stack,
     jordan_product,
     jordan_product_coords,
     row_sum,
+    symmetric_stack,
     weight_vector,
 )
 from .spectral import (
@@ -48,7 +50,6 @@ class FrameError(ValueError):
 
 
 _FRAME_CHECK_TOL = 1e-7
-_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
 def validate_frame(frame: JordanFrame) -> None:
@@ -64,7 +65,7 @@ class SchurMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        A = _checked_stack(np.array(self.entries, dtype=np.float64)[None], None)[0]
+        (A,) = symmetric_stack(np.asarray(self.entries)[None], "multiplier matrix")
         object.__setattr__(self, "entries", A)
 
     @property
@@ -86,28 +87,34 @@ class SchurMatrix:
         return self.min_eigenvalue() >= self.psd_floor()
 
     @classmethod
-    def from_csv(cls, path) -> "SchurMatrix":
-        with open(path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        return cls(np.asarray(rows))
-
-    @classmethod
-    def from_json(cls, path) -> "SchurMatrix":
-        """A JSON multiplier: rows of numbers (``algebra._float_stack``) or {"entries": rows}."""
+    def load(cls, path) -> "SchurMatrix":
+        """A multiplier file of rows of JSON numbers (``algebra._float_stack``):
+        a ``.csv`` file's lines (:func:`_csv_rows`), else one JSON array."""
         with open(path) as fh:
-            obj = json.load(fh)
-        if isinstance(obj, dict):
-            obj = obj["entries"]
-        E = _float_stack([obj], 2)
+            rows = _csv_rows(fh) if str(path).endswith(".csv") else json.load(fh)
+        E = _float_stack([rows], 2)
         if E is None:
-            raise ValueError("multiplier JSON must be equal-length rows of float-range numbers")
+            raise ValueError("a multiplier must be equal-length rows of float-range JSON numbers")
         return cls(E[0])
 
-    @classmethod
-    def load(cls, path) -> "SchurMatrix":
-        if str(path).endswith(".csv"):
-            return cls.from_csv(path)
-        return cls.from_json(path)
+
+def _csv_rows(lines) -> list:
+    """The rows of a multiplier CSV: each line is the body of a JSON array of
+    numbers, as many as on the first row, and a line of JSON whitespace is
+    skipped; a bad line raises ValueError naming it."""
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            row = json.loads("[" + line + "]")
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
+            row = [None]
+        if not row:
+            continue
+        if _float_stack(rows[:1] + [row], 1) is None:
+            raise ValueError(f"line {lineno}: a multiplier CSV line must be float-range "
+                             f"JSON numbers separated by commas, as many as in the first row")
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -192,53 +199,15 @@ def quad_rep_sqrt_rows(d: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np
     return quad_rep_coords(d, sqrt_batch(vals, frames), b)
 
 
-class MultiplierError(ValueError):
-    """A multiplier of a stack failed validation; ``index`` is its position."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
-def _checked_stack(E: np.ndarray, rank: int | None) -> np.ndarray:
-    """The multiplier check, for a float (k, n, n) stack: each matrix must be
-    square and nonempty, finite, no larger than _HALF_MAX (A + A.T could
-    overflow), symmetric within 1e-12 of its scale and, unless ``rank`` is
-    None, of size ``rank``.  The first matrix that fails raises the message of
-    its first failed check as a MultiplierError; otherwise returns the
-    read-only stack of the (A + A.T) / 2."""
-    if E.ndim != 3 or E.shape[1] != E.shape[2]:
-        raise MultiplierError("multiplier matrix must be square", 0)
-    n = E.shape[1]
-    if n == 0:
-        raise MultiplierError("multiplier matrix must not be empty", 0)
-    with np.errstate(invalid="ignore", over="ignore"):  # where not finite or too large
-        scale = np.abs(E).max(axis=(1, 2))  # NaN or inf where not finite
-        asym = np.abs(E - E.swapaxes(1, 2)).max(axis=(1, 2))
-    ok = (scale <= _HALF_MAX) & (asym <= 1e-12 * np.maximum(scale, 1.0))
-    wrong_size = rank is not None and n != rank  # then row 0 fails first
-    if wrong_size or not ok.all():
-        i = 0 if wrong_size else int(np.argmin(ok))
-        if not np.isfinite(E[i]).all():
-            message = "multiplier matrix entries must be finite"
-        elif scale[i] > _HALF_MAX:
-            message = f"multiplier matrix entries too large to symmetrize ({scale[i]:.3e})"
-        elif not ok[i]:
-            message = f"multiplier matrix is not symmetric (residual {asym[i]:.3e})"
-        else:
-            message = f"multiplier size {n} does not match frame rank {rank}"
-        raise MultiplierError(message, i)
-    E = (E + E.swapaxes(1, 2)) / 2.0
-    E.flags.writeable = False
-    return E
+MultiplierError = StackError  # a multiplier that failed :func:`multiplier_stack`
 
 
 def multiplier_stack(As, rank: int) -> np.ndarray:
     """Entries of a sequence of multipliers (matrices or :class:`SchurMatrix`)
-    as one read-only (k, rank, rank) stack, checked and symmetrized as a
-    SchurMatrix is, and each of size ``rank``.  The first bad multiplier
-    raises its message as a MultiplierError whose ``index`` is its position
-    in ``As``."""
+    as one read-only (k, rank, rank) stack, through the symmetric intake
+    (``algebra.symmetric_stack``) and then a check of size ``rank``.  The
+    first bad multiplier raises the message of its first failed check as a
+    MultiplierError whose ``index`` is its position in ``As``."""
     if not isinstance(As, np.ndarray):
         As = [a.entries if isinstance(a, SchurMatrix) else a for a in As]
         try:
@@ -246,11 +215,15 @@ def multiplier_stack(As, rank: int) -> np.ndarray:
         except (TypeError, ValueError):  # ragged: find the first culprit alone
             for i, A in enumerate(As):
                 try:
-                    _checked_stack(np.array(A, dtype=np.float64)[None], rank)
+                    multiplier_stack(np.array(A, dtype=np.float64)[None], rank)
                 except (TypeError, ValueError) as exc:
                     raise MultiplierError(str(exc), i) from None
             raise
-    return _checked_stack(np.asarray(As, dtype=np.float64), rank)
+    wrong_size = As.shape[1:] != (rank, rank)  # then row 0 fails first
+    E = symmetric_stack(As[:1] if wrong_size else As, "multiplier matrix")
+    if wrong_size:
+        raise MultiplierError(f"multiplier size {E.shape[1]} does not match frame rank {rank}", 0)
+    return E
 
 
 def frame_multiplier(A, frame: JordanFrame, d: AlgebraDescriptor | None = None) -> SchurMatrix:

@@ -1,7 +1,9 @@
 """Core algebra: descriptors, products, inner products, random generation."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,9 @@ from symcone.algebra import (
     unit,
     zero,
 )
+from symcone.search import read_archive
 from symcone.spectral import eigvals, spectral_decompose, sym_eigen
+from symcone.transforms import SchurMatrix, multiplier_stack
 
 import element_reference as reference
 from conftest import CATALOG, SMALL_CATALOG, coord_stacks, element_objects
@@ -248,6 +252,54 @@ class TestJordanIdentities:
             assert abs(gap) <= 1e-13 * (1.0 + norm(x)) * (1.0 + norm(y)) * (1.0 + norm(z))
 
 
+class TestSymmetricIntake:
+    # every symmetric matrix from outside, an element's or a multiplier's,
+    # passes one check (algebra.symmetric_stack): each entry point accepts
+    # and rejects the same matrices, and takes the same (M + M.T) / 2
+
+    @staticmethod
+    def _intakes(tmp_path) -> dict:
+        record = json.loads((Path(__file__).parent / "data" / "zero_diag_archive.jsonl")
+                            .read_text().splitlines()[0])
+        assert record["descriptor"] == "sym:2"
+
+        def archive(M):
+            path = tmp_path / "one.jsonl"
+            path.write_text(json.dumps(dict(record, A=M.tolist())) + "\n")
+            return read_archive(path).entries[0]
+
+        return {"from_matrix": lambda M: from_matrix(M).as_matrix(),
+                "sym_eigen": lambda M: np.concatenate([a.ravel() for a in sym_eigen(M)]),
+                "SchurMatrix": lambda M: SchurMatrix(M).entries,
+                "multiplier_stack": lambda M: multiplier_stack([M], 2)[0],
+                "read_archive": archive}
+
+    def test_a_residual_within_1e_12_of_the_scale_is_taken_symmetrized(self, tmp_path):
+        M = np.array([[3.0, 1.0], [1.0 + 5e-13 * 3.0, -2.0]])
+        S = (M + M.T) / 2.0
+        assert S[0, 1] != M[0, 1]
+        for name, intake in self._intakes(tmp_path).items():
+            assert intake(M).tobytes() == intake(S).tobytes(), name
+            if name != "sym_eigen":
+                assert intake(M).tobytes() == S.tobytes(), name
+
+    @pytest.mark.parametrize("M", [
+        np.array([[3.0, 1.0], [1.0 + 2e-12 * 3.0, -2.0]]),
+        np.array([[1e308, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, math.nan], [math.nan, 1.0]]),
+        np.zeros((0, 0)),
+    ], ids=["asymmetric-2e-12", "above-half-max", "nan", "empty"])
+    def test_every_intake_rejects_the_same_matrices(self, tmp_path, M):
+        accepted = []
+        for name, intake in self._intakes(tmp_path).items():
+            try:
+                intake(M)
+            except ValueError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+
 class TestElement:
     def test_coords_length_checked(self):
         with pytest.raises(ValueError):
@@ -337,7 +389,7 @@ class TestElement:
     def test_from_matrix_overflow_is_rejected_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflow"):
+            with pytest.raises(ValueError, match="too large to symmetrize"):
                 from_matrix(np.full((2, 2), 1e308))
 
     def test_basis_spans(self):

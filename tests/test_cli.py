@@ -220,6 +220,30 @@ class TestParser:
                        if action.dest != "help" and action.dest not in read]
         assert not unread
 
+    def test_every_numeric_flag_takes_a_package_type(self):
+        # a bare int or float type would let through values (0, nan, -1)
+        # that a handler must then reject itself, or never does
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        types = {(name, action.dest): action.type for name, sub in commands.choices.items()
+                 for action in sub._actions if action.type is not None}
+        assert types and set(types.values()) <= {cli.seed, cli.tolerance, cli.count}, types
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--alg", "sym:2", "--samples", "0"],
+        ["norm", "--kind", "lyap", "--operand", "e.json", "--r", "1", "--s", "2",
+         "--budget", "0"],
+        ["prospect", "--budget", "-1"],
+        ["prospect", "--samples", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_a_count_below_1_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                      argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        (line,) = error_lines(capsys)
+        assert line.endswith(f"argument {argv[-2]}: must be >= 1, got {argv[-1]}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["norm", "--kind", "lyap", "--operand", "e.json", "--r", "1", "--s", "2", "--atol", "0"],
         ["norm", "--kind", "lyap", "--operand", "e.json", "--r", "1", "--s", "2", "--rtol", "0"],
@@ -279,19 +303,37 @@ class TestNorm:
         assert "4.0" in capsys.readouterr().out
 
     def test_schur_json_operand_takes_the_json_number_rule(self, tmp_path, capsys):
-        # the same rows an archive line's multiplier must be: the documented
-        # {"entries": ...} form is read, JSON strings and booleans are not
+        # the same rows an archive line's multiplier must be: bare rows are
+        # read; JSON strings and booleans, and rows wrapped in an object, are not
         op = tmp_path / "m.json"
         argv = ["norm", "--kind", "schur", "--operand", str(op), "--alg", "sym:2",
                 "--r", "2", "--s", "2", "--budget", "5"]
-        op.write_text('{"entries": [[2, 0], [0, 3.0]]}')
+        op.write_text('[[2, 0], [0, 3.0]]')
         assert main(argv) == 0
         assert "3.0" in capsys.readouterr().out
-        op.write_text('[["2", true], [true, "3"]]')
-        assert main(argv) == 2
-        assert error_lines(capsys) == [
-            "error: cannot load operand: multiplier JSON must be equal-length rows of "
-            "float-range numbers"]
+        for text in ('[["2", true], [true, "3"]]', '{"entries": [[2, 0], [0, 3.0]]}'):
+            op.write_text(text)
+            assert main(argv) == 2
+            assert error_lines(capsys) == [
+                "error: cannot load operand: a multiplier must be equal-length rows of "
+                "float-range JSON numbers"]
+
+    def test_schur_csv_and_json_operands_give_the_same_report(self, tmp_path, capsys):
+        # one multiplier as CSV lines of repr cells and as JSON rows: the
+        # report bytes differ only in the operand path
+        G = np.random.default_rng(4).normal(size=(3, 3))
+        A = G.T @ G
+        (tmp_path / "m.csv").write_text(
+            "".join(",".join(map(repr, row)) + "\n" for row in A.tolist()))
+        (tmp_path / "m.json").write_text(json.dumps(A.tolist()))
+        reports = []
+        for name in ("m.csv", "m.json"):
+            out = tmp_path / (name + ".report")
+            assert main(["norm", "--kind", "schur", "--operand", str(tmp_path / name),
+                         "--alg", "sym:3", "--r", "3", "--s", "2", "--budget", "20",
+                         "--seed", "8", "--out", str(out)]) == 0
+            reports.append(out.read_text().replace(name, "OPERAND"))
+        assert reports[0] == reports[1]
 
     def test_schur_needs_alg(self, tmp_path, capsys):
         op = tmp_path / "m.csv"
@@ -815,9 +857,13 @@ HOSTILE = ("string-entry", "boolean-entry", "integer-beyond-float", "ragged-rows
            "nested-sum")
 HOSTILE_ENTRIES = {"string-entry": "1.0", "boolean-entry": True,
                    "integer-beyond-float": 10**400}
-# the readers: an element operand, a multiplier operand, and an archive
-# line's multiplier A and witness b; only an element spells an algebra
-FILE_READERS = ("norm-lyap", "norm-schur", "replay-A", "replay-b")
+# CSV cells that Python's float reads and the JSON number rule does not
+HOSTILE_CELLS = {"underscore": "1_0", "plus-sign": "+1", "bare-point": ".5",
+                 "arabic-indic-digit": "\u0663", "quoted": '"1"'}
+# the readers: an element operand, a multiplier operand as JSON and as CSV,
+# and an archive line's multiplier A and witness b; only an element spells
+# an algebra, and only a CSV line holds cells that are not JSON
+FILE_READERS = ("norm-lyap", "norm-schur", "norm-schur-csv", "replay-A", "replay-b")
 
 
 def _damaged_rows(rows: list, damage: str) -> list:
@@ -827,6 +873,17 @@ def _damaged_rows(rows: list, damage: str) -> list:
     else:
         rows[0][0] = HOSTILE_ENTRIES[damage]
     return rows
+
+
+def _csv_text(rows: list, damage: str | None = None) -> str:
+    """Multiplier rows as CSV lines of JSON cells; a damage spoils the last line."""
+    lines = [[json.dumps(v) for v in row] for row in rows]
+    if damage == "ragged-rows":
+        lines[-1].pop()
+    elif damage is not None:
+        lines[-1][0] = (HOSTILE_CELLS[damage] if damage in HOSTILE_CELLS
+                        else json.dumps(HOSTILE_ENTRIES[damage]))
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _damaged_element(obj: dict, damage: str) -> dict:
@@ -842,10 +899,12 @@ def _damaged_element(obj: dict, damage: str) -> dict:
 
 
 @pytest.mark.parametrize("reader,damage", [
-    (reader, damage) for reader in FILE_READERS for damage in HOSTILE
-    if damage != "nested-sum" or reader in ("norm-lyap", "replay-b")])
+    (reader, damage) for reader in FILE_READERS for damage in HOSTILE + tuple(HOSTILE_CELLS)
+    if (damage != "nested-sum" or reader in ("norm-lyap", "replay-b"))
+    and (damage not in HOSTILE_CELLS or reader == "norm-schur-csv")])
 def test_every_file_reader_rejects_a_hostile_value_on_one_line(tmp_path, reader, damage):
-    path = tmp_path / "input.json"
+    # a CSV multiplier's error names the damaged line, its last
+    path = tmp_path / ("input.csv" if reader == "norm-schur-csv" else "input.json")
     if reader == "norm-lyap":
         valid = element_to_json(unit(descriptor_from_spec("sum:sym:2+spin:3")))
         damaged = _damaged_element(valid, damage)
@@ -854,6 +913,10 @@ def test_every_file_reader_rejects_a_hostile_value_on_one_line(tmp_path, reader,
         valid = [[2.0, 0.5], [0.5, 3.0]]
         damaged = _damaged_rows(valid, damage)
         argv = ["norm", "--kind", "schur", "--operand", str(path), "--alg", "sym:2"]
+    elif reader == "norm-schur-csv":
+        rows = [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]]
+        valid, damaged = _csv_text(rows), _csv_text(rows, damage)
+        argv = ["norm", "--kind", "schur", "--operand", str(path), "--alg", "sym:3"]
     else:
         lines = (Path(__file__).parent / "data" / "zero_diag_archive.jsonl").read_text()
         valid = json.loads(next(ln for ln in lines.splitlines()
@@ -863,9 +926,12 @@ def test_every_file_reader_rejects_a_hostile_value_on_one_line(tmp_path, reader,
         argv = ["prospect", "--replay", str(path)]
     if argv[0] == "norm":
         argv += ["--r", "2", "--s", "2", "--budget", "5"]
-    path.write_text(json.dumps(valid) + "\n")
+    encode = str if reader == "norm-schur-csv" else (lambda obj: json.dumps(obj) + "\n")
+    path.write_text(encode(valid), encoding="utf-8")
     assert run_main(argv)[0] == 0
-    path.write_text(json.dumps(damaged) + "\n")
+    path.write_text(encode(damaged), encoding="utf-8")
     code, _, err = run_main(argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if reader == "norm-schur-csv":
+        assert err.startswith("error: cannot load operand: line 3: "), err

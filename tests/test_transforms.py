@@ -394,18 +394,31 @@ class TestSchurMatrixIO:
                 SchurMatrix(np.array(big))
 
     def test_csv_roundtrip(self, tmp_path):
+        # JSON whitespace and blank lines are legal
         A = SchurMatrix(np.array([[1.0, 0.25], [0.25, -2.0]]))
         path = tmp_path / "m.csv"
-        path.write_text("1.0,0.25\n0.25,-2.0\n")
-        B = SchurMatrix.from_csv(path)
+        path.write_text("1.0,0.25\n\n 0.25,\t-2.0\r\n  \n")
+        B = SchurMatrix.load(path)
         assert np.array_equal(A.entries, B.entries)
 
     def test_json_roundtrip(self, tmp_path):
         A = SchurMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         path = tmp_path / "m.json"
-        path.write_text('{"entries": [[0.0, 1.0], [1.0, 0.0]]}')
-        B = SchurMatrix.from_json(path)
+        path.write_text('[[0.0, 1.0], [1.0, 0.0]]')
+        B = SchurMatrix.load(path)
         assert np.array_equal(A.entries, B.entries)
+
+    @pytest.mark.parametrize("text,line", [
+        ("1,0\n\n0,nan\n", 3), ("1,0\n0\n", 2), ("1,0\n0,1,\n", 2),
+        ("[1,0]\n[0,1]\n", 1), ("1,0\n0,\u00a01\n", 2), ("1;0\n0;1\n", 1),
+    ], ids=["nan", "short-row", "trailing-comma", "bracketed", "no-break-space",
+            "semicolons"])
+    def test_a_csv_line_off_the_json_number_rule_is_named(self, tmp_path, text, line):
+        # cells Python's float reads (1_0, +1, .5) are in test_cli.py's hostile-value test
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {line}: a multiplier CSV line must be "):
+            SchurMatrix.load(path)
 
 
 class TestOperatorMatrices:
