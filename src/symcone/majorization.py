@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,7 +71,8 @@ def vec_pnorm_rows(V, p) -> np.ndarray:
     if not (p >= 1.0).all():
         raise ValueError(f"p must lie in [1, inf], got {p[~(p >= 1.0)][0]}")
     out = np.empty(len(V))
-    for q in np.unique(p):
+    # distinct orders ascending without np.unique, which imports numpy.ma
+    for q in dict.fromkeys(np.sort(p)):
         rows = p == q
         W = V[rows]
         top = W.max(axis=1, initial=0.0)
@@ -212,6 +212,8 @@ def _log_core(P, Q, atol, rtol):
     lost = np.flatnonzero(~((((pp >= _TINY) & (pp <= _HUGE)) | (ps == 0.0)) &
                             (((qp >= _TINY) & (qp <= _HUGE)) | (qs == 0.0))).all(axis=1))
     if lost.size and math.isfinite(atol) and math.isfinite(rtol):
+        from fractions import Fraction
+
         F = np.frompyfunc(Fraction, 1, 1)
         ew, holds[lost], eh, head_holds[lost] = _log_verdict(
             *(np.cumprod(F(v[lost]), axis=1) for v in (ps, qs)), F(atol), F(rtol))

@@ -993,9 +993,11 @@ _CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 8)
 _OUT_WORDS = np.arange(8) % _POOL_SIZE
 
 
-class _StateWords(np.random.bit_generator.ISeedSequence):
+class _StateWords:
     """A seed sequence handing PCG64 its four uint64 state words, derived
-    beforehand by :func:`_seed_state_words`."""
+    beforehand by :func:`_seed_state_words`.  :func:`sample_rngs` registers
+    it as numpy's ``ISeedSequence``, so importing the package leaves
+    numpy.random unloaded."""
 
     __slots__ = ("words",)
 
@@ -1066,6 +1068,7 @@ def sample_rngs(seed: int, idx) -> list[np.random.Generator]:
     if seed > _WORD or max(idx) > _WORD:
         return [sample_rng(seed, i) for i in idx]
     words = _cached_state_words(seed, idx)
+    np.random.bit_generator.ISeedSequence.register(_StateWords)  # a no-op once registered
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
