@@ -4,10 +4,14 @@ There is one kernel, :func:`jacobi_batch`, vectorized over a stack of
 symmetric matrices, with a flag that decides whether eigenvectors are
 accumulated; one matrix is a stack of one.  Each sweep visits the pairs
 (p, q), p < q, in row-major order and annihilates the pivot entry by a plane
-rotation.  Convergence is declared when the off-diagonal Frobenius mass
-drops below ``tol`` times the Frobenius norm of the input (floored at 1.0).
-The kernel never raises; it returns the final off-diagonal residuals and
-leaves the convergence decision to the caller.
+rotation.  A matrix has converged when its off-diagonal Frobenius mass is
+at or below ``tol * max(||M||_F, 1)``; the kernel is the one place that
+forms this threshold.  It raises ``ValueError`` when a matrix has a NaN or
+infinite entry, or finite entries whose squares overflow the norm, since
+those leave no threshold to converge to.  Running out of sweeps is not an
+error here: the kernel returns the final off-diagonal residuals with a
+per-matrix ``converged`` flag, and the caller decides what an unconverged
+matrix means.
 
 The kernel holds the stack last, in one (n, w, m) block X: ``X[i, :n]`` is
 row i of every matrix, and ``X[i, n:]`` is eigenvector column i of every
@@ -158,16 +162,22 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
 
     Returns (eigenvalues unsorted (m, n), eigenvector columns (m, n, n),
     C-contiguous, or None when ``vectors`` is false, off-diagonal residuals
-    (m,)).  Each rotation step computes one angle per matrix and rotates all
-    matrices at once.  A matrix leaves the stack once converged and is never
-    swept again, so every matrix ends exactly as it would in a stack of its
-    own.  The flag only decides whether the rotations are accumulated; the
+    (m,), converged (m,) bool: residual <= ``tol * max(||M||_F, 1)``).  Each
+    rotation step computes one angle per matrix and rotates all matrices at
+    once.  A matrix leaves the stack once converged and is never swept
+    again, so every matrix ends exactly as it would in a stack of its own.
+    The flag only decides whether the rotations are accumulated; the
     eigenvalues and the residuals do not depend on it.  ``S`` is not
-    modified.
+    modified.  A non-finite norm raises ``ValueError``; the overflow itself
+    is expected and stays silent.
     """
     A = np.ascontiguousarray(S, dtype=np.float64)  # read only; may be S itself
     m, n = A.shape[0], A.shape[1]
-    thresh = tol * np.maximum(np.sqrt((A * A).sum(axis=(1, 2))), 1.0)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((A * A).sum(axis=(1, 2)))
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix has non-finite entries (or its norm overflows)")
+    thresh = tol * np.maximum(norms, 1.0)
     X = np.zeros((n, 2 * n if vectors else n, m))
     X[:, :n] = A.transpose(1, 2, 0)
     if vectors:
@@ -191,28 +201,29 @@ def jacobi_batch(S, tol, max_sweeps, vectors=False):
         sweep()
         off[rows] = _offdiag_mass(X[:, :n])
     _store(X, n, slice(None), slice(None) if rows.size == m else rows, W, V)
-    return W, V, off
+    return W, V, off, off <= thresh
 
 
 def jacobi_eigh(M, tol, max_sweeps):
     """Eigenvalues (unsorted), eigenvector columns and off-diagonal residual
     of one symmetric matrix: a batch of one of :func:`jacobi_batch`."""
-    W, V, off = jacobi_batch(M[None], tol, max_sweeps, vectors=True)
+    W, V, off, _ = jacobi_batch(M[None], tol, max_sweeps, vectors=True)
     return W[0], V[0], off[0]
 
 
 def jacobi_vals(M, tol, max_sweeps):
     """Eigenvalues (unsorted) and off-diagonal residual of one symmetric
     matrix: a batch of one of :func:`jacobi_batch`."""
-    W, _, off = jacobi_batch(M[None], tol, max_sweeps)
+    W, _, off, _ = jacobi_batch(M[None], tol, max_sweeps)
     return W[0], off[0]
 
 
 def jacobi_vals_batch(S, tol, max_sweeps):
-    """Eigenvalues (unsorted, (m, n)) and off-diagonal residuals (m,) of a
-    stack of symmetric matrices; see :func:`jacobi_batch`."""
-    W, _, off = jacobi_batch(S, tol, max_sweeps)
-    return W, off
+    """Eigenvalues (unsorted, (m, n)), off-diagonal residuals (m,) and
+    converged flags (m,) of a stack of symmetric matrices; see
+    :func:`jacobi_batch`."""
+    W, _, off, converged = jacobi_batch(S, tol, max_sweeps)
+    return W, off, converged
 
 
 def backend() -> str:

@@ -204,10 +204,7 @@ def norm_empirical(kind: str, operand, r: float, s: float,
         wit_xi = mags * np.sign(dvec)
     witness = rebuild(fr, wit_xi)
     wit_u = row_sum(frame_cols * wit_xi)
-    if not np.any(wit_xi):
-        witness_value = 0.0
-    else:
-        witness_value = float(_ratios_through_map(op, alg, wit_u[None, :], r, s)[0])
+    witness_value = float(_ratios_through_map(op, alg, wit_u[None, :], r, s)[0])
     evals = 1
 
     best_val = witness_value

@@ -302,10 +302,6 @@ def replay_record(record: SearchRecord,
 class SweepResult:
     family: str
     descriptor: str
-    n_A: int
-    n_b: int
-    seed: int
-    problem: str
     violations: Archive
     min_margin: float
     tested: int
@@ -385,8 +381,7 @@ def sweep(spec: FamilySpec, descriptor: AlgebraDescriptor, n_A: int, n_b: int,
     m = len(margin)
     violations = Archive([spec.family] * m, [d_spec] * m, [seed] * m, entries, coords,
                          margin, ["violated"] * m, [problem] * m)
-    return SweepResult(spec.family, d_spec, n_A, n_b,
-                       seed, problem, violations, float(min_margin), tested)
+    return SweepResult(spec.family, d_spec, violations, float(min_margin), tested)
 
 
 # --- archives -----------------------------------------------------------------------

@@ -37,8 +37,6 @@ from .algebra import (
 )
 from .majorization import vec_pnorm
 
-JACOBI_TOL = _kernels.JACOBI_TOL
-JACOBI_MAX_SWEEPS = _kernels.JACOBI_MAX_SWEEPS
 # below this spin radius the sum of squares leaves the normal range
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
@@ -110,28 +108,14 @@ def frame_residuals(frame: JordanFrame) -> dict:
             "unit_sum": float(norm_rows(d, E.sum(axis=0) - unit(d).coords))}
 
 
-def _jacobi_thresh(S: np.ndarray):
-    """Convergence threshold ``JACOBI_TOL * max(||M||_F, 1)`` of every matrix M of
-    an (m, n, n) stack.
-
-    A NaN or infinite entry, or finite entries whose squares overflow, leave
-    no threshold to converge to, so they are rejected here; the overflow
-    itself is expected and stays silent.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(row_sum((S * S).reshape(len(S), S.shape[-1] ** 2)))
-    if not np.isfinite(norms).all():
-        raise ValueError("matrix has non-finite entries (or its norm overflows)")
-    return JACOBI_TOL * np.maximum(norms, 1.0)
-
-
 def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a symmetric matrix.
 
     A batch of one of :func:`sym_eigh_batch` after the symmetric-matrix
     intake (:func:`algebra.symmetric_stack`); raises
     :class:`JacobiConvergenceError` when the off-diagonal mass has not
-    dropped below ``JACOBI_TOL * max(||M||_F, 1)`` in ``JACOBI_MAX_SWEEPS`` sweeps.
+    dropped to the kernel's threshold (:func:`_kernels.jacobi_batch`) in
+    ``_kernels.JACOBI_MAX_SWEEPS`` sweeps.
     """
     W, V = sym_eigh_batch(symmetric_stack(np.asarray(M)[None]))
     return W[0], V[0]
@@ -139,22 +123,21 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sym_eigvals_batch(S: np.ndarray) -> np.ndarray:
     """Decreasing eigenvalues of a stack of symmetric matrices."""
-    S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(S)
-    W, offs = _kernels.jacobi_vals_batch(S, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    if not (offs <= thresh).all():
-        raise JacobiConvergenceError(float(offs.max()), JACOBI_MAX_SWEEPS)
+    sweeps = _kernels.JACOBI_MAX_SWEEPS
+    W, offs, converged = _kernels.jacobi_vals_batch(S, _kernels.JACOBI_TOL, sweeps)
+    if not converged.all():
+        raise JacobiConvergenceError(float(offs[~converged].max()), sweeps)
     return -np.sort(-W, axis=1)
 
 
 def sym_eigh_batch(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sym_eigen` over a stack: decreasing eigenvalues (m, n) and the
     matching orthonormal eigenvector columns (m, n, n)."""
-    S = np.asarray(S, dtype=np.float64)
-    thresh = _jacobi_thresh(S)
-    W, V, offs = _kernels.jacobi_batch(S, JACOBI_TOL, JACOBI_MAX_SWEEPS, vectors=True)
-    if not (offs <= thresh).all():
-        raise JacobiConvergenceError(float(offs.max()), JACOBI_MAX_SWEEPS)
+    sweeps = _kernels.JACOBI_MAX_SWEEPS
+    W, V, offs, converged = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL, sweeps,
+                                                  vectors=True)
+    if not converged.all():
+        raise JacobiConvergenceError(float(offs[~converged].max()), sweeps)
     order = np.argsort(-W, axis=1, kind="stable")
     return (np.take_along_axis(W, order, axis=1),
             np.take_along_axis(V, order[:, None, :], axis=2))

@@ -1,18 +1,24 @@
-"""Rewrite the golden reports under ``tests/data/golden/``.
+"""Rewrite the golden outputs under ``tests/data/golden/``.
 
     PYTHONPATH=src python3 tests/regen_golden.py
 
 The golden files are the outputs of the desk's ``verify`` and ``norm``
 commands (the same command lines as perfbench's desk session at seed 1),
-their operands, and ``fingerprint.json``: the numpy version and the numpy
-SIMD targets active on the host that wrote them, since the bits of a report
-depend on both.  ``test_golden.py`` runs the same commands through
-``cli.main`` (:func:`generate`) and compares.  A change that moves these
-bytes on purpose runs this script and names each changed file.
+``verify`` on every other catalog algebra at 300 samples, a zero-diagonal
+prospect on sym:3 and a cone-problem one on spin:4 (archive, summary CSV and
+the stdout of their ``--replay``), the ``norm`` operands, the exit code of
+every command (``exit-codes.json``) and ``fingerprint.json``: the numpy
+version and the numpy SIMD targets active on the host that wrote them, since
+the bits of an output depend on both.  ``test_golden.py`` runs the same
+commands through ``cli.main`` (:func:`generate`) and compares.  A change
+that moves these bytes on purpose runs this script and names each changed
+file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -23,19 +29,46 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 SEED = "1"
 OPERAND_SEED = (1, 0xDE5C)  # the desk session's operand generator at seed 1
+OUT = "{out}"  # stands for the output directory in an argv
+# the catalog algebras other than the desk's sym:4, verified at 300 samples
+VERIFY_ALGEBRAS = ("sym:2", "sym:3", "sym:5", "spin:3", "spin:4", "spin:5", "spin:6",
+                   "spin:7", "spin:8", "sum:sym:2+spin:3")
 
-# (report file, argv without --out); operands are named relative to GOLDEN,
-# so a report's config reads the same wherever it is written
+
+def _verify(alg: str, samples: str) -> tuple:
+    name = "verify-" + alg.replace(":", "").replace("+", "-")
+    return (name, ["verify", "--alg", alg, "--samples", samples, "--seed", SEED,
+                   "--out", f"{OUT}/{name}.json"], (f"{name}.json",))
+
+
+def _prospect(name: str, alg: str, *extra: str) -> tuple:
+    """A zero-diagonal prospect writing ``name``.jsonl and ``name``.csv, and
+    the replay of its archive, whose stdout is kept as ``replay-name``.stdout."""
+    return ((name, ["prospect", "--family", "random_sym", "--zero-diag", *extra,
+                    "--alg", alg, "--budget", "4", "--samples", "5", "--seed", SEED,
+                    "--out", f"{OUT}/{name}"], (f"{name}.jsonl", f"{name}.csv")),
+            (f"replay-{name}", ["prospect", "--replay", f"{OUT}/{name}.jsonl"],
+             (f"replay-{name}.stdout",)))
+
+
+# (command name, argv, the files it leaves in the output directory); a file
+# ending in .stdout holds what the command printed.  Operands are named
+# relative to GOLDEN, so a report's config reads the same wherever it is written
 COMMANDS = (
-    ("verify-sym4.json", ["verify", "--alg", "sym:4", "--samples", "20", "--seed", SEED]),
-    *((f"norm-{kind}.json", ["norm", "--kind", kind, "--operand", operand, *extra,
-                             "--r", r, "--s", s, "--budget", "200", "--seed", SEED])
+    _verify("sym:4", "20"),
+    *(_verify(alg, "300") for alg in VERIFY_ALGEBRAS),
+    *((f"norm-{kind}", ["norm", "--kind", kind, "--operand", operand, *extra,
+                        "--r", r, "--s", s, "--budget", "200", "--seed", SEED,
+                        "--out", f"{OUT}/norm-{kind}.json"], (f"norm-{kind}.json",))
       for kind, operand, extra, r, s in (
           ("lyap", "lyap.json", [], "inf", "2"),
           ("quad", "quad.json", [], "2", "inf"),
           ("schur", "schur.csv", ["--alg", "sym:3"], "3", "2"),
       )),
+    *_prospect("zero-diag-sym3", "sym:3"),
+    *_prospect("cone-spin4", "spin:4", "--problem", "cone"),
 )
+FILES = tuple(f for _, _, files in COMMANDS for f in files)
 
 
 def fingerprint() -> dict:
@@ -48,16 +81,21 @@ def fingerprint() -> dict:
 
 
 def generate(out: Path) -> dict[str, int]:
-    """Run every golden command through ``cli.main`` with its report written
-    to ``out``; returns each report's exit code."""
+    """Run every golden command through ``cli.main`` with its outputs written
+    to ``out``; returns each command's exit code."""
     from symcone import cli
 
     codes = {}
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        for name, argv in COMMANDS:
-            codes[name] = cli.main([*argv, "--out", str(out / name)])
+        for name, argv, files in COMMANDS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                codes[name] = cli.main([a.replace(OUT, str(out)) for a in argv])
+            for f in files:
+                if f.endswith(".stdout"):
+                    (out / f).write_text(stdout.getvalue())
     finally:
         os.chdir(cwd)
     return codes
@@ -80,8 +118,8 @@ def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     write_operands(GOLDEN)
     codes = generate(GOLDEN)
+    (GOLDEN / "exit-codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     (GOLDEN / "fingerprint.json").write_text(json.dumps(fingerprint(), indent=2) + "\n")
-    print(json.dumps(codes, indent=2), file=sys.stderr)
     return 0
 
 

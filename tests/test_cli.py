@@ -302,6 +302,31 @@ class TestNorm:
         assert code == 0
         assert "4.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["lyap", "quad", "schur"])
+    @pytest.mark.parametrize("alg", ["sym:3", "spin:4", "sum:sym:2+spin:3"])
+    @pytest.mark.parametrize("r,s", [("3", "2"), ("inf", "1")])
+    def test_zero_operand_report(self, tmp_path, capsys, kind, alg, r, s):
+        # at s < r the witness of a zero operand is the zero element, whose
+        # ratio the estimator takes as 0 like that of any zero row
+        d = descriptor_from_spec(alg)
+        zero = Element(d, np.zeros(d.dim))
+        if kind == "schur":
+            op = tmp_path / "zero.csv"
+            op.write_text("\n".join([",".join(["0.0"] * d.rank)] * d.rank) + "\n")
+            extra = ["--alg", alg]
+        else:
+            op = tmp_path / "zero.json"
+            op.write_text(json.dumps(element_to_json(zero)))
+            extra = []
+        out = tmp_path / "norm.json"
+        assert main(["norm", "--kind", kind, "--operand", str(op), *extra, "--r", r,
+                     "--s", s, "--budget", "20", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert json.loads(text)["result"] == {
+            "closed_form": 0.0, "empirical": 0.0, "witness_value": 0.0, "gap": 0.0,
+            "evaluations": 20, "witness": element_to_json(zero), "note": None}
+        assert "-0.0" not in text
+
     def test_schur_json_operand_takes_the_json_number_rule(self, tmp_path, capsys):
         # the same rows an archive line's multiplier must be: bare rows are
         # read; JSON strings and booleans, and rows wrapped in an object, are not

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from symcone import _kernels, spectral
+from symcone import _kernels
 from symcone.algebra import Element, SymMatrix
 from symcone.spectral import (
     JacobiConvergenceError,
@@ -91,10 +91,23 @@ class TestInputHandling:
 
     def test_nonconvergence_raises(self, monkeypatch):
         M = np.array([[1.0, 4.0], [4.0, -2.0]])
-        monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+        monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(JacobiConvergenceError) as exc:
             sym_eigen(M)
         assert exc.value.residual > 0
+
+    @pytest.mark.parametrize("solve", [sym_eigvals_batch, sym_eigh_batch])
+    def test_nonconvergence_reports_an_unconverged_residual(self, monkeypatch, solve):
+        # with no sweeps the first matrix has converged (off 7.07e-6 against a
+        # threshold of 1.41e-4) and the second has not (off 1.41e-7 against
+        # 2.24e-13): the error reports the second's residual, not the larger
+        S = np.array([[[1e9, 5e-6], [5e-6, 1e9]],
+                      [[1.0, 1e-7], [1e-7, 2.0]]])
+        monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(JacobiConvergenceError) as exc:
+            solve(S)
+        assert exc.value.residual == pytest.approx(math.sqrt(2.0) * 1e-7, rel=1e-15)
+        assert exc.value.max_sweeps == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_rejects_non_finite(self, bad):
@@ -104,11 +117,19 @@ class TestInputHandling:
         with pytest.raises(ValueError):
             sym_eigen(M)
         with pytest.raises(ValueError):
-            sym_eigvals_batch(M[None])
-        with pytest.raises(ValueError):
-            sym_eigh_batch(np.stack([np.eye(2), M]))
-        with pytest.raises(ValueError):
             eigvals(Element(SymMatrix(2), [1.0, bad, 2.0]))
+        # the kernel's own gate, and the solvers that reach it directly
+        tol, sweeps = _kernels.JACOBI_TOL, _kernels.JACOBI_MAX_SWEEPS
+        stack = np.stack([np.eye(2), M])
+        message = r"^matrix has non-finite entries \(or its norm overflows\)$"
+        for solve in (lambda: sym_eigvals_batch(M[None]),
+                      lambda: sym_eigh_batch(stack),
+                      lambda: _kernels.jacobi_batch(stack, tol, sweeps),
+                      lambda: _kernels.jacobi_batch(stack, tol, sweeps, vectors=True),
+                      lambda: _kernels.jacobi_vals_batch(stack, tol, sweeps),
+                      lambda: _kernels.jacobi_eigh(M, tol, sweeps)):
+            with pytest.raises(ValueError, match=message):
+                solve()
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -181,18 +202,18 @@ class TestBatchEigenvectors:
 
     def test_rows_independent_of_the_stack(self):
         S = _stack(np.random.default_rng(8), 5, 12)
-        W, V, off = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL,
-                                          _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+        W, V, off, _ = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL,
+                                             _kernels.JACOBI_MAX_SWEEPS, vectors=True)
         for i in (0, 5, 11):
-            w, v, o = _kernels.jacobi_batch(S[i:i + 1], _kernels.JACOBI_TOL,
-                                            _kernels.JACOBI_MAX_SWEEPS, vectors=True)
+            w, v, o, _ = _kernels.jacobi_batch(S[i:i + 1], _kernels.JACOBI_TOL,
+                                               _kernels.JACOBI_MAX_SWEEPS, vectors=True)
             assert np.array_equal(w[0], W[i])
             assert np.array_equal(v[0], V[i])
             assert o[0] == off[i]
 
     def test_one_sweep_does_not_converge(self, monkeypatch):
         S = _stack(np.random.default_rng(10), 5, 8)
-        monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
+        monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
         with pytest.raises(JacobiConvergenceError) as exc:
             sym_eigh_batch(S)
         assert exc.value.residual > 0 and exc.value.max_sweeps == 1
@@ -247,11 +268,12 @@ class TestKernelFlag:
         # on one matrix are its row of the stack
         S_before = S.copy()
         tol, sweeps = _kernels.JACOBI_TOL, _kernels.JACOBI_MAX_SWEEPS
-        W, V, off = _kernels.jacobi_batch(S, tol, sweeps, vectors=True)
-        W_vals, V_vals, off_vals = _kernels.jacobi_batch(S, tol, sweeps)
+        W, V, off, done = _kernels.jacobi_batch(S, tol, sweeps, vectors=True)
+        W_vals, V_vals, off_vals, done_vals = _kernels.jacobi_batch(S, tol, sweeps)
         assert V_vals is None
         assert np.array_equal(W, W_vals)
         assert np.array_equal(off, off_vals)
+        assert np.array_equal(done, done_vals)
         assert np.array_equal(S, S_before)  # the input is left as it was
         w, v, o = _kernels.jacobi_eigh(S[0], tol, sweeps)
         assert np.array_equal(w, W[0]) and np.array_equal(v, V[0]) and o == off[0]
@@ -337,11 +359,14 @@ def _bits(x):
 
 def _assert_kernel_is_reference(S, max_sweeps=_kernels.JACOBI_MAX_SWEEPS):
     S_before = S.copy()
+    norms = np.sqrt((S * S).sum(axis=(1, 2)))
+    thresh = _kernels.JACOBI_TOL * np.maximum(norms, 1.0)
     for vectors in (False, True):
         got = _kernels.jacobi_batch(S, _kernels.JACOBI_TOL, max_sweeps, vectors)
         ref = _reference_jacobi_batch(S, _kernels.JACOBI_TOL, max_sweeps, vectors)
         assert _bits(got[0]) == _bits(ref[0])  # eigenvalues
         assert _bits(got[2]) == _bits(ref[2])  # residuals
+        assert _bits(got[3]) == _bits(ref[2] <= thresh)  # converged flags
         if vectors:
             assert got[1].flags.c_contiguous
             assert _bits(got[1]) == _bits(ref[1])

@@ -283,8 +283,8 @@ def _per_sample_sweep(spec, d, n_A, n_b, seed, problem):
             margins.append(rec.margin)
             if rec.verdict == "violated":
                 violations.append(rec)
-    return SweepResult(spec.family, descriptor_to_spec(d), n_A, n_b, seed, problem,
-                       violations, min(margins), len(margins))
+    return SweepResult(spec.family, descriptor_to_spec(d), violations, min(margins),
+                       len(margins))
 
 
 class TestArchives:
